@@ -2,11 +2,16 @@
 
 Layout: header {magic "HMHD", version u32, n u32, t f64, nu f64, mu f64},
 then u then b as little-endian f64 interleaved (re, im) pairs in
-component-major, k-row-major order.  Bit-exact round trip.
+component-major, k-row-major order.  Bit-exact round trip.  A checkpoint is
+written to a temporary file beside the target and renamed over it, so a
+write that fails part-way leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import secrets
 import struct
 
 import numpy as np
@@ -28,10 +33,19 @@ def write_checkpoint(
     n = u.grid.n
     if b.grid.n != n or u.ncomp != 3 or b.ncomp != 3:
         raise CheckpointError("checkpoint needs two 3-component fields on one grid")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, n, float(t), float(nu), float(mu)))
-        fh.write(np.ascontiguousarray(u.coeffs, dtype="<c16").tobytes())
-        fh.write(np.ascontiguousarray(b.coeffs, dtype="<c16").tobytes())
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(_HEADER.pack(MAGIC, VERSION, n, float(t), float(nu), float(mu)))
+            fh.write(np.ascontiguousarray(u.coeffs, dtype="<c16").tobytes())
+            fh.write(np.ascontiguousarray(b.coeffs, dtype="<c16").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralField]:

@@ -38,7 +38,6 @@ class RunConfig:
     diag_every: int = 10
     checkpoint_every: int | None = None  # steps; multiple of diag_every
     dealias_cut: int | None = None
-    hall_dealias_half: bool = False  # stricter n/4 cut for the Hall product
     linf_oversample: int = 1
     cfl_adv: float = 1.0
     cfl_whistler: float = 1.0

@@ -6,7 +6,11 @@ Convention: for samples f(x) on the n^3 collocation grid of the 2*pi torus,
 
 so f(x) = sum_k coeff(k) exp(i k.x).  Wavevectors are integers; the n/2
 ("oddball") mode present for even n is zeroed whenever a derivative is taken.
-Coefficients are kept full-cube complex128 (no real-transform compression).
+Field coefficients are stored as the full complex128 cube.  Fields are real,
+so the cube is Hermitian, coeff(-k) = conj(coeff(k)): the half cube
+coeffs[..., :n//2 + 1] (kz >= 0) determines the rest, and the solver's
+nonlinear kernel transforms only that half with real FFTs, restoring the
+upper kz half from the symmetry.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ class DimensionError(ValueError):
 class Grid:
     """Collocation grid: n modes per axis on the fixed 2*pi torus.
 
-    dealias_cut defaults to floor(n/3) (2/3 rule on the radial wavenumber):
+    dealias_cut defaults to (n - 1) // 3, the largest cut with
+    3*dealias_cut < n (2/3 rule on the radial wavenumber).  Under that bound,
     quadratic products of fields supported in |k| <= dealias_cut are exact on
-    the retained modes, and collocation quadrature of triple products is exact
-    whenever 3*dealias_cut < n.
+    the retained modes, and collocation quadrature of triple products is
+    exact.  An explicit cut that breaks it raises DimensionError.
     """
 
     n: int
@@ -43,10 +48,14 @@ class Grid:
     def __post_init__(self):
         if self.n < 8 or self.n % 2:
             raise DimensionError(f"grid size must be even and >= 8, got n={self.n}")
+        largest = (self.n - 1) // 3
         if self.dealias_cut is None:
-            object.__setattr__(self, "dealias_cut", self.n // 3)
-        if not 1 <= self.dealias_cut <= self.n // 2:
-            raise DimensionError(f"dealias_cut={self.dealias_cut} outside [1, n/2]")
+            object.__setattr__(self, "dealias_cut", largest)
+        if not 1 <= self.dealias_cut <= largest:
+            raise DimensionError(
+                f"dealias_cut={self.dealias_cut} outside [1, {largest}]: quadratic "
+                f"products alias unless 3*dealias_cut < n={self.n}"
+            )
 
     @property
     def k_max(self) -> float:
@@ -96,6 +105,19 @@ class Grid:
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         return self.k_mag <= self.dealias_cut
+
+    @cached_property
+    def hermitian_partner(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Broadcastable indices (ix, iy, iz), shapes (n,1,1), (1,n,1) and
+        (1,1,n/2-1), with half[..., ix, iy, iz] the mode -k of each upper-kz
+        mode k (kz index n/2+1 .. n-1), where half = coeffs[..., :n/2+1]."""
+        n = self.n
+        neg = (-np.arange(n)) % n
+        return (
+            neg.reshape(n, 1, 1),
+            neg.reshape(1, n, 1),
+            (n - np.arange(n // 2 + 1, n)).reshape(1, 1, -1),
+        )
 
     @cached_property
     def x1(self) -> np.ndarray:
@@ -202,6 +224,29 @@ def _extract(coeffs_fine: np.ndarray, m: int, n: int) -> np.ndarray:
     return out
 
 
+def _half_to_physical(half: np.ndarray, n: int) -> np.ndarray:
+    """Collocation samples of real fields from their half-cube coefficients
+    coeffs[..., :n//2 + 1]: one real inverse transform per component."""
+    return np.fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+
+
+def _physical_to_half(samples: np.ndarray) -> np.ndarray:
+    """Half-cube coefficients of real samples: one real forward transform per
+    component, with this module's 1/n^3 normalization."""
+    return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
+
+
+def _fill_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """Full-cube coefficients of real fields from their half cube, the upper
+    kz half being the conjugates of the Hermitian partners."""
+    nh = grid.n // 2 + 1
+    out = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
+    out[..., :nh] = half
+    ix, iy, iz = grid.hermitian_partner
+    np.conjugate(half[..., ix, iy, iz], out=out[..., nh:])
+    return out
+
+
 def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
     """Collocation samples, shape (ncomp, m, m, m) with m = oversample * n."""
     if oversample < 1:
@@ -227,19 +272,23 @@ def from_physical(samples: np.ndarray, grid: Grid) -> SpectralField:
 # -- calculus -----------------------------------------------------------------
 
 
-def curl(f: SpectralField) -> SpectralField:
-    if f.ncomp != 3:
-        raise DimensionError("curl needs a 3-component field")
-    dx, dy, dz = f.grid.dvec
-    cx, cy, cz = f.coeffs
-    out = np.stack(
+def _curl(dvec, coeffs: np.ndarray) -> np.ndarray:
+    """i d x coeffs for broadcastable derivative wavenumbers (full or half cube)."""
+    dx, dy, dz = dvec
+    cx, cy, cz = coeffs
+    return np.stack(
         [
             1j * (dy * cz - dz * cy),
             1j * (dz * cx - dx * cz),
             1j * (dx * cy - dy * cx),
         ]
     )
-    return SpectralField(f.grid, out, is_solenoidal=True)
+
+
+def curl(f: SpectralField) -> SpectralField:
+    if f.ncomp != 3:
+        raise DimensionError("curl needs a 3-component field")
+    return SpectralField(f.grid, _curl(f.grid.dvec, f.coeffs), is_solenoidal=True)
 
 
 def divergence(f: SpectralField) -> SpectralField:
@@ -264,20 +313,25 @@ def laplacian(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, -f.grid.k_sq * f.coeffs, f.is_solenoidal)
 
 
+def _leray(kvec, k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """coeffs - k (k.coeffs)/|k|^2 for broadcastable wavevectors (full or half
+    cube, k = 0 at index [0, 0, 0]); k = 0 untouched."""
+    kx, ky, kz = kvec
+    ksq = k_sq.copy()
+    ksq[0, 0, 0] = 1.0  # k=0 row divides by 1 and subtracts 0
+    kdot = (kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]) / ksq
+    kdot[0, 0, 0] = 0.0
+    return np.stack(
+        [coeffs[0] - kx * kdot, coeffs[1] - ky * kdot, coeffs[2] - kz * kdot]
+    )
+
+
 def leray_project(f: SpectralField) -> SpectralField:
     """Remove the gradient part: coeff -= k (k.coeff)/|k|^2, k=0 untouched."""
     if f.ncomp != 3:
         raise DimensionError("leray_project needs a 3-component field")
     g = f.grid
-    kx, ky, kz = g.kvec
-    ksq = g.k_sq.copy()
-    ksq[0, 0, 0] = 1.0  # k=0 row divides by 1 and subtracts 0
-    kdot = (kx * f.coeffs[0] + ky * f.coeffs[1] + kz * f.coeffs[2]) / ksq
-    kdot[0, 0, 0] = 0.0
-    out = np.stack(
-        [f.coeffs[0] - kx * kdot, f.coeffs[1] - ky * kdot, f.coeffs[2] - kz * kdot]
-    )
-    return SpectralField(g, out, is_solenoidal=True)
+    return SpectralField(g, _leray(g.kvec, g.k_sq, f.coeffs), is_solenoidal=True)
 
 
 def dealias(f: SpectralField) -> SpectralField:

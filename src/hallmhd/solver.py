@@ -3,7 +3,19 @@
 Pressure is eliminated by Leray projection.  Diffusion is handled exactly by
 an integrating factor; the dealiased pseudo-spectral nonlinearity is advanced
 with classical fourth-order Runge-Kutta on the transformed variables.
-Advective terms use the divergence form d_j(u_j v_i), valid by solenoidality.
+
+The nonlinearity is written in rotational form (Orszag & Patterson 1972;
+Canuto et al., Spectral Methods, 2006, sec. 3.4), with w = curl u and
+J = curl b:
+
+    du = P[ u x w + J x b ],    db = curl( (u - J) x b ),
+
+which equals the advective form by solenoidality of u and b.  One private
+kernel evaluates it for the stepper, `rhs` and `hall_power`: the fields are
+taken to physical space from the half cube kz >= 0 with real transforms, the
+cross products are formed pointwise, and the forward real transforms are
+dealiased, curled or projected on the half cube before the upper kz half is
+restored from Hermitian symmetry.
 """
 
 from __future__ import annotations
@@ -16,15 +28,19 @@ from .config import RunConfig
 from .fields import (
     Grid,
     SpectralField,
-    curl,
+    _curl,
+    _fill_from_half,
+    _half_to_physical,
+    _leray,
+    _physical_to_half,
     divergence_error,
     from_physical,
     grad_norm_sq,
     inner_product,
     leray_project,
     lp_norm,
+    pointwise_magnitude,
     random_field,
-    to_physical,
     vector_potential,
     zero_field,
 )
@@ -63,81 +79,98 @@ class SolverState:
 # -- right-hand side -------------------------------------------------------------
 
 
-def _div_tensor(grid: Grid, tensor_hat: np.ndarray) -> np.ndarray:
-    """Spectral divergence d_j T_ij of a (3,3,...) tensor of products."""
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise a x b of (3, ...) sample arrays."""
+    out = np.empty(a.shape)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+    return out
+
+
+def _half_calculus(grid: Grid):
+    """(derivative wavenumbers, wavevectors, |k|^2, dealias mask) restricted
+    to the half cube kz >= 0; views of the grid's full-cube arrays."""
+    nh = grid.n // 2 + 1
     dx, dy, dz = grid.dvec
-    return np.stack(
-        [
-            1j * (dx * tensor_hat[i, 0] + dy * tensor_hat[i, 1] + dz * tensor_hat[i, 2])
-            for i in range(3)
-        ]
+    kx, ky, kz = grid.kvec
+    return (
+        (dx, dy, dz[..., :nh]),
+        (kx, ky, kz[..., :nh]),
+        grid.k_sq[..., :nh],
+        grid.dealias_mask[..., :nh],
     )
 
 
-def rhs(
-    u: SpectralField,
-    b: SpectralField,
-    hall_on: bool = True,
-    hall_dealias_half: bool = False,
-    check_inputs: bool = True,
-) -> tuple[SpectralField, SpectralField]:
-    """Nonlinear right side (diffusion excluded):
+def _nonlinear(grid: Grid, u: np.ndarray, b: np.ndarray, hall_on: bool):
+    """The rotational-form nonlinear terms of full-cube coefficients u, b:
 
-        du = -P[ u.grad u - b.grad b ]
-        db = -P[ u.grad b - b.grad u ] - curl((curl b) x b)   (hall_on)
+        du = P[mask (u x w + J x b)],   db = curl(mask ((u - J) x b)),
 
-    with advective terms in divergence form and all products dealiased.
+    J dropped from db when hall_on is False.  Returns full-cube (du, db) and
+    the samples of u and b.  Costs 12 real inverse and 6 real forward
+    transforms.
     """
-    grid = u.grid
-    if check_inputs:
-        for f, name in ((u, "u"), (b, "b")):
-            err = divergence_error(f)
-            if err > 1e-8:
-                raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
+    dvec, kvec, k_sq, mask = _half_calculus(grid)
     n = grid.n
-    mask = grid.dealias_mask
-    up = to_physical(u)
-    bp = to_physical(b)
-
-    t_u = np.empty((3, 3, n, n, n))
-    t_b = np.empty((3, 3, n, n, n))
-    for i in range(3):
-        for j in range(3):
-            t_u[i, j] = up[j] * up[i] - bp[j] * bp[i]
-            t_b[i, j] = up[j] * bp[i] - bp[j] * up[i]
-    t_u_hat = np.fft.fftn(t_u, axes=(-3, -2, -1)) / n**3 * mask
-    t_b_hat = np.fft.fftn(t_b, axes=(-3, -2, -1)) / n**3 * mask
-
-    du = leray_project(SpectralField(grid, -_div_tensor(grid, t_u_hat)))
-    db = leray_project(SpectralField(grid, -_div_tensor(grid, t_b_hat)))
-
-    if hall_on:
-        cb = to_physical(curl(b))
-        h = np.cross(cb, bp, axisa=0, axisb=0, axisc=0)
-        h_hat = np.fft.fftn(h, axes=(-3, -2, -1)) / n**3
-        if hall_dealias_half:
-            h_hat *= grid.k_mag <= n // 4
-        else:
-            h_hat *= mask
-        db = db - curl(SpectralField(grid, h_hat))
-    db.is_solenoidal = True
-    return du, db
+    uh, bh = u[..., : n // 2 + 1], b[..., : n // 2 + 1]
+    # one call per field: pocketfft runs faster on 3-component batches than
+    # on one stacked 12-component array
+    up, bp, wp, jp = (
+        _half_to_physical(c, n) for c in (uh, bh, _curl(dvec, uh), _curl(dvec, bh))
+    )
+    fu = _physical_to_half(_cross(up, wp) + _cross(jp, bp))
+    fb = _physical_to_half(_cross(up - jp if hall_on else up, bp))
+    fu *= mask
+    fb *= mask
+    du = _fill_from_half(grid, _leray(kvec, k_sq, fu))
+    db = _fill_from_half(grid, _curl(dvec, fb))
+    return du, db, up, bp
 
 
-def hall_power(b: SpectralField, hall_dealias_half: bool = False) -> float:
+def rhs(
+    u: SpectralField, b: SpectralField, hall_on: bool = True
+) -> tuple[SpectralField, SpectralField]:
+    """Nonlinear right side (diffusion excluded), in rotational form:
+
+        du = P[ u x curl u + (curl b) x b ]
+        db = curl( (u - curl b) x b )        (u x b when hall_on is False)
+
+    with every product dealiased.  Equal to the advective form
+    -P[u.grad u - b.grad b], curl(u x b) - curl((curl b) x b) for solenoidal
+    u and b, which is checked: a non-solenoidal input raises ValueError.
+    """
+    for f, name in ((u, "u"), (b, "b")):
+        err = divergence_error(f)
+        if err > 1e-8:
+            raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
+    du, db, _, _ = _nonlinear(u.grid, u.coeffs, b.coeffs, hall_on)
+    return SpectralField(u.grid, du, True), SpectralField(u.grid, db, True)
+
+
+def hall_power(b: SpectralField) -> float:
     """Instantaneous work of the Hall term on b: integral of
     curl((curl b) x b) . b dx, zero up to discretization roundoff."""
     grid = b.grid
-    cb = to_physical(curl(b))
-    bp = to_physical(b)
-    h = np.cross(cb, bp, axisa=0, axisb=0, axisc=0)
-    h_hat = np.fft.fftn(h, axes=(-3, -2, -1)) / grid.n**3
-    cut = grid.n // 4 if hall_dealias_half else None
-    h_hat *= (grid.k_mag <= cut) if cut else grid.dealias_mask
-    return inner_product(curl(SpectralField(grid, h_hat)), b)
+    dvec, _, _, mask = _half_calculus(grid)
+    bh = b.coeffs[..., : grid.n // 2 + 1]
+    bp, jp = (_half_to_physical(c, grid.n) for c in (bh, _curl(dvec, bh)))
+    h = _physical_to_half(_cross(jp, bp)) * mask
+    return inner_product(SpectralField(grid, _fill_from_half(grid, _curl(dvec, h))), b)
 
 
 # -- time stepping ----------------------------------------------------------------
+
+
+def _gate(u_max: float, b_max: float, k_cut: float, cfg: RunConfig) -> float:
+    """min(c_adv/(k_cut u_max), c_whistler/(k_cut^2 b_max)); inf for zero fields."""
+    gate = np.inf
+    if u_max > 0:
+        gate = min(gate, cfg.cfl_adv / (k_cut * u_max))
+    if b_max > 0:
+        gate = min(gate, cfg.cfl_whistler / (k_cut**2 * b_max))
+    return float(gate)
 
 
 def dt_gate(
@@ -146,15 +179,9 @@ def dt_gate(
     cfg: RunConfig,
 ) -> float:
     """Largest admissible dt: min(c_adv/(k_cut max|u|), c_whistler/(k_cut^2 max|b|))."""
-    k_cut = float(u.grid.dealias_cut)
-    u_max = lp_norm(u, np.inf)
-    b_max = lp_norm(b, np.inf)
-    gate = np.inf
-    if u_max > 0:
-        gate = min(gate, cfg.cfl_adv / (k_cut * u_max))
-    if b_max > 0:
-        gate = min(gate, cfg.cfl_whistler / (k_cut**2 * b_max))
-    return float(gate)
+    return _gate(
+        lp_norm(u, np.inf), lp_norm(b, np.inf), float(u.grid.dealias_cut), cfg
+    )
 
 
 class Stepper:
@@ -170,28 +197,19 @@ class Stepper:
         self.eb_half = np.exp(-cfg.mu * ksq * dt / 2.0)
         self.eb_full = self.eb_half**2
 
-    def _rhs(self, u, b):
-        return rhs(
-            u,
-            b,
-            hall_on=self.cfg.hall_on,
-            hall_dealias_half=self.cfg.hall_dealias_half,
-            check_inputs=False,
-        )
+    def _rhs(self, u: SpectralField, b: SpectralField):
+        du, db, up, bp = _nonlinear(self.grid, u.coeffs, b.coeffs, self.cfg.hall_on)
+        return SpectralField(self.grid, du), SpectralField(self.grid, db), up, bp
 
     def step(self, state: SolverState, enforce_gate: bool = True) -> SolverState:
-        cfg = self.cfg
-        dt = cfg.dt
-        if enforce_gate:
-            gate = dt_gate(state.u, state.b, cfg)
-            if dt > gate:
-                raise DtGateError(state.t, dt, gate)
         # overflow en route to the isfinite check below is the expected way a
         # blow-up manifests; it is reported, not treated as an FP error
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            return self._step_inner(state, dt)
+            return self._step_inner(state, self.cfg.dt, enforce_gate)
 
-    def _step_inner(self, state: SolverState, dt: float) -> SolverState:
+    def _step_inner(
+        self, state: SolverState, dt: float, enforce_gate: bool
+    ) -> SolverState:
         cfg = self.cfg
         g = self.grid
         u0, b0 = state.u, state.b
@@ -199,22 +217,32 @@ class Stepper:
         def diss(u, b):
             return cfg.nu * grad_norm_sq(u) + cfg.mu * grad_norm_sq(b)
 
-        du1, db1 = self._rhs(u0, b0)
+        du1, db1, up, bp = self._rhs(u0, b0)
+        if enforce_gate:
+            # the gate of dt_gate, from the stage-1 samples of the state
+            gate = _gate(
+                float(pointwise_magnitude(up).max(initial=0.0)),
+                float(pointwise_magnitude(bp).max(initial=0.0)),
+                float(g.dealias_cut),
+                cfg,
+            )
+            if dt > gate:
+                raise DtGateError(state.t, dt, gate)
         g1 = diss(u0, b0)
         u1 = SpectralField(g, self.eu_half * (u0.coeffs + (dt / 2) * du1.coeffs))
         b1 = SpectralField(g, self.eb_half * (b0.coeffs + (dt / 2) * db1.coeffs))
 
-        du2, db2 = self._rhs(u1, b1)
+        du2, db2, _, _ = self._rhs(u1, b1)
         g2 = diss(u1, b1)
         u2 = SpectralField(g, self.eu_half * u0.coeffs + (dt / 2) * du2.coeffs)
         b2 = SpectralField(g, self.eb_half * b0.coeffs + (dt / 2) * db2.coeffs)
 
-        du3, db3 = self._rhs(u2, b2)
+        du3, db3, _, _ = self._rhs(u2, b2)
         g3 = diss(u2, b2)
         u3 = SpectralField(g, self.eu_full * u0.coeffs + dt * self.eu_half * du3.coeffs)
         b3 = SpectralField(g, self.eb_full * b0.coeffs + dt * self.eb_half * db3.coeffs)
 
-        du4, db4 = self._rhs(u3, b3)
+        du4, db4, _, _ = self._rhs(u3, b3)
         g4 = diss(u3, b3)
 
         u_new = SpectralField(

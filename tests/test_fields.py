@@ -10,7 +10,10 @@ from hallmhd.fields import (
     DimensionError,
     Grid,
     SpectralField,
+    _fill_from_half,
+    _physical_to_half,
     curl,
+    dealias,
     divergence,
     divergence_error,
     from_physical,
@@ -56,6 +59,20 @@ class TestGrid:
             Grid(4)
         with pytest.raises(DimensionError):
             Grid(16, dealias_cut=9)
+        # 3*cut = n aliases quadratic products; the message names the largest cut
+        with pytest.raises(DimensionError, match=r"outside \[1, 7\]"):
+            Grid(24, dealias_cut=8)
+
+    @pytest.mark.parametrize("n", [24, 48])
+    def test_default_cut_keeps_squares_unaliased(self, n):
+        # cos^2(cut x) = 1/2 + cos(2 cut x)/2; were 3*cut = n, the 2*cut mode
+        # would fold onto the retained mode -cut with weight 1/4
+        g = Grid(n)
+        x, _, _ = g.mesh()
+        sq = dealias(from_physical(np.cos(g.dealias_cut * x) ** 2, g)).coeffs[0]
+        assert abs(sq[0, 0, 0] - 0.5) <= 1e-14
+        sq[0, 0, 0] = 0.0
+        assert np.abs(sq).max() <= 1e-14
 
 
 class TestTransforms:
@@ -255,6 +272,21 @@ class TestHermitianAndPotential:
         err = np.abs(curl(a).coeffs - b.coeffs).max() / np.abs(b.coeffs).max()
         assert err < 1e-12
         assert divergence_error(a) < 1e-12
+
+
+    def test_fill_from_half_odd_half_grid(self):
+        # n = 10 has an odd n/2: the full cube filled from the real transform
+        # of a product must invert, with the full complex transform, to the
+        # same real samples
+        g = Grid(10)
+        rng = np.random.default_rng(4)
+        samples = np.prod(
+            to_physical(random_field(g, rng, ncomp=2, zero_mean=False)), axis=0
+        )
+        full = _fill_from_half(g, _physical_to_half(samples))
+        back = np.fft.ifftn(full) * g.n**3
+        assert np.abs(back.imag).max() <= 1e-14 * np.abs(samples).max()
+        assert np.abs(back.real - samples).max() <= 1e-14 * np.abs(samples).max()
 
 
 class TestConvolutionOracleSelfConsistency:

@@ -316,6 +316,31 @@ class TestCheckpointCodec:
         assert int.from_bytes(raw[8:12], "little") == 8  # n
         assert len(raw) == 36 + 2 * 3 * 8**3 * 16
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        from hallmhd.checkpoint import write_checkpoint
+
+        g = Grid(8)
+        rng = np.random.default_rng(22)
+        u = leray_project(random_field(g, rng))
+        b = leray_project(random_field(g, rng))
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
+        before = path.read_bytes()
+
+        class FailingCoeffs:
+            # passes the shape check, then fails once the header and u are
+            # already written, as a full disk would
+            shape = b.coeffs.shape
+
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("no space left on device")
+
+        b.coeffs = FailingCoeffs()
+        with pytest.raises(OSError, match="no space"):
+            write_checkpoint(path, 0.75, 0.1, 0.2, u, b)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.hmhd"]
+
     def test_truncated_file_rejected(self, tmp_path):
         from hallmhd.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 

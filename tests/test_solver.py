@@ -74,6 +74,24 @@ class TestRhs:
             du_o, db_o = oracles.rhs_direct(u, b, hall_on=hall)
             assert np.abs(du.coeffs - du_o).max() / np.abs(du_o).max() < 1e-10
             assert np.abs(db.coeffs - db_o).max() / np.abs(db_o).max() < 1e-10
+        # a uniform b0 z_hat on top: the k = 0 mode takes part in every product
+        b.coeffs[2, 0, 0, 0] = 1.5
+        du, db = rhs(u, b, hall_on=True)
+        du_o, db_o = oracles.rhs_direct(u, b, hall_on=True)
+        assert np.abs(du.coeffs - du_o).max() / np.abs(du_o).max() < 1e-10
+        assert np.abs(db.coeffs - db_o).max() / np.abs(db_o).max() < 1e-10
+
+    def test_outputs_hermitian(self):
+        # the kz < 0 half is filled from the kz >= 0 half, which comes from
+        # real transforms; n = 10 has an odd n/2
+        for n in (10, 16, 32):
+            g = Grid(n)
+            rng = np.random.default_rng(n)
+            u = dealias(leray_project(random_field(g, rng)))
+            b = dealias(leray_project(random_field(g, rng)))
+            du, db = rhs(u, b)
+            assert hermitian_error(du) < 1e-14
+            assert hermitian_error(db) < 1e-14
 
     def test_rejects_nonsolenoidal(self):
         g = Grid(8)
@@ -229,6 +247,19 @@ class TestGateAndBlowUp:
         expect = 1.0 / (g.dealias_cut * lp_norm(u, np.inf))
         assert gate == pytest.approx(expect)
         assert dt_gate(zero_field(g), zero_field(g), cfg) == np.inf
+
+    @pytest.mark.parametrize("kind", ["beltrami_u", "beltrami_b", "random_band"])
+    def test_step_gate_matches_dt_gate(self, kind):
+        # the stepper gates on its stage-1 samples; the gate it reports in
+        # DtGateError is the one dt_gate computes from the state
+        cfg = RunConfig(
+            n=16, dt=10.0, t_end=10.0, nu=0.1, mu=0.1, init={"kind": kind}, seed=3
+        )
+        grid = Grid(16)
+        u0, b0 = make_initial(cfg.init, grid, cfg.seed)
+        with pytest.raises(DtGateError) as excinfo:
+            Stepper(grid, cfg).step(SolverState(0.0, u0, b0))
+        assert excinfo.value.gate == pytest.approx(dt_gate(u0, b0, cfg), rel=1e-12)
 
     def test_gate_violation_raises(self):
         cfg = RunConfig(
