@@ -30,19 +30,14 @@ class RunConfig:
     nu: float
     mu: float
     init: dict = field(default_factory=lambda: {"kind": "beltrami_u"})
-    c0: float = 1.0
-    s: float = 3.0
     hall_on: bool = True
     ideal: bool = False  # permits nu = mu = 0 for conservation tests
     seed: int = 0
     diag_every: int = 10
     checkpoint_every: int | None = None  # steps; multiple of diag_every
     dealias_cut: int | None = None
-    linf_oversample: int = 1
     cfl_adv: float = 1.0
     cfl_whistler: float = 1.0
-    lp_mode: str = "smooth"
-    beta: float = 4.0  # Prodi-Serrin comparison exponent
 
     @property
     def m(self) -> float:
@@ -65,8 +60,6 @@ class RunConfig:
                     f"key 'nu'/'mu': must be > 0 outside ideal mode "
                     f"(got nu={self.nu}, mu={self.mu})"
                 )
-        if self.c0 <= 0:
-            raise ConfigError(f"key 'c0': must be > 0, got {self.c0}")
         if self.diag_every < 1:
             raise ConfigError(f"key 'diag_every': must be >= 1, got {self.diag_every}")
         if self.checkpoint_every is not None and (
@@ -75,12 +68,6 @@ class RunConfig:
             raise ConfigError(
                 "key 'checkpoint_every': must be a multiple of diag_every"
             )
-        if self.linf_oversample < 1:
-            raise ConfigError("key 'linf_oversample': must be >= 1")
-        if self.lp_mode not in ("smooth", "sharp"):
-            raise ConfigError(f"key 'lp_mode': unknown mode {self.lp_mode!r}")
-        if self.beta <= 3:
-            raise ConfigError(f"key 'beta': must be > 3, got {self.beta}")
         if not isinstance(self.init, dict) or "kind" not in self.init:
             raise ConfigError("key 'init': must be an object with a 'kind'")
         if self.init["kind"] not in KNOWN_INIT_KINDS:

@@ -8,9 +8,10 @@ so f(x) = sum_k coeff(k) exp(i k.x).  Wavevectors are integers; the n/2
 ("oddball") mode present for even n is zeroed whenever a derivative is taken.
 Field coefficients are stored as the full complex128 cube.  Fields are real,
 so the cube is Hermitian, coeff(-k) = conj(coeff(k)): the half cube
-coeffs[..., :n//2 + 1] (kz >= 0) determines the rest, and the solver's
-nonlinear kernel transforms only that half with real FFTs, restoring the
-upper kz half from the symmetry.
+coeffs[..., :n//2 + 1] (kz >= 0) determines the rest.  All transforms are
+real: samples are made from the half cube by one inverse real FFT
+(zero-padded for oversampled grids), and coefficients are made from samples
+by one forward real FFT, the upper kz half being restored from the symmetry.
 """
 
 from __future__ import annotations
@@ -107,19 +108,6 @@ class Grid:
         return self.k_mag <= self.dealias_cut
 
     @cached_property
-    def hermitian_partner(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable indices (ix, iy, iz), shapes (n,1,1), (1,n,1) and
-        (1,1,n/2-1), with half[..., ix, iy, iz] the mode -k of each upper-kz
-        mode k (kz index n/2+1 .. n-1), where half = coeffs[..., :n/2+1]."""
-        n = self.n
-        neg = (-np.arange(n)) % n
-        return (
-            neg.reshape(n, 1, 1),
-            neg.reshape(1, n, 1),
-            (n - np.arange(n // 2 + 1, n)).reshape(1, 1, -1),
-        )
-
-    @cached_property
     def x1(self) -> np.ndarray:
         return np.arange(self.n) * (TWO_PI / self.n)
 
@@ -201,33 +189,14 @@ def zero_field(grid: Grid, ncomp: int = 3) -> SpectralField:
 
 
 # -- transforms ---------------------------------------------------------------
+# The two real transforms below are the only FFT calls in the package.
 
 
-def _embed(coeffs: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Zero-pad n-grid coefficients into the m-grid FFT layout (m >= n)."""
-    out = np.zeros(coeffs.shape[:-3] + (m, m, m), dtype=np.complex128)
-    pos = (np.fft.fftfreq(n, d=1.0 / n).astype(int)) % m
-    out[..., pos[:, None, None], pos[None, :, None], pos[None, None, :]] = coeffs
-    return out
-
-
-def _extract(coeffs_fine: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Truncate m-grid coefficients to the n grid, zeroing the coarse Nyquist
-    planes (the +n/2 content of the fine grid has no coarse-grid home)."""
-    pos = (np.fft.fftfreq(n, d=1.0 / n).astype(int)) % m
-    out = coeffs_fine[..., pos[:, None, None], pos[None, :, None], pos[None, None, :]]
-    out = np.ascontiguousarray(out)
-    half = n // 2
-    out[..., half, :, :] = 0.0
-    out[..., :, half, :] = 0.0
-    out[..., :, :, half] = 0.0
-    return out
-
-
-def _half_to_physical(half: np.ndarray, n: int) -> np.ndarray:
-    """Collocation samples of real fields from their half-cube coefficients
-    coeffs[..., :n//2 + 1]: one real inverse transform per component."""
-    return np.fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
+def _half_to_physical(half: np.ndarray, m: int) -> np.ndarray:
+    """Collocation samples on the m^3 grid of real fields from their half-cube
+    coefficients coeffs[..., :m//2 + 1]: one real inverse transform per
+    component."""
+    return np.fft.irfftn(half, s=(m, m, m), axes=(-3, -2, -1), norm="forward")
 
 
 def _physical_to_half(samples: np.ndarray) -> np.ndarray:
@@ -238,24 +207,60 @@ def _physical_to_half(samples: np.ndarray) -> np.ndarray:
 
 def _fill_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Full-cube coefficients of real fields from their half cube, the upper
-    kz half being the conjugates of the Hermitian partners."""
-    nh = grid.n // 2 + 1
-    out = np.empty(half.shape[:-1] + (grid.n,), dtype=np.complex128)
+    kz half being the conjugates of the Hermitian partners: index i pairs
+    with (n - i) % n on every axis."""
+    n, nh = grid.n, grid.n // 2 + 1
+    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
     out[..., :nh] = half
-    ix, iy, iz = grid.hermitian_partner
-    np.conjugate(half[..., ix, iy, iz], out=out[..., nh:])
+    src = half[..., nh - 2 : 0 : -1]  # kz index n - iz for iz = n/2+1 .. n-1
+    up = out[..., nh:]
+    np.conjugate(src[..., 0, 0, :], out=up[..., 0, 0, :])
+    np.conjugate(src[..., 0, :0:-1, :], out=up[..., 0, 1:, :])
+    np.conjugate(src[..., :0:-1, 0, :], out=up[..., 1:, 0, :])
+    np.conjugate(src[..., :0:-1, :0:-1, :], out=up[..., 1:, 1:, :])
     return out
 
 
+def _embed(coeffs: np.ndarray, n: int, m: int) -> np.ndarray:
+    """m-grid half cube (m > n) of the real field with full n-grid
+    coefficients `coeffs`.  An n/2 index is both -n/2 and +n/2 on the finer
+    grid, so its mode splits evenly between the two, as in the real part of
+    the zero-padded complex cube; on the kz axis only +n/2 lies in the half
+    cube."""
+    h = n // 2
+    lo = np.fft.fftfreq(n, d=1.0 / n).astype(int) % m  # n/2 at -n/2
+    hi = lo.copy()
+    hi[h] = h  # n/2 at +n/2
+    half = 0.5 * coeffs[..., : h + 1]
+    out = np.zeros(coeffs.shape[:-3] + (m, m, m // 2 + 1), dtype=np.complex128)
+    out[..., lo[:, None], lo[None, :], :h] = half[..., :h]
+    out[..., hi[:, None], hi[None, :], : h + 1] += half
+    return out
+
+
+def _extract(half_fine: np.ndarray, grid: Grid) -> np.ndarray:
+    """Full n-grid coefficients from an m-grid half cube (m >= n), zeroing
+    the n/2 planes (the +n/2 content of the fine grid has no coarse-grid
+    home)."""
+    n, h = grid.n, grid.n // 2
+    m = half_fine.shape[-3]
+    pos = np.fft.fftfreq(n, d=1.0 / n).astype(int) % m
+    out = half_fine[..., pos[:, None], pos[None, :], : h + 1]
+    out[..., h, :, :] = 0.0
+    out[..., :, h, :] = 0.0
+    out[..., :, :, h] = 0.0
+    return _fill_from_half(grid, out)
+
+
 def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
-    """Collocation samples, shape (ncomp, m, m, m) with m = oversample * n."""
+    """Collocation samples, shape (ncomp, m, m, m) with m = oversample * n.
+    f is read as a real field: only its half cube kz >= 0 is used."""
     if oversample < 1:
         raise DimensionError("oversample must be >= 1")
-    c = f.coeffs
-    m = f.grid.n * oversample
-    if oversample > 1:
-        c = _embed(c, f.grid.n, m)
-    return np.fft.ifftn(c, axes=(-3, -2, -1)).real * float(m**3)
+    n = f.grid.n
+    m = n * oversample
+    half = f.coeffs[..., : n // 2 + 1] if m == n else _embed(f.coeffs, n, m)
+    return _half_to_physical(half, m)
 
 
 def from_physical(samples: np.ndarray, grid: Grid) -> SpectralField:
@@ -265,8 +270,17 @@ def from_physical(samples: np.ndarray, grid: Grid) -> SpectralField:
         s = s[None]
     if s.shape[1:] != (grid.n,) * 3:
         raise DimensionError(f"sample shape {s.shape} incompatible with n={grid.n}")
-    coeffs = np.fft.fftn(s, axes=(-3, -2, -1)) / float(grid.n**3)
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, _fill_from_half(grid, _physical_to_half(s)))
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise a x b of (3, ...) sample arrays."""
+    out = np.empty(a.shape)
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= a[k] * b[j]
+    return out
 
 
 # -- calculus -----------------------------------------------------------------
@@ -307,10 +321,6 @@ def gradient(f: SpectralField) -> SpectralField:
         c = f.coeffs[i]
         parts += [1j * dx * c, 1j * dy * c, 1j * dz * c]
     return SpectralField(f.grid, np.stack(parts))
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, -f.grid.k_sq * f.coeffs, f.is_solenoidal)
 
 
 def _leray(kvec, k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

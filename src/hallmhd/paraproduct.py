@@ -1,13 +1,11 @@
 """Bony paraproduct decomposition of advective terms and the two commutators
 used to expose cancellations in the dyadic flux estimates.
 
-Quadratic products are evaluated pointwise in physical space.  Two exactness
-strategies are available: `pad=True` evaluates on a 2x zero-padded grid so the
-product is exact on every retained (non-Nyquist) mode regardless of the input
-bandwidth; `pad=False` truncates the result with the grid's 2/3-rule mask,
-which is exact when the inputs are already dealiased.  The solver uses the
-truncation path; the lemma-verification suites, whose sample fields occupy
-high shells, use padding.
+Quadratic products are evaluated pointwise on the 2x zero-padded grid, with
+the real transforms of `fields`, and truncated back to the n grid with the
+n/2 planes zeroed.  The product is then exact on every other mode whatever
+the bandwidth of the inputs, which the lemma-verification suites need: their
+sample fields occupy the high shells that the solver's 2/3-rule mask drops.
 """
 
 from __future__ import annotations
@@ -17,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import (
-    Grid,
     SpectralField,
-    _embed,
+    _cross,
     _extract,
+    _physical_to_half,
     curl,
     gradient,
     inner_product,
@@ -31,46 +29,25 @@ from .fields import (
 from .littlewood_paley import LPPartition
 
 
-# -- product machinery ---------------------------------------------------------
+# -- products on the padded grid ----------------------------------------------------
 
 
-def _phys(f: SpectralField, pad: bool) -> np.ndarray:
-    return to_physical(f, oversample=2 if pad else 1)
+def advect(u: SpectralField, v: SpectralField) -> SpectralField:
+    """u . grad v, evaluated pointwise on the 2x padded grid."""
+    up = to_physical(u, oversample=2)
+    gv = to_physical(gradient(v), oversample=2)  # d_j v_i at 3*i + j
+    out = np.empty((v.ncomp,) + up.shape[1:])
+    for i in range(v.ncomp):
+        np.multiply(up[0], gv[3 * i], out=out[i])
+        out[i] += up[1] * gv[3 * i + 1]
+        out[i] += up[2] * gv[3 * i + 2]
+    return SpectralField(u.grid, _extract(_physical_to_half(out), u.grid))
 
 
-def _back(samples: np.ndarray, grid: Grid, pad: bool) -> SpectralField:
-    """Physical samples (possibly on the 2x grid) back to n-grid coefficients."""
-    if samples.ndim == 3:
-        samples = samples[None]
-    m = samples.shape[-1]
-    coeffs = np.fft.fftn(samples, axes=(-3, -2, -1)) / float(m**3)
-    if pad:
-        coeffs = _extract(coeffs, m, grid.n)
-        return SpectralField(grid, coeffs)
-    return SpectralField(grid, coeffs * grid.dealias_mask)
-
-
-def advect(u: SpectralField, v: SpectralField, pad: bool = True) -> SpectralField:
-    """u . grad v, evaluated pointwise with the selected exactness strategy."""
-    grid = u.grid
-    up = _phys(u, pad)
-    gv = _phys(gradient(v), pad)  # component order d_j v_i at 3*i + j
-    ncomp_v = v.ncomp
-    m = up.shape[-1]
-    out = np.empty((ncomp_v, m, m, m))
-    for i in range(ncomp_v):
-        acc = up[0] * gv[3 * i + 0]
-        acc += up[1] * gv[3 * i + 1]
-        acc += up[2] * gv[3 * i + 2]
-        out[i] = acc
-    return _back(out, grid, pad)
-
-
-def cross_with_curl(F: SpectralField, G: SpectralField, pad: bool = True) -> SpectralField:
-    """F x (curl G), evaluated pointwise."""
-    fp = _phys(F, pad)
-    cg = _phys(curl(G), pad)
-    return _back(np.cross(fp, cg, axisa=0, axisb=0, axisc=0), F.grid, pad)
+def cross_with_curl(F: SpectralField, G: SpectralField) -> SpectralField:
+    """F x (curl G), evaluated pointwise on the 2x padded grid."""
+    prod = _cross(to_physical(F, oversample=2), to_physical(curl(G), oversample=2))
+    return SpectralField(F.grid, _extract(_physical_to_half(prod), F.grid))
 
 
 # -- Bony decomposition ----------------------------------------------------------
@@ -90,7 +67,7 @@ class BonyTriple:
 
 
 def bony_decompose(
-    part: LPPartition, u: SpectralField, v: SpectralField, q: int, pad: bool = True
+    part: LPPartition, u: SpectralField, v: SpectralField, q: int
 ) -> BonyTriple:
     """Split Delta_q(u . grad v) into low-high, high-low and high-high sums:
 
@@ -111,15 +88,15 @@ def bony_decompose(
     for p in window:
         u_low = part.lowpass(u, p - 2)
         v_p = part.project(v, p)
-        low_high = low_high + advect(u_low, v_p, pad)
+        low_high = low_high + advect(u_low, v_p)
         u_p = part.project(u, p)
         v_low = part.lowpass(v, p - 2)
-        high_low = high_low + advect(u_p, v_low, pad)
+        high_low = high_low + advect(u_p, v_low)
     high_high = zsum()
     for p in range(max(-1, q - 2), part.q_max + 1):
         u_t = part.tilde(u, p)
         v_p = part.project(v, p)
-        high_high = high_high + advect(u_t, v_p, pad)
+        high_high = high_high + advect(u_t, v_p)
     return BonyTriple(
         part.project(low_high, q),
         part.project(high_low, q),
@@ -136,12 +113,11 @@ def advective_commutator(
     u_low: SpectralField,
     v_shell: SpectralField,
     q: int,
-    pad: bool = True,
 ) -> SpectralField:
     """[Delta_q, u_low . grad] v  =  Delta_q(u_low . grad v) - u_low . grad Delta_q v."""
     require_solenoidal(u_low, what="transport field u_low")
-    first = part.project(advect(u_low, v_shell, pad), q)
-    second = advect(u_low, part.project(v_shell, q), pad)
+    first = part.project(advect(u_low, v_shell), q)
+    second = advect(u_low, part.project(v_shell, q))
     return first - second
 
 
@@ -150,14 +126,13 @@ def hall_commutator(
     F: SpectralField,
     G: SpectralField,
     q: int,
-    pad: bool = True,
     require_divergence_free: bool = True,
 ) -> SpectralField:
     """[Delta_q, F x curl] G  =  Delta_q(F x (curl G)) - F x (curl Delta_q G)."""
     if require_divergence_free:
         require_solenoidal(F, what="commutator prefactor F")
-    first = part.project(cross_with_curl(F, G, pad), q)
-    second = cross_with_curl(F, part.project(G, q), pad)
+    first = part.project(cross_with_curl(F, G), q)
+    second = cross_with_curl(F, part.project(G, q))
     return first - second
 
 
@@ -169,13 +144,12 @@ def hall_commutator_pairing(
     q: int,
     r1: float = 2.0,
     r2: float = 2.0,
-    pad: bool = True,
 ) -> tuple[float, float]:
     """Pairing integral of [Delta_q, F x curl] G against curl H, plus the ratio
     against the bound ||grad^2 F||_inf ||G||_{r1} ||H||_{r2} (Hoelder-dual r's)."""
     if not np.isclose(1.0 / r1 + 1.0 / r2, 1.0):
         raise ValueError(f"exponents must satisfy 1/r1 + 1/r2 = 1, got ({r1}, {r2})")
-    comm = hall_commutator(part, F, G, q, pad, require_divergence_free=False)
+    comm = hall_commutator(part, F, G, q, require_divergence_free=False)
     value = inner_product(comm, curl(H))
     hessian_sup = lp_norm(gradient(gradient(F)), np.inf)
     bound = hessian_sup * lp_norm(G, r1) * lp_norm(H, r2)

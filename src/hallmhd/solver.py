@@ -28,6 +28,7 @@ from .config import RunConfig
 from .fields import (
     Grid,
     SpectralField,
+    _cross,
     _curl,
     _fill_from_half,
     _half_to_physical,
@@ -77,16 +78,6 @@ class SolverState:
 
 
 # -- right-hand side -------------------------------------------------------------
-
-
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise a x b of (3, ...) sample arrays."""
-    out = np.empty(a.shape)
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        np.multiply(a[j], b[k], out=out[i])
-        out[i] -= a[k] * b[j]
-    return out
 
 
 def _half_calculus(grid: Grid):
@@ -288,11 +279,6 @@ class Stepper:
             step_count=state.step_count + 1,
             diss_integral=state.diss_integral + diss_inc,
         )
-
-
-def step(state: SolverState, cfg: RunConfig) -> SolverState:
-    """Single-shot convenience wrapper around Stepper."""
-    return Stepper(state.u.grid, cfg).step(state)
 
 
 # -- diagnostics scalars ------------------------------------------------------------

@@ -1,11 +1,15 @@
 """Spectral field core: transforms, calculus, Leray projection, norms."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallmhd import oracles
+from hallmhd import fields, oracles
 from hallmhd.fields import (
     DimensionError,
     Grid,
@@ -128,6 +132,21 @@ class TestTransforms:
         fine = to_physical(f, oversample=2)
         x = np.arange(16) * (2 * np.pi / 16)
         assert np.abs(fine[0] - np.cos(2 * x)[:, None, None]).max() < 1e-13
+
+    @pytest.mark.parametrize("oversample", [1, 2, 3])
+    def test_oversampled_samples_of_white_noise(self, oversample):
+        # white noise keeps its n/2 planes; the real part of the zero-padded
+        # complex inverse transform is the reference
+        g = Grid(8)
+        rng = np.random.default_rng(17)
+        f = from_physical(rng.standard_normal((3, 8, 8, 8)), g)
+        n, m = g.n, g.n * oversample
+        pos = np.fft.fftfreq(n, d=1.0 / n).astype(int) % m
+        padded = np.zeros((3, m, m, m), dtype=np.complex128)
+        padded[:, pos[:, None, None], pos[None, :, None], pos[None, None, :]] = f.coeffs
+        expect = np.fft.ifftn(padded, axes=(-3, -2, -1)).real * m**3
+        got = to_physical(f, oversample)
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 class TestCalculus:
@@ -313,3 +332,38 @@ class TestConvolutionOracleSelfConsistency:
     def test_oracle_refuses_large_grids(self):
         with pytest.raises(ValueError):
             oracles.dft_direct(np.zeros((16, 16, 16)))
+
+
+FFT_TRANSFORM = re.compile(r"i?r?fft[n2]?|i?hfft")  # not fftfreq or the shifts
+
+
+def fft_calls(node, owner=None):
+    """(enclosing function, called name, line) of every FFT transform call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from fft_calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            name = getattr(child.func, "attr", getattr(child.func, "id", ""))
+            if FFT_TRANSFORM.fullmatch(name):
+                yield owner, name, child.lineno
+        yield from fft_calls(child, owner)
+
+
+class TestSingleTransformPath:
+    def test_fft_calls_only_in_the_real_transform_pair(self):
+        # every FFT in the package goes through the two real transforms of
+        # fields, so the sample/coefficient convention lives in one place
+        allowed = {
+            ("fields.py", "_half_to_physical"),
+            ("fields.py", "_physical_to_half"),
+        }
+        found, stray = set(), []
+        for path in sorted(Path(fields.__file__).parent.glob("*.py")):
+            for owner, name, line in fft_calls(ast.parse(path.read_text())):
+                if (path.name, owner) in allowed:
+                    found.add((path.name, owner))
+                else:
+                    stray.append(f"{path.name}:{line} {name} in {owner}")
+        assert stray == []
+        assert found == allowed

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hallmhd import oracles
 from hallmhd.fields import (
     Grid,
     SpectralField,
@@ -45,16 +46,46 @@ def solenoidal_band(grid, seed, k_lo=0.0, k_hi=None):
 
 
 class TestProducts:
-    def test_advect_matches_pointwise_identity(self, part16):
-        # padded product of dealiased inputs equals the truncated product
-        g = part16.grid
-        u = solenoidal_band(g, 0, k_hi=float(g.dealias_cut))
-        v = solenoidal_band(g, 1, k_hi=float(g.dealias_cut))
-        padded = advect(u, v, pad=True)
-        truncated = advect(u, v, pad=False)
-        keep = g.dealias_mask
-        err = np.abs(padded.coeffs * keep - truncated.coeffs).max()
-        assert err < 1e-13 * np.abs(truncated.coeffs).max()
+    @staticmethod
+    def check_against_oracle(got, expect):
+        # the padded product zeroes the n/2 planes; everywhere else it is the
+        # exact, unaliased triad sum
+        h = got.grid.n // 2
+        keep = np.ones(expect.shape[1:], dtype=bool)
+        keep[h, :, :] = keep[:, h, :] = keep[:, :, h] = False
+        assert np.abs(got.coeffs[:, ~keep]).max() == 0.0
+        err = np.abs(got.coeffs - expect)[:, keep].max()
+        assert err < 1e-12 * np.abs(expect[:, keep]).max()
+
+    def test_advect_matches_triad_oracle(self):
+        # broadband inputs, whose products reach far past the 2/3-rule cut
+        g = Grid(8)
+        u = solenoidal_band(g, 0)
+        v = random_field(g, np.random.default_rng(1))
+        dv = gradient(v).coeffs  # d_j v_i at 3*i + j
+        uc = u.coeffs
+        expect = np.stack(
+            [
+                sum(oracles.convolve_direct(uc[j], dv[3 * i + j]) for j in range(3))
+                for i in range(3)
+            ]
+        )
+        self.check_against_oracle(advect(u, v), expect)
+
+    def test_cross_with_curl_matches_triad_oracle(self):
+        g = Grid(8)
+        rng = np.random.default_rng(2)
+        F = random_field(g, rng)
+        G = random_field(g, rng)
+        f, cg = F.coeffs, curl(G).coeffs
+        expect = np.stack(
+            [
+                oracles.convolve_direct(f[(i + 1) % 3], cg[(i + 2) % 3])
+                - oracles.convolve_direct(f[(i + 2) % 3], cg[(i + 1) % 3])
+                for i in range(3)
+            ]
+        )
+        self.check_against_oracle(cross_with_curl(F, G), expect)
 
     def test_cross_with_curl_single_mode(self, part16):
         # F = x_hat const, G = (0, cos z, 0): curl G = (sin z, 0, 0) wait --

@@ -32,7 +32,6 @@ from hallmhd.solver import (
     make_initial,
     orszag_tang_3d,
     rhs,
-    step,
     ORSZAG_TANG_ENERGY_COEFF,
 )
 
@@ -287,7 +286,7 @@ class TestGateAndBlowUp:
         )
         grid = Grid(16)
         u0, b0 = make_initial(cfg.init, grid, 0)
-        st = step(SolverState(0.0, u0, b0), cfg)
+        st = Stepper(grid, cfg).step(SolverState(0.0, u0, b0))
         assert st.t == pytest.approx(1e-3)
         assert st.step_count == 1
 
