@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .fields import Grid, SpectralField
+from .fields import DimensionError, Grid, SpectralField
 
 MAGIC = b"HMHD"
 VERSION = 1
@@ -59,13 +59,16 @@ def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralF
         raise CheckpointError(f"checkpoint parse: bad magic {magic!r}")
     if version != VERSION:
         raise CheckpointError(f"checkpoint parse: unsupported version {version}")
+    try:
+        grid = Grid(int(n))
+    except DimensionError as exc:
+        raise CheckpointError(f"checkpoint parse: bad header field n: {exc}") from exc
     body = raw[_HEADER.size :]
     expected = 2 * 3 * n**3 * 16
     if len(body) != expected:
         raise CheckpointError(
             f"checkpoint parse: expected {expected} payload bytes, got {len(body)}"
         )
-    grid = Grid(int(n))
     data = np.frombuffer(body, dtype="<c16").reshape(2, 3, n, n, n)
     u = SpectralField(grid, data[0].astype(np.complex128))
     b = SpectralField(grid, data[1].astype(np.complex128))

@@ -5,13 +5,16 @@ Convention: for samples f(x) on the n^3 collocation grid of the 2*pi torus,
     coeff(k) = (1/n^3) * sum_x f(x) exp(-i k.x),     k in [-n/2, n/2)^3,
 
 so f(x) = sum_k coeff(k) exp(i k.x).  Wavevectors are integers; the n/2
-("oddball") mode present for even n is zeroed whenever a derivative is taken.
+("oddball") mode present for even n is zeroed whenever a derivative is taken,
+and the Leray projection and the vector potential zero the n/2 planes.
 Field coefficients are stored as the full complex128 cube.  Fields are real,
 so the cube is Hermitian, coeff(-k) = conj(coeff(k)): the half cube
 coeffs[..., :n//2 + 1] (kz >= 0) determines the rest.  All transforms are
 real: samples are made from the half cube by one inverse real FFT
 (zero-padded for oversampled grids), and coefficients are made from samples
 by one forward real FFT, the upper kz half being restored from the symmetry.
+Spectral power sums (Parseval norms, ||grad f||^2, Sobolev sums) are taken on
+the half cube, each kz plane counted with its Hermitian multiplicity.
 """
 
 from __future__ import annotations
@@ -205,6 +208,11 @@ def _physical_to_half(samples: np.ndarray) -> np.ndarray:
     return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
 
 
+def _half(a: np.ndarray) -> np.ndarray:
+    """The half cube a[..., :n//2 + 1] (kz >= 0) of a full-cube array, a view."""
+    return a[..., : a.shape[-1] // 2 + 1]
+
+
 def _fill_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
     """Full-cube coefficients of real fields from their half cube, the upper
     kz half being the conjugates of the Hermitian partners: index i pairs
@@ -246,10 +254,19 @@ def _extract(half_fine: np.ndarray, grid: Grid) -> np.ndarray:
     m = half_fine.shape[-3]
     pos = np.fft.fftfreq(n, d=1.0 / n).astype(int) % m
     out = half_fine[..., pos[:, None], pos[None, :], : h + 1]
-    out[..., h, :, :] = 0.0
-    out[..., :, h, :] = 0.0
-    out[..., :, :, h] = 0.0
-    return _fill_from_half(grid, out)
+    return _fill_from_half(grid, _zero_nyquist(out))
+
+
+def _zero_nyquist(coeffs: np.ndarray) -> np.ndarray:
+    """Zero the n/2 planes (index n/2 on each axis) of full- or half-cube
+    coefficients in place, and return them.  Grid.kvec gives index n/2 the
+    wavenumber -n/2 both for a mode and for its Hermitian partner, so a
+    k-dependent multiplier applied there breaks the symmetry."""
+    h = coeffs.shape[-3] // 2
+    coeffs[..., h, :, :] = 0.0
+    coeffs[..., :, h, :] = 0.0
+    coeffs[..., :, :, h] = 0.0
+    return coeffs
 
 
 def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
@@ -259,7 +276,7 @@ def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
         raise DimensionError("oversample must be >= 1")
     n = f.grid.n
     m = n * oversample
-    half = f.coeffs[..., : n // 2 + 1] if m == n else _embed(f.coeffs, n, m)
+    half = _half(f.coeffs) if m == n else _embed(f.coeffs, n, m)
     return _half_to_physical(half, m)
 
 
@@ -325,19 +342,20 @@ def gradient(f: SpectralField) -> SpectralField:
 
 def _leray(kvec, k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """coeffs - k (k.coeffs)/|k|^2 for broadcastable wavevectors (full or half
-    cube, k = 0 at index [0, 0, 0]); k = 0 untouched."""
+    cube, k = 0 at index [0, 0, 0]); k = 0 untouched, n/2 planes zeroed."""
     kx, ky, kz = kvec
     ksq = k_sq.copy()
     ksq[0, 0, 0] = 1.0  # k=0 row divides by 1 and subtracts 0
     kdot = (kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]) / ksq
     kdot[0, 0, 0] = 0.0
-    return np.stack(
-        [coeffs[0] - kx * kdot, coeffs[1] - ky * kdot, coeffs[2] - kz * kdot]
+    return _zero_nyquist(
+        np.stack([coeffs[0] - kx * kdot, coeffs[1] - ky * kdot, coeffs[2] - kz * kdot])
     )
 
 
 def leray_project(f: SpectralField) -> SpectralField:
-    """Remove the gradient part: coeff -= k (k.coeff)/|k|^2, k=0 untouched."""
+    """Remove the gradient part: coeff -= k (k.coeff)/|k|^2, k=0 untouched.
+    The n/2 planes are zeroed, which keeps the output Hermitian."""
     if f.ncomp != 3:
         raise DimensionError("leray_project needs a 3-component field")
     g = f.grid
@@ -349,7 +367,8 @@ def dealias(f: SpectralField) -> SpectralField:
 
 
 def vector_potential(b: SpectralField) -> SpectralField:
-    """Solenoidal A with curl A = b (b solenoidal, zero mean): A = i k x b / |k|^2."""
+    """Solenoidal A with curl A = b (b solenoidal, zero mean): A = i k x b / |k|^2.
+    The n/2 planes are zeroed, which keeps the output Hermitian."""
     g = b.grid
     kx, ky, kz = g.kvec
     ksq = g.k_sq.copy()
@@ -363,7 +382,7 @@ def vector_potential(b: SpectralField) -> SpectralField:
         ]
     )
     out[:, 0, 0, 0] = 0.0
-    return SpectralField(g, out, is_solenoidal=True)
+    return SpectralField(g, _zero_nyquist(out), is_solenoidal=True)
 
 
 # -- norms and inner products --------------------------------------------------
@@ -389,9 +408,30 @@ def lp_norm(f: SpectralField, p: float, oversample: int = 1) -> float:
     return float((np.sum(mag**p, dtype=np.float64) * (VOLUME / m**3)) ** (1.0 / p))
 
 
+def _hermitian_sum(p: np.ndarray) -> float:
+    """Full-cube sum of a quantity p(k) = p(-k) given on the half cube kz >= 0
+    (last axis n/2 + 1 long): each plane 0 < kz < n/2 counts twice, for
+    itself and its Hermitian partner; the kz = 0 and kz = n/2 planes hold
+    their own partners and count once."""
+    multiplicity = np.full(p.shape[-1], 2.0)
+    multiplicity[[0, -1]] = 1.0
+    return float(np.sum(p @ multiplicity, dtype=np.float64))
+
+
+def _parseval(half: np.ndarray, weight: np.ndarray | None = None) -> float:
+    """(2*pi)^3 sum_k weight(k) |coeff(k)|^2 over the full cube of real fields,
+    from their half cube coeffs[..., :n//2 + 1]; weight (even in k, given on
+    the half cube) defaults to 1."""
+    p = np.abs(half)
+    np.square(p, out=p)
+    if weight is not None:
+        p *= weight
+    return VOLUME * _hermitian_sum(p)
+
+
 def l2_norm_spectral(f: SpectralField) -> float:
     """Parseval form: sqrt((2*pi)^3 * sum_k |coeff|^2)."""
-    return float(np.sqrt(VOLUME * np.sum(np.abs(f.coeffs) ** 2, dtype=np.float64)))
+    return float(np.sqrt(_parseval(_half(f.coeffs))))
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
@@ -404,18 +444,16 @@ def inner_product(f: SpectralField, g: SpectralField) -> float:
 
 def grad_norm_sq(f: SpectralField) -> float:
     """(2*pi)^3 * sum_k |k|^2 |coeff|^2  =  || grad f ||_2^2."""
-    return float(
-        VOLUME * np.sum(f.grid.k_sq * np.abs(f.coeffs) ** 2, dtype=np.float64)
-    )
+    return _parseval(_half(f.coeffs), _half(f.grid.k_sq))
 
 
 def sobolev_direct(f: SpectralField, s: float) -> float:
     """Homogeneous H^s norm from the plain spectral sum (k = 0 dropped)."""
-    ksq = f.grid.k_sq.copy()
+    ksq = _half(f.grid.k_sq).copy()
     ksq[0, 0, 0] = 1.0
     w = ksq**s
     w[0, 0, 0] = 1.0 if s == 0 else 0.0
-    return float(np.sqrt(VOLUME * np.sum(w * np.abs(f.coeffs) ** 2, dtype=np.float64)))
+    return float(np.sqrt(_parseval(_half(f.coeffs), w)))
 
 
 # -- consistency checks ---------------------------------------------------------
@@ -431,15 +469,20 @@ def hermitian_error(f: SpectralField) -> float:
     return float(np.abs(flipped - np.conj(c)).max() / scale)
 
 
-def divergence_error(f: SpectralField) -> float:
-    """max_k |k . coeff(k)| relative to max |coeff| (plain k, not oddball-zeroed)."""
-    g = f.grid
-    kx, ky, kz = g.kvec
-    kdot = kx * f.coeffs[0] + ky * f.coeffs[1] + kz * f.coeffs[2]
-    scale = np.abs(f.coeffs).max()
+def _divergence_error(kvec, coeffs: np.ndarray) -> float:
+    """max_k |k . coeffs(k)| relative to max |coeffs| for broadcastable
+    wavevectors (full or half cube)."""
+    kx, ky, kz = kvec
+    kdot = kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]
+    scale = np.abs(coeffs).max()
     if scale == 0.0:
         return 0.0
     return float(np.abs(kdot).max() / scale)
+
+
+def divergence_error(f: SpectralField) -> float:
+    """max_k |k . coeff(k)| relative to max |coeff| (plain k, not oddball-zeroed)."""
+    return _divergence_error(f.grid.kvec, f.coeffs)
 
 
 def require_solenoidal(f: SpectralField, tol: float = 1e-8, what: str = "field"):
@@ -471,11 +514,7 @@ def random_field(
         mask &= grid.k_mag >= k_lo
     if k_hi is not None:
         mask &= grid.k_mag <= k_hi
-    half = grid.n // 2
-    mask[half, :, :] = False
-    mask[:, half, :] = False
-    mask[:, :, half] = False
-    coeffs = f.coeffs * mask
+    coeffs = _zero_nyquist(f.coeffs * mask)
     if zero_mean:
         coeffs[:, 0, 0, 0] = 0.0
     out = SpectralField(grid, coeffs)

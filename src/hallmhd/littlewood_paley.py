@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Grid, SpectralField, lp_norm
+from .fields import Grid, SpectralField, _half, _hermitian_sum, lp_norm
 
 UNITY_TOL = 1e-12
 
@@ -64,6 +64,7 @@ class LPPartition:
         self.chi = chi
         self.mode = mode
         self.q_max = multipliers.shape[0] - 2
+        self._half_sq = _half(multipliers) ** 2
         self._cumulative = np.cumsum(multipliers, axis=0)
         s = self._cumulative[-1]
         err = np.abs(s - 1.0)
@@ -123,15 +124,11 @@ class LPPartition:
         return best
 
     def shell_l2_sq(self, f: SpectralField) -> np.ndarray:
-        """(2*pi)^3 sum_k phi_q^2 |coeff|^2 per shell, the ||Delta_q f||_2^2."""
-        power = np.sum(np.abs(f.coeffs) ** 2, axis=0)
+        """(2*pi)^3 sum_k phi_q^2 |coeff|^2 per shell, the ||Delta_q f||_2^2,
+        summed on the half cube."""
+        power = np.sum(np.abs(_half(f.coeffs)) ** 2, axis=0)
         vol = (2.0 * np.pi) ** 3
-        return np.array(
-            [
-                vol * float(np.sum(self.multipliers[q + 1] ** 2 * power))
-                for q in self.shell_range()
-            ]
-        )
+        return np.array([vol * _hermitian_sum(sq * power) for sq in self._half_sq])
 
     def shell_linf(self, f: SpectralField, oversample: int = 1) -> np.ndarray:
         return np.array(

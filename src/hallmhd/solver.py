@@ -11,11 +11,17 @@ J = curl b:
     du = P[ u x w + J x b ],    db = curl( (u - J) x b ),
 
 which equals the advective form by solenoidality of u and b.  One private
-kernel evaluates it for the stepper, `rhs` and `hall_power`: the fields are
-taken to physical space from the half cube kz >= 0 with real transforms, the
-cross products are formed pointwise, and the forward real transforms are
-dealiased, curled or projected on the half cube before the upper kz half is
-restored from Hermitian symmetry.
+kernel evaluates it for the stepper and `rhs`: the fields are taken to
+physical space from the half cube kz >= 0 with real transforms, the cross
+products are formed pointwise, and the forward real transforms are dealiased,
+curled or projected on the half cube, where the kernel returns them.
+
+The fields are real, so the half cube determines the full one.  A step stays
+on it throughout: the four stages, the RK4 sums, the dissipation integral
+(summed with Hermitian multiplicities), the final Leray projection and the
+finiteness and solenoidality checks.  The full cube of the new state is
+filled from Hermitian symmetry once per field per step; `rhs` and
+`hall_power` fill their results at their own boundary.
 """
 
 from __future__ import annotations
@@ -30,15 +36,16 @@ from .fields import (
     SpectralField,
     _cross,
     _curl,
+    _divergence_error,
     _fill_from_half,
+    _half,
     _half_to_physical,
     _leray,
+    _parseval,
     _physical_to_half,
     divergence_error,
     from_physical,
-    grad_norm_sq,
     inner_product,
-    leray_project,
     lp_norm,
     pointwise_magnitude,
     random_field,
@@ -83,29 +90,27 @@ class SolverState:
 def _half_calculus(grid: Grid):
     """(derivative wavenumbers, wavevectors, |k|^2, dealias mask) restricted
     to the half cube kz >= 0; views of the grid's full-cube arrays."""
-    nh = grid.n // 2 + 1
     dx, dy, dz = grid.dvec
     kx, ky, kz = grid.kvec
     return (
-        (dx, dy, dz[..., :nh]),
-        (kx, ky, kz[..., :nh]),
-        grid.k_sq[..., :nh],
-        grid.dealias_mask[..., :nh],
+        (dx, dy, _half(dz)),
+        (kx, ky, _half(kz)),
+        _half(grid.k_sq),
+        _half(grid.dealias_mask),
     )
 
 
-def _nonlinear(grid: Grid, u: np.ndarray, b: np.ndarray, hall_on: bool):
-    """The rotational-form nonlinear terms of full-cube coefficients u, b:
+def _nonlinear(grid: Grid, uh: np.ndarray, bh: np.ndarray, hall_on: bool):
+    """The rotational-form nonlinear terms of half-cube coefficients uh, bh:
 
         du = P[mask (u x w + J x b)],   db = curl(mask ((u - J) x b)),
 
-    J dropped from db when hall_on is False.  Returns full-cube (du, db) and
+    J dropped from db when hall_on is False.  Returns half-cube (du, db) and
     the samples of u and b.  Costs 12 real inverse and 6 real forward
     transforms.
     """
     dvec, kvec, k_sq, mask = _half_calculus(grid)
     n = grid.n
-    uh, bh = u[..., : n // 2 + 1], b[..., : n // 2 + 1]
     # one call per field: pocketfft runs faster on 3-component batches than
     # on one stacked 12-component array
     up, bp, wp, jp = (
@@ -115,9 +120,7 @@ def _nonlinear(grid: Grid, u: np.ndarray, b: np.ndarray, hall_on: bool):
     fb = _physical_to_half(_cross(up - jp if hall_on else up, bp))
     fu *= mask
     fb *= mask
-    du = _fill_from_half(grid, _leray(kvec, k_sq, fu))
-    db = _fill_from_half(grid, _curl(dvec, fb))
-    return du, db, up, bp
+    return _leray(kvec, k_sq, fu), _curl(dvec, fb), up, bp
 
 
 def rhs(
@@ -136,8 +139,12 @@ def rhs(
         err = divergence_error(f)
         if err > 1e-8:
             raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
-    du, db, _, _ = _nonlinear(u.grid, u.coeffs, b.coeffs, hall_on)
-    return SpectralField(u.grid, du, True), SpectralField(u.grid, db, True)
+    g = u.grid
+    du, db, _, _ = _nonlinear(g, _half(u.coeffs), _half(b.coeffs), hall_on)
+    return (
+        SpectralField(g, _fill_from_half(g, du), True),
+        SpectralField(g, _fill_from_half(g, db), True),
+    )
 
 
 def hall_power(b: SpectralField) -> float:
@@ -145,7 +152,7 @@ def hall_power(b: SpectralField) -> float:
     curl((curl b) x b) . b dx, zero up to discretization roundoff."""
     grid = b.grid
     dvec, _, _, mask = _half_calculus(grid)
-    bh = b.coeffs[..., : grid.n // 2 + 1]
+    bh = _half(b.coeffs)
     bp, jp = (_half_to_physical(c, grid.n) for c in (bh, _curl(dvec, bh)))
     h = _physical_to_half(_cross(jp, bp)) * mask
     return inner_product(SpectralField(grid, _fill_from_half(grid, _curl(dvec, h))), b)
@@ -176,21 +183,26 @@ def dt_gate(
 
 
 class Stepper:
-    """Integrating-factor RK4 stepper; caches diffusion exponentials."""
+    """Integrating-factor RK4 stepper.
+
+    A step runs on the half cube kz >= 0 of the state's coefficients.  Each
+    field has one running RK4 sum, eu_full du1 + 2 eu_half (du2 + du3) + du4
+    for u (eb_* for b), which takes each stage's derivatives as the stage
+    finishes, so only the sum and the current stage stay alive.  The new
+    state is checked and projected on the half cube; then its full cube is
+    filled, once per field per step.  The four integrating factors are
+    cached on the half cube.
+    """
 
     def __init__(self, grid: Grid, cfg: RunConfig):
         self.grid = grid
         self.cfg = cfg
-        ksq = grid.k_sq
+        self._k_sq = ksq = np.ascontiguousarray(_half(grid.k_sq))
         dt = cfg.dt
         self.eu_half = np.exp(-cfg.nu * ksq * dt / 2.0)
         self.eu_full = self.eu_half**2
         self.eb_half = np.exp(-cfg.mu * ksq * dt / 2.0)
         self.eb_full = self.eb_half**2
-
-    def _rhs(self, u: SpectralField, b: SpectralField):
-        du, db, up, bp = _nonlinear(self.grid, u.coeffs, b.coeffs, self.cfg.hall_on)
-        return SpectralField(self.grid, du), SpectralField(self.grid, db), up, bp
 
     def step(self, state: SolverState, enforce_gate: bool = True) -> SolverState:
         # overflow en route to the isfinite check below is the expected way a
@@ -198,17 +210,21 @@ class Stepper:
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             return self._step_inner(state, self.cfg.dt, enforce_gate)
 
+    def _diss(self, u: np.ndarray, b: np.ndarray) -> float:
+        """nu ||grad u||^2 + mu ||grad b||^2 from half cubes."""
+        cfg, ksq = self.cfg, self._k_sq
+        return cfg.nu * _parseval(u, ksq) + cfg.mu * _parseval(b, ksq)
+
     def _step_inner(
         self, state: SolverState, dt: float, enforce_gate: bool
     ) -> SolverState:
         cfg = self.cfg
         g = self.grid
-        u0, b0 = state.u, state.b
+        eu_h, eu_f = self.eu_half, self.eu_full
+        eb_h, eb_f = self.eb_half, self.eb_full
+        u0, b0 = _half(state.u.coeffs), _half(state.b.coeffs)
 
-        def diss(u, b):
-            return cfg.nu * grad_norm_sq(u) + cfg.mu * grad_norm_sq(b)
-
-        du1, db1, up, bp = self._rhs(u0, b0)
+        du, db, up, bp = _nonlinear(g, u0, b0, cfg.hall_on)
         if enforce_gate:
             # the gate of dt_gate, from the stage-1 samples of the state
             gate = _gate(
@@ -219,65 +235,57 @@ class Stepper:
             )
             if dt > gate:
                 raise DtGateError(state.t, dt, gate)
-        g1 = diss(u0, b0)
-        u1 = SpectralField(g, self.eu_half * (u0.coeffs + (dt / 2) * du1.coeffs))
-        b1 = SpectralField(g, self.eb_half * (b0.coeffs + (dt / 2) * db1.coeffs))
+        # each stage's derivatives are dropped before the next kernel call, so
+        # that only the running sums sum_u, sum_b outlive a stage
+        del up, bp
+        diss = self._diss(u0, b0)
+        sum_u, sum_b = eu_f * du, eb_f * db
+        u, b = eu_h * (u0 + (dt / 2) * du), eb_h * (b0 + (dt / 2) * db)
+        del du, db
 
-        du2, db2, _, _ = self._rhs(u1, b1)
-        g2 = diss(u1, b1)
-        u2 = SpectralField(g, self.eu_half * u0.coeffs + (dt / 2) * du2.coeffs)
-        b2 = SpectralField(g, self.eb_half * b0.coeffs + (dt / 2) * db2.coeffs)
+        du, db, _, _ = _nonlinear(g, u, b, cfg.hall_on)
+        diss += 2 * self._diss(u, b)
+        sum_u += 2 * eu_h * du
+        sum_b += 2 * eb_h * db
+        u, b = eu_h * u0 + (dt / 2) * du, eb_h * b0 + (dt / 2) * db
+        del du, db
 
-        du3, db3, _, _ = self._rhs(u2, b2)
-        g3 = diss(u2, b2)
-        u3 = SpectralField(g, self.eu_full * u0.coeffs + dt * self.eu_half * du3.coeffs)
-        b3 = SpectralField(g, self.eb_full * b0.coeffs + dt * self.eb_half * db3.coeffs)
+        du, db, _, _ = _nonlinear(g, u, b, cfg.hall_on)
+        diss += 2 * self._diss(u, b)
+        sum_u += 2 * eu_h * du
+        sum_b += 2 * eb_h * db
+        u, b = eu_f * u0 + dt * eu_h * du, eb_f * b0 + dt * eb_h * db
+        del du, db
 
-        du4, db4, _, _ = self._rhs(u3, b3)
-        g4 = diss(u3, b3)
+        du, db, _, _ = _nonlinear(g, u, b, cfg.hall_on)
+        diss += self._diss(u, b)
+        sum_u += du
+        sum_b += db
+        del u, b, du, db
 
-        u_new = SpectralField(
-            g,
-            self.eu_full * u0.coeffs
-            + (dt / 6)
-            * (
-                self.eu_full * du1.coeffs
-                + 2 * self.eu_half * (du2.coeffs + du3.coeffs)
-                + du4.coeffs
-            ),
-        )
-        b_new = SpectralField(
-            g,
-            self.eb_full * b0.coeffs
-            + (dt / 6)
-            * (
-                self.eb_full * db1.coeffs
-                + 2 * self.eb_half * (db2.coeffs + db3.coeffs)
-                + db4.coeffs
-            ),
-        )
+        u_new = eu_f * u0 + (dt / 6) * sum_u
+        b_new = eb_f * b0 + (dt / 6) * sum_b
         if not (
-            np.all(np.isfinite(u_new.coeffs.view(np.float64)))
-            and np.all(np.isfinite(b_new.coeffs.view(np.float64)))
+            np.all(np.isfinite(u_new.view(np.float64)))
+            and np.all(np.isfinite(b_new.view(np.float64)))
         ):
             raise BlowUpDetected(state)
 
-        u_new = leray_project(u_new)
-        b_new.is_solenoidal = True
-        drift = divergence_error(b_new)
+        _, kvec, _, _ = _half_calculus(g)
+        u_new = _leray(kvec, self._k_sq, u_new)
+        drift = _divergence_error(kvec, b_new)
         if drift > SOLENOIDAL_DRIFT_TOL:
             raise RuntimeError(
                 f"magnetic solenoidality drift {drift:.3e} exceeds "
                 f"{SOLENOIDAL_DRIFT_TOL} at t={state.t:.6g}"
             )
-        # dissipation integral advanced with the same RK4 quadrature
-        diss_inc = (dt / 6.0) * (g1 + 2 * g2 + 2 * g3 + g4)
         return SolverState(
             t=state.t + dt,
-            u=u_new,
-            b=b_new,
+            u=SpectralField(g, _fill_from_half(g, u_new), True),
+            b=SpectralField(g, _fill_from_half(g, b_new), True),
             step_count=state.step_count + 1,
-            diss_integral=state.diss_integral + diss_inc,
+            # dissipation integral advanced with the same RK4 quadrature
+            diss_integral=state.diss_integral + (dt / 6.0) * diss,
         )
 
 
@@ -286,8 +294,7 @@ class Stepper:
 
 def energy(f: SpectralField) -> float:
     """(1/2) ||f||_2^2 by the spectral sum."""
-    vol = (2 * np.pi) ** 3
-    return float(0.5 * vol * np.sum(np.abs(f.coeffs) ** 2, dtype=np.float64))
+    return 0.5 * _parseval(_half(f.coeffs))
 
 
 def magnetic_helicity(b: SpectralField) -> float:

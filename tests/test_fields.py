@@ -15,6 +15,8 @@ from hallmhd.fields import (
     Grid,
     SpectralField,
     _fill_from_half,
+    _half,
+    _parseval,
     _physical_to_half,
     curl,
     dealias,
@@ -28,12 +30,19 @@ from hallmhd.fields import (
     leray_project,
     lp_norm,
     random_field,
+    sobolev_direct,
     to_physical,
     vector_potential,
     zero_field,
 )
 
 VOLUME = (2 * np.pi) ** 3
+
+
+def white_noise(grid, seed):
+    """Coefficients of real white noise: Hermitian, with n/2 content."""
+    rng = np.random.default_rng(seed)
+    return from_physical(rng.standard_normal((3,) + (grid.n,) * 3), grid)
 
 
 def abc_field(grid, amplitude=1.0):
@@ -293,6 +302,16 @@ class TestHermitianAndPotential:
         assert divergence_error(a) < 1e-12
 
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_outputs_hermitian_on_nyquist_planes(self, n):
+        # index n/2 carries the wavenumber -n/2 for a mode and for its
+        # partner alike; the n/2 planes are zeroed to keep the symmetry
+        g = Grid(n)
+        f = white_noise(g, n)
+        assert hermitian_error(f) < 1e-14
+        assert hermitian_error(leray_project(f)) < 1e-14
+        assert hermitian_error(vector_potential(f)) < 1e-14
+
     def test_fill_from_half_odd_half_grid(self):
         # n = 10 has an odd n/2: the full cube filled from the real transform
         # of a product must invert, with the full complex transform, to the
@@ -306,6 +325,50 @@ class TestHermitianAndPotential:
         back = np.fft.ifftn(full) * g.n**3
         assert np.abs(back.imag).max() <= 1e-14 * np.abs(samples).max()
         assert np.abs(back.real - samples).max() <= 1e-14 * np.abs(samples).max()
+
+
+class TestHalfCubeSums:
+    # the half cube kz >= 0 with Hermitian multiplicities (2 inside, 1 on the
+    # kz = 0 and kz = n/2 planes) against the plain full-cube sums; n = 10
+    # has an odd n/2
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_parseval_matches_full_cube_sum(self, n):
+        g = Grid(n)
+        f = white_noise(g, n + 1)
+        power = np.abs(f.coeffs) ** 2
+        for weight in (np.ones((n,) * 3), g.k_sq, np.cos(g.k_mag) ** 2):
+            full = VOLUME * np.sum(weight * power)
+            assert _parseval(_half(f.coeffs), _half(weight)) == pytest.approx(
+                full, rel=1e-14
+            )
+
+    @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_public_sums_match_full_cube(self, n):
+        from hallmhd.littlewood_paley import build_partition
+        from hallmhd.solver import energy
+
+        g = Grid(n)
+        f = white_noise(g, n + 2)
+        power = np.abs(f.coeffs) ** 2
+        full = VOLUME * np.sum(power)
+        assert energy(f) == pytest.approx(0.5 * full, rel=1e-14)
+        assert l2_norm_spectral(f) == pytest.approx(np.sqrt(full), rel=1e-14)
+        assert fields.grad_norm_sq(f) == pytest.approx(
+            VOLUME * np.sum(g.k_sq * power), rel=1e-14
+        )
+        ksq = g.k_sq.copy()
+        ksq[0, 0, 0] = 1.0
+        w = ksq**1.5
+        w[0, 0, 0] = 0.0
+        assert sobolev_direct(f, 1.5) == pytest.approx(
+            np.sqrt(VOLUME * np.sum(w * power)), rel=1e-14
+        )
+        part = build_partition(g)
+        shells = part.shell_l2_sq(f)
+        total = np.sum(power, axis=0)
+        for q in part.shell_range():
+            expect = VOLUME * np.sum(part.multipliers[q + 1] ** 2 * total)
+            assert shells[q + 1] == pytest.approx(expect, rel=1e-14, abs=1e-14 * full)
 
 
 class TestConvolutionOracleSelfConsistency:

@@ -351,6 +351,20 @@ class TestCheckpointCodec:
         with pytest.raises(CheckpointError, match="checkpoint parse"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_bad_grid_size_in_header_rejected(self, tmp_path, n):
+        # n = 0 with an empty payload, and an odd n whose payload length
+        # matches, both fail on the header field rather than in Grid
+        import struct
+
+        from hallmhd.checkpoint import CheckpointError, read_checkpoint
+
+        path = tmp_path / "bad_n.hmhd"
+        header = struct.pack("<4sIIddd", b"HMHD", 1, n, 0.0, 0.1, 0.2)
+        path.write_bytes(header + b"\x00" * (2 * 3 * n**3 * 16))
+        with pytest.raises(CheckpointError, match="header field n"):
+            read_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         from hallmhd.checkpoint import CheckpointError, read_checkpoint
 

@@ -4,13 +4,15 @@ conservation, and initial conditions."""
 import numpy as np
 import pytest
 
-from hallmhd import oracles
+from hallmhd import oracles, solver
 from hallmhd.config import ConfigError, RunConfig
 from hallmhd.fields import (
     Grid,
+    SpectralField,
     curl,
     dealias,
     divergence_error,
+    grad_norm_sq,
     hermitian_error,
     l2_norm_spectral,
     leray_project,
@@ -112,6 +114,78 @@ class TestRhs:
         b = dealias(leray_project(random_field(g, np.random.default_rng(3))))
         scale = l2_norm_spectral(b) ** 2
         assert abs(hall_power(b)) <= 1e-11 * scale
+
+
+def full_cube_step(u0, b0, cfg):
+    """One IF-RK4 step on the full cube, from the public rhs: the reference
+    for Stepper.step, which works on the half cube.  Returns (u, b, the
+    dissipation integral increment)."""
+    ksq, dt = u0.grid.k_sq, cfg.dt
+    eu_half = np.exp(-cfg.nu * ksq * dt / 2)
+    eb_half = np.exp(-cfg.mu * ksq * dt / 2)
+    eu_full, eb_full = eu_half**2, eb_half**2
+
+    def stage(u, b):
+        du, db = rhs(u, b, cfg.hall_on)
+        diss = cfg.nu * grad_norm_sq(u) + cfg.mu * grad_norm_sq(b)
+        return du.coeffs, db.coeffs, diss
+
+    def field(c):
+        return SpectralField(u0.grid, c, True)
+
+    u, b = u0.coeffs, b0.coeffs
+    du1, db1, g1 = stage(u0, b0)
+    du2, db2, g2 = stage(
+        field(eu_half * (u + dt / 2 * du1)), field(eb_half * (b + dt / 2 * db1))
+    )
+    du3, db3, g3 = stage(
+        field(eu_half * u + dt / 2 * du2), field(eb_half * b + dt / 2 * db2)
+    )
+    du4, db4, g4 = stage(
+        field(eu_full * u + dt * eu_half * du3), field(eb_full * b + dt * eb_half * db3)
+    )
+    u_new = eu_full * u + dt / 6 * (
+        eu_full * du1 + 2 * eu_half * (du2 + du3) + du4
+    )
+    b_new = eb_full * b + dt / 6 * (
+        eb_full * db1 + 2 * eb_half * (db2 + db3) + db4
+    )
+    diss = dt / 6 * (g1 + 2 * g2 + 2 * g3 + g4)
+    return leray_project(field(u_new)).coeffs, b_new, diss
+
+
+class TestHalfCubeStep:
+    @pytest.mark.parametrize("n", [10, 16])
+    @pytest.mark.parametrize("hall", [False, True])
+    def test_matches_full_cube_step(self, n, hall):
+        g = Grid(n)
+        rng = np.random.default_rng(n + hall)
+        u0 = dealias(leray_project(random_field(g, rng))) * 0.5
+        b0 = dealias(leray_project(random_field(g, rng))) * 0.5
+        cfg = RunConfig(n=n, dt=1e-2, t_end=1.0, nu=0.05, mu=0.03, hall_on=hall)
+        st = Stepper(g, cfg).step(SolverState(0.0, u0, b0, diss_integral=0.25))
+        u_ref, b_ref, diss_ref = full_cube_step(u0, b0, cfg)
+        assert np.abs(st.u.coeffs - u_ref).max() <= 1e-13 * np.abs(u_ref).max()
+        assert np.abs(st.b.coeffs - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+        assert st.diss_integral - 0.25 == pytest.approx(diss_ref, rel=1e-13)
+        assert hermitian_error(st.u) < 1e-14
+        assert hermitian_error(st.b) < 1e-14
+
+    def test_fills_the_full_cube_once_per_field(self, monkeypatch):
+        calls = []
+
+        def counting_fill(grid, half):
+            calls.append(half.shape)
+            return fill(grid, half)
+
+        fill = solver._fill_from_half
+        monkeypatch.setattr(solver, "_fill_from_half", counting_fill)
+        cfg = RunConfig(
+            n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1, init={"kind": "random_band"}
+        )
+        st, _ = run_steps(cfg, 2)
+        assert st.step_count == 2
+        assert calls == [(3, 16, 16, 9)] * 4
 
 
 class TestExactDecays:
