@@ -9,12 +9,22 @@ so f(x) = sum_k coeff(k) exp(i k.x).  Wavevectors are integers; the n/2
 and the Leray projection and the vector potential zero the n/2 planes.
 Field coefficients are stored as the full complex128 cube.  Fields are real,
 so the cube is Hermitian, coeff(-k) = conj(coeff(k)): the half cube
-coeffs[..., :n//2 + 1] (kz >= 0) determines the rest.  All transforms are
-real: samples are made from the half cube by one inverse real FFT
-(zero-padded for oversampled grids), and coefficients are made from samples
-by one forward real FFT, the upper kz half being restored from the symmetry.
-Spectral power sums (Parseval norms, ||grad f||^2, Sobolev sums) are taken on
-the half cube, each kz plane counted with its Hermitian multiplicity.
+coeffs[..., :n//2 + 1] (kz >= 0) determines the rest.
+
+Inside the solver's step, coefficients live on a smaller array still: the
+box |kx|, |ky| <= c, 0 <= kz <= c of a cut c < n/2, shape
+(..., 2c + 1, 2c + 1, c + 1), x and y wavenumbers in FFT order
+[0..c, -c..-1].  With c = dealias_cut it holds every mode the 2/3 rule keeps.
+
+All transforms are real and go through one pair.  Samples are made from the
+half cube by one inverse real FFT (zero-padded for oversampled grids), or
+from a box by a pruned one that skips the all-zero lines (Markel 1971): each
+axis is zero-padded only for its own pass.  Coefficients are made from
+samples by one forward real FFT, the upper kz half being restored from the
+symmetry, or, pruned, for the box alone, each pass keeping only the box rows
+of its axis.  Spectral power sums and inner products (Parseval norms,
+||grad f||^2, Sobolev sums) are taken on the half cube or the box, each kz
+plane counted with its Hermitian multiplicity.
 """
 
 from __future__ import annotations
@@ -103,12 +113,28 @@ class Grid:
         return kx**2 + ky**2 + kz**2
 
     @cached_property
+    def inv_k_sq(self) -> np.ndarray:
+        """1/|k|^2, 0 at k = 0."""
+        return _reciprocal(self.k_sq)
+
+    @cached_property
     def k_mag(self) -> np.ndarray:
         return np.sqrt(self.k_sq)
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
         return self.k_mag <= self.dealias_cut
+
+    @cached_property
+    def box(self):
+        """(wavevectors, |k|^2, 1/|k|^2, dealias mask) on the box |kx|, |ky|,
+        kz <= dealias_cut, where the solver steps.  The box holds no n/2
+        index, so its derivative wavenumbers are its wavevectors."""
+        c = self.dealias_cut
+        k1 = self.k1[_box_rows(self.n, c)]
+        kx, ky, kz = k1.reshape(-1, 1, 1), k1.reshape(1, -1, 1), np.arange(c + 1.0)
+        k_sq = kx**2 + ky**2 + kz**2
+        return (kx, ky, kz), k_sq, _reciprocal(k_sq), np.sqrt(k_sq) <= c
 
     @cached_property
     def x1(self) -> np.ndarray:
@@ -122,6 +148,13 @@ class Grid:
         """Collocation quadrature of a pointwise scalar sample array."""
         m = pointwise.shape[-1]
         return float(pointwise.sum(dtype=np.float64) * (VOLUME / m**3))
+
+
+def _reciprocal(k_sq: np.ndarray) -> np.ndarray:
+    """1/k_sq, 0 where k_sq = 0."""
+    inv = np.zeros_like(k_sq)
+    np.divide(1.0, k_sq, out=inv, where=k_sq > 0)
+    return inv
 
 
 @dataclass
@@ -192,20 +225,64 @@ def zero_field(grid: Grid, ncomp: int = 3) -> SpectralField:
 
 
 # -- transforms ---------------------------------------------------------------
-# The two real transforms below are the only FFT calls in the package.
+# The two real transforms below are the only FFT calls in the package.  Each
+# takes, or with a cut returns, either the half cube or the box.  The pruned
+# passes write in place through the `out` argument of numpy.fft (NumPy 2.0),
+# which spares one fresh array per pass.
 
 
 def _half_to_physical(half: np.ndarray, m: int) -> np.ndarray:
-    """Collocation samples on the m^3 grid of real fields from their half-cube
-    coefficients coeffs[..., :m//2 + 1]: one real inverse transform per
-    component."""
-    return np.fft.irfftn(half, s=(m, m, m), axes=(-3, -2, -1), norm="forward")
+    """Collocation samples on the m^3 grid of real fields from coefficients
+    on kz >= 0: the half cube coeffs[..., :m//2 + 1], or a box (odd x/y
+    extent 2c + 1).  A box is a pruned transform: each axis is zero-padded to
+    m just before its own pass, so the x pass runs on the box's (2c + 1)(c + 1)
+    lines and the y pass on m (c + 1) lines, and irfft pads kz."""
+    if half.shape[-3] == m:
+        return np.fft.irfftn(half, s=(m, m, m), axes=(-3, -2, -1), norm="forward")
+    rows = _box_rows(m, half.shape[-1] - 1)
+    lead = half.shape[:-3]
+    a = np.zeros(lead + (m,) + half.shape[-2:], dtype=np.complex128)
+    a[..., rows, :, :] = half
+    np.fft.ifft(a, axis=-3, norm="forward", out=a)
+    b = np.zeros(lead + (m, m, half.shape[-1]), dtype=np.complex128)
+    b[..., rows, :] = a
+    np.fft.ifft(b, axis=-2, norm="forward", out=b)
+    return np.fft.irfft(b, n=m, axis=-1, norm="forward")
 
 
-def _physical_to_half(samples: np.ndarray) -> np.ndarray:
-    """Half-cube coefficients of real samples: one real forward transform per
-    component, with this module's 1/n^3 normalization."""
-    return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
+def _physical_to_half(samples: np.ndarray, cut: int | None = None) -> np.ndarray:
+    """Half-cube coefficients of real samples, with this module's 1/n^3
+    normalization; with a cut, only the box of that cut, each pass keeping
+    only the box rows of its axis (kz <= cut, then |ky| <= cut, then
+    |kx| <= cut) before the next."""
+    if cut is None:
+        return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
+    rows = _box_rows(samples.shape[-1], cut)
+    a = np.fft.rfft(samples, axis=-1, norm="forward")[..., : cut + 1]
+    a = np.fft.fft(a, axis=-2, norm="forward")[..., rows, :]
+    return np.fft.fft(a, axis=-3, norm="forward")[..., rows, :, :]
+
+
+def _box_rows(n: int, cut: int) -> np.ndarray:
+    """Indices of the wavenumbers 0..cut, -cut..-1 on an FFT-ordered axis of
+    length n: the x and y rows of the box of that cut."""
+    return np.r_[0 : cut + 1, n - cut : n]
+
+
+def _to_box(a: np.ndarray, cut: int) -> np.ndarray:
+    """The box |kx|, |ky| <= cut, 0 <= kz <= cut of a full- or half-cube
+    array, shape (..., 2 cut + 1, 2 cut + 1, cut + 1), a copy."""
+    rows = _box_rows(a.shape[-3], cut)
+    return a[..., rows[:, None], rows, : cut + 1]
+
+
+def _from_box(box: np.ndarray, n: int) -> np.ndarray:
+    """The n-grid half cube holding `box`, zero elsewhere."""
+    cut = box.shape[-1] - 1
+    rows = _box_rows(n, cut)
+    out = np.zeros(box.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
+    out[..., rows[:, None], rows, : cut + 1] = box
+    return out
 
 
 def _half(a: np.ndarray) -> np.ndarray:
@@ -304,7 +381,8 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _curl(dvec, coeffs: np.ndarray) -> np.ndarray:
-    """i d x coeffs for broadcastable derivative wavenumbers (full or half cube)."""
+    """i d x coeffs for broadcastable derivative wavenumbers (full cube, half
+    cube or box)."""
     dx, dy, dz = dvec
     cx, cy, cz = coeffs
     return np.stack(
@@ -340,16 +418,14 @@ def gradient(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, np.stack(parts))
 
 
-def _leray(kvec, k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """coeffs - k (k.coeffs)/|k|^2 for broadcastable wavevectors (full or half
-    cube, k = 0 at index [0, 0, 0]); k = 0 untouched, n/2 planes zeroed."""
+def _leray(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """coeffs - k (k.coeffs)/|k|^2 for broadcastable wavevectors and 1/|k|^2
+    (0 at k = 0, which is left untouched) on the full cube, the half cube or
+    the box."""
     kx, ky, kz = kvec
-    ksq = k_sq.copy()
-    ksq[0, 0, 0] = 1.0  # k=0 row divides by 1 and subtracts 0
-    kdot = (kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]) / ksq
-    kdot[0, 0, 0] = 0.0
-    return _zero_nyquist(
-        np.stack([coeffs[0] - kx * kdot, coeffs[1] - ky * kdot, coeffs[2] - kz * kdot])
+    kdot = (kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]) * inv_k_sq
+    return np.stack(
+        [coeffs[0] - kx * kdot, coeffs[1] - ky * kdot, coeffs[2] - kz * kdot]
     )
 
 
@@ -359,30 +435,26 @@ def leray_project(f: SpectralField) -> SpectralField:
     if f.ncomp != 3:
         raise DimensionError("leray_project needs a 3-component field")
     g = f.grid
-    return SpectralField(g, _leray(g.kvec, g.k_sq, f.coeffs), is_solenoidal=True)
+    out = _zero_nyquist(_leray(g.kvec, g.inv_k_sq, f.coeffs))
+    return SpectralField(g, out, is_solenoidal=True)
 
 
 def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask, f.is_solenoidal)
 
 
+def _vector_potential(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """A = i k x coeffs / |k|^2 for broadcastable wavevectors and 1/|k|^2 on
+    the full or the half cube, its n/2 planes zeroed (not for the box, whose
+    index n/2 is no n/2 plane)."""
+    return _zero_nyquist(_curl(kvec, coeffs) * inv_k_sq)
+
+
 def vector_potential(b: SpectralField) -> SpectralField:
     """Solenoidal A with curl A = b (b solenoidal, zero mean): A = i k x b / |k|^2.
     The n/2 planes are zeroed, which keeps the output Hermitian."""
     g = b.grid
-    kx, ky, kz = g.kvec
-    ksq = g.k_sq.copy()
-    ksq[0, 0, 0] = 1.0
-    bx, by, bz = b.coeffs
-    out = np.stack(
-        [
-            1j * (ky * bz - kz * by) / ksq,
-            1j * (kz * bx - kx * bz) / ksq,
-            1j * (kx * by - ky * bx) / ksq,
-        ]
-    )
-    out[:, 0, 0, 0] = 0.0
-    return SpectralField(g, _zero_nyquist(out), is_solenoidal=True)
+    return SpectralField(g, _vector_potential(g.kvec, g.inv_k_sq, b.coeffs), True)
 
 
 # -- norms and inner products --------------------------------------------------
@@ -409,19 +481,25 @@ def lp_norm(f: SpectralField, p: float, oversample: int = 1) -> float:
 
 
 def _hermitian_sum(p: np.ndarray) -> float:
-    """Full-cube sum of a quantity p(k) = p(-k) given on the half cube kz >= 0
-    (last axis n/2 + 1 long): each plane 0 < kz < n/2 counts twice, for
-    itself and its Hermitian partner; the kz = 0 and kz = n/2 planes hold
-    their own partners and count once."""
+    """Full-cube sum of a quantity p(k) = p(-k) given on kz >= 0, either on
+    the half cube (x extent n, even; last plane kz = n/2) or on the box
+    (x extent 2 cut + 1, odd; last plane kz = cut).  Each plane kz > 0 counts
+    twice, for itself and its Hermitian partner, except the half cube's
+    kz = n/2 plane, which holds its own partners and, like kz = 0, counts
+    once.  The parity of the x extent tells the two apart: Grid makes n
+    even, and a box is always odd."""
     multiplicity = np.full(p.shape[-1], 2.0)
-    multiplicity[[0, -1]] = 1.0
+    multiplicity[0] = 1.0
+    if p.shape[-3] % 2 == 0:
+        multiplicity[-1] = 1.0
     return float(np.sum(p @ multiplicity, dtype=np.float64))
 
 
 def _parseval(half: np.ndarray, weight: np.ndarray | None = None) -> float:
     """(2*pi)^3 sum_k weight(k) |coeff(k)|^2 over the full cube of real fields,
-    from their half cube coeffs[..., :n//2 + 1]; weight (even in k, given on
-    the half cube) defaults to 1."""
+    from their half cube coeffs[..., :n//2 + 1] or their box; weight (even in
+    k, given on the same array) defaults to 1.  Which one it is follows from
+    the x extent, as in _hermitian_sum."""
     p = np.abs(half)
     np.square(p, out=p)
     if weight is not None:
@@ -434,12 +512,16 @@ def l2_norm_spectral(f: SpectralField) -> float:
     return float(np.sqrt(_parseval(_half(f.coeffs))))
 
 
+def _inner(f: np.ndarray, g: np.ndarray) -> float:
+    """(2*pi)^3 sum_k Re(conj(f(k)) g(k)) over the full cube of real fields,
+    from their half cubes or boxes."""
+    return VOLUME * _hermitian_sum((np.conj(f) * g).real)
+
+
 def inner_product(f: SpectralField, g: SpectralField) -> float:
     """L^2 inner product of real fields via the spectral sum."""
     _check_same(f, g)
-    return float(
-        VOLUME * np.real(np.sum(np.conj(f.coeffs) * g.coeffs, dtype=np.complex128))
-    )
+    return _inner(_half(f.coeffs), _half(g.coeffs))
 
 
 def grad_norm_sq(f: SpectralField) -> float:
@@ -449,10 +531,9 @@ def grad_norm_sq(f: SpectralField) -> float:
 
 def sobolev_direct(f: SpectralField, s: float) -> float:
     """Homogeneous H^s norm from the plain spectral sum (k = 0 dropped)."""
-    ksq = _half(f.grid.k_sq).copy()
-    ksq[0, 0, 0] = 1.0
-    w = ksq**s
-    w[0, 0, 0] = 1.0 if s == 0 else 0.0
+    g = f.grid
+    # weight 1 at k = 0 for s = 0 (0**0), else 0
+    w = _half(g.k_sq) ** s if s >= 0 else _half(g.inv_k_sq) ** -s
     return float(np.sqrt(_parseval(_half(f.coeffs), w)))
 
 
@@ -471,7 +552,7 @@ def hermitian_error(f: SpectralField) -> float:
 
 def _divergence_error(kvec, coeffs: np.ndarray) -> float:
     """max_k |k . coeffs(k)| relative to max |coeffs| for broadcastable
-    wavevectors (full or half cube)."""
+    wavevectors (full cube, half cube or box)."""
     kx, ky, kz = kvec
     kdot = kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]
     scale = np.abs(coeffs).max()

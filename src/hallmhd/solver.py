@@ -11,17 +11,22 @@ J = curl b:
     du = P[ u x w + J x b ],    db = curl( (u - J) x b ),
 
 which equals the advective form by solenoidality of u and b.  One private
-kernel evaluates it for the stepper and `rhs`: the fields are taken to
-physical space from the half cube kz >= 0 with real transforms, the cross
-products are formed pointwise, and the forward real transforms are dealiased,
-curled or projected on the half cube, where the kernel returns them.
+kernel evaluates it for the stepper and `rhs`, and `hall_power` evaluates
+the Hall term alone the same way, on the dealiased box: the coefficients
+with |kx|, |ky|, kz <= dealias_cut (kz >= 0 suffices, the fields being
+real).  The fields are taken to physical space by pruned real transforms of
+the box, the cross products are formed pointwise, and the pruned forward
+transforms return the box, where the products are dealiased, curled or
+projected.
 
-The fields are real, so the half cube determines the full one.  A step stays
-on it throughout: the four stages, the RK4 sums, the dissipation integral
-(summed with Hermitian multiplicities), the final Leray projection and the
-finiteness and solenoidality checks.  The full cube of the new state is
-filled from Hermitian symmetry once per field per step; `rhs` and
-`hall_power` fill their results at their own boundary.
+Products are formed from the dealiased part of u and b (|k| <= dealias_cut),
+as the 2/3 rule assumes: content beyond the cut takes no part in them.  A
+step stays on the box throughout: the four stages, the RK4 sums, the
+dissipation integral (summed with Hermitian multiplicities), the final Leray
+projection and the finiteness and solenoidality checks, so the new state is
+zero beyond the cut.  Its full cube is filled from Hermitian symmetry once
+per field per step; `rhs` fills its results at its own boundary, and
+`hall_power` sums on the box.
 """
 
 from __future__ import annotations
@@ -38,18 +43,21 @@ from .fields import (
     _curl,
     _divergence_error,
     _fill_from_half,
+    _from_box,
     _half,
     _half_to_physical,
+    _inner,
     _leray,
     _parseval,
     _physical_to_half,
+    _to_box,
+    _vector_potential,
     divergence_error,
     from_physical,
-    inner_product,
+    l2_norm_spectral,
     lp_norm,
     pointwise_magnitude,
     random_field,
-    vector_potential,
     zero_field,
 )
 
@@ -87,40 +95,40 @@ class SolverState:
 # -- right-hand side -------------------------------------------------------------
 
 
-def _half_calculus(grid: Grid):
-    """(derivative wavenumbers, wavevectors, |k|^2, dealias mask) restricted
-    to the half cube kz >= 0; views of the grid's full-cube arrays."""
-    dx, dy, dz = grid.dvec
-    kx, ky, kz = grid.kvec
-    return (
-        (dx, dy, _half(dz)),
-        (kx, ky, _half(kz)),
-        _half(grid.k_sq),
-        _half(grid.dealias_mask),
-    )
+def _dealiased_box(f: SpectralField) -> np.ndarray:
+    """The box of f's coefficients with the modes beyond the cut zeroed."""
+    _, _, _, mask = f.grid.box
+    box = _to_box(f.coeffs, f.grid.dealias_cut)
+    box *= mask
+    return box
+
+
+def _fill_from_box(grid: Grid, box: np.ndarray) -> np.ndarray:
+    """Full-cube coefficients of real fields from their box."""
+    return _fill_from_half(grid, _from_box(box, grid.n))
 
 
 def _nonlinear(grid: Grid, uh: np.ndarray, bh: np.ndarray, hall_on: bool):
-    """The rotational-form nonlinear terms of half-cube coefficients uh, bh:
+    """The rotational-form nonlinear terms of dealiased box coefficients uh, bh:
 
         du = P[mask (u x w + J x b)],   db = curl(mask ((u - J) x b)),
 
-    J dropped from db when hall_on is False.  Returns half-cube (du, db) and
-    the samples of u and b.  Costs 12 real inverse and 6 real forward
-    transforms.
+    J dropped from db when hall_on is False.  Returns box (du, db) and the
+    samples of u and b.  Costs 12 pruned real inverse and 6 pruned real
+    forward transforms.
     """
-    dvec, kvec, k_sq, mask = _half_calculus(grid)
-    n = grid.n
+    kvec, _, inv_k_sq, mask = grid.box
+    n, c = grid.n, grid.dealias_cut
     # one call per field: pocketfft runs faster on 3-component batches than
     # on one stacked 12-component array
     up, bp, wp, jp = (
-        _half_to_physical(c, n) for c in (uh, bh, _curl(dvec, uh), _curl(dvec, bh))
+        _half_to_physical(x, n) for x in (uh, bh, _curl(kvec, uh), _curl(kvec, bh))
     )
-    fu = _physical_to_half(_cross(up, wp) + _cross(jp, bp))
-    fb = _physical_to_half(_cross(up - jp if hall_on else up, bp))
+    fu = _physical_to_half(_cross(up, wp) + _cross(jp, bp), c)
+    fb = _physical_to_half(_cross(up - jp if hall_on else up, bp), c)
     fu *= mask
     fb *= mask
-    return _leray(kvec, k_sq, fu), _curl(dvec, fb), up, bp
+    return _leray(kvec, inv_k_sq, fu), _curl(kvec, fb), up, bp
 
 
 def rhs(
@@ -131,7 +139,9 @@ def rhs(
         du = P[ u x curl u + (curl b) x b ]
         db = curl( (u - curl b) x b )        (u x b when hall_on is False)
 
-    with every product dealiased.  Equal to the advective form
+    with every product dealiased and formed from the dealiased parts of u
+    and b (|k| <= dealias_cut), as the 2/3 rule assumes: rhs(u, b) equals
+    rhs(dealias(u), dealias(b)).  Equal to the advective form
     -P[u.grad u - b.grad b], curl(u x b) - curl((curl b) x b) for solenoidal
     u and b, which is checked: a non-solenoidal input raises ValueError.
     """
@@ -140,22 +150,23 @@ def rhs(
         if err > 1e-8:
             raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
     g = u.grid
-    du, db, _, _ = _nonlinear(g, _half(u.coeffs), _half(b.coeffs), hall_on)
+    du, db, _, _ = _nonlinear(g, _dealiased_box(u), _dealiased_box(b), hall_on)
     return (
-        SpectralField(g, _fill_from_half(g, du), True),
-        SpectralField(g, _fill_from_half(g, db), True),
+        SpectralField(g, _fill_from_box(g, du), True),
+        SpectralField(g, _fill_from_box(g, db), True),
     )
 
 
 def hall_power(b: SpectralField) -> float:
     """Instantaneous work of the Hall term on b: integral of
-    curl((curl b) x b) . b dx, zero up to discretization roundoff."""
-    grid = b.grid
-    dvec, _, _, mask = _half_calculus(grid)
-    bh = _half(b.coeffs)
-    bp, jp = (_half_to_physical(c, grid.n) for c in (bh, _curl(dvec, bh)))
-    h = _physical_to_half(_cross(jp, bp)) * mask
-    return inner_product(SpectralField(grid, _fill_from_half(grid, _curl(dvec, h))), b)
+    curl((curl b) x b) . b dx, zero up to discretization roundoff.  Like
+    rhs, it is formed from the dealiased part of b."""
+    g = b.grid
+    kvec, _, _, mask = g.box
+    bh = _dealiased_box(b)
+    bp, jp = (_half_to_physical(x, g.n) for x in (bh, _curl(kvec, bh)))
+    h = _physical_to_half(_cross(jp, bp), g.dealias_cut) * mask
+    return _inner(_curl(kvec, h), bh)
 
 
 # -- time stepping ----------------------------------------------------------------
@@ -176,28 +187,40 @@ def dt_gate(
     b: SpectralField,
     cfg: RunConfig,
 ) -> float:
-    """Largest admissible dt: min(c_adv/(k_cut max|u|), c_whistler/(k_cut^2 max|b|))."""
+    """Largest admissible dt: min(c_adv/(k_cut max|u|), c_whistler/(k_cut^2 max|b|)).
+
+    The maxima are taken over the samples of the whole fields.  A step gates
+    on the samples of their dealiased parts, which it steps, so the two gates
+    agree for states with nothing beyond the cut: every state a step returns
+    and every initial state make_initial builds, except a checkpoint written
+    under a larger cut."""
     return _gate(
         lp_norm(u, np.inf), lp_norm(b, np.inf), float(u.grid.dealias_cut), cfg
     )
 
 
 class Stepper:
-    """Integrating-factor RK4 stepper.
+    """Integrating-factor RK4 stepper on the dealiased box.
 
-    A step runs on the half cube kz >= 0 of the state's coefficients.  Each
-    field has one running RK4 sum, eu_full du1 + 2 eu_half (du2 + du3) + du4
-    for u (eb_* for b), which takes each stage's derivatives as the stage
+    A step runs on the box |kx|, |ky|, kz <= c of the state's coefficients,
+    c = dealias_cut, shape (3, 2c + 1, 2c + 1, c + 1): the four kernel
+    calls, the running RK4 sums, the integrating factors, the dissipation
+    sum, the finiteness check, the final Leray projection and the drift
+    check.  Products are formed from the dealiased part of u and b, as the
+    2/3 rule assumes, so step(state) equals the step of dealias(u),
+    dealias(b), and the new state is zero beyond the cut.  Each field has
+    one running RK4 sum, eu_full du1 + 2 eu_half (du2 + du3) + du4 for u
+    (eb_* for b), which takes each stage's derivatives as the stage
     finishes, so only the sum and the current stage stay alive.  The new
-    state is checked and projected on the half cube; then its full cube is
-    filled, once per field per step.  The four integrating factors are
-    cached on the half cube.
+    box is scattered into the half cube and the full cube filled from it,
+    once per field per step.
     """
 
     def __init__(self, grid: Grid, cfg: RunConfig):
         self.grid = grid
         self.cfg = cfg
-        self._k_sq = ksq = np.ascontiguousarray(_half(grid.k_sq))
+        _, ksq, _, _ = grid.box
+        self._k_sq = ksq
         dt = cfg.dt
         self.eu_half = np.exp(-cfg.nu * ksq * dt / 2.0)
         self.eu_full = self.eu_half**2
@@ -211,7 +234,7 @@ class Stepper:
             return self._step_inner(state, self.cfg.dt, enforce_gate)
 
     def _diss(self, u: np.ndarray, b: np.ndarray) -> float:
-        """nu ||grad u||^2 + mu ||grad b||^2 from half cubes."""
+        """nu ||grad u||^2 + mu ||grad b||^2 from boxes."""
         cfg, ksq = self.cfg, self._k_sq
         return cfg.nu * _parseval(u, ksq) + cfg.mu * _parseval(b, ksq)
 
@@ -222,7 +245,7 @@ class Stepper:
         g = self.grid
         eu_h, eu_f = self.eu_half, self.eu_full
         eb_h, eb_f = self.eb_half, self.eb_full
-        u0, b0 = _half(state.u.coeffs), _half(state.b.coeffs)
+        u0, b0 = _dealiased_box(state.u), _dealiased_box(state.b)
 
         du, db, up, bp = _nonlinear(g, u0, b0, cfg.hall_on)
         if enforce_gate:
@@ -271,8 +294,8 @@ class Stepper:
         ):
             raise BlowUpDetected(state)
 
-        _, kvec, _, _ = _half_calculus(g)
-        u_new = _leray(kvec, self._k_sq, u_new)
+        kvec, _, inv_k_sq, _ = g.box
+        u_new = _leray(kvec, inv_k_sq, u_new)
         drift = _divergence_error(kvec, b_new)
         if drift > SOLENOIDAL_DRIFT_TOL:
             raise RuntimeError(
@@ -281,8 +304,8 @@ class Stepper:
             )
         return SolverState(
             t=state.t + dt,
-            u=SpectralField(g, _fill_from_half(g, u_new), True),
-            b=SpectralField(g, _fill_from_half(g, b_new), True),
+            u=SpectralField(g, _fill_from_box(g, u_new), True),
+            b=SpectralField(g, _fill_from_box(g, b_new), True),
             step_count=state.step_count + 1,
             # dissipation integral advanced with the same RK4 quadrature
             diss_integral=state.diss_integral + (dt / 6.0) * diss,
@@ -298,8 +321,12 @@ def energy(f: SpectralField) -> float:
 
 
 def magnetic_helicity(b: SpectralField) -> float:
-    """Integral of A . b with curl A = b, A solenoidal."""
-    return inner_product(vector_potential(b), b)
+    """Integral of A . b with curl A = b, A solenoidal: the spectral sum
+    with vector_potential's A, built on the half cube."""
+    g = b.grid
+    kx, ky, kz = g.kvec
+    bh = _half(b.coeffs)
+    return _inner(_vector_potential((kx, ky, _half(kz)), _half(g.inv_k_sq), bh), bh)
 
 
 # -- initial conditions ----------------------------------------------------------------
@@ -358,7 +385,8 @@ def random_band_field(
     if k_hi < k_lo:
         raise ValueError(f"band [{q_lo}, {q_hi}] empty under dealias cut")
     f = random_field(grid, rng, k_lo=k_lo, k_hi=k_hi, solenoidal=True)
-    rms = lp_norm(f, 2.0) / (2 * np.pi) ** 1.5
+    # Parseval: the collocation L^2 norm without a transform
+    rms = l2_norm_spectral(f) / (2 * np.pi) ** 1.5
     if rms > 0:
         f = f * (amplitude / rms)
     f.is_solenoidal = True
@@ -369,7 +397,14 @@ def whistler_initial(
     grid: Grid, b0: float = 1.0, eps: float = 1e-6, k: int = 1
 ) -> tuple[SpectralField, SpectralField]:
     """Uniform b0 z_hat plus a circularly polarized transverse perturbation
-    cos(k z) x_hat - sin(k z) y_hat at amplitude eps; u starts at zero."""
+    cos(k z) x_hat - sin(k z) y_hat at amplitude eps; u starts at zero.
+    k must lie within the dealias cut, or the first step would drop the
+    perturbation."""
+    if abs(k) > grid.dealias_cut:
+        raise ValueError(
+            f"whistler k={k} beyond dealias_cut={grid.dealias_cut}: the step "
+            f"keeps only |k| <= dealias_cut"
+        )
     _, _, z = grid.mesh()
     zero = np.zeros_like(z)
     b = from_physical(
@@ -382,7 +417,11 @@ def whistler_initial(
 def make_initial(
     init_spec: dict, grid: Grid, seed: int = 0
 ) -> tuple[SpectralField, SpectralField]:
-    """Build (u0, b0) from an init spec dict; see config.KNOWN_INIT_KINDS."""
+    """Build (u0, b0) from an init spec dict; see config.KNOWN_INIT_KINDS.
+
+    A checkpoint is returned as stored.  One written under a larger dealias
+    cut may hold modes beyond this grid's cut, which Stepper drops on the
+    first step (it steps the dealiased part)."""
     kind = init_spec.get("kind")
     params = {k: v for k, v in init_spec.items() if k != "kind"}
     if kind == "beltrami_u":

@@ -15,9 +15,12 @@ from hallmhd.fields import (
     Grid,
     SpectralField,
     _fill_from_half,
+    _from_box,
     _half,
+    _half_to_physical,
     _parseval,
     _physical_to_half,
+    _to_box,
     curl,
     dealias,
     divergence,
@@ -156,6 +159,24 @@ class TestTransforms:
         expect = np.fft.ifftn(padded, axes=(-3, -2, -1)).real * m**3
         got = to_physical(f, oversample)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("n", [8, 10, 16, 24])
+    def test_pruned_pair_matches_full_real_transforms(self, n):
+        # the box |kx|, |ky|, kz <= cut: its inverse against irfftn of the
+        # half cube holding it, its forward against the truncated rfftn
+        g = Grid(n)
+        c = g.dealias_cut
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal((3, n, n, n))
+        box = _to_box(from_physical(samples, g).coeffs, c)
+        assert box.shape == (3, 2 * c + 1, 2 * c + 1, c + 1)
+        half = _from_box(box, n)
+        expect = np.fft.irfftn(half, s=(n,) * 3, axes=(1, 2, 3), norm="forward")
+        got = _half_to_physical(box, n)
+        assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+        expect = _to_box(np.fft.rfftn(samples, axes=(1, 2, 3), norm="forward"), c)
+        got = _physical_to_half(samples, c)
+        assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
 
 class TestCalculus:
@@ -343,9 +364,22 @@ class TestHalfCubeSums:
             )
 
     @pytest.mark.parametrize("n", [8, 10, 16])
+    def test_parseval_on_the_box(self, n):
+        # the box's last plane is kz = cut, not n/2: it counts twice
+        g = Grid(n)
+        c = g.dealias_cut
+        box = _to_box(white_noise(g, n + 3).coeffs, c)
+        power = np.abs(_fill_from_half(g, _from_box(box, n))) ** 2
+        for weight in (np.ones((n,) * 3), g.k_sq):
+            full = VOLUME * np.sum(weight * power)
+            assert _parseval(box, _to_box(weight, c)) == pytest.approx(
+                full, rel=1e-14
+            )
+
+    @pytest.mark.parametrize("n", [8, 10, 16])
     def test_public_sums_match_full_cube(self, n):
         from hallmhd.littlewood_paley import build_partition
-        from hallmhd.solver import energy
+        from hallmhd.solver import energy, magnetic_helicity
 
         g = Grid(n)
         f = white_noise(g, n + 2)
@@ -353,6 +387,15 @@ class TestHalfCubeSums:
         full = VOLUME * np.sum(power)
         assert energy(f) == pytest.approx(0.5 * full, rel=1e-14)
         assert l2_norm_spectral(f) == pytest.approx(np.sqrt(full), rel=1e-14)
+        h = white_noise(g, n + 3)
+        # independent noise: the sum cancels, so the scale is ||f|| ||h||
+        scale = np.sqrt(full * VOLUME * np.sum(np.abs(h.coeffs) ** 2))
+        expect = VOLUME * np.sum(np.real(np.conj(f.coeffs) * h.coeffs))
+        assert inner_product(f, h) == pytest.approx(expect, abs=1e-14 * scale)
+        assert inner_product(f, f) == pytest.approx(full, rel=1e-14)
+        a = vector_potential(f).coeffs
+        expect = VOLUME * np.sum(np.real(np.conj(a) * f.coeffs))
+        assert magnetic_helicity(f) == pytest.approx(expect, abs=1e-14 * full)
         assert fields.grad_norm_sq(f) == pytest.approx(
             VOLUME * np.sum(g.k_sq * power), rel=1e-14
         )

@@ -155,7 +155,7 @@ def full_cube_step(u0, b0, cfg):
 
 
 class TestHalfCubeStep:
-    @pytest.mark.parametrize("n", [10, 16])
+    @pytest.mark.parametrize("n", [10, 16, 24])
     @pytest.mark.parametrize("hall", [False, True])
     def test_matches_full_cube_step(self, n, hall):
         g = Grid(n)
@@ -186,6 +186,32 @@ class TestHalfCubeStep:
         st, _ = run_steps(cfg, 2)
         assert st.step_count == 2
         assert calls == [(3, 16, 16, 9)] * 4
+
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_products_use_the_dealiased_part(self, n):
+        # solenoidal white noise reaches every mode; what lies beyond the cut
+        # takes no part in a product, and a step leaves nothing there
+        g = Grid(n)
+        rng = np.random.default_rng(n)
+        u = leray_project(random_field(g, rng)) * 0.5
+        b = leray_project(random_field(g, rng)) * 0.5
+        ud, bd = dealias(u), dealias(b)
+        assert np.abs(u.coeffs - ud.coeffs).max() > 0.1 * np.abs(u.coeffs).max()
+        for hall in (False, True):
+            for got, expect in zip(rhs(u, b, hall), rhs(ud, bd, hall)):
+                assert np.array_equal(got.coeffs, expect.coeffs)
+        assert hall_power(b) == hall_power(bd)
+        cfg = RunConfig(n=n, dt=1.0, t_end=1.0, nu=0.05, mu=0.03)
+        cfg = RunConfig(n=n, dt=0.5 * dt_gate(ud, bd, cfg), t_end=1.0, nu=0.05, mu=0.03)
+        stepper = Stepper(g, cfg)
+        st = stepper.step(SolverState(0.0, u, b))
+        ref = stepper.step(SolverState(0.0, ud, bd))
+        assert np.array_equal(st.u.coeffs, ref.u.coeffs)
+        assert np.array_equal(st.b.coeffs, ref.b.coeffs)
+        assert st.diss_integral == ref.diss_integral
+        beyond = ~g.dealias_mask
+        assert np.all(st.u.coeffs[:, beyond] == 0.0)
+        assert np.all(st.b.coeffs[:, beyond] == 0.0)
 
 
 class TestExactDecays:
@@ -407,6 +433,13 @@ class TestInitialConditions:
         assert np.abs(u.coeffs).max() == 0.0
         assert b.coeffs[2, 0, 0, 0] == pytest.approx(2.0)
         assert divergence_error(b) <= 1e-13
+
+    def test_whistler_beyond_the_cut_rejected(self):
+        g = Grid(16)
+        with pytest.raises(ValueError, match="beyond dealias_cut=5"):
+            make_initial(
+                {"kind": "uniform_b_plus_whistler", "b0": 1.0, "eps": 1e-3, "k": 6}, g
+            )
 
     def test_from_checkpoint_round_trip(self, tmp_path):
         from hallmhd.checkpoint import write_checkpoint
