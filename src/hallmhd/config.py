@@ -5,21 +5,39 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
+
+from .fields import DimensionError, Grid
 
 
 class ConfigError(ValueError):
     """Invalid or unreadable run configuration."""
 
 
-KNOWN_INIT_KINDS = (
-    "beltrami_u",
-    "beltrami_b",
-    "orszag_tang_3d",
-    "random_band",
-    "uniform_b_plus_whistler",
-    "from_checkpoint",
-)
+# each initial-condition kind and the parameters make_initial reads for it
+KNOWN_INIT_KINDS = {
+    "beltrami_u": {"amplitude"},
+    "beltrami_b": {"amplitude"},
+    "orszag_tang_3d": {"amplitude"},
+    "random_band": {"q_lo", "q_hi", "amplitude", "b_amplitude"},
+    "uniform_b_plus_whistler": {"b0", "eps", "k"},
+    "from_checkpoint": {"path"},
+}
+
+
+def _require(ok: bool, key: str, what: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"key {key!r}: {what}, got {value!r}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -45,33 +63,57 @@ class RunConfig:
         return min(self.nu, self.mu)
 
     def validate(self) -> None:
-        if self.n < 8 or self.n % 2:
-            raise ConfigError(f"key 'n': must be even and >= 8, got {self.n}")
-        if self.dt <= 0:
-            raise ConfigError(f"key 'dt': must be > 0, got {self.dt}")
-        if self.t_end <= 0:
-            raise ConfigError(f"key 't_end': must be > 0, got {self.t_end}")
-        if self.ideal:
-            if self.nu != 0.0 or self.mu != 0.0:
-                raise ConfigError("key 'ideal': requires nu = mu = 0")
-        else:
-            if self.nu <= 0 or self.mu <= 0:
-                raise ConfigError(
-                    f"key 'nu'/'mu': must be > 0 outside ideal mode "
-                    f"(got nu={self.nu}, mu={self.mu})"
-                )
-        if self.diag_every < 1:
-            raise ConfigError(f"key 'diag_every': must be >= 1, got {self.diag_every}")
-        if self.checkpoint_every is not None and (
-            self.checkpoint_every % self.diag_every != 0
-        ):
-            raise ConfigError(
-                "key 'checkpoint_every': must be a multiple of diag_every"
+        for key in ("hall_on", "ideal"):
+            value = getattr(self, key)
+            _require(isinstance(value, bool), key, "must be true or false", value)
+        for key in ("n", "seed", "diag_every", "checkpoint_every", "dealias_cut"):
+            value = getattr(self, key)
+            optional = key in ("checkpoint_every", "dealias_cut")
+            _require(
+                _is_int(value) or (optional and value is None),
+                key, "must be an integer", value,
             )
+        for key in ("dt", "t_end", "cfl_adv", "cfl_whistler"):
+            value = getattr(self, key)
+            _require(
+                _is_real(value) and 0 < value < math.inf,
+                key, "must be a finite number > 0", value,
+            )
+        for key in ("nu", "mu"):
+            value = getattr(self, key)
+            _require(
+                _is_real(value) and math.isfinite(value),
+                key, "must be a finite number", value,
+            )
+            if not self.ideal:
+                _require(value > 0, key, "must be > 0 outside ideal mode", value)
+        if self.ideal and (self.nu != 0.0 or self.mu != 0.0):
+            raise ConfigError("key 'ideal': requires nu = mu = 0")
+        _require(self.seed >= 0, "seed", "must be >= 0", self.seed)
+        _require(self.n >= 8 and self.n % 2 == 0, "n", "must be even and >= 8", self.n)
+        _require(self.diag_every >= 1, "diag_every", "must be >= 1", self.diag_every)
+        every = self.checkpoint_every
+        _require(
+            every is None or (every >= 1 and every % self.diag_every == 0),
+            "checkpoint_every", "must be a positive multiple of diag_every", every,
+        )
+        try:
+            Grid(self.n, self.dealias_cut)
+        except DimensionError as exc:
+            raise ConfigError(f"key 'dealias_cut': {exc}") from exc
         if not isinstance(self.init, dict) or "kind" not in self.init:
             raise ConfigError("key 'init': must be an object with a 'kind'")
-        if self.init["kind"] not in KNOWN_INIT_KINDS:
-            raise ConfigError(f"key 'init.kind': unknown kind {self.init['kind']!r}")
+        kind = self.init["kind"]
+        _require(
+            isinstance(kind, str) and kind in KNOWN_INIT_KINDS,
+            "init.kind", "unknown kind", kind,
+        )
+        unknown = sorted(set(self.init) - {"kind"} - KNOWN_INIT_KINDS[kind])
+        if unknown:
+            raise ConfigError(
+                f"key 'init.{unknown[0]}': unknown parameter for kind {kind!r}, "
+                f"allowed: {sorted(KNOWN_INIT_KINDS[kind])}"
+            )
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

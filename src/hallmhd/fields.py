@@ -17,19 +17,19 @@ box |kx|, |ky| <= c, 0 <= kz <= c of a cut c < n/2, shape
 [0..c, -c..-1].  With c = dealias_cut it holds every mode the 2/3 rule keeps.
 
 All transforms are real and go through one pair.  Samples are made from the
-half cube by one inverse real FFT (zero-padded for oversampled grids), or
-from a box by a pruned one that skips the all-zero lines (Markel 1971): each
-axis is zero-padded only for its own pass.  Coefficients are made from
+half cube by one inverse real FFT, or from a box by a pruned one that skips
+the all-zero lines (Markel 1971): each axis is zero-padded only for its own
+pass.  Coefficients are made from
 samples by one forward real FFT, the upper kz half being restored from the
 symmetry, or, pruned, for the box alone, each pass keeping only the box rows
 of its axis.  Spectral power sums and inner products (Parseval norms,
-||grad f||^2, Sobolev sums) are taken on the half cube or the box, each kz
+||grad f||^2, shell powers) are taken on the half cube or the box, each kz
 plane counted with its Hermitian multiplicity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -143,11 +143,6 @@ class Grid:
     def mesh(self):
         """Physical coordinate arrays (x, y, z), each shape (n, n, n)."""
         return np.meshgrid(self.x1, self.x1, self.x1, indexing="ij")
-
-    def integrate(self, pointwise: np.ndarray) -> float:
-        """Collocation quadrature of a pointwise scalar sample array."""
-        m = pointwise.shape[-1]
-        return float(pointwise.sum(dtype=np.float64) * (VOLUME / m**3))
 
 
 def _reciprocal(k_sq: np.ndarray) -> np.ndarray:
@@ -306,34 +301,6 @@ def _fill_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
     return out
 
 
-def _embed(coeffs: np.ndarray, n: int, m: int) -> np.ndarray:
-    """m-grid half cube (m > n) of the real field with full n-grid
-    coefficients `coeffs`.  An n/2 index is both -n/2 and +n/2 on the finer
-    grid, so its mode splits evenly between the two, as in the real part of
-    the zero-padded complex cube; on the kz axis only +n/2 lies in the half
-    cube."""
-    h = n // 2
-    lo = np.fft.fftfreq(n, d=1.0 / n).astype(int) % m  # n/2 at -n/2
-    hi = lo.copy()
-    hi[h] = h  # n/2 at +n/2
-    half = 0.5 * coeffs[..., : h + 1]
-    out = np.zeros(coeffs.shape[:-3] + (m, m, m // 2 + 1), dtype=np.complex128)
-    out[..., lo[:, None], lo[None, :], :h] = half[..., :h]
-    out[..., hi[:, None], hi[None, :], : h + 1] += half
-    return out
-
-
-def _extract(half_fine: np.ndarray, grid: Grid) -> np.ndarray:
-    """Full n-grid coefficients from an m-grid half cube (m >= n), zeroing
-    the n/2 planes (the +n/2 content of the fine grid has no coarse-grid
-    home)."""
-    n, h = grid.n, grid.n // 2
-    m = half_fine.shape[-3]
-    pos = np.fft.fftfreq(n, d=1.0 / n).astype(int) % m
-    out = half_fine[..., pos[:, None], pos[None, :], : h + 1]
-    return _fill_from_half(grid, _zero_nyquist(out))
-
-
 def _zero_nyquist(coeffs: np.ndarray) -> np.ndarray:
     """Zero the n/2 planes (index n/2 on each axis) of full- or half-cube
     coefficients in place, and return them.  Grid.kvec gives index n/2 the
@@ -346,19 +313,14 @@ def _zero_nyquist(coeffs: np.ndarray) -> np.ndarray:
     return coeffs
 
 
-def to_physical(f: SpectralField, oversample: int = 1) -> np.ndarray:
-    """Collocation samples, shape (ncomp, m, m, m) with m = oversample * n.
-    f is read as a real field: only its half cube kz >= 0 is used."""
-    if oversample < 1:
-        raise DimensionError("oversample must be >= 1")
-    n = f.grid.n
-    m = n * oversample
-    half = _half(f.coeffs) if m == n else _embed(f.coeffs, n, m)
-    return _half_to_physical(half, m)
+def to_physical(f: SpectralField) -> np.ndarray:
+    """Collocation samples, shape (ncomp, n, n, n).  f is read as a real
+    field: only its half cube kz >= 0 is used."""
+    return _half_to_physical(_half(f.coeffs), f.grid.n)
 
 
 def from_physical(samples: np.ndarray, grid: Grid) -> SpectralField:
-    """Inverse of to_physical (oversample=1); accepts (n,n,n) or (c,n,n,n)."""
+    """Inverse of to_physical; accepts (n,n,n) or (c,n,n,n)."""
     s = np.asarray(samples, dtype=np.float64)
     if s.ndim == 3:
         s = s[None]
@@ -465,15 +427,15 @@ def pointwise_magnitude(samples: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(samples * samples, axis=0))
 
 
-def lp_norm(f: SpectralField, p: float, oversample: int = 1) -> float:
-    """Collocation L^p norm of |f(x)| on the (oversampled) physical grid.
+def lp_norm(f: SpectralField, p: float) -> float:
+    """Collocation L^p norm of |f(x)| on the physical grid.
 
     A grid approximation of the true torus norm; exact for p=2 on band-limited
     fields (Parseval), and a lower bound for p=inf.
     """
     if p < 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    mag = pointwise_magnitude(to_physical(f, oversample))
+    mag = pointwise_magnitude(to_physical(f))
     if np.isinf(p):
         return float(mag.max(initial=0.0))
     m = mag.shape[-1]
@@ -529,14 +491,6 @@ def grad_norm_sq(f: SpectralField) -> float:
     return _parseval(_half(f.coeffs), _half(f.grid.k_sq))
 
 
-def sobolev_direct(f: SpectralField, s: float) -> float:
-    """Homogeneous H^s norm from the plain spectral sum (k = 0 dropped)."""
-    g = f.grid
-    # weight 1 at k = 0 for s = 0 (0**0), else 0
-    w = _half(g.k_sq) ** s if s >= 0 else _half(g.inv_k_sq) ** -s
-    return float(np.sqrt(_parseval(_half(f.coeffs), w)))
-
-
 # -- consistency checks ---------------------------------------------------------
 
 
@@ -564,12 +518,6 @@ def _divergence_error(kvec, coeffs: np.ndarray) -> float:
 def divergence_error(f: SpectralField) -> float:
     """max_k |k . coeff(k)| relative to max |coeff| (plain k, not oddball-zeroed)."""
     return _divergence_error(f.grid.kvec, f.coeffs)
-
-
-def require_solenoidal(f: SpectralField, tol: float = 1e-8, what: str = "field"):
-    err = divergence_error(f)
-    if err > tol:
-        raise ValueError(f"{what} is not solenoidal (divergence error {err:.3e})")
 
 
 # -- random fields --------------------------------------------------------------

@@ -4,7 +4,7 @@ The partition is the family {chi, phi_q}: a smooth radial cutoff chi with
 chi(r) = 1 for r <= 3/4, chi(r) = 0 for r >= 1, and the annular bumps
 phi(r) = chi(r/2) - chi(r), phi_q(r) = phi(r / 2^q) for q >= 0, phi_{-1} = chi.
 Shell projections act as Fourier multipliers (the physical kernels are never
-materialized); lambda_q = 2^q with the q = -1 weight taken as 1/2.
+materialized).
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ def smooth_bridge_profile(r):
     return out
 
 
-def lambda_q(q: int) -> float:
-    """Dyadic wavenumber 2^q, with the q = -1 weight fixed to 1/2."""
-    return 0.5 if q == -1 else float(2**q)
-
-
 def _validate_profile(chi) -> None:
     r_plateau = np.linspace(0.0, 0.75, 301)
     if np.abs(chi(r_plateau) - 1.0).max() > UNITY_TOL:
@@ -58,16 +53,13 @@ def _validate_profile(chi) -> None:
 class LPPartition:
     """Multiplier family sampled on the grid; built via build_partition."""
 
-    def __init__(self, grid: Grid, multipliers: np.ndarray, chi, mode: str):
+    def __init__(self, grid: Grid, multipliers: np.ndarray, chi):
         self.grid = grid
         self.multipliers = multipliers  # index q+1 -> phi_q(|k|), q = -1..q_max
         self.chi = chi
-        self.mode = mode
         self.q_max = multipliers.shape[0] - 2
         self._half_sq = _half(multipliers) ** 2
-        self._cumulative = np.cumsum(multipliers, axis=0)
-        s = self._cumulative[-1]
-        err = np.abs(s - 1.0)
+        err = np.abs(multipliers.sum(axis=0) - 1.0)
         bad = err > UNITY_TOL
         if not bad.any():
             self.unity_radius = float(grid.k_mag.max())
@@ -91,37 +83,7 @@ class LPPartition:
         """Dyadic block Delta_q f (Fourier multiplier phi_q)."""
         return SpectralField(f.grid, f.coeffs * self._mult(q), f.is_solenoidal)
 
-    def lowpass(self, f: SpectralField, Q: int) -> SpectralField:
-        """Sum of blocks q <= Q; empty (zero) when Q < -1."""
-        if Q < -1:
-            return SpectralField(f.grid, np.zeros_like(f.coeffs), True)
-        Q = min(Q, self.q_max)
-        return SpectralField(f.grid, f.coeffs * self._cumulative[Q + 1], f.is_solenoidal)
-
-    def bandpass(self, f: SpectralField, Q: int, N: int) -> SpectralField:
-        """Blocks in (Q, N]."""
-        return self.lowpass(f, N) - self.lowpass(f, Q)
-
-    def tilde(self, f: SpectralField, q: int) -> SpectralField:
-        """Sum of blocks p with |p - q| <= 1."""
-        mult = np.zeros_like(self.multipliers[0])
-        for p in range(max(-1, q - 1), min(self.q_max, q + 1) + 1):
-            mult += self._mult(p)
-        return SpectralField(f.grid, f.coeffs * mult, f.is_solenoidal)
-
     # -- norms --------------------------------------------------------------
-
-    def besov_norm(
-        self, f: SpectralField, s: float, p: float, oversample: int = 1
-    ) -> float:
-        """B^s_{p,inf}: sup_q lambda_q^s ||Delta_q f||_p."""
-        if p < 1:
-            raise ValueError(f"besov_norm requires p >= 1, got {p}")
-        best = 0.0
-        for q in self.shell_range():
-            norm = lp_norm(self.project(f, q), p, oversample)
-            best = max(best, lambda_q(q) ** s * norm)
-        return best
 
     def shell_l2_sq(self, f: SpectralField) -> np.ndarray:
         """(2*pi)^3 sum_k phi_q^2 |coeff|^2 per shell, the ||Delta_q f||_2^2,
@@ -130,88 +92,32 @@ class LPPartition:
         vol = (2.0 * np.pi) ** 3
         return np.array([vol * _hermitian_sum(sq * power) for sq in self._half_sq])
 
-    def shell_linf(self, f: SpectralField, oversample: int = 1) -> np.ndarray:
+    def shell_linf(self, f: SpectralField) -> np.ndarray:
+        """max_x |Delta_q f(x)| per shell on the collocation grid."""
         return np.array(
-            [
-                lp_norm(self.project(f, q), np.inf, oversample)
-                for q in self.shell_range()
-            ]
+            [lp_norm(self.project(f, q), np.inf) for q in self.shell_range()]
         )
 
-    def sobolev_norm(self, f: SpectralField, s: float) -> tuple[float, float]:
-        """Homogeneous H^s by two estimators: (direct spectral sum, LP form)."""
-        from .fields import sobolev_direct
 
-        direct = sobolev_direct(f, s)
-        weights = np.array([lambda_q(q) ** (2 * s) for q in self.shell_range()])
-        lp_form = float(np.sqrt(np.sum(weights * self.shell_l2_sq(f))))
-        return direct, lp_form
-
-    def sobolev_equivalence_envelope(self, s: float) -> tuple[float, float]:
-        """Grid-computable bounds on (LP form)/(direct form), swept over k != 0."""
-        kmag = self.grid.k_mag
-        nonzero = kmag > 0
-        ratio = np.zeros_like(kmag)
-        for q in self.shell_range():
-            ratio += lambda_q(q) ** (2 * s) * self.multipliers[q + 1] ** 2
-        ratio[nonzero] /= kmag[nonzero] ** (2 * s)
-        vals = ratio[nonzero]
-        return float(np.sqrt(vals.min())), float(np.sqrt(vals.max()))
-
-    def bernstein_ratio(
-        self, f: SpectralField, q: int, r: float, s_exp: float
-    ) -> float:
-        """||Delta_q f||_r / (lambda_q^{3(1/s - 1/r)} ||Delta_q f||_s); 0 if empty."""
-        if s_exp < 1:
-            raise ValueError("bernstein_ratio requires s_exp >= 1")
-        if r < s_exp:
-            raise ValueError("bernstein_ratio requires r >= s_exp")
-        block = self.project(f, q)
-        denom_norm = lp_norm(block, s_exp)
-        if denom_norm == 0.0:
-            return 0.0
-        inv_r = 0.0 if np.isinf(r) else 1.0 / r
-        scale = lambda_q(q) ** (3.0 * (1.0 / s_exp - inv_r))
-        return lp_norm(block, r) / (scale * denom_norm)
-
-    def reconstruction_error(self, f: SpectralField) -> float:
-        """Relative L^2 error of sum_q Delta_q f against f."""
-        from .fields import l2_norm_spectral
-
-        total = SpectralField(f.grid, f.coeffs * self._cumulative[-1])
-        num = l2_norm_spectral(total - f)
-        den = l2_norm_spectral(f)
-        return num / den if den > 0 else 0.0
-
-
-def build_partition(grid: Grid, chi=None, mode: str = "smooth") -> LPPartition:
+def build_partition(grid: Grid, chi=None) -> LPPartition:
     """Sample the multiplier family on the grid and verify partition of unity.
 
-    mode "smooth" uses the (validated) profile; mode "sharp" uses indicator
-    annuli 2^{q-1} < |k| <= 2^q as a cross-check alternative.
+    chi is the cutoff profile, validated first; smooth_bridge_profile by
+    default.
     """
-    if mode not in ("smooth", "sharp"):
-        raise PartitionError(f"unknown partition mode {mode!r}")
+    if chi is None:
+        chi = smooth_bridge_profile
+    _validate_profile(chi)
     kmag = grid.k_mag
     k_top = float(kmag.max())
     q_cap = int(np.ceil(np.log2(max(k_top, 1.0)))) + 1
-    mults = []
-    if mode == "smooth":
-        if chi is None:
-            chi = smooth_bridge_profile
-        _validate_profile(chi)
-        mults.append(chi(kmag))
-        for q in range(0, q_cap + 1):
-            lam = float(2**q)
-            mults.append(chi(kmag / (2.0 * lam)) - chi(kmag / lam))
-    else:
-        mults.append((kmag <= 0.5).astype(np.float64))
-        for q in range(0, q_cap + 1):
-            lam = float(2**q)
-            mults.append(((kmag > lam / 2.0) & (kmag <= lam)).astype(np.float64))
+    mults = [chi(kmag)]
+    for q in range(0, q_cap + 1):
+        lam = float(2**q)
+        mults.append(chi(kmag / (2.0 * lam)) - chi(kmag / lam))
     while len(mults) > 1 and not np.any(mults[-1] > 0.0):
         mults.pop()
-    part = LPPartition(grid, np.array(mults), chi, mode)
+    part = LPPartition(grid, np.array(mults), chi)
     if part.unity_error > UNITY_TOL:
         raise PartitionError(
             f"partition of unity fails at {part.unity_error:.3e} within radius"

@@ -1,28 +1,25 @@
-"""Dyadic partition, shell projections, Besov/Sobolev norms, Bernstein ratios."""
+"""Dyadic partition, shell projections and per-shell L^2 and L^inf norms."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hallmhd import oracles
 from hallmhd.fields import (
     Grid,
     SpectralField,
     curl,
-    from_physical,
     gradient,
-    l2_norm_spectral,
     leray_project,
     lp_norm,
     random_field,
     zero_field,
 )
 from hallmhd.littlewood_paley import (
-    LPPartition,
     PartitionError,
     build_partition,
     dealias_limited_q_max,
-    lambda_q,
     smooth_bridge_profile,
 )
 
@@ -110,12 +107,6 @@ class TestPartition:
         # shells with 3/4 * 2^q > dealias_cut (=10) are empty after dealiasing
         assert dealias_limited_q_max(part32) == 3
 
-    def test_sharp_mode_partition(self):
-        part = build_partition(Grid(16), mode="sharp")
-        assert part.unity_error <= 1e-15
-        f = random_field(Grid(16), np.random.default_rng(0))
-        assert part.reconstruction_error(f) < 1e-14
-
 
 class TestProjections:
     def test_pure_shell_mode(self, part32):
@@ -155,29 +146,6 @@ class TestProjections:
         with pytest.raises(ValueError):
             part32.project(f, -2)
 
-    def test_lowpass_is_partial_sum(self, part16):
-        f = random_field(part16.grid, np.random.default_rng(1))
-        for Q in (-1, 0, 2, part16.q_max):
-            total = zero_field(part16.grid)
-            for q in range(-1, Q + 1):
-                total = total + part16.project(f, q)
-            low = part16.lowpass(f, Q)
-            assert np.abs(low.coeffs - total.coeffs).max() < 1e-14
-
-    def test_bandpass_and_tilde(self, part16):
-        f = random_field(part16.grid, np.random.default_rng(2))
-        band = part16.bandpass(f, 1, 3)
-        expect = part16.project(f, 2) + part16.project(f, 3)
-        assert np.abs(band.coeffs - expect.coeffs).max() < 1e-14
-        til = part16.tilde(f, 2)
-        expect = part16.project(f, 1) + part16.project(f, 2) + part16.project(f, 3)
-        assert np.abs(til.coeffs - expect.coeffs).max() < 1e-14
-
-    def test_reconstruction(self, part32):
-        for seed in range(20):
-            f = random_field(part32.grid, np.random.default_rng(seed))
-            assert part32.reconstruction_error(f) < 1e-10
-
     @given(seed=st.integers(0, 10_000), q=st.integers(-1, 3), p=st.integers(-1, 3))
     @settings(max_examples=25, deadline=None)
     def test_near_orthogonality(self, seed, q, p):
@@ -215,160 +183,41 @@ class TestProjections:
         assert hermitian_error(block) < 1e-12
 
 
-class TestBesov:
+class TestShellNorms:
     def test_zero_field(self, part16):
-        assert part16.besov_norm(zero_field(part16.grid), 1.0, np.inf) == 0.0
+        f = zero_field(part16.grid)
+        assert not part16.shell_linf(f).any()
+        assert not part16.shell_l2_sq(f).any()
 
     def test_single_shell_cosine(self, part32):
-        # u_x = cos(4 x1): B^1_{inf,inf} = lambda_2 * 1 = 4
+        # u_x = cos(4 x1) lies in shell 2 alone, with sup 1
         f = single_mode(part32.grid, (4, 0, 0))
-        assert part32.besov_norm(f, 1.0, np.inf) == pytest.approx(4.0, rel=1e-12)
+        expect = np.zeros(part32.q_max + 2)
+        expect[2 + 1] = 1.0
+        assert np.abs(part32.shell_linf(f) - expect).max() < 1e-12
 
     def test_two_shell_field_frozen(self, part32):
-        # modes |k|=2 (amp 1) and |k|=8 (amp 1/8): sup(2*1, 8/8) = 2
+        # modes |k|=2 (amp 1) and |k|=8 (amp 1/8): shell 1 reads 1, shell 3 1/8
         f = single_mode(part32.grid, (2, 0, 0), 1.0) + single_mode(
             part32.grid, (0, 8, 0), 0.125
         )
-        assert part32.besov_norm(f, 1.0, np.inf) == pytest.approx(2.0, rel=1e-12)
+        expect = np.zeros(part32.q_max + 2)
+        expect[1 + 1] = 1.0
+        expect[3 + 1] = 0.125
+        assert np.abs(part32.shell_linf(f) - expect).max() < 1e-12
+
+    def test_linf_matches_direct_summation(self):
+        part = build_partition(Grid(8))
+        f = random_field(part.grid, np.random.default_rng(8))
+        got = part.shell_linf(f)
+        for q in part.shell_range():
+            samples = oracles.idft_direct(part.project(f, q).coeffs)
+            expect = np.sqrt(np.sum(samples**2, axis=0)).max()
+            assert got[q + 1] == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
-    def test_besov_l2_below_full_l2(self, seed):
+    def test_shell_l2_below_full_l2(self, seed):
         part = build_partition(Grid(8))
         f = random_field(part.grid, np.random.default_rng(seed))
-        assert part.besov_norm(f, 0.0, 2.0) <= lp_norm(f, 2.0) * (1 + 1e-12)
-
-
-class TestSobolev:
-    def test_zero_field(self, part16):
-        assert part16.sobolev_norm(zero_field(part16.grid), 2.0) == (0.0, 0.0)
-
-    def test_pure_shell_ratio_is_one(self, part32):
-        f = single_mode(part32.grid, (4, 0, 0))
-        direct, lp_form = part32.sobolev_norm(f, 2.0)
-        assert direct == pytest.approx(16.0 * l2_norm_spectral(f), rel=1e-12)
-        assert lp_form == pytest.approx(direct, rel=1e-12)
-
-    def test_random_field_within_envelope(self, part32):
-        c_low, c_high = part32.sobolev_equivalence_envelope(3.0)
-        assert 0 < c_low < 1 < c_high
-        for seed in range(5):
-            f = random_field(
-                part32.grid, np.random.default_rng(seed), k_lo=1.0, k_hi=10.0
-            )
-            direct, lp_form = part32.sobolev_norm(f, 3.0)
-            ratio = lp_form / direct
-            assert c_low - 1e-12 <= ratio <= c_high + 1e-12
-
-
-class TestBernstein:
-    def test_zero_field(self, part16):
-        assert part16.bernstein_ratio(zero_field(part16.grid), 2, np.inf, 2.0) == 0.0
-
-    def test_single_mode_analytic(self, part32):
-        # cos mode at |k| = 2^q: ratio = 1 / (lambda_q^{3/2} sqrt((2 pi)^3 / 2))
-        vol = (2 * np.pi) ** 3
-        for q in (1, 2, 3):
-            f = single_mode(part32.grid, (2**q, 0, 0))
-            expect = 1.0 / (2 ** (1.5 * q) * np.sqrt(vol / 2))
-            got = part32.bernstein_ratio(f, q, np.inf, 2.0)
-            assert got == pytest.approx(expect, rel=1e-12)
-
-    def test_exponent_order_enforced(self, part16):
-        f = random_field(part16.grid, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            part16.bernstein_ratio(f, 2, 2.0, 4.0)
-
-    def test_applies_shell_projection_internally(self, part16):
-        # broadband input: ratio must be computed from the q-block norms
-        f = random_field(part16.grid, np.random.default_rng(7))
-        block = part16.project(f, 2)
-        expect = lp_norm(block, np.inf) / (2 ** (1.5 * 2) * lp_norm(block, 2.0))
-        assert part16.bernstein_ratio(f, 2, np.inf, 2.0) == pytest.approx(
-            expect, rel=1e-12
-        )
-
-
-class TestCheckpointCodec:
-    def test_round_trip_bit_exact(self, tmp_path):
-        from hallmhd.checkpoint import read_checkpoint, write_checkpoint
-
-        g = Grid(8)
-        rng = np.random.default_rng(21)
-        u = leray_project(random_field(g, rng))
-        b = leray_project(random_field(g, rng))
-        path = tmp_path / "state.hmhd"
-        write_checkpoint(path, 0.375, 0.01, 0.02, u, b)
-        t, nu, mu, u2, b2 = read_checkpoint(path)
-        assert (t, nu, mu) == (0.375, 0.01, 0.02)
-        assert np.array_equal(u2.coeffs, u.coeffs)
-        assert np.array_equal(b2.coeffs, b.coeffs)
-
-    def test_header_layout(self, tmp_path):
-        from hallmhd.checkpoint import write_checkpoint
-
-        g = Grid(8)
-        path = tmp_path / "state.hmhd"
-        write_checkpoint(path, 1.0, 0.1, 0.2, zero_field(g), zero_field(g))
-        raw = path.read_bytes()
-        assert raw[:4] == b"HMHD"
-        assert int.from_bytes(raw[4:8], "little") == 1  # version
-        assert int.from_bytes(raw[8:12], "little") == 8  # n
-        assert len(raw) == 36 + 2 * 3 * 8**3 * 16
-
-    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
-        from hallmhd.checkpoint import write_checkpoint
-
-        g = Grid(8)
-        rng = np.random.default_rng(22)
-        u = leray_project(random_field(g, rng))
-        b = leray_project(random_field(g, rng))
-        path = tmp_path / "state.hmhd"
-        write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
-        before = path.read_bytes()
-
-        class FailingCoeffs:
-            # passes the shape check, then fails once the header and u are
-            # already written, as a full disk would
-            shape = b.coeffs.shape
-
-            def __array__(self, dtype=None, copy=None):
-                raise OSError("no space left on device")
-
-        b.coeffs = FailingCoeffs()
-        with pytest.raises(OSError, match="no space"):
-            write_checkpoint(path, 0.75, 0.1, 0.2, u, b)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["state.hmhd"]
-
-    def test_truncated_file_rejected(self, tmp_path):
-        from hallmhd.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
-
-        g = Grid(8)
-        path = tmp_path / "state.hmhd"
-        write_checkpoint(path, 0.0, 0.1, 0.2, zero_field(g), zero_field(g))
-        path.write_bytes(path.read_bytes()[:-100])
-        with pytest.raises(CheckpointError, match="checkpoint parse"):
-            read_checkpoint(path)
-
-    @pytest.mark.parametrize("n", [0, 9])
-    def test_bad_grid_size_in_header_rejected(self, tmp_path, n):
-        # n = 0 with an empty payload, and an odd n whose payload length
-        # matches, both fail on the header field rather than in Grid
-        import struct
-
-        from hallmhd.checkpoint import CheckpointError, read_checkpoint
-
-        path = tmp_path / "bad_n.hmhd"
-        header = struct.pack("<4sIIddd", b"HMHD", 1, n, 0.0, 0.1, 0.2)
-        path.write_bytes(header + b"\x00" * (2 * 3 * n**3 * 16))
-        with pytest.raises(CheckpointError, match="header field n"):
-            read_checkpoint(path)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        from hallmhd.checkpoint import CheckpointError, read_checkpoint
-
-        path = tmp_path / "bogus.hmhd"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(CheckpointError, match="checkpoint parse"):
-            read_checkpoint(path)
+        assert np.sqrt(part.shell_l2_sq(f).max()) <= lp_norm(f, 2.0) * (1 + 1e-12)

@@ -1,6 +1,8 @@
 """Solver right side, IF-RK4 stepping, exact decays, whistler dispersion,
 conservation, and initial conditions."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -460,6 +462,31 @@ class TestInitialConditions:
             make_initial({"kind": "nope"}, g)
 
 
+# (key, bad value) rows: validate must raise a ConfigError naming the key
+BAD_VALUES = [
+    ("dt", float("nan")),
+    ("dt", float("inf")),
+    ("t_end", float("nan")),
+    ("nu", float("nan")),
+    ("mu", float("nan")),
+    ("checkpoint_every", 0),
+    ("checkpoint_every", -10),
+    ("cfl_adv", 0.0),
+    ("cfl_adv", -1.0),
+    ("cfl_whistler", 0.0),
+    ("dealias_cut", 9),
+    ("dealias_cut", 0),
+    ("seed", -1),
+    ("hall_on", "no"),
+    ("ideal", 0),
+    ("n", 16.0),
+    ("diag_every", 2.5),
+    ("seed", 1.5),
+    ("init.amplitud", {"kind": "random_band", "amplitud": 2.0}),
+    ("init.q_lo", {"kind": "beltrami_u", "q_lo": 1}),
+]
+
+
 class TestConfig:
     def test_zero_viscosity_requires_ideal_mode(self):
         with pytest.raises(ConfigError, match="nu"):
@@ -477,6 +504,23 @@ class TestConfig:
     def test_missing_key_named(self):
         with pytest.raises(ConfigError, match="missing config key: 'dt'"):
             RunConfig.from_dict({"n": 16, "t_end": 1.0, "nu": 0.1, "mu": 0.1})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        BAD_VALUES,
+        ids=[k if isinstance(v, dict) else f"{k}={v}" for k, v in BAD_VALUES],
+    )
+    def test_bad_value_named(self, key, value):
+        data = {"n": 16, "dt": 1e-2, "t_end": 1.0, "nu": 0.1, "mu": 0.1}
+        data[key.split(".")[0]] = value
+        with pytest.raises(ConfigError, match=re.escape(f"key '{key}'")):
+            RunConfig.from_dict(data)
+
+    def test_integer_valued_reals_accepted(self):
+        cfg = RunConfig.from_dict(
+            {"n": 16, "dt": 1, "t_end": 2, "nu": 1, "mu": 1, "dealias_cut": 5}
+        )
+        assert cfg.t_end == 2
 
     def test_checkpoint_cadence_constraint(self):
         with pytest.raises(ConfigError, match="checkpoint_every"):
