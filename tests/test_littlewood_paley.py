@@ -1,4 +1,6 @@
-"""Dyadic partition, shell projections and per-shell L^2 and L^inf norms."""
+"""Dyadic partition, shell projections, the per-shell L^2 and L^inf norms
+(with the Besov, Sobolev and Bernstein forms built from them) and the
+checkpoint codec."""
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hallmhd.fields import (
     SpectralField,
     curl,
     gradient,
+    l2_norm_spectral,
     leray_project,
     lp_norm,
     random_field,
@@ -146,6 +149,40 @@ class TestProjections:
         with pytest.raises(ValueError):
             part32.project(f, -2)
 
+    def test_lowpass_is_partial_sum(self, part16):
+        # the blocks telescope: sum_{q <= Q} Delta_q has multiplier
+        # chi(|k| / 2^(Q+1))
+        f = random_field(part16.grid, np.random.default_rng(1))
+        for Q in (-1, 0, 2, part16.q_max):
+            total = zero_field(part16.grid)
+            for q in range(-1, Q + 1):
+                total = total + part16.project(f, q)
+            low = f.coeffs * part16.chi(part16.grid.k_mag / 2.0 ** (Q + 1))
+            assert np.abs(low - total.coeffs).max() < 1e-14
+
+    def test_bandpass_and_tilde(self, part16):
+        # Delta_2 + Delta_3 has multiplier chi(|k|/16) - chi(|k|/4), and the
+        # neighbours of a block sum to 1 on its support
+        f = random_field(part16.grid, np.random.default_rng(2))
+        kmag = part16.grid.k_mag
+        band = part16.project(f, 2) + part16.project(f, 3)
+        expect = f.coeffs * (part16.chi(kmag / 16.0) - part16.chi(kmag / 4.0))
+        assert np.abs(band.coeffs - expect).max() < 1e-14
+        for q in part16.shell_range():
+            block = part16.project(f, q)
+            til = zero_field(part16.grid)
+            for p in range(max(-1, q - 1), min(part16.q_max, q + 1) + 1):
+                til = til + part16.project(block, p)
+            assert np.abs(til.coeffs - block.coeffs).max() < 1e-14
+
+    def test_reconstruction(self, part32):
+        for seed in range(20):
+            f = random_field(part32.grid, np.random.default_rng(seed))
+            total = zero_field(part32.grid)
+            for q in part32.shell_range():
+                total = total + part32.project(f, q)
+            assert l2_norm_spectral(total - f) < 1e-10 * l2_norm_spectral(f)
+
     @given(seed=st.integers(0, 10_000), q=st.integers(-1, 3), p=st.integers(-1, 3))
     @settings(max_examples=25, deadline=None)
     def test_near_orthogonality(self, seed, q, p):
@@ -183,7 +220,10 @@ class TestProjections:
         assert hermitian_error(block) < 1e-12
 
 
-class TestShellNorms:
+class TestBesov:
+    """Per-shell L^inf and L^2 norms, the pieces of
+    B^s_{p,inf} = sup_q lambda_q^s ||Delta_q f||_p."""
+
     def test_zero_field(self, part16):
         f = zero_field(part16.grid)
         assert not part16.shell_linf(f).any()
@@ -217,7 +257,176 @@ class TestShellNorms:
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
-    def test_shell_l2_below_full_l2(self, seed):
+    def test_besov_l2_below_full_l2(self, seed):
+        # B^0_{2,inf} = sup_q ||Delta_q f||_2 <= ||f||_2
         part = build_partition(Grid(8))
         f = random_field(part.grid, np.random.default_rng(seed))
         assert np.sqrt(part.shell_l2_sq(f).max()) <= lp_norm(f, 2.0) * (1 + 1e-12)
+
+
+def lambda_q(q):
+    """Dyadic wavenumber 2^q, with the q = -1 weight fixed to 1/2."""
+    return 0.5 if q == -1 else float(2**q)
+
+
+class TestSobolev:
+    """Homogeneous H^s norm against its dyadic form
+    sqrt(sum_q lambda_q^{2s} ||Delta_q f||_2^2) from shell_l2_sq."""
+
+    @staticmethod
+    def norms(part, f, s):
+        ksq = part.grid.k_sq
+        w = np.where(ksq > 0, ksq, 1.0) ** s * (ksq > 0)
+        power = np.sum(np.abs(f.coeffs) ** 2, axis=0)
+        direct = np.sqrt((2 * np.pi) ** 3 * np.sum(w * power))
+        weights = np.array([lambda_q(q) ** (2 * s) for q in part.shell_range()])
+        return direct, np.sqrt(np.sum(weights * part.shell_l2_sq(f)))
+
+    def test_zero_field(self, part16):
+        assert self.norms(part16, zero_field(part16.grid), 2.0) == (0.0, 0.0)
+
+    def test_pure_shell_ratio_is_one(self, part32):
+        f = single_mode(part32.grid, (4, 0, 0))
+        direct, lp_form = self.norms(part32, f, 2.0)
+        assert direct == pytest.approx(16.0 * l2_norm_spectral(f), rel=1e-12)
+        assert lp_form == pytest.approx(direct, rel=1e-12)
+
+    def test_random_field_within_envelope(self, part32):
+        # the ratio of the two forms lies between the extremes of
+        # sum_q lambda_q^{2s} phi_q(k)^2 / |k|^{2s} over k != 0, and the
+        # partition keeps those extremes on either side of 1
+        s = 3.0
+        kmag = part32.grid.k_mag
+        nonzero = kmag > 0
+        sym = sum(
+            lambda_q(q) ** (2 * s) * part32.multipliers[q + 1] ** 2
+            for q in part32.shell_range()
+        )
+        sym = sym[nonzero] / kmag[nonzero] ** (2 * s)
+        c_low, c_high = np.sqrt(sym.min()), np.sqrt(sym.max())
+        assert 0 < c_low < 1 < c_high
+        for seed in range(5):
+            f = random_field(
+                part32.grid, np.random.default_rng(seed), k_lo=1.0, k_hi=10.0
+            )
+            direct, lp_form = self.norms(part32, f, s)
+            ratio = lp_form / direct
+            assert c_low - 1e-12 <= ratio <= c_high + 1e-12
+
+
+class TestBernstein:
+    """||Delta_q f||_inf against lambda_q^{3/2} ||Delta_q f||_2, from
+    shell_linf and shell_l2_sq."""
+
+    @staticmethod
+    def ratio(part, f, q):
+        l2 = np.sqrt(part.shell_l2_sq(f)[q + 1])
+        if l2 == 0.0:
+            return 0.0
+        return part.shell_linf(f)[q + 1] / (lambda_q(q) ** 1.5 * l2)
+
+    def test_zero_field(self, part16):
+        assert self.ratio(part16, zero_field(part16.grid), 2) == 0.0
+
+    def test_single_mode_analytic(self, part32):
+        # cos mode at |k| = 2^q: ratio = 1 / (lambda_q^{3/2} sqrt((2 pi)^3 / 2))
+        vol = (2 * np.pi) ** 3
+        for q in (1, 2, 3):
+            f = single_mode(part32.grid, (2**q, 0, 0))
+            expect = 1.0 / (2 ** (1.5 * q) * np.sqrt(vol / 2))
+            assert self.ratio(part32, f, q) == pytest.approx(expect, rel=1e-12)
+
+    def test_applies_shell_projection_internally(self, part16):
+        # broadband input: both shell norms must be those of the q-block
+        f = random_field(part16.grid, np.random.default_rng(7))
+        for q in part16.shell_range():
+            block = part16.project(f, q)
+            assert part16.shell_linf(f)[q + 1] == lp_norm(block, np.inf)
+            assert np.sqrt(part16.shell_l2_sq(f)[q + 1]) == pytest.approx(
+                lp_norm(block, 2.0), rel=1e-12
+            )
+
+
+class TestCheckpointCodec:
+    def test_round_trip_bit_exact(self, tmp_path):
+        from hallmhd.checkpoint import read_checkpoint, write_checkpoint
+
+        g = Grid(8)
+        rng = np.random.default_rng(21)
+        u = leray_project(random_field(g, rng))
+        b = leray_project(random_field(g, rng))
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.375, 0.01, 0.02, u, b)
+        t, nu, mu, u2, b2 = read_checkpoint(path)
+        assert (t, nu, mu) == (0.375, 0.01, 0.02)
+        assert np.array_equal(u2.coeffs, u.coeffs)
+        assert np.array_equal(b2.coeffs, b.coeffs)
+
+    def test_header_layout(self, tmp_path):
+        from hallmhd.checkpoint import write_checkpoint
+
+        g = Grid(8)
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 1.0, 0.1, 0.2, zero_field(g), zero_field(g))
+        raw = path.read_bytes()
+        assert raw[:4] == b"HMHD"
+        assert int.from_bytes(raw[4:8], "little") == 1  # version
+        assert int.from_bytes(raw[8:12], "little") == 8  # n
+        assert len(raw) == 36 + 2 * 3 * 8**3 * 16
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        from hallmhd.checkpoint import write_checkpoint
+
+        g = Grid(8)
+        rng = np.random.default_rng(22)
+        u = leray_project(random_field(g, rng))
+        b = leray_project(random_field(g, rng))
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
+        before = path.read_bytes()
+
+        class FailingCoeffs:
+            # passes the shape check, then fails once the header and u are
+            # already written, as a full disk would
+            shape = b.coeffs.shape
+
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("no space left on device")
+
+        b.coeffs = FailingCoeffs()
+        with pytest.raises(OSError, match="no space"):
+            write_checkpoint(path, 0.75, 0.1, 0.2, u, b)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.hmhd"]
+
+    def test_truncated_file_rejected(self, tmp_path):
+        from hallmhd.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+
+        g = Grid(8)
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.0, 0.1, 0.2, zero_field(g), zero_field(g))
+        path.write_bytes(path.read_bytes()[:-100])
+        with pytest.raises(CheckpointError, match="checkpoint parse"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("n", [0, 9])
+    def test_bad_grid_size_in_header_rejected(self, tmp_path, n):
+        # n = 0 with an empty payload, and an odd n whose payload length
+        # matches, both fail on the header field rather than in Grid
+        import struct
+
+        from hallmhd.checkpoint import CheckpointError, read_checkpoint
+
+        path = tmp_path / "bad_n.hmhd"
+        header = struct.pack("<4sIIddd", b"HMHD", 1, n, 0.0, 0.1, 0.2)
+        path.write_bytes(header + b"\x00" * (2 * 3 * n**3 * 16))
+        with pytest.raises(CheckpointError, match="header field n"):
+            read_checkpoint(path)
+
+    def test_bad_magic_rejected(self, tmp_path):
+        from hallmhd.checkpoint import CheckpointError, read_checkpoint
+
+        path = tmp_path / "bogus.hmhd"
+        path.write_bytes(b"NOPE" + b"\x00" * 64)
+        with pytest.raises(CheckpointError, match="checkpoint parse"):
+            read_checkpoint(path)
