@@ -27,6 +27,18 @@ KNOWN_INIT_KINDS = {
 }
 
 
+def check_init_params(init: dict) -> None:
+    """Raise ConfigError naming the first parameter of init that make_initial
+    does not read for init["kind"], a kind of KNOWN_INIT_KINDS."""
+    kind = init["kind"]
+    unknown = sorted(set(init) - {"kind"} - KNOWN_INIT_KINDS[kind])
+    if unknown:
+        raise ConfigError(
+            f"key 'init.{unknown[0]}': unknown parameter for kind {kind!r}, "
+            f"allowed: {sorted(KNOWN_INIT_KINDS[kind])}"
+        )
+
+
 def _require(ok: bool, key: str, what: str, value) -> None:
     if not ok:
         raise ConfigError(f"key {key!r}: {what}, got {value!r}")
@@ -108,12 +120,7 @@ class RunConfig:
             isinstance(kind, str) and kind in KNOWN_INIT_KINDS,
             "init.kind", "unknown kind", kind,
         )
-        unknown = sorted(set(self.init) - {"kind"} - KNOWN_INIT_KINDS[kind])
-        if unknown:
-            raise ConfigError(
-                f"key 'init.{unknown[0]}': unknown parameter for kind {kind!r}, "
-                f"allowed: {sorted(KNOWN_INIT_KINDS[kind])}"
-            )
+        check_init_params(self.init)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

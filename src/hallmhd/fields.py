@@ -30,7 +30,7 @@ plane counted with its Hermitian multiplicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -258,10 +258,14 @@ def _physical_to_half(samples: np.ndarray, cut: int | None = None) -> np.ndarray
     return np.fft.fft(a, axis=-3, norm="forward")[..., rows, :, :]
 
 
+@cache
 def _box_rows(n: int, cut: int) -> np.ndarray:
     """Indices of the wavenumbers 0..cut, -cut..-1 on an FFT-ordered axis of
-    length n: the x and y rows of the box of that cut."""
-    return np.r_[0 : cut + 1, n - cut : n]
+    length n: the x and y rows of the box of that cut.  Cached, as every
+    pruned transform asks for them, and read-only."""
+    rows = np.r_[0 : cut + 1, n - cut : n]
+    rows.flags.writeable = False
+    return rows
 
 
 def _to_box(a: np.ndarray, cut: int) -> np.ndarray:
@@ -344,16 +348,16 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _curl(dvec, coeffs: np.ndarray) -> np.ndarray:
     """i d x coeffs for broadcastable derivative wavenumbers (full cube, half
-    cube or box)."""
-    dx, dy, dz = dvec
+    cube or box).  The wavenumbers are made imaginary first, i d, so that no
+    product casts a real operand, and each component is written in place."""
+    dx, dy, dz = (1j * d for d in dvec)
     cx, cy, cz = coeffs
-    return np.stack(
-        [
-            1j * (dy * cz - dz * cy),
-            1j * (dz * cx - dx * cz),
-            1j * (dx * cy - dy * cx),
-        ]
-    )
+    out = np.empty(coeffs.shape, dtype=np.complex128)
+    terms = ((dy, cz, dz, cy), (dz, cx, dx, cz), (dx, cy, dy, cx))
+    for o, (d1, c1, d2, c2) in zip(out, terms):
+        np.multiply(d1, c1, out=o)
+        o -= d2 * c2
+    return out
 
 
 def curl(f: SpectralField) -> SpectralField:

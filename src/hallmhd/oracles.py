@@ -209,7 +209,9 @@ def rhs_direct(u: SpectralField, b: SpectralField, hall_on: bool) -> tuple:
     return du, db
 
 
-def whistler_matrix(k: int, b0: float, nu: float, mu: float) -> dict:
+def whistler_matrix(
+    k: int, b0: float, nu: float, mu: float, hall_on: bool = True
+) -> dict:
     """Linearized 2-mode systems about b = b0 z_hat for wavevector k z_hat.
 
     In the circular basis e_pm = (x_hat -/+ i y_hat)/sqrt(2) the transverse
@@ -218,14 +220,17 @@ def whistler_matrix(k: int, b0: float, nu: float, mu: float) -> dict:
         M_pm = [[-nu k^2,  i k b0           ],
                 [ i k b0,  +/- i k^2 b0 - mu k^2]].
 
-    Returns {"+": M_plus, "-": M_minus} for numerical diagonalization.
+    Without the Hall term the +/- i k^2 b0 entry drops, and both
+    polarizations are shear Alfven waves.  Returns {"+": M_plus,
+    "-": M_minus} for numerical diagonalization.
     """
+    hall = 1.0 if hall_on else 0.0
     out = {}
     for sgn, key in ((+1.0, "+"), (-1.0, "-")):
         out[key] = np.array(
             [
                 [-nu * k**2, 1j * k * b0],
-                [1j * k * b0, sgn * 1j * k**2 * b0 - mu * k**2],
+                [1j * k * b0, hall * sgn * 1j * k**2 * b0 - mu * k**2],
             ],
             dtype=np.complex128,
         )

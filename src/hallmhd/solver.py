@@ -1,8 +1,24 @@
 """Time integration of incompressible resistive viscous Hall-MHD on the torus.
 
-Pressure is eliminated by Leray projection.  Diffusion is handled exactly by
-an integrating factor; the dealiased pseudo-spectral nonlinearity is advanced
-with classical fourth-order Runge-Kutta on the transformed variables.
+Pressure is eliminated by Leray projection.  The linear terms are integrated
+exactly by an integrating factor; the dealiased pseudo-spectral nonlinearity
+is advanced with classical fourth-order Runge-Kutta on the transformed
+variables.
+
+The linear terms are the diffusion and, when b has a mean B0 (its k = 0
+coefficient, which the equations conserve), the coupling of the fluctuations
+to B0.  Writing b = B0 + b' and kappa = k.B0, that coupling is
+
+    du = i kappa b',    db' = i kappa u + kappa k x b',
+
+the last term from the Hall term.  Per mode it is a 2x2 system in (u, b')
+times the operator k x, whose eigenvalues on solenoidal vectors are
++-i|k| (the helical modes; Waleffe, Phys. Fluids A 4, 1992).  So the factor
+is exp(L t) = A + B (k x), with A and B 2x2 blocks of per-mode scalars
+taken from the closed-form exponentials of the two branches, and the
+Alfven and whistler waves of B0 cost no stability: the step's stage values
+are (u, b'), and its dt gate reads b' = b - B0.  The mean velocity stays in
+the explicit products: a uniform flow is not folded into the factor.
 
 The nonlinearity is written in rotational form (Orszag & Patterson 1972;
 Canuto et al., Spectral Methods, 2006, sec. 3.4), with w = curl u and
@@ -35,8 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import KNOWN_INIT_KINDS, ConfigError, RunConfig, check_init_params
 from .fields import (
+    DimensionError,
     Grid,
     SpectralField,
     _cross,
@@ -120,12 +137,22 @@ def _nonlinear(grid: Grid, uh: np.ndarray, bh: np.ndarray, hall_on: bool):
     kvec, _, inv_k_sq, mask = grid.box
     n, c = grid.n, grid.dealias_cut
     # one call per field: pocketfft runs faster on 3-component batches than
-    # on one stacked 12-component array
-    up, bp, wp, jp = (
-        _half_to_physical(x, n) for x in (uh, bh, _curl(kvec, uh), _curl(kvec, bh))
-    )
-    fu = _physical_to_half(_cross(up, wp) + _cross(jp, bp), c)
-    fb = _physical_to_half(_cross(up - jp if hall_on else up, bp), c)
+    # on one stacked 12-component array.  Each sample array is dropped, or
+    # overwritten, as soon as the products no longer need it, which keeps
+    # the step's working set small.
+    up = _half_to_physical(uh, n)
+    wp = _half_to_physical(_curl(kvec, uh), n)
+    f = _cross(up, wp)
+    del wp
+    bp = _half_to_physical(bh, n)
+    jp = _half_to_physical(_curl(kvec, bh), n)
+    f += _cross(jp, bp)
+    fu = _physical_to_half(f, c)
+    del f
+    # J is needed no more: up - J overwrites it
+    ub = np.subtract(up, jp, out=jp) if hall_on else up
+    fb = _physical_to_half(_cross(ub, bp), c)
+    del jp
     fu *= mask
     fb *= mask
     return _leray(kvec, inv_k_sq, fu), _curl(kvec, fb), up, bp
@@ -173,7 +200,8 @@ def hall_power(b: SpectralField) -> float:
 
 
 def _gate(u_max: float, b_max: float, k_cut: float, cfg: RunConfig) -> float:
-    """min(c_adv/(k_cut u_max), c_whistler/(k_cut^2 b_max)); inf for zero fields."""
+    """min(c_adv/(k_cut u_max), c_whistler/(k_cut^2 b_max)), b_max taken
+    from b - B0; inf for zero fields."""
     gate = np.inf
     if u_max > 0:
         gate = min(gate, cfg.cfl_adv / (k_cut * u_max))
@@ -187,16 +215,101 @@ def dt_gate(
     b: SpectralField,
     cfg: RunConfig,
 ) -> float:
-    """Largest admissible dt: min(c_adv/(k_cut max|u|), c_whistler/(k_cut^2 max|b|)).
+    """Largest admissible dt:
 
-    The maxima are taken over the samples of the whole fields.  A step gates
-    on the samples of their dealiased parts, which it steps, so the two gates
-    agree for states with nothing beyond the cut: every state a step returns
-    and every initial state make_initial builds, except a checkpoint written
-    under a larger cut."""
-    return _gate(
-        lp_norm(u, np.inf), lp_norm(b, np.inf), float(u.grid.dealias_cut), cfg
-    )
+        min(c_adv/(k_cut max|u|), c_whistler/(k_cut^2 max|b - B0|)).
+
+    B0 is the mean of b, whose waves the step's integrating factor takes
+    exactly, so the whistler term reads only the fluctuating field b - B0.
+    The mean velocity is not removed from max|u|.  The maxima are taken over
+    the samples of the whole fields.  A step gates on the samples of their
+    dealiased parts, which it steps, so the two gates agree for states with
+    nothing beyond the cut: every state a step returns and every initial
+    state make_initial builds, except a checkpoint written under a larger
+    cut."""
+    half = _half(b.coeffs).copy()
+    half[:, 0, 0, 0] -= half[:, 0, 0, 0].real
+    b_max = pointwise_magnitude(_half_to_physical(half, b.grid.n)).max(initial=0.0)
+    return _gate(lp_norm(u, np.inf), float(b_max), float(u.grid.dealias_cut), cfg)
+
+
+# -- integrating factors ------------------------------------------------------------
+
+
+class _Diagonal:
+    """Integrating factor of diffusion alone: (eu u, eb b)."""
+
+    def __init__(self, eu: np.ndarray, eb: np.ndarray):
+        self.eu, self.eb = eu, eb
+
+    def __call__(self, u: np.ndarray, b: np.ndarray):
+        return self.eu * u, self.eb * b
+
+
+def _expm_sym2(a, beta, d, t: float):
+    """exp(t [[a, beta], [beta, d]]) for per-mode complex arrays, as its
+    entries (uu, ub, bb): c0 I + c1 ([[a, beta], [beta, d]] - m I) with
+    m = (a + d)/2, z^2 = t^2 (((a - d)/2)^2 + beta^2), c0 = e^(m t) cosh(z)
+    and c1 = t e^(m t) sinh(z)/z, from the eigenvalues m t +- z.  cosh(z)
+    and sinh(z)/z are entire in z^2 and are summed as series where
+    |z^2| < 1e-2, which covers the degenerate modes z = 0."""
+    m, h = (a + d) / 2, (a - d) / 2
+    w = (h * h + beta * beta) * (t * t)
+    small = np.abs(w) < 1e-2
+    z = np.sqrt(np.where(small, 1.0, w))
+    mt = m * t
+    ep, em = np.exp(mt + z), np.exp(mt - z)
+    c0, c1 = (ep + em) / 2, (ep - em) / (2 * z) * t
+    ws, es = w[small], np.exp(mt[small])
+    c0[small] = es * (1 + ws / 2 * (1 + ws / 12 * (1 + ws / 30 * (1 + ws / 56))))
+    c1[small] = es * (1 + ws / 6 * (1 + ws / 20 * (1 + ws / 42 * (1 + ws / 72)))) * t
+    return c0 + c1 * h, c1 * beta, c0 - c1 * h
+
+
+class _MeanField:
+    """Integrating factor exp(L t) of diffusion and the coupling to a mean
+    field B0 (kappa = k.B0, K = |k|, h = 1 with the Hall term, else 0):
+
+        L (u, b') = (-nu K^2 u + i kappa b',
+                     i kappa u - mu K^2 b' + h kappa k x b').
+
+    On the helical branch k x = s i K (s = +-1) it is the 2x2 matrix
+    F_s = exp(t [[-nu K^2, i kappa], [i kappa, -mu K^2 + s i h kappa K]]),
+    so exp(L t) = (F_+ + F_-)/2 - i (F_+ - F_-)/(2K) (k x): A x + C curl x
+    with curl = i k x and C = -(F_+ - F_-)/(2K).  A and C are symmetric 2x2
+    blocks of per-mode scalars; without the Hall term F_+ = F_- and C = 0.
+    At k = 0 the factor is the identity."""
+
+    def __init__(self, grid: Grid, cfg: RunConfig, mean: np.ndarray, t: float):
+        kvec, ksq, inv_k_sq, _ = grid.box
+        kx, ky, kz = kvec
+        kappa = kx * mean[0] + ky * mean[1] + kz * mean[2]
+        a, beta, d = -cfg.nu * ksq + 0j, 1j * kappa, -cfg.mu * ksq + 0j
+        self.kvec = kvec
+        if not cfg.hall_on:
+            self.a, self.c = _expm_sym2(a, beta, d, t), None
+            return
+        # both branches in one call: index 0 is s = +1, index 1 is s = -1
+        hall = 1j * kappa * np.sqrt(ksq)
+        branches = _expm_sym2(a, beta, np.stack([d + hall, d - hall]), t)
+        inv_2k = 0.5 * np.sqrt(inv_k_sq)
+        self.a = tuple((f[0] + f[1]) / 2 for f in branches)
+        self.c = tuple(inv_2k * (f[1] - f[0]) for f in branches)
+
+    def __call__(self, u: np.ndarray, b: np.ndarray):
+        a_uu, a_ub, a_bb = self.a
+        eu = a_uu * u
+        eu += a_ub * b
+        eb = a_ub * u
+        eb += a_bb * b
+        if self.c is not None:
+            c_uu, c_ub, c_bb = self.c
+            cu, cb = _curl(self.kvec, u), _curl(self.kvec, b)
+            eu += c_uu * cu
+            eu += c_ub * cb
+            eb += c_ub * cu
+            eb += c_bb * cb
+        return eu, eb
 
 
 class Stepper:
@@ -208,30 +321,72 @@ class Stepper:
     sum, the finiteness check, the final Leray projection and the drift
     check.  Products are formed from the dealiased part of u and b, as the
     2/3 rule assumes, so step(state) equals the step of dealias(u),
-    dealias(b), and the new state is zero beyond the cut.  Each field has
-    one running RK4 sum, eu_full du1 + 2 eu_half (du2 + du3) + du4 for u
-    (eb_* for b), which takes each stage's derivatives as the stage
-    finishes, so only the sum and the current stage stay alive.  The new
-    box is scattered into the half cube and the full cube filled from it,
-    once per field per step.
+    dealias(b), and the new state is zero beyond the cut.
+
+    The stages run on (u, b - B0), B0 the mean of b, which the equations
+    conserve and the step puts back into the new state.  The integrating
+    factor integrates the linear terms exactly: diffusion, and the Alfven
+    and Hall (whistler) coupling to B0 (see the module docstring), so the
+    stage-1 gate, like dt_gate, reads max|b - B0|.  A state with B0 = 0
+    takes the diagonal diffusion factors eu_half, eb_half; otherwise the
+    factor of B0 is built on the first step and kept while B0 stays.  The
+    mean velocity stays in the explicit products.
+
+    With E the factor over dt/2, the step is IF-RK4 written with E alone,
+    applied four times per field pair:
+
+        u2 = E u0 + dt/2 E du1,   u3 = E u0 + dt/2 du2,
+        u4 = E (E u0 + dt du3),
+        u_new = E (E u0 + dt/6 E du1 + dt/3 (du2 + du3)) + dt/6 du4.
+
+    The running sum in the last line takes each stage's derivatives as the
+    stage finishes, so only E u0, the sum and the current stage stay alive.
+    The new box is scattered into the half cube and the full cube filled
+    from it, once per field per step.
+
+    The config is validated, and must describe the stepper's grid: a
+    mismatch in n or dealias_cut raises ConfigError, and a state on another
+    grid raises DimensionError.
     """
 
     def __init__(self, grid: Grid, cfg: RunConfig):
+        cfg.validate()
+        if cfg.n != grid.n:
+            raise ConfigError(f"key 'n': config n={cfg.n}, grid n={grid.n}")
+        cut = Grid(cfg.n, cfg.dealias_cut).dealias_cut
+        if cut != grid.dealias_cut:
+            raise ConfigError(
+                f"key 'dealias_cut': config cut {cut}, grid cut {grid.dealias_cut}"
+            )
         self.grid = grid
         self.cfg = cfg
         _, ksq, _, _ = grid.box
         self._k_sq = ksq
         dt = cfg.dt
         self.eu_half = np.exp(-cfg.nu * ksq * dt / 2.0)
-        self.eu_full = self.eu_half**2
         self.eb_half = np.exp(-cfg.mu * ksq * dt / 2.0)
-        self.eb_full = self.eb_half**2
+        self._mean_field = None  # (B0, its factor) of the last B0 != 0 stepped
 
     def step(self, state: SolverState, enforce_gate: bool = True) -> SolverState:
+        for name, f in (("u", state.u), ("b", state.b)):
+            if f.grid != self.grid:
+                raise DimensionError(
+                    f"state {name} is on {f.grid}, the stepper on {self.grid}"
+                )
         # overflow en route to the isfinite check below is the expected way a
         # blow-up manifests; it is reported, not treated as an FP error
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             return self._step_inner(state, self.cfg.dt, enforce_gate)
+
+    def _factor(self, mean: np.ndarray):
+        """The integrating factor over dt/2 for the mean field `mean`."""
+        if not mean.any():
+            return _Diagonal(self.eu_half, self.eb_half)
+        cached = self._mean_field
+        if cached is None or not np.array_equal(cached[0], mean):
+            cached = mean, _MeanField(self.grid, self.cfg, mean, self.cfg.dt / 2)
+            self._mean_field = cached
+        return cached[1]
 
     def _diss(self, u: np.ndarray, b: np.ndarray) -> float:
         """nu ||grad u||^2 + mu ||grad b||^2 from boxes."""
@@ -243,9 +398,11 @@ class Stepper:
     ) -> SolverState:
         cfg = self.cfg
         g = self.grid
-        eu_h, eu_f = self.eu_half, self.eu_full
-        eb_h, eb_f = self.eb_half, self.eb_full
         u0, b0 = _dealiased_box(state.u), _dealiased_box(state.b)
+        mean = b0[:, 0, 0, 0].real.copy()
+        if mean.any():
+            b0[:, 0, 0, 0] -= mean
+        e_h = self._factor(mean)
 
         du, db, up, bp = _nonlinear(g, u0, b0, cfg.hall_on)
         if enforce_gate:
@@ -259,35 +416,38 @@ class Stepper:
             if dt > gate:
                 raise DtGateError(state.t, dt, gate)
         # each stage's derivatives are dropped before the next kernel call, so
-        # that only the running sums sum_u, sum_b outlive a stage
+        # that only E u0, E b0 and the running sums sum_u, sum_b outlive a
+        # stage; from here on u0, b0 hold E u0, E b0
         del up, bp
         diss = self._diss(u0, b0)
-        sum_u, sum_b = eu_f * du, eb_f * db
-        u, b = eu_h * (u0 + (dt / 2) * du), eb_h * (b0 + (dt / 2) * db)
+        u0, b0 = e_h(u0, b0)
+        du, db = e_h(du, db)
+        u, b = u0 + (dt / 2) * du, b0 + (dt / 2) * db
+        sum_u, sum_b = u0 + (dt / 6) * du, b0 + (dt / 6) * db
         del du, db
 
         du, db, _, _ = _nonlinear(g, u, b, cfg.hall_on)
         diss += 2 * self._diss(u, b)
-        sum_u += 2 * eu_h * du
-        sum_b += 2 * eb_h * db
-        u, b = eu_h * u0 + (dt / 2) * du, eb_h * b0 + (dt / 2) * db
+        sum_u += (dt / 3) * du
+        sum_b += (dt / 3) * db
+        u, b = u0 + (dt / 2) * du, b0 + (dt / 2) * db
         del du, db
 
         du, db, _, _ = _nonlinear(g, u, b, cfg.hall_on)
         diss += 2 * self._diss(u, b)
-        sum_u += 2 * eu_h * du
-        sum_b += 2 * eb_h * db
-        u, b = eu_f * u0 + dt * eu_h * du, eb_f * b0 + dt * eb_h * db
-        del du, db
+        sum_u += (dt / 3) * du
+        sum_b += (dt / 3) * db
+        u, b = e_h(u0 + dt * du, b0 + dt * db)
+        del u0, b0, du, db
 
         du, db, _, _ = _nonlinear(g, u, b, cfg.hall_on)
         diss += self._diss(u, b)
-        sum_u += du
-        sum_b += db
-        del u, b, du, db
-
-        u_new = eu_f * u0 + (dt / 6) * sum_u
-        b_new = eb_f * b0 + (dt / 6) * sum_b
+        del u, b
+        u_new, b_new = e_h(sum_u, sum_b)
+        del sum_u, sum_b
+        u_new += (dt / 6) * du
+        b_new += (dt / 6) * db
+        del du, db
         if not (
             np.all(np.isfinite(u_new.view(np.float64)))
             and np.all(np.isfinite(b_new.view(np.float64)))
@@ -296,6 +456,8 @@ class Stepper:
 
         kvec, _, inv_k_sq, _ = g.box
         u_new = _leray(kvec, inv_k_sq, u_new)
+        if mean.any():
+            b_new[:, 0, 0, 0] += mean
         drift = _divergence_error(kvec, b_new)
         if drift > SOLENOIDAL_DRIFT_TOL:
             raise RuntimeError(
@@ -398,19 +560,20 @@ def whistler_initial(
 ) -> tuple[SpectralField, SpectralField]:
     """Uniform b0 z_hat plus a circularly polarized transverse perturbation
     cos(k z) x_hat - sin(k z) y_hat at amplitude eps; u starts at zero.
-    k must lie within the dealias cut, or the first step would drop the
-    perturbation."""
+    Its coefficients are set directly: eps/2 and +-i eps/2 at kz = +-k, b0
+    at k = 0.  k must lie within the dealias cut, or the first step would
+    drop the perturbation."""
     if abs(k) > grid.dealias_cut:
         raise ValueError(
             f"whistler k={k} beyond dealias_cut={grid.dealias_cut}: the step "
             f"keeps only |k| <= dealias_cut"
         )
-    _, _, z = grid.mesh()
-    zero = np.zeros_like(z)
-    b = from_physical(
-        np.stack([eps * np.cos(k * z), -eps * np.sin(k * z), b0 + zero]), grid
-    )
-    b.is_solenoidal = True
+    b = zero_field(grid)
+    c = b.coeffs
+    c[2, 0, 0, 0] = b0
+    for kz, sign in ((k, 1.0), (-k, -1.0)):  # k = 0 leaves eps x_hat
+        c[0, 0, 0, kz] += eps / 2
+        c[1, 0, 0, kz] += sign * 0.5j * eps
     return zero_field(grid), b
 
 
@@ -418,11 +581,14 @@ def make_initial(
     init_spec: dict, grid: Grid, seed: int = 0
 ) -> tuple[SpectralField, SpectralField]:
     """Build (u0, b0) from an init spec dict; see config.KNOWN_INIT_KINDS.
+    A parameter the kind does not read raises ConfigError naming it.
 
     A checkpoint is returned as stored.  One written under a larger dealias
     cut may hold modes beyond this grid's cut, which Stepper drops on the
     first step (it steps the dealiased part)."""
     kind = init_spec.get("kind")
+    if isinstance(kind, str) and kind in KNOWN_INIT_KINDS:
+        check_init_params(init_spec)
     params = {k: v for k, v in init_spec.items() if k != "kind"}
     if kind == "beltrami_u":
         u = abc_beltrami(grid, params.get("amplitude", 1.0))

@@ -170,6 +170,24 @@ class TestCalculus:
         err = np.abs(curl(u).coeffs - u.coeffs).max()
         assert err < 1e-12
 
+    def test_curl_matches_componentwise_formula(self):
+        # the same products and differences as i (dy cz - dz cy), ... in the
+        # same order, so equal to the last bit on the cube, half cube and box
+        g = Grid(16)
+        f = white_noise(g, 4).coeffs
+        kx, ky, kz = g.kvec
+        for dvec, c in (
+            (g.dvec, f),
+            ((kx, ky, _half(kz)), _half(f)),
+            (g.box[0], _to_box(f, g.dealias_cut)),
+        ):
+            dx, dy, dz = dvec
+            cx, cy, cz = c
+            expect = np.stack(
+                [1j * (dy * cz - dz * cy), 1j * (dz * cx - dx * cz), 1j * (dx * cy - dy * cx)]
+            )
+            assert np.array_equal(fields._curl(dvec, c), expect)
+
     def test_divergence_of_curl_vanishes(self):
         g = Grid(16)
         rng = np.random.default_rng(5)

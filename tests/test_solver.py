@@ -9,8 +9,10 @@ import pytest
 from hallmhd import oracles, solver
 from hallmhd.config import ConfigError, RunConfig
 from hallmhd.fields import (
+    DimensionError,
     Grid,
     SpectralField,
+    _leray,
     curl,
     dealias,
     divergence_error,
@@ -290,6 +292,174 @@ class TestWhistler:
             assert abs(abs(slope) - oracle_freq) / oracle_freq < 0.01
 
 
+def whistler_frequency_errors(n, dt, n_steps, hall):
+    """Step the uniform-B0 whistler state and return the relative errors of
+    the two phase speeds, fitted from the minus-polarization eigen-coordinates
+    at wavevector k z_hat, against oracles.whistler_matrix."""
+    b0, k, nu = 1.0, 1, 1e-3
+    cfg = RunConfig(
+        n=n, dt=dt, t_end=n_steps * dt, nu=nu, mu=nu, hall_on=hall,
+        init={"kind": "uniform_b_plus_whistler", "b0": b0, "eps": 1e-6, "k": k},
+    )
+    grid = Grid(n)
+    u0, bb0 = make_initial(cfg.init, grid, 0)
+    st = SolverState(0.0, u0, bb0)
+    stepper = Stepper(grid, cfg)
+    evals, evecs = np.linalg.eig(oracles.whistler_matrix(k, b0, nu, nu, hall)["-"])
+    ts, coords = [], []
+    for i in range(n_steps + 1):
+        if i:
+            st = stepper.step(st)
+        uu, bb = st.u.coeffs[:, 0, 0, k], st.b.coeffs[:, 0, 0, k]
+        vec = np.array([uu[0] - 1j * uu[1], bb[0] - 1j * bb[1]]) / np.sqrt(2)
+        ts.append(st.t)
+        coords.append(np.linalg.solve(evecs, vec))
+    # the mean field is conserved exactly
+    assert np.array_equal(st.b.coeffs[:, 0, 0, 0], bb0.coeffs[:, 0, 0, 0])
+    coords = np.array(coords)
+    errs = []
+    for i in range(2):
+        slope = np.polyfit(ts, np.unwrap(np.angle(coords[:, i])), 1)[0]
+        errs.append(abs(abs(slope) - abs(evals[i].imag)) / abs(evals[i].imag))
+    return errs
+
+
+def linear_operator_exp(k, b0, nu, mu, hall, t):
+    """exp(t L) of the per-mode 6x6 linear operator on (u, b - B0),
+    L = [[-nu |k|^2, i kappa], [i kappa, -mu |k|^2 + kappa (k x)]] (kappa =
+    k.B0, the k x term with the Hall term only), from np.linalg.eig."""
+    kappa, ksq, eye = k @ b0, k @ k, np.eye(3)
+    kcross = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    op = np.block([
+        [-nu * ksq * eye, 1j * kappa * eye],
+        [1j * kappa * eye, -mu * ksq * eye + (kappa * kcross if hall else 0)],
+    ])
+    w, v = np.linalg.eig(t * op)
+    return (v * np.exp(w)) @ np.linalg.inv(v)
+
+
+class TestMeanField:
+    @pytest.mark.parametrize("hall", [False, True])
+    def test_linear_terms_are_what_rhs_adds(self, hall):
+        # rhs(u, B0 + b') - rhs(u, b') = (i kappa b', i kappa u + kappa k x b'),
+        # the k x term with the Hall term only: the operator the factor takes
+        g = Grid(16)
+        rng = np.random.default_rng(4)
+        u, b = (dealias(leray_project(random_field(g, rng))) * 0.5 for _ in "ub")
+        mean = np.array([0.3, -0.2, 1.1])
+        bm = b.copy()
+        bm.coeffs[:, 0, 0, 0] = mean
+        k = np.stack(np.broadcast_arrays(*g.kvec))
+        kappa = np.tensordot(mean, k, axes=1)
+        expect_u = 1j * kappa * b.coeffs
+        expect_b = 1j * kappa * u.coeffs
+        if hall:
+            expect_b += kappa * np.cross(k, b.coeffs, axis=0)
+        (du_m, db_m), (du, db) = rhs(u, bm, hall), rhs(u, b, hall)
+        scale = np.abs(du.coeffs).max() + np.abs(db.coeffs).max()
+        assert np.abs(du_m.coeffs - du.coeffs - expect_u).max() <= 1e-13 * scale
+        assert np.abs(db_m.coeffs - db.coeffs - expect_b).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("hall", [False, True])
+    @pytest.mark.parametrize("direction", ["random", "z"])
+    @pytest.mark.parametrize("nu, mu", [(0.05, 0.05), (0.05, 0.02)])
+    def test_factor_matches_matrix_exponential(self, hall, direction, nu, mu):
+        # every box mode at n = 8, among them k = 0 (identity), the kappa = 0
+        # modes (with nu = mu the degenerate branch) and, for B0 || z_hat,
+        # the whole kz = 0 plane
+        g = Grid(8)
+        rng = np.random.default_rng(11)
+        b0 = rng.standard_normal(3) if direction == "random" else np.array([0, 0, 1.0])
+        b0 *= 1.3 / np.linalg.norm(b0)
+        cfg = RunConfig(n=8, dt=0.2, t_end=1.0, nu=nu, mu=mu, hall_on=hall)
+        t = cfg.dt / 2
+        kvec, ksq, inv_k_sq, _ = g.box
+        shape = (3,) + ksq.shape
+        re, im = rng.standard_normal((2, 2) + shape)
+        u, b = (_leray(kvec, inv_k_sq, x) for x in re + 1j * im)
+        eu, eb = solver._MeanField(g, cfg, b0, t)(u, b)
+        ks = np.stack(np.broadcast_arrays(*kvec), axis=-1)
+        degenerate = 0
+        for idx in np.ndindex(ksq.shape):
+            k = ks[idx]
+            x = np.concatenate([u[(slice(None),) + idx], b[(slice(None),) + idx]])
+            got = np.concatenate([eu[(slice(None),) + idx], eb[(slice(None),) + idx]])
+            expect = linear_operator_exp(k, b0, nu, mu, hall, t) @ x
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(x).max()
+            if not k.any():
+                assert np.array_equal(got, x)
+            degenerate += abs(k @ b0) < 1e-12
+        if direction == "z":
+            assert degenerate == (2 * g.dealias_cut + 1) ** 2
+
+    @pytest.mark.parametrize("hall", [False, True])
+    def test_stiff_whistler_frequencies(self, hall):
+        # dt = 0.05 is 5x the whistler gate 1/(cut^2 |B0|) = 0.01 of the
+        # mean field at n = 32 (cut 10); the factor integrates the B0 waves
+        # exactly, and the gate reads b - B0 only
+        for err in whistler_frequency_errors(32, 0.05, 15, hall):
+            assert err < 1e-8
+
+    def test_step_gate_reads_the_fluctuation(self):
+        cfg = RunConfig(
+            n=16, dt=1e6, t_end=1e6, nu=0.1, mu=0.1,
+            init={"kind": "uniform_b_plus_whistler", "b0": 2.0, "eps": 1e-3, "k": 2},
+        )
+        grid = Grid(16)
+        u0, b0 = make_initial(cfg.init, grid, 0)
+        expect = cfg.cfl_whistler / (grid.dealias_cut**2 * 1e-3)
+        assert dt_gate(u0, b0, cfg) == pytest.approx(expect, rel=1e-12)
+        with pytest.raises(DtGateError) as excinfo:
+            Stepper(grid, cfg).step(SolverState(0.0, u0, b0))
+        assert excinfo.value.gate == pytest.approx(dt_gate(u0, b0, cfg), rel=1e-12)
+
+    @pytest.mark.parametrize("hall", [False, True])
+    def test_convergence_with_a_mean_field(self, hall):
+        # random_band plus B0 = (0.3, 0, 1): fourth order from dt = 0.02, and
+        # below the error and the energy-balance residual of the same IF-RK4
+        # with B0 in the explicit products (full_cube_step)
+        grid, t_end = Grid(16), 0.08
+        cfg0 = RunConfig(
+            n=16, dt=0.02, t_end=t_end, nu=0.05, mu=0.05, hall_on=hall,
+            init={"kind": "random_band", "amplitude": 0.3}, seed=2,
+        )
+        u0, b0 = make_initial(cfg0.init, grid, cfg0.seed)
+        b0.coeffs[:, 0, 0, 0] = (0.3, 0.0, 1.0)
+        e0 = energy(u0) + energy(b0)
+
+        def run(dt, explicit=False):
+            cfg = RunConfig(**{**cfg0.to_dict(), "dt": dt})
+            st, stepper = SolverState(0.0, u0, b0), Stepper(grid, cfg)
+            for _ in range(round(t_end / dt)):
+                if explicit:
+                    u, b, diss = full_cube_step(st.u, st.b, cfg)
+                    st = SolverState(
+                        st.t + dt,
+                        SpectralField(grid, u, True),
+                        SpectralField(grid, b, True),
+                        diss_integral=st.diss_integral + diss,
+                    )
+                else:
+                    st = stepper.step(st)
+            return st
+
+        def error(st):
+            return l2_norm_spectral(st.u - ref.u) + l2_norm_spectral(st.b - ref.b)
+
+        def residual(st):
+            return abs(energy(st.u) + energy(st.b) + st.diss_integral - e0)
+
+        ref = run(0.02 / 16)
+        errs = []
+        for dt in (0.02, 0.01, 0.005):
+            st, explicit = run(dt), run(dt, explicit=True)
+            errs.append(error(st))
+            assert errs[-1] < error(explicit)
+            assert residual(st) <= residual(explicit)
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 12.0 <= coarse / fine <= 20.0
+
+
 class TestTemporalOrder:
     def test_rk4_error_reduction_on_nonlinear_run(self):
         # Beltrami decay is integrated exactly by the integrating factor, so
@@ -393,6 +563,30 @@ class TestGateAndBlowUp:
         assert st.step_count == 1
 
 
+class TestStepperInputs:
+    def test_config_n_must_match_the_grid(self):
+        cfg = RunConfig(n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1)
+        with pytest.raises(ConfigError, match="key 'n'"):
+            Stepper(Grid(32), cfg)
+
+    def test_config_cut_must_match_the_grid(self):
+        cfg = RunConfig(n=32, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1)
+        with pytest.raises(ConfigError, match="key 'dealias_cut'"):
+            Stepper(Grid(32, 8), cfg)
+
+    def test_state_on_another_grid_rejected(self):
+        # an n = 34 state has the cut 10 of n = 32, but not its grid
+        cfg = RunConfig(n=32, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1)
+        u, b = make_initial({"kind": "random_band"}, Grid(34, 10), 0)
+        with pytest.raises(DimensionError, match="n=34"):
+            Stepper(Grid(32), cfg).step(SolverState(0.0, u, b))
+
+    def test_config_validated(self):
+        cfg = RunConfig(n=16, dt=float("nan"), t_end=1.0, nu=0.1, mu=0.1, hall_on="no")
+        with pytest.raises(ConfigError):
+            Stepper(Grid(16), cfg)
+
+
 class TestInitialConditions:
     def test_beltrami_u_is_curl_eigenfield(self):
         g = Grid(16)
@@ -455,6 +649,10 @@ class TestInitialConditions:
         u2, b2 = make_initial({"kind": "from_checkpoint", "path": str(path)}, g)
         assert np.array_equal(u2.coeffs, u.coeffs)
         assert np.array_equal(b2.coeffs, b.coeffs)
+
+    def test_unknown_parameter_rejected(self):
+        with pytest.raises(ConfigError, match="key 'init.amplitud'"):
+            make_initial({"kind": "random_band", "amplitud": 2.0}, Grid(8))
 
     def test_unknown_kind_rejected(self):
         g = Grid(8)
