@@ -5,13 +5,32 @@ chi(r) = 1 for r <= 3/4, chi(r) = 0 for r >= 1, and the annular bumps
 phi(r) = chi(r/2) - chi(r), phi_q(r) = phi(r / 2^q) for q >= 0, phi_{-1} = chi.
 Shell projections act as Fourier multipliers (the physical kernels are never
 materialized).
+
+The shell sup norms ||Delta_q f||_inf are read from samples, one inverse
+transform per shell, each on the smallest box |kx|, |ky|, kz <= c that holds
+the block.  A block is zero outside the support of f and outside that of
+phi_q, so c is the smaller of the two support cuts (the largest |kx|, |ky|
+or kz of a nonzero entry), both found by an exact scan.  A pruned inverse
+of a box gives the samples of the half cube holding it, zero elsewhere, bit
+for bit: the skipped lines are all zero, and every other line goes through
+the same one-dimensional transform.  So the pruned norms equal the
+half-cube ones exactly, and a field with content up to n/2 still takes the
+half-cube transform.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import Grid, SpectralField, _half, _hermitian_sum, lp_norm
+from .fields import (
+    DimensionError,
+    Grid,
+    SpectralField,
+    _half,
+    _half_to_physical,
+    _hermitian_sum,
+    _to_box,
+)
 
 UNITY_TOL = 1e-12
 
@@ -58,16 +77,27 @@ class LPPartition:
         self.multipliers = multipliers  # index q+1 -> phi_q(|k|), q = -1..q_max
         self.chi = chi
         self.q_max = multipliers.shape[0] - 2
-        self._half_sq = _half(multipliers) ** 2
-        err = np.abs(multipliers.sum(axis=0) - 1.0)
+        # phi_q depends on |k| alone, and the half cube holds every |k| of the
+        # cube, so the unity check and the support cuts read the half cube
+        half = _half(multipliers)
+        kmag = _half(grid.k_mag)
+        self._half_sq = half**2
+        err = np.abs(half.sum(axis=0) - 1.0)
         bad = err > UNITY_TOL
         if not bad.any():
-            self.unity_radius = float(grid.k_mag.max())
+            self.unity_radius = float(kmag.max())
         else:
-            bad_min = grid.k_mag[bad].min()
-            good = grid.k_mag[grid.k_mag < bad_min]
+            bad_min = kmag[bad].min()
+            good = kmag[kmag < bad_min]
             self.unity_radius = float(good.max()) if good.size else 0.0
-        self.unity_error = float(err[grid.k_mag <= self.unity_radius].max())
+        self.unity_error = float(err[kmag <= self.unity_radius].max())
+        k = np.abs(grid.k1)
+        # max(|kx|, |ky|, kz) on the half cube, read by _support_cut; as int16
+        # it takes a quarter of the memory of a float64 table
+        self._k_inf = np.maximum(
+            np.maximum.outer(k, k)[..., None], k[: grid.n // 2 + 1]
+        ).astype(np.int16)
+        self._shell_cuts = [self._support_cut(m) for m in half]
 
     # -- projections ------------------------------------------------------
 
@@ -79,8 +109,23 @@ class LPPartition:
             raise ValueError(f"shell index {q} outside [-1, {self.q_max}]")
         return self.multipliers[q + 1]
 
+    def _check_grid(self, f: SpectralField) -> None:
+        if f.grid.n != self.grid.n:
+            raise DimensionError(
+                f"field on the n={f.grid.n} grid, partition on the n={self.grid.n} grid"
+            )
+
+    def _support_cut(self, half: np.ndarray) -> int:
+        """Largest |kx|, |ky| or kz of a nonzero entry of a half-cube array
+        (any leading axes), -1 if every entry is zero."""
+        live = half != 0
+        if live.ndim > 3:
+            live = live.any(axis=tuple(range(live.ndim - 3)))
+        return int(self._k_inf.max(where=live, initial=-1))
+
     def project(self, f: SpectralField, q: int) -> SpectralField:
         """Dyadic block Delta_q f (Fourier multiplier phi_q)."""
+        self._check_grid(f)
         return SpectralField(f.grid, f.coeffs * self._mult(q), f.is_solenoidal)
 
     # -- norms --------------------------------------------------------------
@@ -88,15 +133,46 @@ class LPPartition:
     def shell_l2_sq(self, f: SpectralField) -> np.ndarray:
         """(2*pi)^3 sum_k phi_q^2 |coeff|^2 per shell, the ||Delta_q f||_2^2,
         summed on the half cube."""
+        self._check_grid(f)
         power = np.sum(np.abs(_half(f.coeffs)) ** 2, axis=0)
         vol = (2.0 * np.pi) ** 3
         return np.array([vol * _hermitian_sum(sq * power) for sq in self._half_sq])
 
     def shell_linf(self, f: SpectralField) -> np.ndarray:
-        """max_x |Delta_q f(x)| per shell on the collocation grid."""
-        return np.array(
-            [lp_norm(self.project(f, q), np.inf) for q in self.shell_range()]
-        )
+        """max_x |Delta_q f(x)| per shell on the collocation grid, equal bit for
+        bit to lp_norm(self.project(f, q), inf).
+
+        Shell q is inverted on the box of cut min(b_q, s), s the support cut
+        of f and b_q that of phi_q (2^(q+1) - 1 for a profile vanishing on
+        [1, inf)); a cut of n/2 takes the half cube.  A shell whose block is
+        zero reads 0 without a transform."""
+        self._check_grid(f)
+        n = self.grid.n
+        half = _half(f.coeffs)
+        support = self._support_cut(half)
+        out = np.zeros(self.q_max + 2)
+        if support < 0:
+            return out
+        for q in self.shell_range():
+            cut = min(self._shell_cuts[q + 1], support)
+            if cut >= n // 2:
+                block = half * _half(self.multipliers[q + 1])
+            else:
+                block = _to_box(f.coeffs, cut) * _to_box(self.multipliers[q + 1], cut)
+            if block.any():
+                out[q + 1] = _sup_magnitude(_half_to_physical(block, n))
+        return out
+
+
+def _sup_magnitude(samples: np.ndarray) -> float:
+    """max_x |samples(x)| over the component axis, equal bit for bit to
+    fields.pointwise_magnitude(samples).max(): the squares are summed in
+    component order, as np.sum over axis 0 does, and sqrt is monotone, so
+    only the largest sum is rooted."""
+    sq = samples[0] * samples[0]
+    for comp in samples[1:]:
+        sq += comp * comp
+    return float(np.sqrt(sq.max()))
 
 
 def build_partition(grid: Grid, chi=None) -> LPPartition:
@@ -108,16 +184,21 @@ def build_partition(grid: Grid, chi=None) -> LPPartition:
     if chi is None:
         chi = smooth_bridge_profile
     _validate_profile(chi)
-    kmag = grid.k_mag
-    k_top = float(kmag.max())
+    # each multiplier is evaluated once per integer |k|^2 up to the largest,
+    # at r = sqrt(|k|^2), the value grid.k_mag holds, then gathered
+    k_sq = grid.k_sq.astype(np.intp)
+    r = np.sqrt(np.arange(k_sq.max() + 1))
+    on_grid = np.zeros(r.size, dtype=bool)
+    on_grid[k_sq] = True
+    k_top = float(r[-1])
     q_cap = int(np.ceil(np.log2(max(k_top, 1.0)))) + 1
-    mults = [chi(kmag)]
+    radial = [chi(r)]
     for q in range(0, q_cap + 1):
         lam = float(2**q)
-        mults.append(chi(kmag / (2.0 * lam)) - chi(kmag / lam))
-    while len(mults) > 1 and not np.any(mults[-1] > 0.0):
-        mults.pop()
-    part = LPPartition(grid, np.array(mults), chi)
+        radial.append(chi(r / (2.0 * lam)) - chi(r / lam))
+    while len(radial) > 1 and not np.any(radial[-1][on_grid] > 0.0):
+        radial.pop()
+    part = LPPartition(grid, np.take(np.array(radial), k_sq, axis=1), chi)
     if part.unity_error > UNITY_TOL:
         raise PartitionError(
             f"partition of unity fails at {part.unity_error:.3e} within radius"
@@ -126,8 +207,9 @@ def build_partition(grid: Grid, chi=None) -> LPPartition:
 
 
 def dealias_limited_q_max(part: LPPartition) -> int:
-    """Largest shell not empty after dealiasing (3/4 * 2^q <= dealias_cut)."""
+    """Largest shell not empty after dealiasing (3/4 * 2^q < dealias_cut):
+    phi_q vanishes for |k| <= 3/4 * 2^q."""
     q = part.q_max
-    while q >= 0 and 0.75 * 2**q > part.grid.dealias_cut:
+    while q >= 0 and 0.75 * 2**q >= part.grid.dealias_cut:
         q -= 1
     return q

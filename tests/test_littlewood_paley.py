@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallmhd import oracles
+from hallmhd.config import RunConfig
 from hallmhd.fields import (
+    DimensionError,
     Grid,
     SpectralField,
     curl,
+    from_physical,
     gradient,
     l2_norm_spectral,
     leray_project,
@@ -25,10 +28,26 @@ from hallmhd.littlewood_paley import (
     dealias_limited_q_max,
     smooth_bridge_profile,
 )
+from hallmhd.solver import SolverState, Stepper, make_initial, whistler_initial
 
 # frozen from the default profile: the bridge g is symmetric about s = 1/2,
 # so chi(7/8) = g(1/2) = 1/2 exactly
 CHI_AT_7_8 = 0.5
+
+
+def ramp_profile(r):
+    """A valid cutoff other than the default: linear from 1 at 3/4 to 0 at 1."""
+    return np.clip(4.0 * (1.0 - np.asarray(r, dtype=np.float64)), 0.0, 1.0)
+
+
+def box_limited_noise(grid, seed, cut):
+    """Real white noise (n/2 content included) kept on |kx|, |ky|, |kz| <= cut,
+    so its support cut is `cut`."""
+    rng = np.random.default_rng(seed)
+    f = from_physical(rng.standard_normal((3,) + (grid.n,) * 3), grid)
+    kx, ky, kz = (np.abs(k) for k in grid.kvec)
+    f.coeffs *= np.maximum(np.maximum(kx, ky), kz) <= cut
+    return f
 
 
 def single_mode(grid, kvec, amplitude=1.0, comp=0, ncomp=3):
@@ -107,8 +126,37 @@ class TestPartition:
         assert build_partition(Grid(32)).q_max == 5
 
     def test_dealias_limited_q_max(self, part32):
-        # shells with 3/4 * 2^q > dealias_cut (=10) are empty after dealiasing
+        # shells with 3/4 * 2^q >= dealias_cut are empty after dealiasing, as
+        # phi_q vanishes for |k| <= 3/4 * 2^q; the last four rows sit on the
+        # equality (cuts 3, 6, 12 and 6)
         assert dealias_limited_q_max(part32) == 3
+        for n, cut, expect in ((10, None, 1), (20, None, 2), (38, None, 3), (32, 6, 2)):
+            assert dealias_limited_q_max(build_partition(Grid(n, cut))) == expect
+
+    @pytest.mark.parametrize("chi", [None, ramp_profile], ids=["default", "ramp"])
+    @pytest.mark.parametrize("n", [8, 10, 32])
+    def test_multipliers_match_profile_on_k_mag(self, n, chi):
+        # the profile evaluated per distinct |k|^2 and gathered equals the
+        # profile applied to grid.k_mag, and the first shell dropped is empty
+        part = build_partition(Grid(n), chi)
+        chi = part.chi
+        kmag = part.grid.k_mag
+        expect = [chi(kmag)] + [
+            chi(kmag / (2.0 * 2.0**q)) - chi(kmag / 2.0**q)
+            for q in range(part.q_max + 2)
+        ]
+        assert np.array_equal(part.multipliers, np.array(expect[:-1]))
+        assert not np.any(expect[-1] > 0.0)
+
+    def test_grid_mismatch_named(self, part32):
+        f = random_field(Grid(16), np.random.default_rng(0))
+        for call in (
+            lambda: part32.project(f, 0),
+            lambda: part32.shell_l2_sq(f),
+            lambda: part32.shell_linf(f),
+        ):
+            with pytest.raises(DimensionError, match="n=16 grid.*n=32 grid"):
+                call()
 
 
 class TestProjections:
@@ -262,6 +310,66 @@ class TestBesov:
         part = build_partition(Grid(8))
         f = random_field(part.grid, np.random.default_rng(seed))
         assert np.sqrt(part.shell_l2_sq(f).max()) <= lp_norm(f, 2.0) * (1 + 1e-12)
+
+
+def linf_per_block(part, f):
+    """The shell sup norms read from each projected block's own samples."""
+    return np.array([lp_norm(part.project(f, q), np.inf) for q in part.shell_range()])
+
+
+class TestShellLinfBoxes:
+    """shell_linf inverts each shell on the box of its cut; it must equal the
+    per-block half-cube norms bit for bit on every path."""
+
+    @pytest.mark.parametrize("hall", [False, True], ids=["mhd", "hall"])
+    def test_stepped_random_band(self, hall):
+        # after a step the state is zero beyond the dealias box
+        grid = Grid(32)
+        cfg = RunConfig(
+            n=32, dt=1e-4, t_end=1.0, nu=0.01, mu=0.01, hall_on=hall,
+            init={"kind": "random_band"},
+        )
+        u0, b0 = make_initial(cfg.init, grid, 3)
+        state = Stepper(grid, cfg).step(SolverState(0.0, u0, b0))
+        part = build_partition(grid)
+        for f in (state.u, state.b):
+            assert np.array_equal(part.shell_linf(f), linf_per_block(part, f))
+
+    def test_whistler_support_cut_one(self, part32):
+        _, b = whistler_initial(part32.grid)
+        got = part32.shell_linf(b)
+        assert np.array_equal(got, linf_per_block(part32, b))
+        assert got[0] > 0.0 and got[1] > 0.0 and not got[2:].any()
+
+    def test_nyquist_content_takes_the_half_cube(self, part16):
+        f = box_limited_noise(part16.grid, 11, 8)
+        assert np.abs(f.coeffs[:, 8]).max() > 0.0
+        assert np.array_equal(part16.shell_linf(f), linf_per_block(part16, f))
+
+    @pytest.mark.parametrize("n, cut", [(10, None), (24, 5)])
+    def test_other_grids(self, n, cut):
+        grid = Grid(n, cut)
+        part = build_partition(grid)
+        f = random_field(grid, np.random.default_rng(n))
+        f.coeffs *= grid.dealias_mask
+        assert np.array_equal(part.shell_linf(f), linf_per_block(part, f))
+
+    def test_zero_field(self, part32):
+        f = zero_field(part32.grid)
+        assert np.array_equal(part32.shell_linf(f), linf_per_block(part32, f))
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 3])
+    def test_support_cut_at_a_shell_bound(self, part32, q):
+        # support cut 2^(q+1) - 1: shell q's own box and the field's coincide
+        f = box_limited_noise(part32.grid, 12 + q, 2 ** (q + 1) - 1)
+        assert np.array_equal(part32.shell_linf(f), linf_per_block(part32, f))
+
+    @given(seed=st.integers(0, 10_000), cut=st.integers(0, 8))
+    @settings(max_examples=25, deadline=None)
+    def test_random_support_cuts(self, seed, cut):
+        part = build_partition(Grid(16))
+        f = box_limited_noise(part.grid, seed, cut)
+        assert np.array_equal(part.shell_linf(f), linf_per_block(part, f))
 
 
 def lambda_q(q):
