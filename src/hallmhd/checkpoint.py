@@ -39,8 +39,9 @@ def write_checkpoint(
     try:
         with open(tmp, "xb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, n, float(t), float(nu), float(mu)))
-            fh.write(np.ascontiguousarray(u.coeffs, dtype="<c16").tobytes())
-            fh.write(np.ascontiguousarray(b.coeffs, dtype="<c16").tobytes())
+            # the arrays' own buffers: no copy of a little-endian payload
+            fh.write(np.ascontiguousarray(u.coeffs, dtype="<c16").data)
+            fh.write(np.ascontiguousarray(b.coeffs, dtype="<c16").data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -49,27 +50,34 @@ def write_checkpoint(
 
 
 def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralField]:
-    """Returns (t, nu, mu, u, b)."""
+    """Returns (t, nu, mu, u, b).  The file size is checked against the
+    header before the payload is read, straight into one array that u and b
+    are views of."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise CheckpointError(f"checkpoint parse: file too short ({len(raw)} bytes)")
-    magic, version, n, t, nu, mu = _HEADER.unpack_from(raw)
-    if magic != MAGIC:
-        raise CheckpointError(f"checkpoint parse: bad magic {magic!r}")
-    if version != VERSION:
-        raise CheckpointError(f"checkpoint parse: unsupported version {version}")
-    try:
-        grid = Grid(int(n))
-    except DimensionError as exc:
-        raise CheckpointError(f"checkpoint parse: bad header field n: {exc}") from exc
-    body = raw[_HEADER.size :]
-    expected = 2 * 3 * n**3 * 16
-    if len(body) != expected:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise CheckpointError(f"checkpoint parse: file too short ({size} bytes)")
+        magic, version, n, t, nu, mu = _HEADER.unpack(fh.read(_HEADER.size))
+        if magic != MAGIC:
+            raise CheckpointError(f"checkpoint parse: bad magic {magic!r}")
+        if version != VERSION:
+            raise CheckpointError(f"checkpoint parse: unsupported version {version}")
+        try:
+            grid = Grid(int(n))
+        except DimensionError as exc:
+            msg = f"checkpoint parse: bad header field n: {exc}"
+            raise CheckpointError(msg) from exc
+        expected = 2 * 3 * n**3 * 16
+        if size - _HEADER.size != expected:
+            raise CheckpointError(
+                f"checkpoint parse: expected {expected} payload bytes, "
+                f"got {size - _HEADER.size}"
+            )
+        data = np.empty((2, 3, n, n, n), dtype="<c16")
+        got = fh.readinto(data)
+    if got != expected:
         raise CheckpointError(
-            f"checkpoint parse: expected {expected} payload bytes, got {len(body)}"
+            f"checkpoint parse: expected {expected} payload bytes, read {got}"
         )
-    data = np.frombuffer(body, dtype="<c16").reshape(2, 3, n, n, n)
-    u = SpectralField(grid, data[0].astype(np.complex128))
-    b = SpectralField(grid, data[1].astype(np.complex128))
+    u, b = (SpectralField(grid, f) for f in data)
     return float(t), float(nu), float(mu), u, b

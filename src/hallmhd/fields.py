@@ -22,7 +22,9 @@ the all-zero lines (Markel 1971): each axis is zero-padded only for its own
 pass.  Coefficients are made from
 samples by one forward real FFT, the upper kz half being restored from the
 symmetry, or, pruned, for the box alone, each pass keeping only the box rows
-of its axis.  Spectral power sums and inner products (Parseval norms,
+of its axis.  The passes of the pruned path are functions of their own,
+for the solver's kernel, which streams slabs of x planes through them in
+buffers it keeps.  Spectral power sums and inner products (Parseval norms,
 ||grad f||^2, shell powers) are taken on the half cube or the box, each kz
 plane counted with its Hermitian multiplicity.
 """
@@ -220,9 +222,10 @@ def zero_field(grid: Grid, ncomp: int = 3) -> SpectralField:
 
 
 # -- transforms ---------------------------------------------------------------
-# The two real transforms below are the only FFT calls in the package.  Each
-# takes, or with a cut returns, either the half cube or the box.  The pruned
-# passes write in place through the `out` argument of numpy.fft (NumPy 2.0),
+# The two real transforms below, and the passes of their pruned path, are
+# the only FFT calls in the package.  Each transform takes, or with a cut
+# returns, either the half cube or the box.  The pruned passes write in place
+# or into given buffers through the `out` argument of numpy.fft (NumPy 2.0),
 # which spares one fresh array per pass.
 
 
@@ -234,15 +237,10 @@ def _half_to_physical(half: np.ndarray, m: int) -> np.ndarray:
     lines and the y pass on m (c + 1) lines, and irfft pads kz."""
     if half.shape[-3] == m:
         return np.fft.irfftn(half, s=(m, m, m), axes=(-3, -2, -1), norm="forward")
-    rows = _box_rows(m, half.shape[-1] - 1)
     lead = half.shape[:-3]
-    a = np.zeros(lead + (m,) + half.shape[-2:], dtype=np.complex128)
-    a[..., rows, :, :] = half
-    np.fft.ifft(a, axis=-3, norm="forward", out=a)
-    b = np.zeros(lead + (m, m, half.shape[-1]), dtype=np.complex128)
-    b[..., rows, :] = a
-    np.fft.ifft(b, axis=-2, norm="forward", out=b)
-    return np.fft.irfft(b, n=m, axis=-1, norm="forward")
+    xs = np.empty(lead + (m,) + half.shape[-2:], dtype=np.complex128)
+    y = np.empty(lead + (m, m, half.shape[-1]), dtype=np.complex128)
+    return _inverse_yz(_inverse_x(half, xs), y)
 
 
 def _physical_to_half(samples: np.ndarray, cut: int | None = None) -> np.ndarray:
@@ -252,10 +250,77 @@ def _physical_to_half(samples: np.ndarray, cut: int | None = None) -> np.ndarray
     |kx| <= cut) before the next."""
     if cut is None:
         return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
-    rows = _box_rows(samples.shape[-1], cut)
-    a = np.fft.rfft(samples, axis=-1, norm="forward")[..., : cut + 1]
-    a = np.fft.fft(a, axis=-2, norm="forward")[..., rows, :]
-    return np.fft.fft(a, axis=-3, norm="forward")[..., rows, :, :]
+    m = samples.shape[-1]
+    zy = np.empty(samples.shape[:-2] + (2 * cut + 1, cut + 1), dtype=np.complex128)
+    z = np.empty(samples.shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
+    return _forward_x(_forward_zy(samples, z, zy))
+
+
+# The passes of the pruned box transforms, for callers that stream x planes
+# through the y and z passes with buffers of their own.  Box x and y
+# wavenumbers are in FFT order [0..c, -c..-1]: rows 0..c and m - c..m - 1 of
+# an axis of length m.
+
+
+def _rows(axis: int, rows: slice) -> tuple:
+    """Index of `rows` along a negative `axis`."""
+    return (Ellipsis, rows) + (slice(None),) * (-axis - 1)
+
+
+def _pad_rows(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+    """dst = src zero-padded along `axis` from the 2c + 1 box rows to the
+    dst length m."""
+    c, m = src.shape[axis] // 2, dst.shape[axis]
+    dst[_rows(axis, slice(c + 1))] = src[_rows(axis, slice(c + 1))]
+    dst[_rows(axis, slice(c + 1, m - c))] = 0.0
+    dst[_rows(axis, slice(m - c, m))] = src[_rows(axis, slice(c + 1, None))]
+
+
+def _keep_rows(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
+    """dst = the 2c + 1 box rows of src along `axis`, c from dst."""
+    c, m = dst.shape[axis] // 2, src.shape[axis]
+    dst[_rows(axis, slice(c + 1))] = src[_rows(axis, slice(c + 1))]
+    dst[_rows(axis, slice(c + 1, None))] = src[_rows(axis, slice(m - c, m))]
+
+
+def _inverse_x(box: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The x pass of the pruned inverse: box (..., 2c + 1, w, h) zero-padded
+    to `out` (..., m, w, h) and inverse-transformed along x in place."""
+    _pad_rows(box, out, -3)
+    return np.fft.ifft(out, axis=-3, norm="forward", out=out)
+
+
+def _inverse_yz(xs: np.ndarray, y: np.ndarray, out: np.ndarray | None = None):
+    """The y and z passes of the pruned inverse: x-pass output xs
+    (..., 2c + 1, c + 1) zero-padded along y into the buffer y (..., m, c + 1),
+    inverse-transformed along y in place, then along z to the real samples
+    (..., m, m), written to `out` when given."""
+    _pad_rows(xs, y, -2)
+    np.fft.ifft(y, axis=-2, norm="forward", out=y)
+    m = y.shape[-2]
+    return np.fft.irfft(y, n=m, axis=-1, norm="forward", out=out)
+
+
+def _forward_zy(samples: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The z and y passes of the pruned forward transform: real samples
+    (..., m, m) to `out` (..., 2c + 1, c + 1), through the buffer z
+    (..., m, m//2 + 1): kz <= c is kept after the z pass and the box rows of
+    y after the y pass, which runs in place in z."""
+    c = out.shape[-1] - 1
+    a = np.fft.rfft(samples, axis=-1, norm="forward", out=z)[..., : c + 1]
+    np.fft.fft(a, axis=-2, norm="forward", out=a)
+    _keep_rows(a, out, -2)
+    return out
+
+
+def _forward_x(a: np.ndarray) -> np.ndarray:
+    """The x pass of the pruned forward transform: `a` (..., m, 2c + 1, c + 1)
+    transformed along x in place, its box rows returned as a new box."""
+    c = a.shape[-1] - 1
+    np.fft.fft(a, axis=-3, norm="forward", out=a)
+    out = np.empty(a.shape[:-3] + (2 * c + 1,) + a.shape[-2:], dtype=np.complex128)
+    _keep_rows(a, out, -3)
+    return out
 
 
 @cache
@@ -333,26 +398,42 @@ def from_physical(samples: np.ndarray, grid: Grid) -> SpectralField:
     return SpectralField(grid, _fill_from_half(grid, _physical_to_half(s)))
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise a x b of (3, ...) sample arrays."""
-    out = np.empty(a.shape)
+def _cross(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """Pointwise a x b of (3, ...) sample arrays, written to `out` when given
+    (not an input); tmp, one component's shape, holds each subtrahend."""
+    if out is None:
+        out = np.empty(a.shape)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         np.multiply(a[j], b[k], out=out[i])
-        out[i] -= a[k] * b[j]
+        out[i] -= np.multiply(a[k], b[j], out=tmp)
     return out
+
+
+def _sup_magnitude(samples: np.ndarray, sq=None, tmp=None) -> float:
+    """max_x |samples(x)| over the component axis, equal bit for bit to
+    pointwise_magnitude(samples).max(): the squares are summed in component
+    order, as np.sum over axis 0 does, and sqrt is monotone, so only the
+    largest sum is rooted.  sq and tmp, one component's shape, spare the
+    temporaries."""
+    sq = np.multiply(samples[0], samples[0], out=sq)
+    for comp in samples[1:]:
+        sq += np.multiply(comp, comp, out=tmp)
+    return float(np.sqrt(sq.max()))
 
 
 # -- calculus -----------------------------------------------------------------
 
 
-def _curl(dvec, coeffs: np.ndarray) -> np.ndarray:
+def _curl(dvec, coeffs: np.ndarray, out=None) -> np.ndarray:
     """i d x coeffs for broadcastable derivative wavenumbers (full cube, half
-    cube or box).  The wavenumbers are made imaginary first, i d, so that no
-    product casts a real operand, and each component is written in place."""
+    cube or box), written to `out` when given (not coeffs).  The wavenumbers
+    are made imaginary first, i d, so that no product casts a real operand,
+    and each component is written in place."""
     dx, dy, dz = (1j * d for d in dvec)
     cx, cy, cz = coeffs
-    out = np.empty(coeffs.shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty(coeffs.shape, dtype=np.complex128)
     terms = ((dy, cz, dz, cy), (dz, cx, dx, cz), (dx, cy, dy, cx))
     for o, (d1, c1, d2, c2) in zip(out, terms):
         np.multiply(d1, c1, out=o)
@@ -384,15 +465,20 @@ def gradient(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, np.stack(parts))
 
 
-def _leray(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _leray(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
     """coeffs - k (k.coeffs)/|k|^2 for broadcastable wavevectors and 1/|k|^2
     (0 at k = 0, which is left untouched) on the full cube, the half cube or
-    the box."""
+    the box, written to `out` when given, which may be coeffs itself."""
     kx, ky, kz = kvec
-    kdot = (kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]) * inv_k_sq
-    return np.stack(
-        [coeffs[0] - kx * kdot, coeffs[1] - ky * kdot, coeffs[2] - kz * kdot]
-    )
+    kdot = kx * coeffs[0]
+    kdot += ky * coeffs[1]
+    kdot += kz * coeffs[2]
+    kdot *= inv_k_sq
+    if out is None:
+        out = np.empty(coeffs.shape, dtype=np.complex128)
+    for o, c, k in zip(out, coeffs, kvec):
+        np.subtract(c, k * kdot, out=o)
+    return out
 
 
 def leray_project(f: SpectralField) -> SpectralField:
@@ -539,7 +625,8 @@ def random_field(
     """Gaussian Hermitian field, band-limited to k_lo <= |k| <= k_hi.
 
     Built by transforming white physical noise, so Hermitian symmetry is exact.
-    Nyquist planes are always removed.
+    Nyquist planes are always removed.  The band mask and the Leray
+    projection are applied to the transformed cube in place.
     """
     f = from_physical(rng.standard_normal((ncomp, grid.n, grid.n, grid.n)), grid)
     mask = np.ones((grid.n,) * 3, dtype=bool)
@@ -547,10 +634,12 @@ def random_field(
         mask &= grid.k_mag >= k_lo
     if k_hi is not None:
         mask &= grid.k_mag <= k_hi
-    coeffs = _zero_nyquist(f.coeffs * mask)
+    coeffs = _zero_nyquist(np.multiply(f.coeffs, mask, out=f.coeffs))
     if zero_mean:
         coeffs[:, 0, 0, 0] = 0.0
-    out = SpectralField(grid, coeffs)
     if solenoidal:
-        out = leray_project(out)
-    return out
+        if ncomp != 3:
+            raise DimensionError("a solenoidal random field needs 3 components")
+        _zero_nyquist(_leray(grid.kvec, grid.inv_k_sq, coeffs, out=coeffs))
+        f.is_solenoidal = True
+    return f

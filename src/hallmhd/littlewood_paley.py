@@ -29,6 +29,7 @@ from .fields import (
     _half,
     _half_to_physical,
     _hermitian_sum,
+    _sup_magnitude,
     _to_box,
 )
 
@@ -162,17 +163,6 @@ class LPPartition:
             if block.any():
                 out[q + 1] = _sup_magnitude(_half_to_physical(block, n))
         return out
-
-
-def _sup_magnitude(samples: np.ndarray) -> float:
-    """max_x |samples(x)| over the component axis, equal bit for bit to
-    fields.pointwise_magnitude(samples).max(): the squares are summed in
-    component order, as np.sum over axis 0 does, and sqrt is monotone, so
-    only the largest sum is rooted."""
-    sq = samples[0] * samples[0]
-    for comp in samples[1:]:
-        sq += comp * comp
-    return float(np.sqrt(sq.max()))
 
 
 def build_partition(grid: Grid, chi=None) -> LPPartition:

@@ -27,27 +27,26 @@ J = curl b:
     du = P[ u x w + J x b ],    db = curl( (u - J) x b ),
 
 which equals the advective form by solenoidality of u and b.  One private
-kernel evaluates it for the stepper and `rhs`, and `hall_power` evaluates
-the Hall term alone the same way, on the dealiased box: the coefficients
-with |kx|, |ky|, kz <= dealias_cut (kz >= 0 suffices, the fields being
-real).  The fields are taken to physical space by pruned real transforms of
-the box, the cross products are formed pointwise, and the pruned forward
-transforms return the box, where the products are dealiased, curled or
-projected.
+kernel evaluates it for the stepper and `rhs` on the dealiased box: the
+coefficients with |kx|, |ky|, kz <= dealias_cut (kz >= 0 suffices, the
+fields being real).  It runs the pruned inverse x passes of u, w, b and J
+once, then streams slabs of x planes through the y and z passes, the cross
+products and the forward z and y passes, and ends with the forward x passes;
+its buffers are allocated once per Stepper.  `hall_power` evaluates the Hall
+term alone with the whole pruned transforms.
 
 Products are formed from the dealiased part of u and b (|k| <= dealias_cut),
 as the 2/3 rule assumes: content beyond the cut takes no part in them.  A
 step stays on the box throughout: the four stages, the RK4 sums, the
 dissipation integral (summed with Hermitian multiplicities), the final Leray
 projection and the finiteness and solenoidality checks, so the new state is
-zero beyond the cut.  Its full cube is filled from Hermitian symmetry once
-per field per step; `rhs` fills its results at its own boundary, and
-`hall_power` sums on the box.
+zero beyond the cut.  The state it returns holds the boxes, which the next
+step reads as they are; a full cube is filled from Hermitian symmetry only
+when the state's `u` or `b` is asked for.  `rhs` fills its results at its
+own boundary, and `hall_power` sums on the box.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,13 +59,18 @@ from .fields import (
     _curl,
     _divergence_error,
     _fill_from_half,
+    _forward_x,
+    _forward_zy,
     _from_box,
     _half,
     _half_to_physical,
     _inner,
+    _inverse_x,
+    _inverse_yz,
     _leray,
     _parseval,
     _physical_to_half,
+    _sup_magnitude,
     _to_box,
     _vector_potential,
     divergence_error,
@@ -100,13 +104,73 @@ class DtGateError(RuntimeError):
         self.gate = gate
 
 
-@dataclass
 class SolverState:
-    t: float
-    u: SpectralField
-    b: SpectralField
-    step_count: int = 0
-    diss_integral: float = 0.0  # integral of nu ||grad u||_2^2 + mu ||grad b||_2^2
+    """A time, the fields u and b, the step count and the dissipation
+    integral of nu ||grad u||_2^2 + mu ||grad b||_2^2.
+
+    A state built from SpectralFields keeps them as given.  A state that
+    Stepper.step returns holds u and b as their dealiased boxes, shape
+    (3, 2c + 1, 2c + 1, c + 1) with c = dealias_cut, which the next step
+    reads as they are; `u` and `b` build each full cube on first access,
+    from Hermitian symmetry, and keep it.  That cube is read-only, since the
+    next step reads the box, not the cube.
+    """
+
+    def __init__(
+        self,
+        t: float,
+        u: SpectralField,
+        b: SpectralField,
+        step_count: int = 0,
+        diss_integral: float = 0.0,
+    ):
+        self.t = t
+        self.step_count = step_count
+        self.diss_integral = diss_integral
+        self._fields = {"u": u, "b": b}
+        self._grid: Grid | None = None  # the grid of the boxes, if any
+        self._boxes: dict[str, np.ndarray] = {}
+
+    @classmethod
+    def _from_boxes(
+        cls, grid: Grid, t: float, u: np.ndarray, b: np.ndarray, step_count: int,
+        diss_integral: float,
+    ) -> "SolverState":
+        state = cls(t, None, None, step_count, diss_integral)
+        state._grid, state._boxes = grid, {"u": u, "b": b}
+        return state
+
+    @property
+    def u(self) -> SpectralField:
+        return self._field("u")
+
+    @property
+    def b(self) -> SpectralField:
+        return self._field("b")
+
+    def _field(self, name: str) -> SpectralField:
+        f = self._fields[name]
+        if f is None:
+            coeffs = _fill_from_box(self._grid, self._boxes[name])
+            coeffs.flags.writeable = False
+            f = self._fields[name] = SpectralField(self._grid, coeffs, True)
+        return f
+
+    def _check_grid(self, grid: Grid) -> None:
+        if self._boxes:
+            grids = {"u": self._grid, "b": self._grid}
+        else:
+            grids = {name: f.grid for name, f in self._fields.items()}
+        for name, g in grids.items():
+            if g != grid:
+                raise DimensionError(f"state {name} is on {g}, the stepper on {grid}")
+
+    def _dealiased_boxes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dealiased boxes of u and b: the held ones as they are (read
+        them only), or masked copies of the fields' boxes."""
+        if self._boxes:
+            return self._boxes["u"], self._boxes["b"]
+        return _dealiased_box(self._fields["u"]), _dealiased_box(self._fields["b"])
 
 
 # -- right-hand side -------------------------------------------------------------
@@ -125,37 +189,85 @@ def _fill_from_box(grid: Grid, box: np.ndarray) -> np.ndarray:
     return _fill_from_half(grid, _from_box(box, grid.n))
 
 
-def _nonlinear(grid: Grid, uh: np.ndarray, bh: np.ndarray, hall_on: bool):
-    """The rotational-form nonlinear terms of dealiased box coefficients uh, bh:
+# bytes of the sample and transform buffers a kernel streams x planes
+# through, which sets the planes per slab (at least one, at most n).  Budgets
+# of 0.5 to 16 MiB stepped within noise of each other at n = 32, 64 and 128
+# (2-core host, 2 MiB L2 per core); this is the smallest that was never worse.
+SLAB_BYTES = 2 << 20
+
+
+class _Kernel:
+    """The rotational-form nonlinear terms of dealiased box coefficients uh,
+    bh, with the buffers they are computed in:
 
         du = P[mask (u x w + J x b)],   db = curl(mask ((u - J) x b)),
 
-    J dropped from db when hall_on is False.  Returns box (du, db) and the
-    samples of u and b.  Costs 12 pruned real inverse and 6 pruned real
-    forward transforms.
+    J dropped from db when hall_on is False.  Costs 12 pruned real inverse
+    and 6 pruned real forward transforms, in three phases:
+
+    - the x passes of u, w = curl u, b and J = curl b, once, into four
+      buffers of shape (3, n, 2c + 1, c + 1);
+    - per slab of x planes: the y and z passes to samples, the two cross
+      products, and their forward z and y passes, which are written back
+      over the planes of the u and w buffers that the slab has consumed;
+    - the forward x passes, in place in those two buffers.
+
+    The slab holds as many planes as SLAB_BYTES of sample and transform
+    buffers allow.  Every buffer is allocated once, so a call allocates only
+    box-sized results and temporaries; no result aliases a buffer.  Not
+    thread-safe: one call at a time per instance.
     """
-    kvec, _, inv_k_sq, mask = grid.box
-    n, c = grid.n, grid.dealias_cut
-    # one call per field: pocketfft runs faster on 3-component batches than
-    # on one stacked 12-component array.  Each sample array is dropped, or
-    # overwritten, as soon as the products no longer need it, which keeps
-    # the step's working set small.
-    up = _half_to_physical(uh, n)
-    wp = _half_to_physical(_curl(kvec, uh), n)
-    f = _cross(up, wp)
-    del wp
-    bp = _half_to_physical(bh, n)
-    jp = _half_to_physical(_curl(kvec, bh), n)
-    f += _cross(jp, bp)
-    fu = _physical_to_half(f, c)
-    del f
-    # J is needed no more: up - J overwrites it
-    ub = np.subtract(up, jp, out=jp) if hall_on else up
-    fb = _physical_to_half(_cross(ub, bp), c)
-    del jp
-    fu *= mask
-    fb *= mask
-    return _leray(kvec, inv_k_sq, fu), _curl(kvec, fb), up, bp
+
+    def __init__(self, grid: Grid):
+        n, c = grid.n, grid.dealias_cut
+        w, h = 2 * c + 1, c + 1
+        self.grid = grid
+        self._curl_box = np.empty((3, w, w, h), dtype=np.complex128)
+        self._xs = np.empty((4, 3, n, w, h), dtype=np.complex128)
+        # per x plane: five 3-component sample planes and one scratch plane
+        # (real), and the y and z transform planes (complex)
+        plane = 8 * 16 * n * n + 16 * 3 * n * (h + n // 2 + 1)
+        s = min(n, max(1, SLAB_BYTES // plane))
+        self._slab = s
+        self._samples = np.empty((5, 3, s, n, n))
+        self._tmp = np.empty((s, n, n))
+        self._y = np.empty((3, s, n, h), dtype=np.complex128)
+        self._z = np.empty((3, s, n, n // 2 + 1), dtype=np.complex128)
+
+    def __call__(self, uh: np.ndarray, bh: np.ndarray, hall_on: bool, gate=False):
+        """(du, db, maxima): maxima is (max|u|, max|b|) over the samples
+        when gate is True, else None."""
+        g = self.grid
+        n = g.n
+        kvec, _, inv_k_sq, mask = g.box
+        xs = self._xs
+        _inverse_x(uh, xs[0])
+        _inverse_x(_curl(kvec, uh, out=self._curl_box), xs[1])
+        _inverse_x(bh, xs[2])
+        _inverse_x(_curl(kvec, bh, out=self._curl_box), xs[3])
+        maxima = []
+        for i0 in range(0, n, self._slab):
+            i1 = min(i0 + self._slab, n)
+            s = i1 - i0
+            up, wp, bp, jp, fp = (a[:, :s] for a in self._samples)
+            tmp, y, z = self._tmp[:s], self._y[:, :s], self._z[:, :s]
+            for x, out in zip(xs, (up, wp, bp, jp)):
+                _inverse_yz(x[:, i0:i1], y, out)
+            if gate:  # fp is free until the products
+                maxima.append([_sup_magnitude(f, fp[0], fp[1]) for f in (up, bp)])
+            _cross(up, wp, out=fp, tmp=tmp)
+            fp += _cross(jp, bp, out=wp, tmp=tmp)
+            # J is needed no more: u - J overwrites it
+            ub = np.subtract(up, jp, out=jp) if hall_on else up
+            _cross(ub, bp, out=wp, tmp=tmp)
+            _forward_zy(fp, z, xs[0, :, i0:i1])
+            _forward_zy(wp, z, xs[1, :, i0:i1])
+        fu, fb = _forward_x(xs[0]), _forward_x(xs[1])
+        fu *= mask
+        fb *= mask
+        du = _leray(kvec, inv_k_sq, fu, out=fu)
+        # np.max, unlike max, keeps a nan of any slab
+        return du, _curl(kvec, fb), np.max(maxima, axis=0) if gate else None
 
 
 def rhs(
@@ -177,7 +289,7 @@ def rhs(
         if err > 1e-8:
             raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
     g = u.grid
-    du, db, _, _ = _nonlinear(g, _dealiased_box(u), _dealiased_box(b), hall_on)
+    du, db, _ = _Kernel(g)(_dealiased_box(u), _dealiased_box(b), hall_on)
     return (
         SpectralField(g, _fill_from_box(g, du), True),
         SpectralField(g, _fill_from_box(g, db), True),
@@ -341,8 +453,15 @@ class Stepper:
 
     The running sum in the last line takes each stage's derivatives as the
     stage finishes, so only E u0, the sum and the current stage stay alive.
-    The new box is scattered into the half cube and the full cube filled
-    from it, once per field per step.
+    The new state holds the new boxes (see SolverState): a step neither
+    masks, scatters nor fills a full cube, except the masked copy it takes
+    of a state built from full-cube fields.
+
+    A Stepper owns the kernel's workspace, allocated once when it is built
+    and reused by every step, so it is not thread-safe: step one state at a
+    time per Stepper.  The workspace holds four arrays of shape
+    (3, n, 2c + 1, c + 1) and a slab of sample and transform planes of
+    about SLAB_BYTES.
 
     The config is validated, and must describe the stepper's grid: a
     mismatch in n or dealias_cut raises ConfigError, and a state on another
@@ -366,13 +485,10 @@ class Stepper:
         self.eu_half = np.exp(-cfg.nu * ksq * dt / 2.0)
         self.eb_half = np.exp(-cfg.mu * ksq * dt / 2.0)
         self._mean_field = None  # (B0, its factor) of the last B0 != 0 stepped
+        self._kernel = _Kernel(grid)
 
     def step(self, state: SolverState, enforce_gate: bool = True) -> SolverState:
-        for name, f in (("u", state.u), ("b", state.b)):
-            if f.grid != self.grid:
-                raise DimensionError(
-                    f"state {name} is on {f.grid}, the stepper on {self.grid}"
-                )
+        state._check_grid(self.grid)
         # overflow en route to the isfinite check below is the expected way a
         # blow-up manifests; it is reported, not treated as an FP error
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -398,27 +514,23 @@ class Stepper:
     ) -> SolverState:
         cfg = self.cfg
         g = self.grid
-        u0, b0 = _dealiased_box(state.u), _dealiased_box(state.b)
+        nonlinear = self._kernel
+        u0, b0 = state._dealiased_boxes()
         mean = b0[:, 0, 0, 0].real.copy()
         if mean.any():
+            b0 = b0.copy()
             b0[:, 0, 0, 0] -= mean
         e_h = self._factor(mean)
 
-        du, db, up, bp = _nonlinear(g, u0, b0, cfg.hall_on)
+        du, db, maxima = nonlinear(u0, b0, cfg.hall_on, gate=enforce_gate)
         if enforce_gate:
             # the gate of dt_gate, from the stage-1 samples of the state
-            gate = _gate(
-                float(pointwise_magnitude(up).max(initial=0.0)),
-                float(pointwise_magnitude(bp).max(initial=0.0)),
-                float(g.dealias_cut),
-                cfg,
-            )
+            gate = _gate(float(maxima[0]), float(maxima[1]), float(g.dealias_cut), cfg)
             if dt > gate:
                 raise DtGateError(state.t, dt, gate)
         # each stage's derivatives are dropped before the next kernel call, so
         # that only E u0, E b0 and the running sums sum_u, sum_b outlive a
         # stage; from here on u0, b0 hold E u0, E b0
-        del up, bp
         diss = self._diss(u0, b0)
         u0, b0 = e_h(u0, b0)
         du, db = e_h(du, db)
@@ -426,21 +538,21 @@ class Stepper:
         sum_u, sum_b = u0 + (dt / 6) * du, b0 + (dt / 6) * db
         del du, db
 
-        du, db, _, _ = _nonlinear(g, u, b, cfg.hall_on)
+        du, db, _ = nonlinear(u, b, cfg.hall_on)
         diss += 2 * self._diss(u, b)
         sum_u += (dt / 3) * du
         sum_b += (dt / 3) * db
         u, b = u0 + (dt / 2) * du, b0 + (dt / 2) * db
         del du, db
 
-        du, db, _, _ = _nonlinear(g, u, b, cfg.hall_on)
+        du, db, _ = nonlinear(u, b, cfg.hall_on)
         diss += 2 * self._diss(u, b)
         sum_u += (dt / 3) * du
         sum_b += (dt / 3) * db
         u, b = e_h(u0 + dt * du, b0 + dt * db)
         del u0, b0, du, db
 
-        du, db, _, _ = _nonlinear(g, u, b, cfg.hall_on)
+        du, db, _ = nonlinear(u, b, cfg.hall_on)
         diss += self._diss(u, b)
         del u, b
         u_new, b_new = e_h(sum_u, sum_b)
@@ -455,7 +567,7 @@ class Stepper:
             raise BlowUpDetected(state)
 
         kvec, _, inv_k_sq, _ = g.box
-        u_new = _leray(kvec, inv_k_sq, u_new)
+        _leray(kvec, inv_k_sq, u_new, out=u_new)
         if mean.any():
             b_new[:, 0, 0, 0] += mean
         drift = _divergence_error(kvec, b_new)
@@ -464,13 +576,14 @@ class Stepper:
                 f"magnetic solenoidality drift {drift:.3e} exceeds "
                 f"{SOLENOIDAL_DRIFT_TOL} at t={state.t:.6g}"
             )
-        return SolverState(
-            t=state.t + dt,
-            u=SpectralField(g, _fill_from_box(g, u_new), True),
-            b=SpectralField(g, _fill_from_box(g, b_new), True),
-            step_count=state.step_count + 1,
+        return SolverState._from_boxes(
+            g,
+            state.t + dt,
+            u_new,
+            b_new,
+            state.step_count + 1,
             # dissipation integral advanced with the same RK4 quadrature
-            diss_integral=state.diss_integral + (dt / 6.0) * diss,
+            state.diss_integral + (dt / 6.0) * diss,
         )
 
 

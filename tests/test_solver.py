@@ -175,7 +175,9 @@ class TestHalfCubeStep:
         assert hermitian_error(st.u) < 1e-14
         assert hermitian_error(st.b) < 1e-14
 
-    def test_fills_the_full_cube_once_per_field(self, monkeypatch):
+    def test_step_fills_nothing_until_asked(self, monkeypatch):
+        # a stepped state holds boxes; each full cube is built on first
+        # access and kept
         calls = []
 
         def counting_fill(grid, half):
@@ -189,7 +191,95 @@ class TestHalfCubeStep:
         )
         st, _ = run_steps(cfg, 2)
         assert st.step_count == 2
-        assert calls == [(3, 16, 16, 9)] * 4
+        assert calls == []
+        u = st.u
+        assert calls == [(3, 16, 16, 9)]
+        b = st.b
+        assert calls == [(3, 16, 16, 9)] * 2
+        assert st.u is u and st.b is b
+        assert calls == [(3, 16, 16, 9)] * 2
+        assert not u.coeffs.flags.writeable
+
+    def test_workspace_reuse(self):
+        # one stepper alternating between a Hall random_band state and a B0
+        # whistler state equals a fresh stepper on each, and no result
+        # aliases a buffer of the kernel
+        g = Grid(16)
+        cfg = RunConfig(n=16, dt=1e-3, t_end=1.0, nu=0.05, mu=0.05, hall_on=True)
+        states = [
+            SolverState(0.0, *make_initial({"kind": "random_band"}, g, 3)),
+            SolverState(0.0, *make_initial({"kind": "uniform_b_plus_whistler"}, g)),
+        ]
+        shared = Stepper(g, cfg)
+        for _ in range(2):
+            for i, st in enumerate(states):
+                got = shared.step(st)
+                ref = Stepper(g, cfg).step(st)
+                assert np.array_equal(got.u.coeffs, ref.u.coeffs)
+                assert np.array_equal(got.b.coeffs, ref.b.coeffs)
+                assert got.diss_integral == ref.diss_integral
+                states[i] = got
+        kernel = shared._kernel
+        boxes = [st._dealiased_boxes() for st in states]
+        first = kernel(*boxes[0], True, gate=True)
+        kept = [x.copy() for x in first]
+        kernel(*boxes[1], True, gate=True)
+        for a, b in zip(first, kept):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("planes", [1, 3])
+    @pytest.mark.parametrize("hall", [False, True])
+    def test_kernel_slabs_match_whole_transforms(self, monkeypatch, planes, hall):
+        # the kernel streamed over slabs of one plane, and of three planes
+        # with a shorter last slab, equals the same products formed with the
+        # whole pruned transforms, bit for bit
+        from hallmhd.fields import _cross, _curl, _half_to_physical, _physical_to_half
+
+        g = Grid(16)
+        n, c = g.n, g.dealias_cut
+        per_plane = 8 * 16 * n * n + 16 * 3 * n * (c + 1 + n // 2 + 1)
+        monkeypatch.setattr(solver, "SLAB_BYTES", planes * per_plane)
+        kernel = solver._Kernel(g)
+        assert kernel._slab == planes
+        u, b = make_initial({"kind": "random_band"}, g, 7)
+        uh, bh = solver._dealiased_box(u), solver._dealiased_box(b)
+        du, db, maxima = kernel(uh, bh, hall, gate=True)
+
+        kvec, _, inv_k_sq, mask = g.box
+        up, wp = (_half_to_physical(x, n) for x in (uh, _curl(kvec, uh)))
+        bp, jp = (_half_to_physical(x, n) for x in (bh, _curl(kvec, bh)))
+        f = _cross(up, wp)
+        f += _cross(jp, bp)
+        fu = _physical_to_half(f, c) * mask
+        fb = _physical_to_half(_cross(up - jp if hall else up, bp), c) * mask
+        assert np.array_equal(du, _leray(kvec, inv_k_sq, fu))
+        assert np.array_equal(db, _curl(kvec, fb))
+        assert maxima[0] == np.sqrt(np.sum(up * up, axis=0)).max()
+        assert maxima[1] == np.sqrt(np.sum(bp * bp, axis=0)).max()
+
+    def test_steady_step_allocates_few_boxes(self):
+        # after the first step has allocated the kernel's buffers, a Hall
+        # step at n = 32 peaks at most 20 box-sized arrays above live memory
+        import tracemalloc
+
+        cfg = RunConfig(
+            n=32, dt=1e-3, t_end=1.0, nu=0.01, mu=0.01, init={"kind": "random_band"}
+        )
+        g = Grid(32)
+        stepper = Stepper(g, cfg)
+        st = stepper.step(SolverState(0.0, *make_initial(cfg.init, g, 4)))
+        c = g.dealias_cut
+        box_bytes = 3 * (2 * c + 1) ** 2 * (c + 1) * 16
+        tracemalloc.start()
+        try:
+            live, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            st = stepper.step(st)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert st.step_count == 2
+        assert peak - live <= 20 * box_bytes
 
     @pytest.mark.parametrize("n", [10, 16])
     def test_products_use_the_dealiased_part(self, n):
