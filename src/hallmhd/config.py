@@ -27,9 +27,16 @@ KNOWN_INIT_KINDS = {
 }
 
 
+# make_initial's shells (q_lo, q_hi) of random_band when the spec gives none
+RANDOM_BAND_SHELLS = (2, 4)
+
+
 def check_init_params(init: dict) -> None:
     """Raise ConfigError naming the first parameter of init that make_initial
-    does not read for init["kind"], a kind of KNOWN_INIT_KINDS."""
+    does not read for init["kind"], a kind of KNOWN_INIT_KINDS, or whose
+    value it cannot use: q_lo, q_hi and k are integers, with q_lo <= q_hi;
+    amplitude, b_amplitude, b0 and eps are finite numbers; path, which
+    from_checkpoint requires, is a non-empty string."""
     kind = init["kind"]
     unknown = sorted(set(init) - {"kind"} - KNOWN_INIT_KINDS[kind])
     if unknown:
@@ -37,6 +44,30 @@ def check_init_params(init: dict) -> None:
             f"key 'init.{unknown[0]}': unknown parameter for kind {kind!r}, "
             f"allowed: {sorted(KNOWN_INIT_KINDS[kind])}"
         )
+    for name in sorted(set(init) - {"kind"}):
+        key, value = f"init.{name}", init[name]
+        if name in ("q_lo", "q_hi", "k"):
+            _require(_is_int(value), key, "must be an integer", value)
+        elif name == "path":
+            _require(
+                isinstance(value, str) and value != "",
+                key, "must be a non-empty string", value,
+            )
+        else:
+            _require(
+                _is_real(value) and math.isfinite(value),
+                key, "must be a finite number", value,
+            )
+    if kind == "from_checkpoint" and "path" not in init:
+        raise ConfigError("key 'init.path': required for kind 'from_checkpoint'")
+    if kind == "random_band":
+        q_lo = init.get("q_lo", RANDOM_BAND_SHELLS[0])
+        q_hi = init.get("q_hi", RANDOM_BAND_SHELLS[1])
+        if q_lo > q_hi:
+            name = "q_hi" if "q_hi" in init else "q_lo"
+            raise ConfigError(
+                f"key 'init.{name}': needs q_lo <= q_hi, got q_lo={q_lo}, q_hi={q_hi}"
+            )
 
 
 def _require(ok: bool, key: str, what: str, value) -> None:

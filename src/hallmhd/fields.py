@@ -19,14 +19,15 @@ box |kx|, |ky| <= c, 0 <= kz <= c of a cut c < n/2, shape
 All transforms are real and go through one pair.  Samples are made from the
 half cube by one inverse real FFT, or from a box by a pruned one that skips
 the all-zero lines (Markel 1971): each axis is zero-padded only for its own
-pass.  Coefficients are made from
-samples by one forward real FFT, the upper kz half being restored from the
-symmetry, or, pruned, for the box alone, each pass keeping only the box rows
-of its axis.  The passes of the pruned path are functions of their own,
-for the solver's kernel, which streams slabs of x planes through them in
-buffers it keeps.  Spectral power sums and inner products (Parseval norms,
-||grad f||^2, shell powers) are taken on the half cube or the box, each kz
-plane counted with its Hermitian multiplicity.
+pass.  Coefficients are made from samples by one forward real FFT, the upper
+kz half being restored from the symmetry.  The pruned forward transform to
+the box, each pass keeping only the box rows of its axis, exists only as its
+passes: the solver's kernel streams slabs of x planes through them, and
+through the passes of the pruned inverse, in buffers it keeps.
+
+Spectral power sums and inner products (Parseval norms, ||grad f||^2, shell
+powers) are taken on the half cube or the box, each kz plane counted with
+its Hermitian multiplicity.
 """
 
 from __future__ import annotations
@@ -164,7 +165,6 @@ class SpectralField:
 
     grid: Grid
     coeffs: np.ndarray
-    is_solenoidal: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)
@@ -181,26 +181,18 @@ class SpectralField:
         return self.coeffs.shape[0]
 
     def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy(), self.is_solenoidal)
+        return SpectralField(self.grid, self.coeffs.copy())
 
     def __add__(self, other):
         _check_same(self, other)
-        return SpectralField(
-            self.grid,
-            self.coeffs + other.coeffs,
-            self.is_solenoidal and other.is_solenoidal,
-        )
+        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         _check_same(self, other)
-        return SpectralField(
-            self.grid,
-            self.coeffs - other.coeffs,
-            self.is_solenoidal and other.is_solenoidal,
-        )
+        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar):
-        return SpectralField(self.grid, self.coeffs * scalar, self.is_solenoidal)
+        return SpectralField(self.grid, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
@@ -217,14 +209,15 @@ def _check_same(f: SpectralField, g: SpectralField):
 
 def zero_field(grid: Grid, ncomp: int = 3) -> SpectralField:
     return SpectralField(
-        grid, np.zeros((ncomp, grid.n, grid.n, grid.n), dtype=np.complex128), True
+        grid, np.zeros((ncomp, grid.n, grid.n, grid.n), dtype=np.complex128)
     )
 
 
 # -- transforms ---------------------------------------------------------------
 # The two real transforms below, and the passes of their pruned path, are
-# the only FFT calls in the package.  Each transform takes, or with a cut
-# returns, either the half cube or the box.  The pruned passes write in place
+# the only FFT calls in the package.  The inverse takes either the half cube
+# or the box; the forward returns the half cube, and the box only through
+# the pruned passes.  The pruned passes write in place
 # or into given buffers through the `out` argument of numpy.fft (NumPy 2.0),
 # which spares one fresh array per pass.
 
@@ -243,17 +236,10 @@ def _half_to_physical(half: np.ndarray, m: int) -> np.ndarray:
     return _inverse_yz(_inverse_x(half, xs), y)
 
 
-def _physical_to_half(samples: np.ndarray, cut: int | None = None) -> np.ndarray:
+def _physical_to_half(samples: np.ndarray) -> np.ndarray:
     """Half-cube coefficients of real samples, with this module's 1/n^3
-    normalization; with a cut, only the box of that cut, each pass keeping
-    only the box rows of its axis (kz <= cut, then |ky| <= cut, then
-    |kx| <= cut) before the next."""
-    if cut is None:
-        return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
-    m = samples.shape[-1]
-    zy = np.empty(samples.shape[:-2] + (2 * cut + 1, cut + 1), dtype=np.complex128)
-    z = np.empty(samples.shape[:-1] + (m // 2 + 1,), dtype=np.complex128)
-    return _forward_x(_forward_zy(samples, z, zy))
+    normalization."""
+    return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
 
 
 # The passes of the pruned box transforms, for callers that stream x planes
@@ -444,7 +430,7 @@ def _curl(dvec, coeffs: np.ndarray, out=None) -> np.ndarray:
 def curl(f: SpectralField) -> SpectralField:
     if f.ncomp != 3:
         raise DimensionError("curl needs a 3-component field")
-    return SpectralField(f.grid, _curl(f.grid.dvec, f.coeffs), is_solenoidal=True)
+    return SpectralField(f.grid, _curl(f.grid.dvec, f.coeffs))
 
 
 def divergence(f: SpectralField) -> SpectralField:
@@ -488,11 +474,11 @@ def leray_project(f: SpectralField) -> SpectralField:
         raise DimensionError("leray_project needs a 3-component field")
     g = f.grid
     out = _zero_nyquist(_leray(g.kvec, g.inv_k_sq, f.coeffs))
-    return SpectralField(g, out, is_solenoidal=True)
+    return SpectralField(g, out)
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask, f.is_solenoidal)
+    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
 def _vector_potential(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -506,7 +492,7 @@ def vector_potential(b: SpectralField) -> SpectralField:
     """Solenoidal A with curl A = b (b solenoidal, zero mean): A = i k x b / |k|^2.
     The n/2 planes are zeroed, which keeps the output Hermitian."""
     g = b.grid
-    return SpectralField(g, _vector_potential(g.kvec, g.inv_k_sq, b.coeffs), True)
+    return SpectralField(g, _vector_potential(g.kvec, g.inv_k_sq, b.coeffs))
 
 
 # -- norms and inner products --------------------------------------------------
@@ -641,5 +627,4 @@ def random_field(
         if ncomp != 3:
             raise DimensionError("a solenoidal random field needs 3 components")
         _zero_nyquist(_leray(grid.kvec, grid.inv_k_sq, coeffs, out=coeffs))
-        f.is_solenoidal = True
     return f

@@ -37,7 +37,7 @@ UNITY_TOL = 1e-12
 
 
 class PartitionError(ValueError):
-    """Profile violates the plateau/support/monotonicity constraints."""
+    """The sampled multipliers fail to sum to 1 on the resolved wavenumbers."""
 
 
 def smooth_bridge_profile(r):
@@ -55,28 +55,12 @@ def smooth_bridge_profile(r):
     return out
 
 
-def _validate_profile(chi) -> None:
-    r_plateau = np.linspace(0.0, 0.75, 301)
-    if np.abs(chi(r_plateau) - 1.0).max() > UNITY_TOL:
-        raise PartitionError("profile must equal 1 on [0, 3/4]")
-    r_tail = np.linspace(1.0, 4.0, 301)
-    if np.abs(chi(r_tail)).max() > UNITY_TOL:
-        raise PartitionError("profile must vanish on [1, inf)")
-    r_mid = np.linspace(0.75, 1.0, 513)
-    vals = chi(r_mid)
-    if np.any(np.diff(vals) > UNITY_TOL):
-        raise PartitionError("profile must be monotone on (3/4, 1)")
-    if np.any(vals < -UNITY_TOL) or np.any(vals > 1.0 + UNITY_TOL):
-        raise PartitionError("profile must stay within [0, 1]")
-
-
 class LPPartition:
     """Multiplier family sampled on the grid; built via build_partition."""
 
-    def __init__(self, grid: Grid, multipliers: np.ndarray, chi):
+    def __init__(self, grid: Grid, multipliers: np.ndarray):
         self.grid = grid
         self.multipliers = multipliers  # index q+1 -> phi_q(|k|), q = -1..q_max
-        self.chi = chi
         self.q_max = multipliers.shape[0] - 2
         # phi_q depends on |k| alone, and the half cube holds every |k| of the
         # cube, so the unity check and the support cuts read the half cube
@@ -127,7 +111,7 @@ class LPPartition:
     def project(self, f: SpectralField, q: int) -> SpectralField:
         """Dyadic block Delta_q f (Fourier multiplier phi_q)."""
         self._check_grid(f)
-        return SpectralField(f.grid, f.coeffs * self._mult(q), f.is_solenoidal)
+        return SpectralField(f.grid, f.coeffs * self._mult(q))
 
     # -- norms --------------------------------------------------------------
 
@@ -144,7 +128,7 @@ class LPPartition:
         bit to lp_norm(self.project(f, q), inf).
 
         Shell q is inverted on the box of cut min(b_q, s), s the support cut
-        of f and b_q that of phi_q (2^(q+1) - 1 for a profile vanishing on
+        of f and b_q that of phi_q (2^(q+1) - 1, as chi vanishes on
         [1, inf)); a cut of n/2 takes the half cube.  A shell whose block is
         zero reads 0 without a transform."""
         self._check_grid(f)
@@ -165,15 +149,10 @@ class LPPartition:
         return out
 
 
-def build_partition(grid: Grid, chi=None) -> LPPartition:
-    """Sample the multiplier family on the grid and verify partition of unity.
-
-    chi is the cutoff profile, validated first; smooth_bridge_profile by
-    default.
-    """
-    if chi is None:
-        chi = smooth_bridge_profile
-    _validate_profile(chi)
+def build_partition(grid: Grid) -> LPPartition:
+    """Sample the multiplier family of the cutoff smooth_bridge_profile on
+    the grid and verify partition of unity."""
+    chi = smooth_bridge_profile
     # each multiplier is evaluated once per integer |k|^2 up to the largest,
     # at r = sqrt(|k|^2), the value grid.k_mag holds, then gathered
     k_sq = grid.k_sq.astype(np.intp)
@@ -188,7 +167,7 @@ def build_partition(grid: Grid, chi=None) -> LPPartition:
         radial.append(chi(r / (2.0 * lam)) - chi(r / lam))
     while len(radial) > 1 and not np.any(radial[-1][on_grid] > 0.0):
         radial.pop()
-    part = LPPartition(grid, np.take(np.array(radial), k_sq, axis=1), chi)
+    part = LPPartition(grid, np.take(np.array(radial), k_sq, axis=1))
     if part.unity_error > UNITY_TOL:
         raise PartitionError(
             f"partition of unity fails at {part.unity_error:.3e} within radius"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Grid, SpectralField, TWO_PI
+from .fields import SpectralField, TWO_PI
 
 MAX_N = 8
 

@@ -32,8 +32,9 @@ coefficients with |kx|, |ky|, kz <= dealias_cut (kz >= 0 suffices, the
 fields being real).  It runs the pruned inverse x passes of u, w, b and J
 once, then streams slabs of x planes through the y and z passes, the cross
 products and the forward z and y passes, and ends with the forward x passes;
-its buffers are allocated once per Stepper.  `hall_power` evaluates the Hall
-term alone with the whole pruned transforms.
+its buffers are allocated once per Stepper.  `hall_power` reads the Hall
+term from `rhs` with u = 0, and `dt_gate` the gate of the step's first stage
+from the same pruned samples.
 
 Products are formed from the dealiased part of u and b (|k| <= dealias_cut),
 as the 2/3 rule assumes: content beyond the cut takes no part in them.  A
@@ -43,14 +44,20 @@ projection and the finiteness and solenoidality checks, so the new state is
 zero beyond the cut.  The state it returns holds the boxes, which the next
 step reads as they are; a full cube is filled from Hermitian symmetry only
 when the state's `u` or `b` is asked for.  `rhs` fills its results at its
-own boundary, and `hall_power` sums on the box.
+own boundary.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import KNOWN_INIT_KINDS, ConfigError, RunConfig, check_init_params
+from .config import (
+    KNOWN_INIT_KINDS,
+    RANDOM_BAND_SHELLS,
+    ConfigError,
+    RunConfig,
+    check_init_params,
+)
 from .fields import (
     DimensionError,
     Grid,
@@ -69,15 +76,13 @@ from .fields import (
     _inverse_yz,
     _leray,
     _parseval,
-    _physical_to_half,
     _sup_magnitude,
     _to_box,
     _vector_potential,
     divergence_error,
     from_physical,
+    inner_product,
     l2_norm_spectral,
-    lp_norm,
-    pointwise_magnitude,
     random_field,
     zero_field,
 )
@@ -153,7 +158,7 @@ class SolverState:
         if f is None:
             coeffs = _fill_from_box(self._grid, self._boxes[name])
             coeffs.flags.writeable = False
-            f = self._fields[name] = SpectralField(self._grid, coeffs, True)
+            f = self._fields[name] = SpectralField(self._grid, coeffs)
         return f
 
     def _check_grid(self, grid: Grid) -> None:
@@ -291,21 +296,18 @@ def rhs(
     g = u.grid
     du, db, _ = _Kernel(g)(_dealiased_box(u), _dealiased_box(b), hall_on)
     return (
-        SpectralField(g, _fill_from_box(g, du), True),
-        SpectralField(g, _fill_from_box(g, db), True),
+        SpectralField(g, _fill_from_box(g, du)),
+        SpectralField(g, _fill_from_box(g, db)),
     )
 
 
 def hall_power(b: SpectralField) -> float:
     """Instantaneous work of the Hall term on b: integral of
-    curl((curl b) x b) . b dx, zero up to discretization roundoff.  Like
-    rhs, it is formed from the dealiased part of b."""
-    g = b.grid
-    kvec, _, _, mask = g.box
-    bh = _dealiased_box(b)
-    bp, jp = (_half_to_physical(x, g.n) for x in (bh, _curl(kvec, bh)))
-    h = _physical_to_half(_cross(jp, bp), g.dealias_cut) * mask
-    return _inner(_curl(kvec, h), bh)
+    curl((curl b) x b) . b dx, zero up to discretization roundoff.  With
+    u = 0, rhs gives db = -curl((curl b) x b), so this is -(db, b), formed,
+    like rhs, from the dealiased part of b."""
+    db = rhs(zero_field(b.grid), b)[1]
+    return -inner_product(db, b)
 
 
 # -- time stepping ----------------------------------------------------------------
@@ -334,15 +336,14 @@ def dt_gate(
     B0 is the mean of b, whose waves the step's integrating factor takes
     exactly, so the whistler term reads only the fluctuating field b - B0.
     The mean velocity is not removed from max|u|.  The maxima are taken over
-    the samples of the whole fields.  A step gates on the samples of their
-    dealiased parts, which it steps, so the two gates agree for states with
-    nothing beyond the cut: every state a step returns and every initial
-    state make_initial builds, except a checkpoint written under a larger
-    cut."""
-    half = _half(b.coeffs).copy()
-    half[:, 0, 0, 0] -= half[:, 0, 0, 0].real
-    b_max = pointwise_magnitude(_half_to_physical(half, b.grid.n)).max(initial=0.0)
-    return _gate(lp_norm(u, np.inf), float(b_max), float(u.grid.dealias_cut), cfg)
+    the pruned samples of the dealiased boxes of u and b, the samples a step
+    gates on in its first stage, so the gate of the DtGateError a step
+    raises equals dt_gate of its state, bit for bit."""
+    g = u.grid
+    uh, bh = _dealiased_box(u), _dealiased_box(b)
+    bh[:, 0, 0, 0] -= bh[:, 0, 0, 0].real
+    u_max, b_max = (_sup_magnitude(_half_to_physical(x, g.n)) for x in (uh, bh))
+    return _gate(u_max, b_max, float(g.dealias_cut), cfg)
 
 
 # -- integrating factors ------------------------------------------------------------
@@ -610,15 +611,13 @@ def magnetic_helicity(b: SpectralField) -> float:
 def abc_beltrami(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """u = A (sin z + cos y, sin x + cos z, sin y + cos x); curl u = u."""
     x, y, z = grid.mesh()
-    f = from_physical(
+    return from_physical(
         amplitude
         * np.stack(
             [np.sin(z) + np.cos(y), np.sin(x) + np.cos(z), np.sin(y) + np.cos(x)]
         ),
         grid,
     )
-    f.is_solenoidal = True
-    return f
 
 
 # frozen closed form: E(0) = (1/2)(4 u0^2 + 6 b0^2)(2 pi)^3 with b0 = 0.8 u0
@@ -644,8 +643,6 @@ def orszag_tang_3d(grid: Grid, amplitude: float = 1.0):
         ),
         grid,
     )
-    u.is_solenoidal = True
-    b.is_solenoidal = True
     return u, b
 
 
@@ -664,7 +661,6 @@ def random_band_field(
     rms = l2_norm_spectral(f) / (2 * np.pi) ** 1.5
     if rms > 0:
         f = f * (amplitude / rms)
-    f.is_solenoidal = True
     return f
 
 
@@ -694,7 +690,8 @@ def make_initial(
     init_spec: dict, grid: Grid, seed: int = 0
 ) -> tuple[SpectralField, SpectralField]:
     """Build (u0, b0) from an init spec dict; see config.KNOWN_INIT_KINDS.
-    A parameter the kind does not read raises ConfigError naming it.
+    A parameter the kind does not read, or a value it cannot use, raises
+    ConfigError naming it (see config.check_init_params).
 
     A checkpoint is returned as stored.  One written under a larger dealias
     cut may hold modes beyond this grid's cut, which Stepper drops on the
@@ -713,8 +710,8 @@ def make_initial(
         return orszag_tang_3d(grid, params.get("amplitude", 1.0))
     if kind == "random_band":
         rng = np.random.default_rng(seed)
-        q_lo = int(params.get("q_lo", 2))
-        q_hi = int(params.get("q_hi", 4))
+        q_lo = params.get("q_lo", RANDOM_BAND_SHELLS[0])
+        q_hi = params.get("q_hi", RANDOM_BAND_SHELLS[1])
         amp = float(params.get("amplitude", 1.0))
         b_amp = float(params.get("b_amplitude", amp))
         u = random_band_field(grid, q_lo, q_hi, amp, rng)
@@ -725,20 +722,15 @@ def make_initial(
             grid,
             b0=float(params.get("b0", 1.0)),
             eps=float(params.get("eps", 1e-6)),
-            k=int(params.get("k", 1)),
+            k=params.get("k", 1),
         )
     if kind == "from_checkpoint":
         from .checkpoint import read_checkpoint
 
-        path = params.get("path")
-        if not path:
-            raise ValueError("from_checkpoint init requires a 'path'")
-        _, _, _, u, b = read_checkpoint(path)
+        _, _, _, u, b = read_checkpoint(params["path"])
         if u.grid.n != grid.n:
             raise ValueError(
                 f"checkpoint grid n={u.grid.n} does not match config n={grid.n}"
             )
-        u.is_solenoidal = True
-        b.is_solenoidal = True
         return u, b
     raise ValueError(f"unknown initial-condition kind {kind!r}")
