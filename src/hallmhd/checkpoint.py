@@ -2,9 +2,12 @@
 
 Layout: header {magic "HMHD", version u32, n u32, t f64, nu f64, mu f64},
 then u then b as little-endian f64 interleaved (re, im) pairs in
-component-major, k-row-major order.  Bit-exact round trip.  A checkpoint is
-written to a temporary file beside the target and renamed over it, so a
-write that fails part-way leaves the previous checkpoint intact.
+component-major, k-row-major order, each the full (3, n, n, n) cube: the
+Hermitian fill of the stored half cube kz >= 0, the only full cube built
+outside the test references.  Reading keeps the half cube, so the round
+trip is bit-exact.  A checkpoint is written to a temporary file beside the
+target and renamed over it, so a write that fails part-way leaves the
+previous checkpoint intact.
 """
 
 from __future__ import annotations
@@ -27,6 +30,22 @@ class CheckpointError(ValueError):
     """Raised on checkpoint parse failures."""
 
 
+def _full_cube(half: np.ndarray) -> np.ndarray:
+    """The full coefficient cube (..., n, n, n) of real fields from their
+    half cube (..., n, n, n//2 + 1), the upper kz half being the conjugates
+    of the Hermitian partners: index i pairs with (n - i) % n on every axis."""
+    n, nh = half.shape[-3], half.shape[-1]
+    out = np.empty(half.shape[:-1] + (n,), dtype=half.dtype)
+    out[..., :nh] = half
+    src = half[..., nh - 2 : 0 : -1]  # kz index n - iz for iz = n/2+1 .. n-1
+    up = out[..., nh:]
+    np.conjugate(src[..., 0, 0, :], out=up[..., 0, 0, :])
+    np.conjugate(src[..., 0, :0:-1, :], out=up[..., 0, 1:, :])
+    np.conjugate(src[..., :0:-1, 0, :], out=up[..., 1:, 0, :])
+    np.conjugate(src[..., :0:-1, :0:-1, :], out=up[..., 1:, 1:, :])
+    return out
+
+
 def write_checkpoint(
     path, t: float, nu: float, mu: float, u: SpectralField, b: SpectralField
 ) -> None:
@@ -39,9 +58,8 @@ def write_checkpoint(
     try:
         with open(tmp, "xb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, n, float(t), float(nu), float(mu)))
-            # the arrays' own buffers: no copy of a little-endian payload
-            fh.write(np.ascontiguousarray(u.coeffs, dtype="<c16").data)
-            fh.write(np.ascontiguousarray(b.coeffs, dtype="<c16").data)
+            for f in (u, b):
+                fh.write(_full_cube(np.asarray(f.coeffs, dtype="<c16")).data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -50,9 +68,9 @@ def write_checkpoint(
 
 
 def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralField]:
-    """Returns (t, nu, mu, u, b).  The file size is checked against the
-    header before the payload is read, straight into one array that u and b
-    are views of."""
+    """Returns (t, nu, mu, u, b), u and b the half cubes kz >= 0 of the
+    stored cubes.  The file size is checked against the header before the
+    payload is read, straight into one array that u and b are copied from."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
@@ -79,5 +97,5 @@ def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralF
         raise CheckpointError(
             f"checkpoint parse: expected {expected} payload bytes, read {got}"
         )
-    u, b = (SpectralField(grid, f) for f in data)
+    u, b = (SpectralField(grid, f[..., : n // 2 + 1]) for f in data)
     return float(t), float(nu), float(mu), u, b

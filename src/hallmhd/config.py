@@ -31,12 +31,15 @@ KNOWN_INIT_KINDS = {
 RANDOM_BAND_SHELLS = (2, 4)
 
 
-def check_init_params(init: dict) -> None:
+def check_init_params(init: dict, grid: Grid) -> None:
     """Raise ConfigError naming the first parameter of init that make_initial
     does not read for init["kind"], a kind of KNOWN_INIT_KINDS, or whose
-    value it cannot use: q_lo, q_hi and k are integers, with q_lo <= q_hi;
-    amplitude, b_amplitude, b0 and eps are finite numbers; path, which
-    from_checkpoint requires, is a non-empty string."""
+    value it cannot use on `grid`: q_lo, q_hi and k are integers, with
+    q_lo <= q_hi and 2^q_lo <= dealias_cut (else random_band's band
+    2^q_lo <= |k| <= min(3/4 2^(q_hi + 1), dealias_cut) is empty), and
+    |k| <= dealias_cut (else the step drops the whistler); amplitude,
+    b_amplitude, b0 and eps are finite numbers; path, which from_checkpoint
+    requires, is a non-empty string."""
     kind = init["kind"]
     unknown = sorted(set(init) - {"kind"} - KNOWN_INIT_KINDS[kind])
     if unknown:
@@ -67,6 +70,18 @@ def check_init_params(init: dict) -> None:
             name = "q_hi" if "q_hi" in init else "q_lo"
             raise ConfigError(
                 f"key 'init.{name}': needs q_lo <= q_hi, got q_lo={q_lo}, q_hi={q_hi}"
+            )
+        if q_lo >= grid.dealias_cut.bit_length():  # 2^q_lo > cut, exactly
+            raise ConfigError(
+                f"key 'init.q_lo': band [{q_lo}, {q_hi}] empty under "
+                f"dealias_cut={grid.dealias_cut}: needs 2^q_lo <= dealias_cut"
+            )
+    if kind == "uniform_b_plus_whistler":
+        k = init.get("k", 1)
+        if abs(k) > grid.dealias_cut:
+            raise ConfigError(
+                f"key 'init.k': whistler k={k} beyond dealias_cut="
+                f"{grid.dealias_cut}: the step keeps only |k| <= dealias_cut"
             )
 
 
@@ -141,7 +156,7 @@ class RunConfig:
             "checkpoint_every", "must be a positive multiple of diag_every", every,
         )
         try:
-            Grid(self.n, self.dealias_cut)
+            grid = Grid(self.n, self.dealias_cut)
         except DimensionError as exc:
             raise ConfigError(f"key 'dealias_cut': {exc}") from exc
         if not isinstance(self.init, dict) or "kind" not in self.init:
@@ -151,7 +166,7 @@ class RunConfig:
             isinstance(kind, str) and kind in KNOWN_INIT_KINDS,
             "init.kind", "unknown kind", kind,
         )
-        check_init_params(self.init)
+        check_init_params(self.init, grid)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

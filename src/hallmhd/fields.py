@@ -7,9 +7,13 @@ Convention: for samples f(x) on the n^3 collocation grid of the 2*pi torus,
 so f(x) = sum_k coeff(k) exp(i k.x).  Wavevectors are integers; the n/2
 ("oddball") mode present for even n is zeroed whenever a derivative is taken,
 and the Leray projection and the vector potential zero the n/2 planes.
-Field coefficients are stored as the full complex128 cube.  Fields are real,
-so the cube is Hermitian, coeff(-k) = conj(coeff(k)): the half cube
-coeffs[..., :n//2 + 1] (kz >= 0) determines the rest.
+Fields are real, so their coefficients are Hermitian, coeff(-k) =
+conj(coeff(k)), and the half kz >= 0 determines the rest (Canuto et al.,
+Spectral Methods, 2006, sec. 2.1).  Field coefficients are stored as that
+half cube, complex128 of shape (..., n, n, n//2 + 1), the layout of a real
+FFT: kz index j holds the wavenumber j, and the last plane the n/2 plane,
+whose partners, like those of the kz = 0 plane, lie in the same plane.
+Every wavenumber array of Grid has the same layout.
 
 Inside the solver's step, coefficients live on a smaller array still: the
 box |kx|, |ky| <= c, 0 <= kz <= c of a cut c < n/2, shape
@@ -19,11 +23,11 @@ box |kx|, |ky| <= c, 0 <= kz <= c of a cut c < n/2, shape
 All transforms are real and go through one pair.  Samples are made from the
 half cube by one inverse real FFT, or from a box by a pruned one that skips
 the all-zero lines (Markel 1971): each axis is zero-padded only for its own
-pass.  Coefficients are made from samples by one forward real FFT, the upper
-kz half being restored from the symmetry.  The pruned forward transform to
-the box, each pass keeping only the box rows of its axis, exists only as its
-passes: the solver's kernel streams slabs of x planes through them, and
-through the passes of the pruned inverse, in buffers it keeps.
+pass.  Coefficients are made from samples by one forward real FFT.  The
+pruned forward transform to the box, each pass keeping only the box rows of
+its axis, exists only as its passes: the solver's kernel streams slabs of x
+planes through them, and through the passes of the pruned inverse, in
+buffers it keeps.
 
 Spectral power sums and inner products (Parseval norms, ||grad f||^2, shell
 powers) are taken on the half cube or the box, each kz plane counted with
@@ -39,9 +43,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 VOLUME = TWO_PI**3
-
-HERMITIAN_TOL = 1e-12
-SOLENOIDAL_TOL = 1e-12
 
 
 class DimensionError(ValueError):
@@ -74,11 +75,6 @@ class Grid:
                 f"products alias unless 3*dealias_cut < n={self.n}"
             )
 
-    @property
-    def k_max(self) -> float:
-        """Largest resolved wavenumber magnitude, sqrt(3)*n/2."""
-        return np.sqrt(3.0) * self.n / 2.0
-
     @cached_property
     def k1(self) -> np.ndarray:
         """Integer wavenumbers per axis in FFT order."""
@@ -93,22 +89,13 @@ class Grid:
 
     @cached_property
     def kvec(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable (kx, ky, kz) with shapes (n,1,1), (1,n,1), (1,1,n)."""
-        n = self.n
-        return (
-            self.k1.reshape(n, 1, 1),
-            self.k1.reshape(1, n, 1),
-            self.k1.reshape(1, 1, n),
-        )
+        """Broadcastable (kx, ky, kz) on the half cube, with shapes (n,1,1),
+        (1,n,1), (1,1,n//2 + 1)."""
+        return _half_cube_axes(self.k1)
 
     @cached_property
     def dvec(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = self.n
-        return (
-            self.d1.reshape(n, 1, 1),
-            self.d1.reshape(1, n, 1),
-            self.d1.reshape(1, 1, n),
-        )
+        return _half_cube_axes(self.d1)
 
     @cached_property
     def k_sq(self) -> np.ndarray:
@@ -148,6 +135,13 @@ class Grid:
         return np.meshgrid(self.x1, self.x1, self.x1, indexing="ij")
 
 
+def _half_cube_axes(k1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis wavenumbers k1 in FFT order as broadcastable x, y and kz >= 0
+    axes of the half cube."""
+    n = k1.size
+    return k1.reshape(n, 1, 1), k1.reshape(1, n, 1), k1[: n // 2 + 1].reshape(1, 1, -1)
+
+
 def _reciprocal(k_sq: np.ndarray) -> np.ndarray:
     """1/k_sq, 0 where k_sq = 0."""
     inv = np.zeros_like(k_sq)
@@ -157,10 +151,12 @@ def _reciprocal(k_sq: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SpectralField:
-    """A field (scalar, vector, or tensor) as Fourier coefficients.
+    """A real field (scalar, vector, or tensor) as its Fourier coefficients
+    on the half cube kz >= 0.
 
-    coeffs has shape (ncomp, n, n, n); ncomp is 1 for scalars, 3 for vectors,
-    9 for gradient tensors (component order d_j f_i at index 3*i + j).
+    coeffs has shape (ncomp, n, n, n//2 + 1); ncomp is 1 for scalars, 3 for
+    vectors, 9 for gradient tensors (component order d_j f_i at index
+    3*i + j).
     """
 
     grid: Grid
@@ -170,7 +166,8 @@ class SpectralField:
         c = np.asarray(self.coeffs)
         if c.ndim == 3:
             c = c[None]
-        if c.ndim != 4 or c.shape[1:] != (self.grid.n,) * 3:
+        n = self.grid.n
+        if c.ndim != 4 or c.shape[1:] != (n, n, n // 2 + 1):
             raise DimensionError(
                 f"coeffs shape {c.shape} incompatible with n={self.grid.n}"
             )
@@ -208,9 +205,8 @@ def _check_same(f: SpectralField, g: SpectralField):
 
 
 def zero_field(grid: Grid, ncomp: int = 3) -> SpectralField:
-    return SpectralField(
-        grid, np.zeros((ncomp, grid.n, grid.n, grid.n), dtype=np.complex128)
-    )
+    n = grid.n
+    return SpectralField(grid, np.zeros((ncomp, n, n, n // 2 + 1), dtype=np.complex128))
 
 
 # -- transforms ---------------------------------------------------------------
@@ -320,8 +316,8 @@ def _box_rows(n: int, cut: int) -> np.ndarray:
 
 
 def _to_box(a: np.ndarray, cut: int) -> np.ndarray:
-    """The box |kx|, |ky| <= cut, 0 <= kz <= cut of a full- or half-cube
-    array, shape (..., 2 cut + 1, 2 cut + 1, cut + 1), a copy."""
+    """The box |kx|, |ky| <= cut, 0 <= kz <= cut of a half-cube array,
+    shape (..., 2 cut + 1, 2 cut + 1, cut + 1), a copy."""
     rows = _box_rows(a.shape[-3], cut)
     return a[..., rows[:, None], rows, : cut + 1]
 
@@ -335,29 +331,8 @@ def _from_box(box: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _half(a: np.ndarray) -> np.ndarray:
-    """The half cube a[..., :n//2 + 1] (kz >= 0) of a full-cube array, a view."""
-    return a[..., : a.shape[-1] // 2 + 1]
-
-
-def _fill_from_half(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """Full-cube coefficients of real fields from their half cube, the upper
-    kz half being the conjugates of the Hermitian partners: index i pairs
-    with (n - i) % n on every axis."""
-    n, nh = grid.n, grid.n // 2 + 1
-    out = np.empty(half.shape[:-1] + (n,), dtype=np.complex128)
-    out[..., :nh] = half
-    src = half[..., nh - 2 : 0 : -1]  # kz index n - iz for iz = n/2+1 .. n-1
-    up = out[..., nh:]
-    np.conjugate(src[..., 0, 0, :], out=up[..., 0, 0, :])
-    np.conjugate(src[..., 0, :0:-1, :], out=up[..., 0, 1:, :])
-    np.conjugate(src[..., :0:-1, 0, :], out=up[..., 1:, 0, :])
-    np.conjugate(src[..., :0:-1, :0:-1, :], out=up[..., 1:, 1:, :])
-    return out
-
-
 def _zero_nyquist(coeffs: np.ndarray) -> np.ndarray:
-    """Zero the n/2 planes (index n/2 on each axis) of full- or half-cube
+    """Zero the n/2 planes (index n/2 on each axis) of half-cube
     coefficients in place, and return them.  Grid.kvec gives index n/2 the
     wavenumber -n/2 both for a mode and for its Hermitian partner, so a
     k-dependent multiplier applied there breaks the symmetry."""
@@ -369,9 +344,8 @@ def _zero_nyquist(coeffs: np.ndarray) -> np.ndarray:
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
-    """Collocation samples, shape (ncomp, n, n, n).  f is read as a real
-    field: only its half cube kz >= 0 is used."""
-    return _half_to_physical(_half(f.coeffs), f.grid.n)
+    """Collocation samples, shape (ncomp, n, n, n)."""
+    return _half_to_physical(f.coeffs, f.grid.n)
 
 
 def from_physical(samples: np.ndarray, grid: Grid) -> SpectralField:
@@ -381,7 +355,7 @@ def from_physical(samples: np.ndarray, grid: Grid) -> SpectralField:
         s = s[None]
     if s.shape[1:] != (grid.n,) * 3:
         raise DimensionError(f"sample shape {s.shape} incompatible with n={grid.n}")
-    return SpectralField(grid, _fill_from_half(grid, _physical_to_half(s)))
+    return SpectralField(grid, _physical_to_half(s))
 
 
 def _cross(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -397,11 +371,11 @@ def _cross(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
 
 
 def _sup_magnitude(samples: np.ndarray, sq=None, tmp=None) -> float:
-    """max_x |samples(x)| over the component axis, equal bit for bit to
-    pointwise_magnitude(samples).max(): the squares are summed in component
-    order, as np.sum over axis 0 does, and sqrt is monotone, so only the
-    largest sum is rooted.  sq and tmp, one component's shape, spare the
-    temporaries."""
+    """max_x |samples(x)| over the component axis, equal bit for bit to the
+    largest magnitude lp_norm reads, sqrt(np.sum(samples * samples, axis=0)):
+    the squares are summed in component order, as np.sum over axis 0 does,
+    and sqrt is monotone, so only the largest sum is rooted.  sq and tmp,
+    one component's shape, spare the temporaries."""
     sq = np.multiply(samples[0], samples[0], out=sq)
     for comp in samples[1:]:
         sq += np.multiply(comp, comp, out=tmp)
@@ -412,8 +386,8 @@ def _sup_magnitude(samples: np.ndarray, sq=None, tmp=None) -> float:
 
 
 def _curl(dvec, coeffs: np.ndarray, out=None) -> np.ndarray:
-    """i d x coeffs for broadcastable derivative wavenumbers (full cube, half
-    cube or box), written to `out` when given (not coeffs).  The wavenumbers
+    """i d x coeffs for broadcastable derivative wavenumbers (half cube or
+    box), written to `out` when given (not coeffs).  The wavenumbers
     are made imaginary first, i d, so that no product casts a real operand,
     and each component is written in place."""
     dx, dy, dz = (1j * d for d in dvec)
@@ -453,8 +427,8 @@ def gradient(f: SpectralField) -> SpectralField:
 
 def _leray(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
     """coeffs - k (k.coeffs)/|k|^2 for broadcastable wavevectors and 1/|k|^2
-    (0 at k = 0, which is left untouched) on the full cube, the half cube or
-    the box, written to `out` when given, which may be coeffs itself."""
+    (0 at k = 0, which is left untouched) on the half cube or the box,
+    written to `out` when given, which may be coeffs itself."""
     kx, ky, kz = kvec
     kdot = kx * coeffs[0]
     kdot += ky * coeffs[1]
@@ -483,8 +457,8 @@ def dealias(f: SpectralField) -> SpectralField:
 
 def _vector_potential(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """A = i k x coeffs / |k|^2 for broadcastable wavevectors and 1/|k|^2 on
-    the full or the half cube, its n/2 planes zeroed (not for the box, whose
-    index n/2 is no n/2 plane)."""
+    the half cube, its n/2 planes zeroed (not for the box, whose index n/2
+    is no n/2 plane)."""
     return _zero_nyquist(_curl(kvec, coeffs) * inv_k_sq)
 
 
@@ -498,20 +472,17 @@ def vector_potential(b: SpectralField) -> SpectralField:
 # -- norms and inner products --------------------------------------------------
 
 
-def pointwise_magnitude(samples: np.ndarray) -> np.ndarray:
-    """Euclidean magnitude over the component axis (Frobenius for tensors)."""
-    return np.sqrt(np.sum(samples * samples, axis=0))
-
-
 def lp_norm(f: SpectralField, p: float) -> float:
-    """Collocation L^p norm of |f(x)| on the physical grid.
+    """Collocation L^p norm of |f(x)| on the physical grid, |.| the
+    Euclidean magnitude over the components (Frobenius for tensors).
 
     A grid approximation of the true torus norm; exact for p=2 on band-limited
     fields (Parseval), and a lower bound for p=inf.
     """
     if p < 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    mag = pointwise_magnitude(to_physical(f))
+    samples = to_physical(f)
+    mag = np.sqrt(np.sum(samples * samples, axis=0))
     if np.isinf(p):
         return float(mag.max(initial=0.0))
     m = mag.shape[-1]
@@ -519,13 +490,13 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 
 def _hermitian_sum(p: np.ndarray) -> float:
-    """Full-cube sum of a quantity p(k) = p(-k) given on kz >= 0, either on
-    the half cube (x extent n, even; last plane kz = n/2) or on the box
-    (x extent 2 cut + 1, odd; last plane kz = cut).  Each plane kz > 0 counts
-    twice, for itself and its Hermitian partner, except the half cube's
-    kz = n/2 plane, which holds its own partners and, like kz = 0, counts
-    once.  The parity of the x extent tells the two apart: Grid makes n
-    even, and a box is always odd."""
+    """Sum over all wavevectors of a quantity p(k) = p(-k) given on kz >= 0,
+    either on the half cube (x extent n, even; last plane kz = n/2) or on
+    the box (x extent 2 cut + 1, odd; last plane kz = cut).  Each plane
+    kz > 0 counts twice, for itself and its Hermitian partner kz < 0, which
+    is not stored, except the half cube's kz = n/2 plane, which holds its
+    own partners and, like kz = 0, counts once.  The parity of the x extent
+    tells the two apart: Grid makes n even, and a box is always odd."""
     multiplicity = np.full(p.shape[-1], 2.0)
     multiplicity[0] = 1.0
     if p.shape[-3] % 2 == 0:
@@ -533,12 +504,12 @@ def _hermitian_sum(p: np.ndarray) -> float:
     return float(np.sum(p @ multiplicity, dtype=np.float64))
 
 
-def _parseval(half: np.ndarray, weight: np.ndarray | None = None) -> float:
-    """(2*pi)^3 sum_k weight(k) |coeff(k)|^2 over the full cube of real fields,
-    from their half cube coeffs[..., :n//2 + 1] or their box; weight (even in
-    k, given on the same array) defaults to 1.  Which one it is follows from
-    the x extent, as in _hermitian_sum."""
-    p = np.abs(half)
+def _parseval(coeffs: np.ndarray, weight: np.ndarray | None = None) -> float:
+    """(2*pi)^3 sum_k weight(k) |coeff(k)|^2 over all wavevectors of real
+    fields, from their half cube or their box; weight (even in k, given on
+    the same array) defaults to 1.  Which one it is follows from the x
+    extent, as in _hermitian_sum."""
+    p = np.abs(coeffs)
     np.square(p, out=p)
     if weight is not None:
         p *= weight
@@ -547,42 +518,32 @@ def _parseval(half: np.ndarray, weight: np.ndarray | None = None) -> float:
 
 def l2_norm_spectral(f: SpectralField) -> float:
     """Parseval form: sqrt((2*pi)^3 * sum_k |coeff|^2)."""
-    return float(np.sqrt(_parseval(_half(f.coeffs))))
+    return float(np.sqrt(_parseval(f.coeffs)))
 
 
 def _inner(f: np.ndarray, g: np.ndarray) -> float:
-    """(2*pi)^3 sum_k Re(conj(f(k)) g(k)) over the full cube of real fields,
-    from their half cubes or boxes."""
+    """(2*pi)^3 sum_k Re(conj(f(k)) g(k)) over all wavevectors of real
+    fields, from their half cubes or boxes."""
     return VOLUME * _hermitian_sum((np.conj(f) * g).real)
 
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
     """L^2 inner product of real fields via the spectral sum."""
     _check_same(f, g)
-    return _inner(_half(f.coeffs), _half(g.coeffs))
+    return _inner(f.coeffs, g.coeffs)
 
 
 def grad_norm_sq(f: SpectralField) -> float:
     """(2*pi)^3 * sum_k |k|^2 |coeff|^2  =  || grad f ||_2^2."""
-    return _parseval(_half(f.coeffs), _half(f.grid.k_sq))
+    return _parseval(f.coeffs, f.grid.k_sq)
 
 
 # -- consistency checks ---------------------------------------------------------
 
 
-def hermitian_error(f: SpectralField) -> float:
-    """max |coeff(-k) - conj(coeff(k))| relative to max |coeff|."""
-    c = f.coeffs
-    flipped = np.roll(c[:, ::-1, ::-1, ::-1], 1, axis=(1, 2, 3))
-    scale = np.abs(c).max()
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(flipped - np.conj(c)).max() / scale)
-
-
 def _divergence_error(kvec, coeffs: np.ndarray) -> float:
     """max_k |k . coeffs(k)| relative to max |coeffs| for broadcastable
-    wavevectors (full cube, half cube or box)."""
+    wavevectors (half cube or box)."""
     kx, ky, kz = kvec
     kdot = kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]
     scale = np.abs(coeffs).max()
@@ -612,10 +573,10 @@ def random_field(
 
     Built by transforming white physical noise, so Hermitian symmetry is exact.
     Nyquist planes are always removed.  The band mask and the Leray
-    projection are applied to the transformed cube in place.
+    projection are applied to the transformed half cube in place.
     """
     f = from_physical(rng.standard_normal((ncomp, grid.n, grid.n, grid.n)), grid)
-    mask = np.ones((grid.n,) * 3, dtype=bool)
+    mask = np.ones(grid.k_mag.shape, dtype=bool)
     if k_lo > 0.0:
         mask &= grid.k_mag >= k_lo
     if k_hi is not None:

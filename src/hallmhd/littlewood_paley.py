@@ -26,7 +26,6 @@ from .fields import (
     DimensionError,
     Grid,
     SpectralField,
-    _half,
     _half_to_physical,
     _hermitian_sum,
     _sup_magnitude,
@@ -56,18 +55,17 @@ def smooth_bridge_profile(r):
 
 
 class LPPartition:
-    """Multiplier family sampled on the grid; built via build_partition."""
+    """Multiplier family sampled on the grid's half cube; built via
+    build_partition."""
 
     def __init__(self, grid: Grid, multipliers: np.ndarray):
         self.grid = grid
         self.multipliers = multipliers  # index q+1 -> phi_q(|k|), q = -1..q_max
         self.q_max = multipliers.shape[0] - 2
-        # phi_q depends on |k| alone, and the half cube holds every |k| of the
-        # cube, so the unity check and the support cuts read the half cube
-        half = _half(multipliers)
-        kmag = _half(grid.k_mag)
-        self._half_sq = half**2
-        err = np.abs(half.sum(axis=0) - 1.0)
+        # phi_q depends on |k| alone, and the half cube holds every |k|
+        kmag = grid.k_mag
+        self._sq = multipliers**2
+        err = np.abs(multipliers.sum(axis=0) - 1.0)
         bad = err > UNITY_TOL
         if not bad.any():
             self.unity_radius = float(kmag.max())
@@ -82,7 +80,7 @@ class LPPartition:
         self._k_inf = np.maximum(
             np.maximum.outer(k, k)[..., None], k[: grid.n // 2 + 1]
         ).astype(np.int16)
-        self._shell_cuts = [self._support_cut(m) for m in half]
+        self._shell_cuts = [self._support_cut(m) for m in multipliers]
 
     # -- projections ------------------------------------------------------
 
@@ -119,9 +117,9 @@ class LPPartition:
         """(2*pi)^3 sum_k phi_q^2 |coeff|^2 per shell, the ||Delta_q f||_2^2,
         summed on the half cube."""
         self._check_grid(f)
-        power = np.sum(np.abs(_half(f.coeffs)) ** 2, axis=0)
+        power = np.sum(np.abs(f.coeffs) ** 2, axis=0)
         vol = (2.0 * np.pi) ** 3
-        return np.array([vol * _hermitian_sum(sq * power) for sq in self._half_sq])
+        return np.array([vol * _hermitian_sum(sq * power) for sq in self._sq])
 
     def shell_linf(self, f: SpectralField) -> np.ndarray:
         """max_x |Delta_q f(x)| per shell on the collocation grid, equal bit for
@@ -133,15 +131,14 @@ class LPPartition:
         zero reads 0 without a transform."""
         self._check_grid(f)
         n = self.grid.n
-        half = _half(f.coeffs)
-        support = self._support_cut(half)
+        support = self._support_cut(f.coeffs)
         out = np.zeros(self.q_max + 2)
         if support < 0:
             return out
         for q in self.shell_range():
             cut = min(self._shell_cuts[q + 1], support)
             if cut >= n // 2:
-                block = half * _half(self.multipliers[q + 1])
+                block = f.coeffs * self.multipliers[q + 1]
             else:
                 block = _to_box(f.coeffs, cut) * _to_box(self.multipliers[q + 1], cut)
             if block.any():

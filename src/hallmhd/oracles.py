@@ -4,6 +4,10 @@ Everything here is deliberately independent of the FFT code paths in
 fields.py: transforms are direct O(n^6) summations, convolutions are explicit
 integer-triad sums with no aliasing, and the Leray projection is a dense
 k-loop.  Guarded to n <= 8.
+
+The package stores real fields as the half cube kz >= 0.  The references
+work on the full cube, which full_cube extends a half cube to, one mode at
+a time: idft_direct and rhs_direct take half cubes, the others full cubes.
 """
 
 from __future__ import annotations
@@ -18,6 +22,31 @@ MAX_N = 8
 def _guard(n: int):
     if n > MAX_N:
         raise ValueError(f"oracle refused: n={n} exceeds cost guard {MAX_N}")
+
+
+def full_cube(half: np.ndarray) -> np.ndarray:
+    """The full cube (..., n, n, n) of a half cube (..., n, n, n//2 + 1) of
+    real fields: coeff(k) = conj(coeff(-k)) for kz < 0, one mode at a time."""
+    n, nh = half.shape[-3], half.shape[-1]
+    out = np.empty(half.shape[:-1] + (n,), dtype=half.dtype)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if c < nh:
+                    out[..., a, b, c] = half[..., a, b, c]
+                else:
+                    out[..., a, b, c] = np.conj(half[..., -a % n, -b % n, -c % n])
+    return out
+
+
+def hermitian_error(f: SpectralField) -> float:
+    """max |coeff(-k) - conj(coeff(k))| on the kz = 0 and kz = n/2 planes,
+    the half cube's planes that hold their own partners, relative to
+    max |coeff|."""
+    scale = np.abs(f.coeffs).max()
+    planes = f.coeffs[..., [0, -1]]
+    flipped = np.roll(planes[:, ::-1, ::-1], 1, axis=(1, 2))
+    return float(np.abs(flipped - np.conj(planes)).max() / scale) if scale else 0.0
 
 
 def dft_direct(samples: np.ndarray) -> np.ndarray:
@@ -40,9 +69,10 @@ def dft_direct(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def idft_direct(coeffs: np.ndarray) -> np.ndarray:
-    """f(x) = sum_k coeff(k) exp(+i k.x), one explicit sum per grid point."""
-    c = np.asarray(coeffs, dtype=np.complex128)
+def idft_direct(half: np.ndarray) -> np.ndarray:
+    """f(x) = sum_k coeff(k) exp(+i k.x) over the full cube of the half cube
+    `half`, one explicit sum per grid point."""
+    c = full_cube(np.asarray(half, dtype=np.complex128))
     if c.ndim == 3:
         c = c[None]
     n = c.shape[-1]
@@ -154,7 +184,7 @@ def rhs_direct(u: SpectralField, b: SpectralField, hall_on: bool) -> tuple:
 
     du = -P[ d_j (u_j u_i - b_j b_i) ],  db = -P[ d_j (u_j b_i - b_j u_i) ]
          - curl((curl b) x b)  (hall_on), all products dealiased to the grid
-    cut.  Returns coefficient arrays (du, db).
+    cut.  Returns full-cube coefficient arrays (du, db).
     """
     grid = u.grid
     n = grid.n
@@ -162,7 +192,7 @@ def rhs_direct(u: SpectralField, b: SpectralField, hall_on: bool) -> tuple:
     cut = grid.dealias_cut
     mask = _dealias_mask(n, cut)
     d = _deriv_ks(n)
-    uh, bh = u.coeffs, b.coeffs
+    uh, bh = full_cube(u.coeffs), full_cube(b.coeffs)
 
     def div_of_tensor(t):  # t[i][j] spectral products
         out = np.zeros((3, n, n, n), dtype=np.complex128)

@@ -32,9 +32,8 @@ coefficients with |kx|, |ky|, kz <= dealias_cut (kz >= 0 suffices, the
 fields being real).  It runs the pruned inverse x passes of u, w, b and J
 once, then streams slabs of x planes through the y and z passes, the cross
 products and the forward z and y passes, and ends with the forward x passes;
-its buffers are allocated once per Stepper.  `hall_power` reads the Hall
-term from `rhs` with u = 0, and `dt_gate` the gate of the step's first stage
-from the same pruned samples.
+its buffers are allocated once per Stepper.  `dt_gate` reads the gate of
+the step's first stage from the same pruned samples.
 
 Products are formed from the dealiased part of u and b (|k| <= dealias_cut),
 as the 2/3 rule assumes: content beyond the cut takes no part in them.  A
@@ -42,9 +41,9 @@ step stays on the box throughout: the four stages, the RK4 sums, the
 dissipation integral (summed with Hermitian multiplicities), the final Leray
 projection and the finiteness and solenoidality checks, so the new state is
 zero beyond the cut.  The state it returns holds the boxes, which the next
-step reads as they are; a full cube is filled from Hermitian symmetry only
-when the state's `u` or `b` is asked for.  `rhs` fills its results at its
-own boundary.
+step reads as they are; a box is scattered into the half cube of a
+SpectralField only when the state's `u` or `b` is asked for.  `rhs`
+scatters its results at its own boundary.
 """
 
 from __future__ import annotations
@@ -65,11 +64,9 @@ from .fields import (
     _cross,
     _curl,
     _divergence_error,
-    _fill_from_half,
     _forward_x,
     _forward_zy,
     _from_box,
-    _half,
     _half_to_physical,
     _inner,
     _inverse_x,
@@ -81,7 +78,6 @@ from .fields import (
     _vector_potential,
     divergence_error,
     from_physical,
-    inner_product,
     l2_norm_spectral,
     random_field,
     zero_field,
@@ -116,9 +112,9 @@ class SolverState:
     A state built from SpectralFields keeps them as given.  A state that
     Stepper.step returns holds u and b as their dealiased boxes, shape
     (3, 2c + 1, 2c + 1, c + 1) with c = dealias_cut, which the next step
-    reads as they are; `u` and `b` build each full cube on first access,
-    from Hermitian symmetry, and keep it.  That cube is read-only, since the
-    next step reads the box, not the cube.
+    reads as they are; `u` and `b` scatter each box into a half cube on
+    first access and keep it.  That half cube is read-only, since the next
+    step reads the box, not the half cube.
     """
 
     def __init__(
@@ -156,7 +152,7 @@ class SolverState:
     def _field(self, name: str) -> SpectralField:
         f = self._fields[name]
         if f is None:
-            coeffs = _fill_from_box(self._grid, self._boxes[name])
+            coeffs = _from_box(self._boxes[name], self._grid.n)
             coeffs.flags.writeable = False
             f = self._fields[name] = SpectralField(self._grid, coeffs)
         return f
@@ -187,11 +183,6 @@ def _dealiased_box(f: SpectralField) -> np.ndarray:
     box = _to_box(f.coeffs, f.grid.dealias_cut)
     box *= mask
     return box
-
-
-def _fill_from_box(grid: Grid, box: np.ndarray) -> np.ndarray:
-    """Full-cube coefficients of real fields from their box."""
-    return _fill_from_half(grid, _from_box(box, grid.n))
 
 
 # bytes of the sample and transform buffers a kernel streams x planes
@@ -295,19 +286,7 @@ def rhs(
             raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
     g = u.grid
     du, db, _ = _Kernel(g)(_dealiased_box(u), _dealiased_box(b), hall_on)
-    return (
-        SpectralField(g, _fill_from_box(g, du)),
-        SpectralField(g, _fill_from_box(g, db)),
-    )
-
-
-def hall_power(b: SpectralField) -> float:
-    """Instantaneous work of the Hall term on b: integral of
-    curl((curl b) x b) . b dx, zero up to discretization roundoff.  With
-    u = 0, rhs gives db = -curl((curl b) x b), so this is -(db, b), formed,
-    like rhs, from the dealiased part of b."""
-    db = rhs(zero_field(b.grid), b)[1]
-    return -inner_product(db, b)
+    return SpectralField(g, _from_box(du, g.n)), SpectralField(g, _from_box(db, g.n))
 
 
 # -- time stepping ----------------------------------------------------------------
@@ -455,8 +434,8 @@ class Stepper:
     The running sum in the last line takes each stage's derivatives as the
     stage finishes, so only E u0, the sum and the current stage stay alive.
     The new state holds the new boxes (see SolverState): a step neither
-    masks, scatters nor fills a full cube, except the masked copy it takes
-    of a state built from full-cube fields.
+    masks nor scatters a half cube, except the masked box it copies from a
+    state built from SpectralFields.
 
     A Stepper owns the kernel's workspace, allocated once when it is built
     and reused by every step, so it is not thread-safe: step one state at a
@@ -593,16 +572,14 @@ class Stepper:
 
 def energy(f: SpectralField) -> float:
     """(1/2) ||f||_2^2 by the spectral sum."""
-    return 0.5 * _parseval(_half(f.coeffs))
+    return 0.5 * _parseval(f.coeffs)
 
 
 def magnetic_helicity(b: SpectralField) -> float:
     """Integral of A . b with curl A = b, A solenoidal: the spectral sum
-    with vector_potential's A, built on the half cube."""
+    with vector_potential's A."""
     g = b.grid
-    kx, ky, kz = g.kvec
-    bh = _half(b.coeffs)
-    return _inner(_vector_potential((kx, ky, _half(kz)), _half(g.inv_k_sq), bh), bh)
+    return _inner(_vector_potential(g.kvec, g.inv_k_sq, b.coeffs), b.coeffs)
 
 
 # -- initial conditions ----------------------------------------------------------------
@@ -651,11 +628,10 @@ def random_band_field(
 ) -> SpectralField:
     """Solenoidal Gaussian field with all shell energy inside [q_lo, q_hi]:
     support restricted to 2^q_lo <= |k| <= min(3/4 * 2^(q_hi+1), dealias_cut),
-    scaled so the rms magnitude is `amplitude`."""
+    scaled so the rms magnitude is `amplitude`.  The band must not be empty
+    (config.check_init_params checks it for make_initial)."""
     k_lo = float(2**q_lo)
     k_hi = min(0.75 * 2.0 ** (q_hi + 1), float(grid.dealias_cut))
-    if k_hi < k_lo:
-        raise ValueError(f"band [{q_lo}, {q_hi}] empty under dealias cut")
     f = random_field(grid, rng, k_lo=k_lo, k_hi=k_hi, solenoidal=True)
     # Parseval: the collocation L^2 norm without a transform
     rms = l2_norm_spectral(f) / (2 * np.pi) ** 1.5
@@ -669,20 +645,16 @@ def whistler_initial(
 ) -> tuple[SpectralField, SpectralField]:
     """Uniform b0 z_hat plus a circularly polarized transverse perturbation
     cos(k z) x_hat - sin(k z) y_hat at amplitude eps; u starts at zero.
-    Its coefficients are set directly: eps/2 and +-i eps/2 at kz = +-k, b0
-    at k = 0.  k must lie within the dealias cut, or the first step would
-    drop the perturbation."""
-    if abs(k) > grid.dealias_cut:
-        raise ValueError(
-            f"whistler k={k} beyond dealias_cut={grid.dealias_cut}: the step "
-            f"keeps only |k| <= dealias_cut"
-        )
+    Its coefficients are set directly, b0 at k = 0 and, on the half cube,
+    eps/2 and sign(k) i eps/2 at kz = |k| (eps for k = 0, which leaves
+    eps x_hat).  |k| must lie within the dealias cut, or the first step
+    would drop the perturbation (config.check_init_params checks it for
+    make_initial)."""
     b = zero_field(grid)
     c = b.coeffs
     c[2, 0, 0, 0] = b0
-    for kz, sign in ((k, 1.0), (-k, -1.0)):  # k = 0 leaves eps x_hat
-        c[0, 0, 0, kz] += eps / 2
-        c[1, 0, 0, kz] += sign * 0.5j * eps
+    c[0, 0, 0, abs(k)] = eps if k == 0 else eps / 2
+    c[1, 0, 0, abs(k)] = complex(0.0, np.sign(k) * eps / 2)
     return zero_field(grid), b
 
 
@@ -698,7 +670,7 @@ def make_initial(
     first step (it steps the dealiased part)."""
     kind = init_spec.get("kind")
     if isinstance(kind, str) and kind in KNOWN_INIT_KINDS:
-        check_init_params(init_spec)
+        check_init_params(init_spec, grid)
     params = {k: v for k, v in init_spec.items() if k != "kind"}
     if kind == "beltrami_u":
         u = abc_beltrami(grid, params.get("amplitude", 1.0))
@@ -729,8 +701,9 @@ def make_initial(
 
         _, _, _, u, b = read_checkpoint(params["path"])
         if u.grid.n != grid.n:
-            raise ValueError(
-                f"checkpoint grid n={u.grid.n} does not match config n={grid.n}"
+            raise ConfigError(
+                f"key 'init.path': checkpoint grid n={u.grid.n} does not match "
+                f"config n={grid.n}"
             )
         return u, b
     raise ValueError(f"unknown initial-condition kind {kind!r}")

@@ -9,16 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallmhd import fields, oracles
+from hallmhd import checkpoint, fields, oracles
 from hallmhd.fields import (
     DimensionError,
     Grid,
     SpectralField,
-    _fill_from_half,
     _forward_x,
     _forward_zy,
     _from_box,
-    _half,
     _half_to_physical,
     _parseval,
     _physical_to_half,
@@ -29,7 +27,6 @@ from hallmhd.fields import (
     divergence_error,
     from_physical,
     gradient,
-    hermitian_error,
     inner_product,
     l2_norm_spectral,
     leray_project,
@@ -39,6 +36,7 @@ from hallmhd.fields import (
     vector_potential,
     zero_field,
 )
+from hallmhd.oracles import full_cube, hermitian_error
 
 VOLUME = (2 * np.pi) ** 3
 
@@ -62,7 +60,9 @@ class TestGrid:
     def test_defaults(self):
         g = Grid(16)
         assert g.dealias_cut == 5
-        assert g.k_max == pytest.approx(np.sqrt(3) * 8)
+        # the half cube holds the corner |k| = sqrt(3) n/2
+        assert g.k_mag.shape == (16, 16, 9)
+        assert g.k_mag.max() == pytest.approx(np.sqrt(3) * 16 / 2)
 
     def test_wavenumber_layout(self):
         g = Grid(8)
@@ -101,9 +101,10 @@ class TestTransforms:
         assert np.all(back.coeffs == 0.0)
 
     def test_single_mode_is_cosine(self):
-        # coeff(k=(1,0,0)) = 1/2 on x-component plus Hermitian partner
+        # coeff(k=(1,0,0)) = 1/2 on x-component plus Hermitian partner, both
+        # on the kz = 0 plane
         g = Grid(16)
-        c = np.zeros((3, 16, 16, 16), dtype=np.complex128)
+        c = np.zeros((3, 16, 16, 9), dtype=np.complex128)
         c[0, 1, 0, 0] = 0.5
         c[0, -1, 0, 0] = 0.5
         f = SpectralField(g, c)
@@ -115,7 +116,7 @@ class TestTransforms:
         rng = np.random.default_rng(11)
         f = random_field(g, rng)
         phys = to_physical(f)
-        direct = oracles.dft_direct(phys)
+        direct = oracles.dft_direct(phys)[..., : g.n // 2 + 1]
         fast = from_physical(phys, g).coeffs
         scale = np.abs(direct).max()
         assert np.abs(fast - direct).max() / scale < 1e-12
@@ -138,11 +139,11 @@ class TestTransforms:
 
     def test_samples_of_white_noise(self):
         # white noise keeps its n/2 planes; the real part of the complex
-        # inverse transform is the reference
+        # inverse transform of the full cube is the reference
         g = Grid(8)
         rng = np.random.default_rng(17)
         f = from_physical(rng.standard_normal((3, 8, 8, 8)), g)
-        expect = np.fft.ifftn(f.coeffs, axes=(-3, -2, -1)).real * g.n**3
+        expect = np.fft.ifftn(full_cube(f.coeffs), axes=(-3, -2, -1)).real * g.n**3
         got = to_physical(f)
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
@@ -178,13 +179,13 @@ class TestCalculus:
 
     def test_curl_matches_componentwise_formula(self):
         # the same products and differences as i (dy cz - dz cy), ... in the
-        # same order, so equal to the last bit on the cube, half cube and box
+        # same order, so equal to the last bit on the half cube, with the
+        # derivative and with the plain wavenumbers, and on the box
         g = Grid(16)
         f = white_noise(g, 4).coeffs
-        kx, ky, kz = g.kvec
         for dvec, c in (
             (g.dvec, f),
-            ((kx, ky, _half(kz)), _half(f)),
+            (g.kvec, f),
             (g.box[0], _to_box(f, g.dealias_cut)),
         ):
             dx, dy, dz = dvec
@@ -206,7 +207,7 @@ class TestCalculus:
         x, y, _ = g.mesh()
         f = from_physical(np.cos(x + 2 * y), g)
         fast = gradient(f).coeffs
-        direct = oracles.gradient_direct(f.coeffs)
+        direct = oracles.gradient_direct(full_cube(f.coeffs))[..., : g.n // 2 + 1]
         assert np.abs(fast - direct).max() < 1e-12
 
     def test_gradient_cos_analytic(self):
@@ -246,7 +247,7 @@ class TestLeray:
         rng = np.random.default_rng(9)
         f = random_field(g, rng)
         fast = leray_project(f).coeffs
-        direct = oracles.leray_direct(f.coeffs)
+        direct = oracles.leray_direct(full_cube(f.coeffs))[..., : g.n // 2 + 1]
         assert np.abs(fast - direct).max() / np.abs(direct).max() < 1e-12
 
     def test_output_is_solenoidal(self):
@@ -301,7 +302,7 @@ class TestNorms:
         n, m = g.n, 8 * g.n
         pos = np.fft.fftfreq(n, d=1.0 / n).astype(int) % m
         padded = np.zeros((m, m, m // 2 + 1), dtype=np.complex128)
-        padded[pos[:, None], pos, : n // 2 + 1] = f.coeffs[0, :, :, : n // 2 + 1]
+        padded[pos[:, None], pos, : n // 2 + 1] = f.coeffs[0]
         fine = np.fft.irfftn(padded, s=(m, m, m), axes=(0, 1, 2), norm="forward")
         fine = np.abs(fine).max()
         assert coarse <= fine * (1 + 1e-12)
@@ -349,15 +350,15 @@ class TestHermitianAndPotential:
         assert hermitian_error(vector_potential(f)) < 1e-14
 
     def test_fill_from_half_odd_half_grid(self):
-        # n = 10 has an odd n/2: the full cube filled from the real transform
-        # of a product must invert, with the full complex transform, to the
-        # same real samples
+        # n = 10 has an odd n/2: the full cube that the checkpoint writer
+        # fills from the real transform of a product must invert, with the
+        # full complex transform, to the same real samples
         g = Grid(10)
         rng = np.random.default_rng(4)
         samples = np.prod(
             to_physical(random_field(g, rng, ncomp=2, zero_mean=False)), axis=0
         )
-        full = _fill_from_half(g, _physical_to_half(samples))
+        full = checkpoint._full_cube(_physical_to_half(samples))
         back = np.fft.ifftn(full) * g.n**3
         assert np.abs(back.imag).max() <= 1e-14 * np.abs(samples).max()
         assert np.abs(back.real - samples).max() <= 1e-14 * np.abs(samples).max()
@@ -365,18 +366,16 @@ class TestHermitianAndPotential:
 
 class TestHalfCubeSums:
     # the half cube kz >= 0 with Hermitian multiplicities (2 inside, 1 on the
-    # kz = 0 and kz = n/2 planes) against the plain full-cube sums; n = 10
-    # has an odd n/2
+    # kz = 0 and kz = n/2 planes) against the plain sums over the full cube
+    # of oracles.full_cube; n = 10 has an odd n/2
     @pytest.mark.parametrize("n", [8, 10, 16])
     def test_parseval_matches_full_cube_sum(self, n):
         g = Grid(n)
         f = white_noise(g, n + 1)
-        power = np.abs(f.coeffs) ** 2
-        for weight in (np.ones((n,) * 3), g.k_sq, np.cos(g.k_mag) ** 2):
-            full = VOLUME * np.sum(weight * power)
-            assert _parseval(_half(f.coeffs), _half(weight)) == pytest.approx(
-                full, rel=1e-14
-            )
+        power = np.abs(full_cube(f.coeffs)) ** 2
+        for weight in (np.ones(g.k_sq.shape), g.k_sq, np.cos(g.k_mag) ** 2):
+            full = VOLUME * np.sum(full_cube(weight) * power)
+            assert _parseval(f.coeffs, weight) == pytest.approx(full, rel=1e-14)
 
     @pytest.mark.parametrize("n", [8, 10, 16])
     def test_parseval_on_the_box(self, n):
@@ -384,9 +383,9 @@ class TestHalfCubeSums:
         g = Grid(n)
         c = g.dealias_cut
         box = _to_box(white_noise(g, n + 3).coeffs, c)
-        power = np.abs(_fill_from_half(g, _from_box(box, n))) ** 2
-        for weight in (np.ones((n,) * 3), g.k_sq):
-            full = VOLUME * np.sum(weight * power)
+        power = np.abs(full_cube(_from_box(box, n))) ** 2
+        for weight in (np.ones(g.k_sq.shape), g.k_sq):
+            full = VOLUME * np.sum(full_cube(weight) * power)
             assert _parseval(box, _to_box(weight, c)) == pytest.approx(
                 full, rel=1e-14
             )
@@ -398,27 +397,30 @@ class TestHalfCubeSums:
 
         g = Grid(n)
         f = white_noise(g, n + 2)
-        power = np.abs(f.coeffs) ** 2
+        fc = full_cube(f.coeffs)
+        power = np.abs(fc) ** 2
         full = VOLUME * np.sum(power)
         assert energy(f) == pytest.approx(0.5 * full, rel=1e-14)
         assert l2_norm_spectral(f) == pytest.approx(np.sqrt(full), rel=1e-14)
         h = white_noise(g, n + 3)
+        hc = full_cube(h.coeffs)
         # independent noise: the sum cancels, so the scale is ||f|| ||h||
-        scale = np.sqrt(full * VOLUME * np.sum(np.abs(h.coeffs) ** 2))
-        expect = VOLUME * np.sum(np.real(np.conj(f.coeffs) * h.coeffs))
+        scale = np.sqrt(full * VOLUME * np.sum(np.abs(hc) ** 2))
+        expect = VOLUME * np.sum(np.real(np.conj(fc) * hc))
         assert inner_product(f, h) == pytest.approx(expect, abs=1e-14 * scale)
         assert inner_product(f, f) == pytest.approx(full, rel=1e-14)
-        a = vector_potential(f).coeffs
-        expect = VOLUME * np.sum(np.real(np.conj(a) * f.coeffs))
+        a = full_cube(vector_potential(f).coeffs)
+        expect = VOLUME * np.sum(np.real(np.conj(a) * fc))
         assert magnetic_helicity(f) == pytest.approx(expect, abs=1e-14 * full)
         assert fields.grad_norm_sq(f) == pytest.approx(
-            VOLUME * np.sum(g.k_sq * power), rel=1e-14
+            VOLUME * np.sum(full_cube(g.k_sq) * power), rel=1e-14
         )
         part = build_partition(g)
         shells = part.shell_l2_sq(f)
         total = np.sum(power, axis=0)
         for q in part.shell_range():
-            expect = VOLUME * np.sum(part.multipliers[q + 1] ** 2 * total)
+            mult = full_cube(part.multipliers[q + 1])
+            expect = VOLUME * np.sum(mult**2 * total)
             assert shells[q + 1] == pytest.approx(expect, rel=1e-14, abs=1e-14 * full)
 
 
@@ -426,8 +428,8 @@ class TestConvolutionOracleSelfConsistency:
     def test_two_summation_orders_agree(self):
         g = Grid(8)
         rng = np.random.default_rng(15)
-        f = random_field(g, rng, ncomp=1).coeffs[0]
-        h = random_field(g, rng, ncomp=1).coeffs[0]
+        f = full_cube(random_field(g, rng, ncomp=1).coeffs[0])
+        h = full_cube(random_field(g, rng, ncomp=1).coeffs[0])
         c1 = oracles.convolve_direct(f, h, order="p")
         c2 = oracles.convolve_direct(f, h, order="q")
         assert np.abs(c1 - c2).max() <= 1e-12 * max(np.abs(c1).max(), 1e-300)

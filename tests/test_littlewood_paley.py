@@ -45,11 +45,14 @@ def box_limited_noise(grid, seed, cut):
 
 
 def single_mode(grid, kvec, amplitude=1.0, comp=0, ncomp=3):
-    c = np.zeros((ncomp, grid.n, grid.n, grid.n), dtype=np.complex128)
-    ka = tuple(np.asarray(kvec) % grid.n)
-    kb = tuple((-np.asarray(kvec)) % grid.n)
-    c[(comp,) + ka] = amplitude / 2.0
-    c[(comp,) + kb] += amplitude / 2.0
+    """amplitude cos(k.x) in component comp: amplitude/2 at k and at -k,
+    of which the half cube holds those with kz index <= n/2."""
+    n = grid.n
+    c = np.zeros((ncomp, n, n, n // 2 + 1), dtype=np.complex128)
+    for k in (np.asarray(kvec), -np.asarray(kvec)):
+        idx = tuple(k % n)
+        if idx[2] <= n // 2:
+            c[(comp,) + idx] += amplitude / 2.0
     return SpectralField(grid, c)
 
 
@@ -94,7 +97,7 @@ class TestProfile:
 class TestPartition:
     def test_unity_on_resolved_wavenumbers(self, part32):
         assert part32.unity_error <= 1e-12
-        assert part32.unity_radius == pytest.approx(part32.grid.k_max)
+        assert part32.unity_radius == pytest.approx(np.sqrt(3) * 32 / 2)
 
     def test_supports_are_dyadic_annuli(self, part32):
         kmag = part32.grid.k_mag
@@ -156,7 +159,7 @@ class TestProjections:
                 assert np.abs(block.coeffs).max() < 1e-15
 
     def test_constant_field_in_lowest_block(self, part32):
-        c = np.zeros((3, 32, 32, 32), dtype=np.complex128)
+        c = np.zeros((3, 32, 32, 17), dtype=np.complex128)
         c[0, 0, 0, 0] = 2.5
         f = SpectralField(part32.grid, c)
         assert np.abs(part32.project(f, -1).coeffs - f.coeffs).max() < 1e-15
@@ -245,7 +248,8 @@ class TestProjections:
         assert np.abs(c).max() < 1e-14 * np.abs(g.coeffs).max()
 
     def test_preserves_solenoidality_and_symmetry(self, part16):
-        from hallmhd.fields import divergence_error, hermitian_error
+        from hallmhd.fields import divergence_error
+        from hallmhd.oracles import hermitian_error
 
         f = leray_project(random_field(part16.grid, np.random.default_rng(5)))
         block = part16.project(f, 2)
@@ -368,9 +372,9 @@ class TestSobolev:
 
     @staticmethod
     def norms(part, f, s):
-        ksq = part.grid.k_sq
+        ksq = oracles.full_cube(part.grid.k_sq)
         w = np.where(ksq > 0, ksq, 1.0) ** s * (ksq > 0)
-        power = np.sum(np.abs(f.coeffs) ** 2, axis=0)
+        power = np.sum(np.abs(oracles.full_cube(f.coeffs)) ** 2, axis=0)
         direct = np.sqrt((2 * np.pi) ** 3 * np.sum(w * power))
         weights = np.array([lambda_q(q) ** (2 * s) for q in part.shell_range()])
         return direct, np.sqrt(np.sum(weights * part.shell_l2_sq(f)))
@@ -440,20 +444,78 @@ class TestBernstein:
             )
 
 
+def dyadic_state(n):
+    """(u, b) half cubes of exact binary fractions, Hermitian on the kz = 0
+    and kz = n/2 planes, built without a transform, so that a file written
+    from them is the same on every platform."""
+    i = np.arange(2 * 3 * n * n * (n // 2 + 1)).reshape(2, 3, n, n, n // 2 + 1)
+    c = ((i * 37) % 17 - 8) / 4 + 1j * ((i * 11) % 13 - 6) / 8
+    for z in (0, n // 2):
+        p = c[..., z]
+        c[..., z] = (p + np.conj(np.roll(p[..., ::-1, ::-1], 1, axis=(-2, -1)))) / 2
+    return c
+
+
+# SHA-256 of the v1 file of dyadic_state(8) at t = 0.25, nu = 0.01,
+# mu = 0.02, as written when fields stored the full cube; a change of the
+# on-disk layout changes it
+DYADIC_STATE_SHA256 = "6d7c6cef5ba672bd946ce599b7db7559a0fb36fe4f801a66fda569ba260bb4d0"
+
+
 class TestCheckpointCodec:
+    def test_layout_pinned(self, tmp_path):
+        import hashlib
+
+        from hallmhd.checkpoint import read_checkpoint, write_checkpoint
+
+        g = Grid(8)
+        u, b = (SpectralField(g, c) for c in dyadic_state(8))
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.25, 0.01, 0.02, u, b)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DYADIC_STATE_SHA256
+        _, _, _, u2, b2 = read_checkpoint(path)
+        assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+        assert b2.coeffs.tobytes() == b.coeffs.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_payload_is_the_hermitian_fill(self, tmp_path, n):
+        # the file holds the full cube that oracles.full_cube extends the
+        # stored half cube to; n = 10 has an odd n/2
+        from hallmhd.checkpoint import write_checkpoint
+
+        g = Grid(n)
+        rng = np.random.default_rng(n)
+        u = leray_project(random_field(g, rng))
+        b = random_field(g, rng, zero_mean=False)
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
+        payload = np.frombuffer(path.read_bytes()[36:], dtype="<c16")
+        expect = np.stack([oracles.full_cube(u.coeffs), oracles.full_cube(b.coeffs)])
+        assert payload.tobytes() == expect.astype("<c16").tobytes()
+
     def test_round_trip_bit_exact(self, tmp_path):
+        # every bit of the half cube, the sign of its zeros included, also
+        # for a stepped state, which holds exact zeros beyond the cut, and a
+        # whistler state, whose coefficients are set directly
         from hallmhd.checkpoint import read_checkpoint, write_checkpoint
 
         g = Grid(8)
         rng = np.random.default_rng(21)
-        u = leray_project(random_field(g, rng))
-        b = leray_project(random_field(g, rng))
+        noise = [leray_project(random_field(g, rng)) for _ in "ub"]
+        grid = Grid(16)
+        cfg = RunConfig(
+            n=16, dt=1e-3, t_end=1.0, nu=0.05, mu=0.05, init={"kind": "random_band"}
+        )
+        stepped = Stepper(grid, cfg).step(
+            SolverState(0.0, *make_initial(cfg.init, grid, 2))
+        )
         path = tmp_path / "state.hmhd"
-        write_checkpoint(path, 0.375, 0.01, 0.02, u, b)
-        t, nu, mu, u2, b2 = read_checkpoint(path)
-        assert (t, nu, mu) == (0.375, 0.01, 0.02)
-        assert np.array_equal(u2.coeffs, u.coeffs)
-        assert np.array_equal(b2.coeffs, b.coeffs)
+        for u, b in (noise, (stepped.u, stepped.b), whistler_initial(grid, k=-2)):
+            write_checkpoint(path, 0.375, 0.01, 0.02, u, b)
+            t, nu, mu, u2, b2 = read_checkpoint(path)
+            assert (t, nu, mu) == (0.375, 0.01, 0.02)
+            assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+            assert b2.coeffs.tobytes() == b.coeffs.tobytes()
 
     def test_header_layout(self, tmp_path):
         from hallmhd.checkpoint import write_checkpoint

@@ -17,7 +17,7 @@ from hallmhd.fields import (
     dealias,
     divergence_error,
     grad_norm_sq,
-    hermitian_error,
+    inner_product,
     l2_norm_spectral,
     leray_project,
     lp_norm,
@@ -33,12 +33,12 @@ from hallmhd.solver import (
     abc_beltrami,
     dt_gate,
     energy,
-    hall_power,
     magnetic_helicity,
     make_initial,
     rhs,
     ORSZAG_TANG_ENERGY_COEFF,
 )
+from hallmhd.oracles import hermitian_error
 
 VOLUME = (2 * np.pi) ** 3
 
@@ -73,21 +73,23 @@ class TestRhs:
         rng = np.random.default_rng(5)
         u = dealias(leray_project(random_field(g, rng))) * 0.3
         b = dealias(leray_project(random_field(g, rng))) * 0.3
+        half = np.s_[..., : g.n // 2 + 1]
         for hall in (False, True):
             du, db = rhs(u, b, hall_on=hall)
-            du_o, db_o = oracles.rhs_direct(u, b, hall_on=hall)
+            du_o, db_o = (x[half] for x in oracles.rhs_direct(u, b, hall_on=hall))
             assert np.abs(du.coeffs - du_o).max() / np.abs(du_o).max() < 1e-10
             assert np.abs(db.coeffs - db_o).max() / np.abs(db_o).max() < 1e-10
         # a uniform b0 z_hat on top: the k = 0 mode takes part in every product
         b.coeffs[2, 0, 0, 0] = 1.5
         du, db = rhs(u, b, hall_on=True)
-        du_o, db_o = oracles.rhs_direct(u, b, hall_on=True)
+        du_o, db_o = (x[half] for x in oracles.rhs_direct(u, b, hall_on=True))
         assert np.abs(du.coeffs - du_o).max() / np.abs(du_o).max() < 1e-10
         assert np.abs(db.coeffs - db_o).max() / np.abs(db_o).max() < 1e-10
 
     def test_outputs_hermitian(self):
-        # the kz < 0 half is filled from the kz >= 0 half, which comes from
-        # real transforms; n = 10 has an odd n/2
+        # the kz = 0 and kz = n/2 planes of the half cube hold their own
+        # Hermitian partners, which the real transforms keep; n = 10 has an
+        # odd n/2
         for n in (10, 16, 32):
             g = Grid(n)
             rng = np.random.default_rng(n)
@@ -113,14 +115,16 @@ class TestRhs:
         assert divergence_error(db) < 1e-12
 
     def test_hall_term_does_no_work(self):
+        # with u = 0, db = -curl((curl b) x b), so the Hall work is -(db, b)
         g = Grid(16)
         b = dealias(leray_project(random_field(g, np.random.default_rng(3))))
         scale = l2_norm_spectral(b) ** 2
-        assert abs(hall_power(b)) <= 1e-11 * scale
+        db = rhs(zero_field(g), b)[1]
+        assert abs(inner_product(db, b)) <= 1e-11 * scale
 
 
-def full_cube_step(u0, b0, cfg):
-    """One IF-RK4 step on the full cube, from the public rhs: the reference
+def reference_step(u0, b0, cfg):
+    """One IF-RK4 step on the half cube, from the public rhs: the reference
     for Stepper.step, which works on the dealiased box.  Returns (u, b, the
     dissipation integral increment)."""
     ksq, dt = u0.grid.k_sq, cfg.dt
@@ -167,7 +171,7 @@ class TestHalfCubeStep:
         b0 = dealias(leray_project(random_field(g, rng))) * 0.5
         cfg = RunConfig(n=n, dt=1e-2, t_end=1.0, nu=0.05, mu=0.03, hall_on=hall)
         st = Stepper(g, cfg).step(SolverState(0.0, u0, b0, diss_integral=0.25))
-        u_ref, b_ref, diss_ref = full_cube_step(u0, b0, cfg)
+        u_ref, b_ref, diss_ref = reference_step(u0, b0, cfg)
         assert np.abs(st.u.coeffs - u_ref).max() <= 1e-13 * np.abs(u_ref).max()
         assert np.abs(st.b.coeffs - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
         assert st.diss_integral - 0.25 == pytest.approx(diss_ref, rel=1e-13)
@@ -175,16 +179,16 @@ class TestHalfCubeStep:
         assert hermitian_error(st.b) < 1e-14
 
     def test_step_fills_nothing_until_asked(self, monkeypatch):
-        # a stepped state holds boxes; each full cube is built on first
-        # access and kept
+        # a stepped state holds boxes; each half cube is scattered from its
+        # box on first access and kept
         calls = []
 
-        def counting_fill(grid, half):
-            calls.append(half.shape)
-            return fill(grid, half)
+        def counting_scatter(box, n):
+            calls.append(box.shape)
+            return scatter(box, n)
 
-        fill = solver._fill_from_half
-        monkeypatch.setattr(solver, "_fill_from_half", counting_fill)
+        scatter = solver._from_box
+        monkeypatch.setattr(solver, "_from_box", counting_scatter)
         cfg = RunConfig(
             n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1, init={"kind": "random_band"}
         )
@@ -192,11 +196,12 @@ class TestHalfCubeStep:
         assert st.step_count == 2
         assert calls == []
         u = st.u
-        assert calls == [(3, 16, 16, 9)]
+        assert calls == [(3, 11, 11, 6)]
+        assert u.coeffs.shape == (3, 16, 16, 9)
         b = st.b
-        assert calls == [(3, 16, 16, 9)] * 2
+        assert calls == [(3, 11, 11, 6)] * 2
         assert st.u is u and st.b is b
-        assert calls == [(3, 16, 16, 9)] * 2
+        assert calls == [(3, 11, 11, 6)] * 2
         assert not u.coeffs.flags.writeable
 
     def test_workspace_reuse(self):
@@ -304,7 +309,8 @@ class TestHalfCubeStep:
         for hall in (False, True):
             for got, expect in zip(rhs(u, b, hall), rhs(ud, bd, hall)):
                 assert np.array_equal(got.coeffs, expect.coeffs)
-        assert hall_power(b) == hall_power(bd)
+        hall_work = [inner_product(rhs(zero_field(g), x)[1], x) for x in (b, bd)]
+        assert hall_work[0] == hall_work[1]
         cfg = RunConfig(n=n, dt=1.0, t_end=1.0, nu=0.05, mu=0.03)
         cfg = RunConfig(n=n, dt=0.5 * dt_gate(ud, bd, cfg), t_end=1.0, nu=0.05, mu=0.03)
         stepper = Stepper(g, cfg)
@@ -517,7 +523,7 @@ class TestMeanField:
     def test_convergence_with_a_mean_field(self, hall):
         # random_band plus B0 = (0.3, 0, 1): fourth order from dt = 0.02, and
         # below the error and the energy-balance residual of the same IF-RK4
-        # with B0 in the explicit products (full_cube_step)
+        # with B0 in the explicit products (reference_step)
         grid, t_end = Grid(16), 0.08
         cfg0 = RunConfig(
             n=16, dt=0.02, t_end=t_end, nu=0.05, mu=0.05, hall_on=hall,
@@ -532,7 +538,7 @@ class TestMeanField:
             st, stepper = SolverState(0.0, u0, b0), Stepper(grid, cfg)
             for _ in range(round(t_end / dt)):
                 if explicit:
-                    u, b, diss = full_cube_step(st.u, st.b, cfg)
+                    u, b, diss = reference_step(st.u, st.b, cfg)
                     st = SolverState(
                         st.t + dt,
                         SpectralField(grid, u),
@@ -757,6 +763,14 @@ class TestInitialConditions:
         assert np.array_equal(u2.coeffs, u.coeffs)
         assert np.array_equal(b2.coeffs, b.coeffs)
 
+    def test_from_checkpoint_of_another_grid_named(self, tmp_path):
+        from hallmhd.checkpoint import write_checkpoint
+
+        path = tmp_path / "init.hmhd"
+        write_checkpoint(path, 0.5, 0.1, 0.1, zero_field(Grid(8)), zero_field(Grid(8)))
+        with pytest.raises(ConfigError, match="key 'init.path'.*n=8.*n=16"):
+            make_initial({"kind": "from_checkpoint", "path": str(path)}, Grid(16))
+
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="key 'init.amplitud'"):
             make_initial({"kind": "random_band", "amplitud": 2.0}, Grid(8))
@@ -801,6 +815,9 @@ BAD_VALUES = [
     ("init.eps", {"kind": "uniform_b_plus_whistler", "eps": float("-inf")}),
     ("init.path", {"kind": "from_checkpoint"}),
     ("init.path", {"kind": "from_checkpoint", "path": ""}),
+    ("init.q_lo", {"kind": "random_band", "q_lo": 4, "q_hi": 4}),
+    ("init.q_lo", {"kind": "random_band", "q_lo": 3, "q_hi": 3}),  # 2^3 > cut 5
+    ("init.k", {"kind": "uniform_b_plus_whistler", "k": 6}),
 ]
 
 
