@@ -70,7 +70,8 @@ def write_checkpoint(
 def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralField]:
     """Returns (t, nu, mu, u, b), u and b the half cubes kz >= 0 of the
     stored cubes.  The file size is checked against the header before the
-    payload is read, straight into one array that u and b are copied from."""
+    payload is read, one field at a time, into one cube buffer that each
+    half cube is copied from."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
@@ -91,11 +92,13 @@ def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralF
                 f"checkpoint parse: expected {expected} payload bytes, "
                 f"got {size - _HEADER.size}"
             )
-        data = np.empty((2, 3, n, n, n), dtype="<c16")
-        got = fh.readinto(data)
-    if got != expected:
-        raise CheckpointError(
-            f"checkpoint parse: expected {expected} payload bytes, read {got}"
-        )
-    u, b = (SpectralField(grid, f[..., : n // 2 + 1]) for f in data)
-    return float(t), float(nu), float(mu), u, b
+        cube = np.empty((3, n, n, n), dtype="<c16")
+        fields = []
+        for _ in range(2):
+            got = fh.readinto(cube)
+            if got != cube.nbytes:
+                msg = f"checkpoint parse: read {got} of a field's {cube.nbytes} bytes"
+                raise CheckpointError(msg)
+            # a strided slice (n//2 + 1 < n), so SpectralField copies it out
+            fields.append(SpectralField(grid, cube[..., : n // 2 + 1]))
+    return float(t), float(nu), float(mu), *fields

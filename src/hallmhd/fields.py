@@ -407,24 +407,6 @@ def curl(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, _curl(f.grid.dvec, f.coeffs))
 
 
-def divergence(f: SpectralField) -> SpectralField:
-    if f.ncomp != 3:
-        raise DimensionError("divergence needs a 3-component field")
-    dx, dy, dz = f.grid.dvec
-    out = 1j * (dx * f.coeffs[0] + dy * f.coeffs[1] + dz * f.coeffs[2])
-    return SpectralField(f.grid, out[None])
-
-
-def gradient(f: SpectralField) -> SpectralField:
-    """Full gradient: ncomp -> 3*ncomp, component order d_j f_i at 3*i + j."""
-    dx, dy, dz = f.grid.dvec
-    parts = []
-    for i in range(f.ncomp):
-        c = f.coeffs[i]
-        parts += [1j * dx * c, 1j * dy * c, 1j * dz * c]
-    return SpectralField(f.grid, np.stack(parts))
-
-
 def _leray(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
     """coeffs - k (k.coeffs)/|k|^2 for broadcastable wavevectors and 1/|k|^2
     (0 at k = 0, which is left untouched) on the half cube or the box,
@@ -449,10 +431,6 @@ def leray_project(f: SpectralField) -> SpectralField:
     g = f.grid
     out = _zero_nyquist(_leray(g.kvec, g.inv_k_sq, f.coeffs))
     return SpectralField(g, out)
-
-
-def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
 def _vector_potential(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -4,7 +4,10 @@ The partition is the family {chi, phi_q}: a smooth radial cutoff chi with
 chi(r) = 1 for r <= 3/4, chi(r) = 0 for r >= 1, and the annular bumps
 phi(r) = chi(r/2) - chi(r), phi_q(r) = phi(r / 2^q) for q >= 0, phi_{-1} = chi.
 Shell projections act as Fourier multipliers (the physical kernels are never
-materialized).
+materialized).  Each phi_q depends on |k| alone, and |k|^2 is an integer on
+the grid, so phi_q is kept as a radial table over |k|^2 = 0..max|k|^2 and
+gathered onto the array a projection or a norm reads: the half cube, or the
+box that a sup norm inverts.
 
 The shell sup norms ||Delta_q f||_inf are read from samples, one inverse
 transform per shell, each on the smallest box |kx|, |ky|, kz <= c that holds
@@ -55,17 +58,20 @@ def smooth_bridge_profile(r):
 
 
 class LPPartition:
-    """Multiplier family sampled on the grid's half cube; built via
-    build_partition."""
+    """The multiplier family phi_q, q = -1..q_max, as radial tables: row
+    q + 1 of `radial` holds phi_q(sqrt(j)) for j = 0..max|k|^2, and _mult
+    gathers a row onto the half cube, or onto any array of integer |k|^2.
+    Built via build_partition."""
 
-    def __init__(self, grid: Grid, multipliers: np.ndarray):
+    def __init__(self, grid: Grid, radial: np.ndarray):
         self.grid = grid
-        self.multipliers = multipliers  # index q+1 -> phi_q(|k|), q = -1..q_max
-        self.q_max = multipliers.shape[0] - 2
+        self._radial = radial
+        self.q_max = radial.shape[0] - 2
+        # |k|^2 on the half cube as the gather index of the radial tables
+        self._k_sq = grid.k_sq.astype(np.intp)
         # phi_q depends on |k| alone, and the half cube holds every |k|
         kmag = grid.k_mag
-        self._sq = multipliers**2
-        err = np.abs(multipliers.sum(axis=0) - 1.0)
+        err = np.take(np.abs(radial.sum(axis=0) - 1.0), self._k_sq)
         bad = err > UNITY_TOL
         if not bad.any():
             self.unity_radius = float(kmag.max())
@@ -80,17 +86,21 @@ class LPPartition:
         self._k_inf = np.maximum(
             np.maximum.outer(k, k)[..., None], k[: grid.n // 2 + 1]
         ).astype(np.int16)
-        self._shell_cuts = [self._support_cut(m) for m in multipliers]
+        self._shell_cuts = [
+            self._support_cut(self._mult(q)) for q in self.shell_range()
+        ]
 
     # -- projections ------------------------------------------------------
 
     def shell_range(self) -> range:
         return range(-1, self.q_max + 1)
 
-    def _mult(self, q: int) -> np.ndarray:
+    def _mult(self, q: int, k_sq: np.ndarray | None = None) -> np.ndarray:
+        """phi_q gathered onto the integer |k|^2 of `k_sq`, by default the
+        half cube's."""
         if not -1 <= q <= self.q_max:
             raise ValueError(f"shell index {q} outside [-1, {self.q_max}]")
-        return self.multipliers[q + 1]
+        return np.take(self._radial[q + 1], self._k_sq if k_sq is None else k_sq)
 
     def _check_grid(self, f: SpectralField) -> None:
         if f.grid.n != self.grid.n:
@@ -119,7 +129,8 @@ class LPPartition:
         self._check_grid(f)
         power = np.sum(np.abs(f.coeffs) ** 2, axis=0)
         vol = (2.0 * np.pi) ** 3
-        return np.array([vol * _hermitian_sum(sq * power) for sq in self._sq])
+        squares = (self._mult(q) ** 2 for q in self.shell_range())
+        return np.array([vol * _hermitian_sum(sq * power) for sq in squares])
 
     def shell_linf(self, f: SpectralField) -> np.ndarray:
         """max_x |Delta_q f(x)| per shell on the collocation grid, equal bit for
@@ -138,9 +149,9 @@ class LPPartition:
         for q in self.shell_range():
             cut = min(self._shell_cuts[q + 1], support)
             if cut >= n // 2:
-                block = f.coeffs * self.multipliers[q + 1]
+                block = f.coeffs * self._mult(q)
             else:
-                block = _to_box(f.coeffs, cut) * _to_box(self.multipliers[q + 1], cut)
+                block = _to_box(f.coeffs, cut) * self._mult(q, _to_box(self._k_sq, cut))
             if block.any():
                 out[q + 1] = _sup_magnitude(_half_to_physical(block, n))
         return out
@@ -151,11 +162,10 @@ def build_partition(grid: Grid) -> LPPartition:
     the grid and verify partition of unity."""
     chi = smooth_bridge_profile
     # each multiplier is evaluated once per integer |k|^2 up to the largest,
-    # at r = sqrt(|k|^2), the value grid.k_mag holds, then gathered
-    k_sq = grid.k_sq.astype(np.intp)
-    r = np.sqrt(np.arange(k_sq.max() + 1))
+    # at r = sqrt(|k|^2), the value grid.k_mag holds
+    r = np.sqrt(np.arange(int(grid.k_sq.max()) + 1))
     on_grid = np.zeros(r.size, dtype=bool)
-    on_grid[k_sq] = True
+    on_grid[grid.k_sq.astype(np.intp)] = True
     k_top = float(r[-1])
     q_cap = int(np.ceil(np.log2(max(k_top, 1.0)))) + 1
     radial = [chi(r)]
@@ -164,7 +174,7 @@ def build_partition(grid: Grid) -> LPPartition:
         radial.append(chi(r / (2.0 * lam)) - chi(r / lam))
     while len(radial) > 1 and not np.any(radial[-1][on_grid] > 0.0):
         radial.pop()
-    part = LPPartition(grid, np.take(np.array(radial), k_sq, axis=1))
+    part = LPPartition(grid, np.array(radial))
     if part.unity_error > UNITY_TOL:
         raise PartitionError(
             f"partition of unity fails at {part.unity_error:.3e} within radius"

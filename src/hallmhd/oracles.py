@@ -3,7 +3,8 @@
 Everything here is deliberately independent of the FFT code paths in
 fields.py: transforms are direct O(n^6) summations, convolutions are explicit
 integer-triad sums with no aliasing, and the Leray projection is a dense
-k-loop.  Guarded to n <= 8.
+k-loop.  Guarded to n <= 8.  The reference calculus (divergence, gradient,
+dealias) is the plain spectral multipliers on the half cube, at any n.
 
 The package stores real fields as the half cube kz >= 0.  The references
 work on the full cube, which full_cube extends a half cube to, one mode at
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import SpectralField, TWO_PI
+from .fields import DimensionError, SpectralField, TWO_PI
 
 MAX_N = 8
 
@@ -47,6 +48,28 @@ def hermitian_error(f: SpectralField) -> float:
     planes = f.coeffs[..., [0, -1]]
     flipped = np.roll(planes[:, ::-1, ::-1], 1, axis=(1, 2))
     return float(np.abs(flipped - np.conj(planes)).max() / scale) if scale else 0.0
+
+
+def divergence(f: SpectralField) -> SpectralField:
+    if f.ncomp != 3:
+        raise DimensionError("divergence needs a 3-component field")
+    dx, dy, dz = f.grid.dvec
+    out = 1j * (dx * f.coeffs[0] + dy * f.coeffs[1] + dz * f.coeffs[2])
+    return SpectralField(f.grid, out[None])
+
+
+def gradient(f: SpectralField) -> SpectralField:
+    """Full gradient: ncomp -> 3*ncomp, component order d_j f_i at 3*i + j."""
+    dx, dy, dz = f.grid.dvec
+    parts = []
+    for i in range(f.ncomp):
+        c = f.coeffs[i]
+        parts += [1j * dx * c, 1j * dy * c, 1j * dz * c]
+    return SpectralField(f.grid, np.stack(parts))
+
+
+def dealias(f: SpectralField) -> SpectralField:
+    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
 def dft_direct(samples: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from hallmhd.fields import (
     SpectralField,
     curl,
     from_physical,
-    gradient,
     l2_norm_spectral,
     leray_project,
     lp_norm,
@@ -27,6 +26,7 @@ from hallmhd.littlewood_paley import (
     dealias_limited_q_max,
     smooth_bridge_profile,
 )
+from hallmhd.oracles import gradient
 from hallmhd.solver import SolverState, Stepper, make_initial, whistler_initial
 
 # frozen from the profile: the bridge g is symmetric about s = 1/2,
@@ -102,12 +102,21 @@ class TestPartition:
     def test_supports_are_dyadic_annuli(self, part32):
         kmag = part32.grid.k_mag
         for q in range(0, part32.q_max + 1):
-            mult = part32.multipliers[q + 1]
+            mult = part32._mult(q)
             active = mult > 0
             if not active.any():
                 continue
             assert kmag[active].min() > 0.75 * 2**q
             assert kmag[active].max() < 2.0 ** (q + 1)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_holds_no_per_shell_half_cube(self, n):
+        # the multipliers are kept as radial tables over |k|^2 and gathered
+        # on demand, so the partition's arrays come to a few bytes per
+        # half-cube entry (the |k|^2 index and _k_inf), whatever q_max is
+        part = build_partition(Grid(n))
+        held = sum(v.nbytes for v in vars(part).values() if isinstance(v, np.ndarray))
+        assert held <= 24 * n * n * (n // 2 + 1)
 
     def test_q_max_matches_resolution(self):
         assert build_partition(Grid(8)).q_max == 3
@@ -133,7 +142,8 @@ class TestPartition:
             chi(kmag / (2.0 * 2.0**q)) - chi(kmag / 2.0**q)
             for q in range(part.q_max + 2)
         ]
-        assert np.array_equal(part.multipliers, np.array(expect[:-1]))
+        mults = [part._mult(q) for q in part.shell_range()]
+        assert np.array_equal(np.array(mults), np.array(expect[:-1]))
         assert not np.any(expect[-1] > 0.0)
 
     def test_grid_mismatch_named(self, part32):
@@ -396,7 +406,7 @@ class TestSobolev:
         kmag = part32.grid.k_mag
         nonzero = kmag > 0
         sym = sum(
-            lambda_q(q) ** (2 * s) * part32.multipliers[q + 1] ** 2
+            lambda_q(q) ** (2 * s) * part32._mult(q) ** 2
             for q in part32.shell_range()
         )
         sym = sym[nonzero] / kmag[nonzero] ** (2 * s)
@@ -474,6 +484,29 @@ class TestCheckpointCodec:
         write_checkpoint(path, 0.25, 0.01, 0.02, u, b)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == DYADIC_STATE_SHA256
         _, _, _, u2, b2 = read_checkpoint(path)
+        assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+        assert b2.coeffs.tobytes() == b.coeffs.tobytes()
+
+    def test_read_peaks_near_file_size(self, tmp_path):
+        # the payload is read one field at a time into one reused cube, so a
+        # read holds that cube and the two half cubes it returns, about the
+        # file size, not the whole payload on top of them
+        import tracemalloc
+
+        from hallmhd.checkpoint import read_checkpoint, write_checkpoint
+
+        g = Grid(32)
+        rng = np.random.default_rng(4)
+        u, b = random_field(g, rng), random_field(g, rng, zero_mean=False)
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
+        tracemalloc.start()
+        try:
+            _, _, _, u2, b2 = read_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * path.stat().st_size
         assert u2.coeffs.tobytes() == u.coeffs.tobytes()
         assert b2.coeffs.tobytes() == b.coeffs.tobytes()
 

@@ -14,7 +14,6 @@ from hallmhd.fields import (
     SpectralField,
     _leray,
     curl,
-    dealias,
     divergence_error,
     grad_norm_sq,
     inner_product,
@@ -38,7 +37,7 @@ from hallmhd.solver import (
     rhs,
     ORSZAG_TANG_ENERGY_COEFF,
 )
-from hallmhd.oracles import hermitian_error
+from hallmhd.oracles import dealias, hermitian_error
 
 VOLUME = (2 * np.pi) ** 3
 
