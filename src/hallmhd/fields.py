@@ -99,8 +99,7 @@ class Grid:
 
     @cached_property
     def k_sq(self) -> np.ndarray:
-        kx, ky, kz = self.kvec
-        return kx**2 + ky**2 + kz**2
+        return _norm_sq(self.kvec)
 
     @cached_property
     def inv_k_sq(self) -> np.ndarray:
@@ -121,18 +120,9 @@ class Grid:
         kz <= dealias_cut, where the solver steps.  The box holds no n/2
         index, so its derivative wavenumbers are its wavevectors."""
         c = self.dealias_cut
-        k1 = self.k1[_box_rows(self.n, c)]
-        kx, ky, kz = k1.reshape(-1, 1, 1), k1.reshape(1, -1, 1), np.arange(c + 1.0)
-        k_sq = kx**2 + ky**2 + kz**2
-        return (kx, ky, kz), k_sq, _reciprocal(k_sq), np.sqrt(k_sq) <= c
-
-    @cached_property
-    def x1(self) -> np.ndarray:
-        return np.arange(self.n) * (TWO_PI / self.n)
-
-    def mesh(self):
-        """Physical coordinate arrays (x, y, z), each shape (n, n, n)."""
-        return np.meshgrid(self.x1, self.x1, self.x1, indexing="ij")
+        kvec = _box_axes(self.k1, c)
+        k_sq = _norm_sq(kvec)
+        return kvec, k_sq, _reciprocal(k_sq), np.sqrt(k_sq) <= c
 
 
 def _half_cube_axes(k1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -140,6 +130,19 @@ def _half_cube_axes(k1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     axes of the half cube."""
     n = k1.size
     return k1.reshape(n, 1, 1), k1.reshape(1, n, 1), k1[: n // 2 + 1].reshape(1, 1, -1)
+
+
+def _box_axes(k1: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Broadcastable x, y and kz axes of the box of `cut`, from the per-axis
+    wavenumbers k1 in FFT order."""
+    k = k1[_box_rows(k1.size, cut)]
+    return k.reshape(-1, 1, 1), k.reshape(1, -1, 1), np.arange(cut + 1.0)
+
+
+def _norm_sq(kvec) -> np.ndarray:
+    """|k|^2 of broadcastable wavevector axes."""
+    kx, ky, kz = kvec
+    return kx**2 + ky**2 + kz**2
 
 
 def _reciprocal(k_sq: np.ndarray) -> np.ndarray:
@@ -475,11 +478,17 @@ def _hermitian_sum(p: np.ndarray) -> float:
     is not stored, except the half cube's kz = n/2 plane, which holds its
     own partners and, like kz = 0, counts once.  The parity of the x extent
     tells the two apart: Grid makes n even, and a box is always odd."""
+    return float(np.sum(p @ _multiplicity(p), dtype=np.float64))
+
+
+def _multiplicity(p: np.ndarray) -> np.ndarray:
+    """The Hermitian multiplicity of each kz plane of a half cube or box p,
+    as _hermitian_sum counts them."""
     multiplicity = np.full(p.shape[-1], 2.0)
     multiplicity[0] = 1.0
     if p.shape[-3] % 2 == 0:
         multiplicity[-1] = 1.0
-    return float(np.sum(p @ multiplicity, dtype=np.float64))
+    return multiplicity
 
 
 def _parseval(coeffs: np.ndarray, weight: np.ndarray | None = None) -> float:
@@ -549,21 +558,39 @@ def random_field(
 ) -> SpectralField:
     """Gaussian Hermitian field, band-limited to k_lo <= |k| <= k_hi.
 
-    Built by transforming white physical noise, so Hermitian symmetry is exact.
-    Nyquist planes are always removed.  The band mask and the Leray
-    projection are applied to the transformed half cube in place.
+    The coefficients are drawn directly as i.i.d. complex Gaussians with
+    E|c(k)|^2 = 1/n^3, the law of the coefficients of unit white noise on
+    the n^3 grid, so no noise is sampled and nothing is transformed.  They
+    are drawn on the smallest array that holds the band: the box of cut
+    min(floor(k_hi), n/2 - 1), which is the half cube without its n/2
+    planes when k_hi is None or k_hi >= n/2 - 1.  The kz = 0 plane holds
+    its own Hermitian partners, so there the drawn a(k) become
+    (a(k) + conj a(-k)) / sqrt(2): exactly Hermitian, of the same variance,
+    and real at the self-conjugate k = 0.  The band mask, the zero mean and
+    the Leray projection are applied on the box, and it is scattered into
+    the half cube once, with the n/2 planes left zero.
+
+    A seed gives another field than the former draw, which transformed n^3
+    white physical noise, but one of the same law.
     """
-    f = from_physical(rng.standard_normal((ncomp, grid.n, grid.n, grid.n)), grid)
-    mask = np.ones(grid.k_mag.shape, dtype=bool)
-    if k_lo > 0.0:
-        mask &= grid.k_mag >= k_lo
+    if solenoidal and ncomp != 3:
+        raise DimensionError("a solenoidal random field needs 3 components")
+    n = grid.n
+    cut = n // 2 - 1
     if k_hi is not None:
-        mask &= grid.k_mag <= k_hi
-    coeffs = _zero_nyquist(np.multiply(f.coeffs, mask, out=f.coeffs))
+        cut = int(min(max(k_hi, 0), cut))
+    kvec = _box_axes(grid.k1, cut)
+    k_sq = _norm_sq(kvec)
+    draw = rng.standard_normal((ncomp,) + k_sq.shape + (2,))
+    coeffs = draw.view(np.complex128)[..., 0]
+    coeffs *= np.sqrt(0.5 / n**3)
+    plane = coeffs[..., 0]
+    plane += np.conj(np.roll(plane[:, ::-1, ::-1], 1, axis=(1, 2)))
+    plane *= np.sqrt(0.5)
+    k_mag = np.sqrt(k_sq)
+    coeffs *= (k_lo <= k_mag) & (k_mag <= (np.inf if k_hi is None else k_hi))
     if zero_mean:
         coeffs[:, 0, 0, 0] = 0.0
     if solenoidal:
-        if ncomp != 3:
-            raise DimensionError("a solenoidal random field needs 3 components")
-        _zero_nyquist(_leray(grid.kvec, grid.inv_k_sq, coeffs, out=coeffs))
-    return f
+        _leray(kvec, _reciprocal(k_sq), coeffs, out=coeffs)
+    return SpectralField(grid, _from_box(coeffs, n))

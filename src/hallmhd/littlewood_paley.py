@@ -29,8 +29,9 @@ from .fields import (
     DimensionError,
     Grid,
     SpectralField,
+    VOLUME,
     _half_to_physical,
-    _hermitian_sum,
+    _multiplicity,
     _sup_magnitude,
     _to_box,
 )
@@ -124,13 +125,17 @@ class LPPartition:
     # -- norms --------------------------------------------------------------
 
     def shell_l2_sq(self, f: SpectralField) -> np.ndarray:
-        """(2*pi)^3 sum_k phi_q^2 |coeff|^2 per shell, the ||Delta_q f||_2^2,
-        summed on the half cube."""
+        """(2*pi)^3 sum_k phi_q^2 |coeff|^2 per shell, the ||Delta_q f||_2^2.
+        The power, each kz plane weighted by its Hermitian multiplicity, is
+        binned once by integer |k|^2 on the half cube; shell q is then the
+        dot product of the square of its radial table with the bins."""
         self._check_grid(f)
         power = np.sum(np.abs(f.coeffs) ** 2, axis=0)
-        vol = (2.0 * np.pi) ** 3
-        squares = (self._mult(q) ** 2 for q in self.shell_range())
-        return np.array([vol * _hermitian_sum(sq * power) for sq in squares])
+        power *= _multiplicity(power)
+        binned = np.bincount(
+            self._k_sq.ravel(), weights=power.ravel(), minlength=self._radial.shape[1]
+        )
+        return VOLUME * (self._radial**2 @ binned)
 
     def shell_linf(self, f: SpectralField) -> np.ndarray:
         """max_x |Delta_q f(x)| per shell on the collocation grid, equal bit for

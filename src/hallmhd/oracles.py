@@ -72,6 +72,13 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
 
 
+def mesh(grid) -> list[np.ndarray]:
+    """Physical coordinate arrays (x, y, z) of the grid's collocation
+    points, each shape (n, n, n)."""
+    x = np.arange(grid.n) * (TWO_PI / grid.n)
+    return np.meshgrid(x, x, x, indexing="ij")
+
+
 def dft_direct(samples: np.ndarray) -> np.ndarray:
     """coeff(k) = (1/n^3) sum_x f(x) exp(-i k.x), one explicit sum per k."""
     s = np.asarray(samples, dtype=np.float64)

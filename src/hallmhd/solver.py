@@ -77,7 +77,6 @@ from .fields import (
     _to_box,
     _vector_potential,
     divergence_error,
-    from_physical,
     l2_norm_spectral,
     random_field,
     zero_field,
@@ -585,16 +584,34 @@ def magnetic_helicity(b: SpectralField) -> float:
 # -- initial conditions ----------------------------------------------------------------
 
 
+# the coefficients of exp(i k.x) in cos(k.x) and sin(k.x)
+_COS, _SIN = 0.5, -0.5j
+_X, _Y, _Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+def _trig_field(grid: Grid, terms, amplitude: float) -> SpectralField:
+    """The real vector field of a few cosines and sines, its coefficients
+    set directly: each term (i, k, a) puts amplitude * a at the wavevector k
+    (kz >= 0, k != 0) of component i and, on the kz = 0 plane, which holds
+    its own partners, the conjugate at -k.  a is _COS or _SIN times a real
+    factor."""
+    f = zero_field(grid)
+    n = grid.n
+    for i, (kx, ky, kz), a in terms:
+        f.coeffs[i, kx % n, ky % n, kz] += amplitude * a
+        if kz == 0:
+            f.coeffs[i, -kx % n, -ky % n, 0] += np.conj(amplitude * a)
+    return f
+
+
 def abc_beltrami(grid: Grid, amplitude: float = 1.0) -> SpectralField:
     """u = A (sin z + cos y, sin x + cos z, sin y + cos x); curl u = u."""
-    x, y, z = grid.mesh()
-    return from_physical(
-        amplitude
-        * np.stack(
-            [np.sin(z) + np.cos(y), np.sin(x) + np.cos(z), np.sin(y) + np.cos(x)]
-        ),
-        grid,
-    )
+    terms = [
+        (0, _Z, _SIN), (0, _Y, _COS),
+        (1, _X, _SIN), (1, _Z, _COS),
+        (2, _Y, _SIN), (2, _X, _COS),
+    ]
+    return _trig_field(grid, terms, amplitude)
 
 
 # frozen closed form: E(0) = (1/2)(4 u0^2 + 6 b0^2)(2 pi)^3 with b0 = 0.8 u0
@@ -602,25 +619,15 @@ ORSZAG_TANG_ENERGY_COEFF = 3.92  # (1/2)(4 + 6 * 0.64)
 
 
 def orszag_tang_3d(grid: Grid, amplitude: float = 1.0):
-    """3D Orszag-Tang-type vortex: velocity (-2 sin y, 2 sin x, 0) and a
-    mixed-mode magnetic field at 0.8 relative amplitude."""
-    x, y, z = grid.mesh()
-    u = from_physical(
-        amplitude * np.stack([-2 * np.sin(y), 2 * np.sin(x), np.zeros_like(x)]), grid
-    )
-    b0 = 0.8 * amplitude
-    b = from_physical(
-        b0
-        * np.stack(
-            [
-                -2 * np.sin(2 * y) + np.sin(z),
-                2 * np.sin(x) + np.sin(z),
-                np.sin(x) + np.sin(y),
-            ]
-        ),
-        grid,
-    )
-    return u, b
+    """3D Orszag-Tang-type vortex: velocity A (-2 sin y, 2 sin x, 0) and the
+    magnetic field 0.8 A (-2 sin 2y + sin z, 2 sin x + sin z, sin x + sin y)."""
+    u = _trig_field(grid, [(0, _Y, -2 * _SIN), (1, _X, 2 * _SIN)], amplitude)
+    b_terms = [
+        (0, (0, 2, 0), -2 * _SIN), (0, _Z, _SIN),
+        (1, _X, 2 * _SIN), (1, _Z, _SIN),
+        (2, _X, _SIN), (2, _Y, _SIN),
+    ]
+    return u, _trig_field(grid, b_terms, 0.8 * amplitude)
 
 
 def random_band_field(
@@ -629,7 +636,10 @@ def random_band_field(
     """Solenoidal Gaussian field with all shell energy inside [q_lo, q_hi]:
     support restricted to 2^q_lo <= |k| <= min(3/4 * 2^(q_hi+1), dealias_cut),
     scaled so the rms magnitude is `amplitude`.  The band must not be empty
-    (config.check_init_params checks it for make_initial)."""
+    (config.check_init_params checks it for make_initial).  random_field
+    draws the coefficients on the band's box and no longer transforms
+    white noise, so a seed gives another field than it did before that
+    change, with the same law."""
     k_lo = float(2**q_lo)
     k_hi = min(0.75 * 2.0 ** (q_hi + 1), float(grid.dealias_cut))
     f = random_field(grid, rng, k_lo=k_lo, k_hi=k_hi, solenoidal=True)

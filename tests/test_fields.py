@@ -33,7 +33,7 @@ from hallmhd.fields import (
     vector_potential,
     zero_field,
 )
-from hallmhd.oracles import dealias, divergence, full_cube, gradient, hermitian_error
+from hallmhd.oracles import dealias, divergence, full_cube, gradient, hermitian_error, mesh
 
 VOLUME = (2 * np.pi) ** 3
 
@@ -46,7 +46,7 @@ def white_noise(grid, seed):
 
 def abc_field(grid, amplitude=1.0):
     """u = (sin z + cos y, sin x + cos z, sin y + cos x): curl u = u."""
-    x, y, z = grid.mesh()
+    x, y, z = mesh(grid)
     u = amplitude * np.stack(
         [np.sin(z) + np.cos(y), np.sin(x) + np.cos(z), np.sin(y) + np.cos(x)]
     )
@@ -82,7 +82,7 @@ class TestGrid:
         # cos^2(cut x) = 1/2 + cos(2 cut x)/2; were 3*cut = n, the 2*cut mode
         # would fold onto the retained mode -cut with weight 1/4
         g = Grid(n)
-        x, _, _ = g.mesh()
+        x, _, _ = mesh(g)
         sq = dealias(from_physical(np.cos(g.dealias_cut * x) ** 2, g)).coeffs[0]
         assert abs(sq[0, 0, 0] - 0.5) <= 1e-14
         sq[0, 0, 0] = 0.0
@@ -105,7 +105,7 @@ class TestTransforms:
         c[0, 1, 0, 0] = 0.5
         c[0, -1, 0, 0] = 0.5
         f = SpectralField(g, c)
-        x, _, _ = g.mesh()
+        x, _, _ = mesh(g)
         assert np.abs(to_physical(f)[0] - np.cos(x)).max() < 1e-13
 
     def test_round_trip_matches_direct_dft(self):
@@ -201,7 +201,7 @@ class TestCalculus:
 
     def test_gradient_matches_direct_oracle(self):
         g = Grid(8)  # oracle cost guard
-        x, y, _ = g.mesh()
+        x, y, _ = mesh(g)
         f = from_physical(np.cos(x + 2 * y), g)
         fast = gradient(f).coeffs
         direct = oracles.gradient_direct(full_cube(f.coeffs))[..., : g.n // 2 + 1]
@@ -209,7 +209,7 @@ class TestCalculus:
 
     def test_gradient_cos_analytic(self):
         g = Grid(16)
-        x, y, _ = g.mesh()
+        x, y, _ = mesh(g)
         f = from_physical(np.cos(x + 2 * y), g)
         got = to_physical(gradient(f))
         assert np.abs(got[0] + np.sin(x + 2 * y)).max() < 1e-12
@@ -276,7 +276,7 @@ class TestNorms:
 
     def test_cosine_l2_is_parseval_exact(self):
         g = Grid(16)
-        x, _, _ = g.mesh()
+        x, _, _ = mesh(g)
         u = np.zeros((3, 16, 16, 16))
         u[0] = np.cos(x)
         f = from_physical(u, g)
@@ -284,7 +284,7 @@ class TestNorms:
 
     def test_cosine_linf_hits_max(self):
         g = Grid(16)
-        x, _, _ = g.mesh()
+        x, _, _ = mesh(g)
         f = from_physical(np.cos(x), g)
         assert lp_norm(f, np.inf) == pytest.approx(1.0, rel=1e-13)
 
@@ -345,6 +345,58 @@ class TestHermitianAndPotential:
         assert hermitian_error(f) < 1e-14
         assert hermitian_error(leray_project(f)) < 1e-14
         assert hermitian_error(vector_potential(f)) < 1e-14
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("band", [{}, {"k_hi": 3.0}, {"k_lo": 1.5, "k_hi": 5.0}])
+    def test_drawn_fields_are_hermitian_and_in_band(self, n, band):
+        # random_field draws on the box of cut min(floor(k_hi), n/2 - 1):
+        # a box inside the half cube (k_hi = 3, and k_hi = 5 at n = 16), or
+        # the whole half cube but its n/2 planes (no k_hi, and k_hi = 5 at n = 8)
+        g = Grid(n)
+        k_lo, k_hi = band.get("k_lo", 0.0), band.get("k_hi", np.inf)
+        h = n // 2
+        n2_planes = np.zeros(g.k_sq.shape, dtype=bool)
+        n2_planes[h], n2_planes[:, h], n2_planes[..., h] = True, True, True
+        outside = (g.k_mag < k_lo) | (g.k_mag > k_hi) | n2_planes
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            f = random_field(g, rng, zero_mean=False, **band)
+            assert hermitian_error(f) == 0.0
+            assert not f.coeffs[:, outside].any()
+            assert f.coeffs[:, ~outside].all()
+            f = random_field(g, rng, solenoidal=True, **band)
+            assert hermitian_error(f) == 0.0
+            assert not f.coeffs[:, outside].any()
+            assert not f.coeffs[:, 0, 0, 0].any()
+            assert divergence_error(f) <= 1e-14
+
+    @pytest.mark.parametrize("band", [{}, {"k_hi": 3.0}])
+    def test_per_mode_power_is_that_of_white_noise(self, band):
+        # the coefficients of unit white noise on the n^3 grid have
+        # E|c|^2 = 1/n^3 and, but at the self-conjugate k = 0, E c^2 = 0.
+        # Over N seeds the mean of n^3 |c|^2 has a standard error of
+        # 1/sqrt(N) per mode (sqrt(2/N) at the real k = 0), and of
+        # 1/sqrt(N m) pooled over m independent modes; each bound is 5
+        # standard errors, 6 for the largest of the per-mode ones
+        n, seeds = 8, 200
+        g = Grid(n)
+        c = np.stack([
+            random_field(g, np.random.default_rng(s), zero_mean=False, **band).coeffs
+            for s in range(seeds)
+        ]) * n**1.5
+        power, pseudo = np.mean(np.abs(c) ** 2, axis=0), np.mean(c**2, axis=0)
+        live = g.k_mag <= band.get("k_hi", np.inf)
+        live[n // 2], live[:, n // 2], live[..., n // 2] = False, False, False
+        assert not power[:, ~live].any()
+        assert np.abs(power[:, live] - 1.0).max() <= 6 * np.sqrt(2 / seeds)
+        assert not c[:, :, 0, 0, 0].imag.any()
+        kz0 = np.zeros_like(live)
+        kz0[..., 0] = True
+        # on kz = 0 the modes come in Hermitian pairs, so half are independent
+        for modes, pairs in ((live & kz0 & (g.k_sq > 0), 2), (live & ~kz0, 1)):
+            se = 1 / np.sqrt(seeds * 3 * modes.sum() / pairs)
+            assert abs(power[:, modes].mean() - 1.0) <= 5 * se
+            assert abs(pseudo[:, modes].mean()) <= 5 * np.sqrt(2) * se
 
     def test_fill_from_half_odd_half_grid(self):
         # n = 10 has an odd n/2: the full cube that the checkpoint writer

@@ -293,6 +293,27 @@ class TestBesov:
         expect[3 + 1] = 0.125
         assert np.abs(part32.shell_linf(f) - expect).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_l2_matches_per_shell_sums(self, n):
+        # white noise, n/2 planes included, and a band-limited random field;
+        # shell q summed over the half cube with phi_q from the profile on
+        # k_mag, the kz = 0 and n/2 planes counted once, those between twice
+        part = build_partition(Grid(n))
+        g = part.grid
+        chi = smooth_bridge_profile
+        weight = np.full(n // 2 + 1, 2.0)
+        weight[[0, -1]] = 1.0
+        rng = np.random.default_rng(n)
+        noise = from_physical(rng.standard_normal((3, n, n, n)), g)
+        for f in (noise, random_field(g, rng, k_lo=2.0, k_hi=g.dealias_cut)):
+            power = np.sum(np.abs(f.coeffs) ** 2, axis=0) * weight
+            got = part.shell_l2_sq(f)
+            for q in part.shell_range():
+                r = g.k_mag
+                phi = chi(r) if q < 0 else chi(r / 2 ** (q + 1)) - chi(r / 2**q)
+                expect = (2 * np.pi) ** 3 * np.sum(phi**2 * power)
+                assert got[q + 1] == pytest.approx(expect, rel=1e-14, abs=1e-14 * got.sum())
+
     def test_linf_matches_direct_summation(self):
         part = build_partition(Grid(8))
         f = random_field(part.grid, np.random.default_rng(8))

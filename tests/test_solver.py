@@ -15,6 +15,7 @@ from hallmhd.fields import (
     _leray,
     curl,
     divergence_error,
+    from_physical,
     grad_norm_sq,
     inner_product,
     l2_norm_spectral,
@@ -34,6 +35,7 @@ from hallmhd.solver import (
     energy,
     magnetic_helicity,
     make_initial,
+    orszag_tang_3d,
     rhs,
     ORSZAG_TANG_ENERGY_COEFF,
 )
@@ -732,6 +734,44 @@ class TestInitialConditions:
             assert e_total == pytest.approx(
                 ORSZAG_TANG_ENERGY_COEFF * amp**2 * VOLUME, rel=1e-12
             )
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_trig_states_match_their_sampled_formulas(self, n):
+        # abc_beltrami and orszag_tang_3d set their coefficients directly
+        g = Grid(n)
+        x, y, z = oracles.mesh(g)
+        for amp in (1.0, 0.5):
+            beltrami = [np.sin(z) + np.cos(y), np.sin(x) + np.cos(z), np.sin(y) + np.cos(x)]
+            ot_u = [-2 * np.sin(y), 2 * np.sin(x), np.zeros_like(x)]
+            ot_b = [
+                -2 * np.sin(2 * y) + np.sin(z), 2 * np.sin(x) + np.sin(z),
+                np.sin(x) + np.sin(y),
+            ]
+            u, b = orszag_tang_3d(g, amp)
+            pairs = [
+                (abc_beltrami(g, amp), amp * np.stack(beltrami)),
+                (u, amp * np.stack(ot_u)),
+                (b, 0.8 * amp * np.stack(ot_b)),
+            ]
+            for field, samples in pairs:
+                assert np.abs(field.coeffs - from_physical(samples, g).coeffs).max() <= 1e-15
+
+    def test_random_band_peaks_under_four_half_cubes(self):
+        # the band's coefficients are drawn on the box and scattered into
+        # the half cube once: no n^3 noise and no transform.  A first call
+        # loads numpy's lazily imported modules, which tracemalloc counts
+        import tracemalloc
+
+        make_initial({"kind": "random_band"}, Grid(16))
+        g = Grid(32)
+        half_cube = 3 * 32 * 32 * 17 * 16
+        tracemalloc.start()
+        try:
+            make_initial({"kind": "random_band"}, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * half_cube
 
     def test_uniform_b_plus_whistler(self):
         g = Grid(16)
