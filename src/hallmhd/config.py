@@ -1,5 +1,9 @@
 """Run configuration: physical parameters, grid, stepping, initial condition,
-output cadence.  JSON round-trippable; unknown keys are rejected."""
+output cadence.  JSON round-trippable; unknown keys are rejected.
+
+The initial-condition kinds, their parameters and defaults are declared
+once, in KNOWN_INIT_KINDS; check_init_params resolves an init spec against
+it, for RunConfig.validate and solver.make_initial alike."""
 
 from __future__ import annotations
 
@@ -16,39 +20,52 @@ class ConfigError(ValueError):
     """Invalid or unreadable run configuration."""
 
 
-# each initial-condition kind and the parameters make_initial reads for it
+# each initial-condition kind, the parameters make_initial reads for it and
+# their defaults; None marks a parameter without a default of its own:
+# random_band's b_amplitude defaults to its amplitude, and from_checkpoint
+# requires its path
 KNOWN_INIT_KINDS = {
-    "beltrami_u": {"amplitude"},
-    "beltrami_b": {"amplitude"},
-    "orszag_tang_3d": {"amplitude"},
-    "random_band": {"q_lo", "q_hi", "amplitude", "b_amplitude"},
-    "uniform_b_plus_whistler": {"b0", "eps", "k"},
-    "from_checkpoint": {"path"},
+    "beltrami_u": {"amplitude": 1.0},
+    "beltrami_b": {"amplitude": 1.0},
+    "orszag_tang_3d": {"amplitude": 1.0},
+    "random_band": {"q_lo": 2, "q_hi": 4, "amplitude": 1.0, "b_amplitude": None},
+    "uniform_b_plus_whistler": {"b0": 1.0, "eps": 1e-6, "k": 1},
+    "from_checkpoint": {"path": None},
 }
 
 
-# make_initial's shells (q_lo, q_hi) of random_band when the spec gives none
-RANDOM_BAND_SHELLS = (2, 4)
-
-
-def check_init_params(init: dict, grid: Grid) -> None:
-    """Raise ConfigError naming the first parameter of init that make_initial
-    does not read for init["kind"], a kind of KNOWN_INIT_KINDS, or whose
+def check_init_params(init: dict, grid: Grid) -> dict:
+    """Return init with the defaults of its kind in KNOWN_INIT_KINDS filled
+    in: the spec make_initial builds from.  Raise ConfigError naming
+    init.kind if it is missing or not a kind of KNOWN_INIT_KINDS, else the
+    first parameter that make_initial does not read for the kind, or whose
     value it cannot use on `grid`: q_lo, q_hi and k are integers, with
     q_lo <= q_hi and 2^q_lo <= dealias_cut (else random_band's band
     2^q_lo <= |k| <= min(3/4 2^(q_hi + 1), dealias_cut) is empty), and
     |k| <= dealias_cut (else the step drops the whistler); amplitude,
     b_amplitude, b0 and eps are finite numbers; path, which from_checkpoint
     requires, is a non-empty string."""
-    kind = init["kind"]
-    unknown = sorted(set(init) - {"kind"} - KNOWN_INIT_KINDS[kind])
+    kind = init.get("kind")
+    if not (isinstance(kind, str) and kind in KNOWN_INIT_KINDS):
+        raise ConfigError(
+            f"key 'init.kind': unknown initial-condition kind {kind!r}, "
+            f"known: {sorted(KNOWN_INIT_KINDS)}"
+        )
+    defaults = KNOWN_INIT_KINDS[kind]
+    given = {name: value for name, value in init.items() if name != "kind"}
+    unknown = sorted(set(given) - set(defaults))
     if unknown:
         raise ConfigError(
             f"key 'init.{unknown[0]}': unknown parameter for kind {kind!r}, "
-            f"allowed: {sorted(KNOWN_INIT_KINDS[kind])}"
+            f"allowed: {sorted(defaults)}"
         )
-    for name in sorted(set(init) - {"kind"}):
-        key, value = f"init.{name}", init[name]
+    if kind == "from_checkpoint" and "path" not in given:
+        raise ConfigError("key 'init.path': required for kind 'from_checkpoint'")
+    params = {**defaults, **given}
+    if kind == "random_band" and "b_amplitude" not in given:
+        params["b_amplitude"] = params["amplitude"]
+    for name in sorted(params):
+        key, value = f"init.{name}", params[name]
         if name in ("q_lo", "q_hi", "k"):
             _require(_is_int(value), key, "must be an integer", value)
         elif name == "path":
@@ -61,13 +78,10 @@ def check_init_params(init: dict, grid: Grid) -> None:
                 _is_real(value) and math.isfinite(value),
                 key, "must be a finite number", value,
             )
-    if kind == "from_checkpoint" and "path" not in init:
-        raise ConfigError("key 'init.path': required for kind 'from_checkpoint'")
     if kind == "random_band":
-        q_lo = init.get("q_lo", RANDOM_BAND_SHELLS[0])
-        q_hi = init.get("q_hi", RANDOM_BAND_SHELLS[1])
+        q_lo, q_hi = params["q_lo"], params["q_hi"]
         if q_lo > q_hi:
-            name = "q_hi" if "q_hi" in init else "q_lo"
+            name = "q_hi" if "q_hi" in given else "q_lo"
             raise ConfigError(
                 f"key 'init.{name}': needs q_lo <= q_hi, got q_lo={q_lo}, q_hi={q_hi}"
             )
@@ -76,13 +90,12 @@ def check_init_params(init: dict, grid: Grid) -> None:
                 f"key 'init.q_lo': band [{q_lo}, {q_hi}] empty under "
                 f"dealias_cut={grid.dealias_cut}: needs 2^q_lo <= dealias_cut"
             )
-    if kind == "uniform_b_plus_whistler":
-        k = init.get("k", 1)
-        if abs(k) > grid.dealias_cut:
-            raise ConfigError(
-                f"key 'init.k': whistler k={k} beyond dealias_cut="
-                f"{grid.dealias_cut}: the step keeps only |k| <= dealias_cut"
-            )
+    if kind == "uniform_b_plus_whistler" and abs(params["k"]) > grid.dealias_cut:
+        raise ConfigError(
+            f"key 'init.k': whistler k={params['k']} beyond dealias_cut="
+            f"{grid.dealias_cut}: the step keeps only |k| <= dealias_cut"
+        )
+    return {"kind": kind, **params}
 
 
 def _require(ok: bool, key: str, what: str, value) -> None:
@@ -159,13 +172,7 @@ class RunConfig:
             grid = Grid(self.n, self.dealias_cut)
         except DimensionError as exc:
             raise ConfigError(f"key 'dealias_cut': {exc}") from exc
-        if not isinstance(self.init, dict) or "kind" not in self.init:
-            raise ConfigError("key 'init': must be an object with a 'kind'")
-        kind = self.init["kind"]
-        _require(
-            isinstance(kind, str) and kind in KNOWN_INIT_KINDS,
-            "init.kind", "unknown kind", kind,
-        )
+        _require(isinstance(self.init, dict), "init", "must be an object", self.init)
         check_init_params(self.init, grid)
 
     def to_dict(self) -> dict:

@@ -50,13 +50,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import (
-    KNOWN_INIT_KINDS,
-    RANDOM_BAND_SHELLS,
-    ConfigError,
-    RunConfig,
-    check_init_params,
-)
+from .checkpoint import read_checkpoint
+from .config import ConfigError, RunConfig, check_init_params
 from .fields import (
     DimensionError,
     Grid,
@@ -176,6 +171,13 @@ class SolverState:
 # -- right-hand side -------------------------------------------------------------
 
 
+def _common_grid(u: SpectralField, b: SpectralField) -> Grid:
+    """The grid of u and b; DimensionError naming both if they differ."""
+    if u.grid != b.grid:
+        raise DimensionError(f"u is on {u.grid}, b on {b.grid}")
+    return u.grid
+
+
 def _dealiased_box(f: SpectralField) -> np.ndarray:
     """The box of f's coefficients with the modes beyond the cut zeroed."""
     _, _, _, mask = f.grid.box
@@ -277,13 +279,14 @@ def rhs(
     and b (|k| <= dealias_cut), as the 2/3 rule assumes: rhs(u, b) equals
     rhs(dealias(u), dealias(b)).  Equal to the advective form
     -P[u.grad u - b.grad b], curl(u x b) - curl((curl b) x b) for solenoidal
-    u and b, which is checked: a non-solenoidal input raises ValueError.
+    u and b, which is checked: a non-solenoidal input raises ValueError,
+    and u and b on different grids raise DimensionError.
     """
+    g = _common_grid(u, b)
     for f, name in ((u, "u"), (b, "b")):
         err = divergence_error(f)
         if err > 1e-8:
             raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
-    g = u.grid
     du, db, _ = _Kernel(g)(_dealiased_box(u), _dealiased_box(b), hall_on)
     return SpectralField(g, _from_box(du, g.n)), SpectralField(g, _from_box(db, g.n))
 
@@ -316,8 +319,9 @@ def dt_gate(
     The mean velocity is not removed from max|u|.  The maxima are taken over
     the pruned samples of the dealiased boxes of u and b, the samples a step
     gates on in its first stage, so the gate of the DtGateError a step
-    raises equals dt_gate of its state, bit for bit."""
-    g = u.grid
+    raises equals dt_gate of its state, bit for bit.  u and b on different
+    grids raise DimensionError."""
+    g = _common_grid(u, b)
     uh, bh = _dealiased_box(u), _dealiased_box(b)
     bh[:, 0, 0, 0] -= bh[:, 0, 0, 0].real
     u_max, b_max = (_sup_magnitude(_half_to_physical(x, g.n)) for x in (uh, bh))
@@ -604,7 +608,7 @@ def _trig_field(grid: Grid, terms, amplitude: float) -> SpectralField:
     return f
 
 
-def abc_beltrami(grid: Grid, amplitude: float = 1.0) -> SpectralField:
+def abc_beltrami(grid: Grid, amplitude: float) -> SpectralField:
     """u = A (sin z + cos y, sin x + cos z, sin y + cos x); curl u = u."""
     terms = [
         (0, _Z, _SIN), (0, _Y, _COS),
@@ -618,7 +622,7 @@ def abc_beltrami(grid: Grid, amplitude: float = 1.0) -> SpectralField:
 ORSZAG_TANG_ENERGY_COEFF = 3.92  # (1/2)(4 + 6 * 0.64)
 
 
-def orszag_tang_3d(grid: Grid, amplitude: float = 1.0):
+def orszag_tang_3d(grid: Grid, amplitude: float):
     """3D Orszag-Tang-type vortex: velocity A (-2 sin y, 2 sin x, 0) and the
     magnetic field 0.8 A (-2 sin 2y + sin z, 2 sin x + sin z, sin x + sin y)."""
     u = _trig_field(grid, [(0, _Y, -2 * _SIN), (1, _X, 2 * _SIN)], amplitude)
@@ -635,31 +639,32 @@ def random_band_field(
 ) -> SpectralField:
     """Solenoidal Gaussian field with all shell energy inside [q_lo, q_hi]:
     support restricted to 2^q_lo <= |k| <= min(3/4 * 2^(q_hi+1), dealias_cut),
-    scaled so the rms magnitude is `amplitude`.  The band must not be empty
-    (config.check_init_params checks it for make_initial).  random_field
-    draws the coefficients on the band's box and no longer transforms
-    white noise, so a seed gives another field than it did before that
-    change, with the same law."""
+    scaled so the rms magnitude is `amplitude`.  The band must not be empty:
+    make_initial passes the shells that config.check_init_params has
+    checked, or the defaults of config.KNOWN_INIT_KINDS.  random_field
+    draws the coefficients on the band's box, not by transforming white
+    noise."""
     k_lo = float(2**q_lo)
     k_hi = min(0.75 * 2.0 ** (q_hi + 1), float(grid.dealias_cut))
     f = random_field(grid, rng, k_lo=k_lo, k_hi=k_hi, solenoidal=True)
     # Parseval: the collocation L^2 norm without a transform
     rms = l2_norm_spectral(f) / (2 * np.pi) ** 1.5
     if rms > 0:
-        f = f * (amplitude / rms)
+        f.coeffs *= amplitude / rms
     return f
 
 
 def whistler_initial(
-    grid: Grid, b0: float = 1.0, eps: float = 1e-6, k: int = 1
+    grid: Grid, b0: float, eps: float, k: int
 ) -> tuple[SpectralField, SpectralField]:
     """Uniform b0 z_hat plus a circularly polarized transverse perturbation
     cos(k z) x_hat - sin(k z) y_hat at amplitude eps; u starts at zero.
     Its coefficients are set directly, b0 at k = 0 and, on the half cube,
     eps/2 and sign(k) i eps/2 at kz = |k| (eps for k = 0, which leaves
     eps x_hat).  |k| must lie within the dealias cut, or the first step
-    would drop the perturbation (config.check_init_params checks it for
-    make_initial)."""
+    would drop the perturbation: make_initial passes the parameters that
+    config.check_init_params has checked, or the defaults of
+    config.KNOWN_INIT_KINDS."""
     b = zero_field(grid)
     c = b.coeffs
     c[2, 0, 0, 0] = b0
@@ -671,49 +676,34 @@ def whistler_initial(
 def make_initial(
     init_spec: dict, grid: Grid, seed: int = 0
 ) -> tuple[SpectralField, SpectralField]:
-    """Build (u0, b0) from an init spec dict; see config.KNOWN_INIT_KINDS.
-    A parameter the kind does not read, or a value it cannot use, raises
-    ConfigError naming it (see config.check_init_params).
+    """Build (u0, b0) from an init spec dict: its kind and parameters, with
+    the defaults of config.KNOWN_INIT_KINDS filled in by
+    config.check_init_params, which raises ConfigError naming an unknown or
+    missing kind, a parameter the kind does not read, or a value it cannot
+    use.
 
     A checkpoint is returned as stored.  One written under a larger dealias
     cut may hold modes beyond this grid's cut, which Stepper drops on the
     first step (it steps the dealiased part)."""
-    kind = init_spec.get("kind")
-    if isinstance(kind, str) and kind in KNOWN_INIT_KINDS:
-        check_init_params(init_spec, grid)
-    params = {k: v for k, v in init_spec.items() if k != "kind"}
+    p = check_init_params(init_spec, grid)
+    kind = p["kind"]
     if kind == "beltrami_u":
-        u = abc_beltrami(grid, params.get("amplitude", 1.0))
-        return u, zero_field(grid)
+        return abc_beltrami(grid, p["amplitude"]), zero_field(grid)
     if kind == "beltrami_b":
-        b = abc_beltrami(grid, params.get("amplitude", 1.0))
-        return zero_field(grid), b
+        return zero_field(grid), abc_beltrami(grid, p["amplitude"])
     if kind == "orszag_tang_3d":
-        return orszag_tang_3d(grid, params.get("amplitude", 1.0))
+        return orszag_tang_3d(grid, p["amplitude"])
     if kind == "random_band":
         rng = np.random.default_rng(seed)
-        q_lo = params.get("q_lo", RANDOM_BAND_SHELLS[0])
-        q_hi = params.get("q_hi", RANDOM_BAND_SHELLS[1])
-        amp = float(params.get("amplitude", 1.0))
-        b_amp = float(params.get("b_amplitude", amp))
-        u = random_band_field(grid, q_lo, q_hi, amp, rng)
-        b = random_band_field(grid, q_lo, q_hi, b_amp, rng)
+        u = random_band_field(grid, p["q_lo"], p["q_hi"], p["amplitude"], rng)
+        b = random_band_field(grid, p["q_lo"], p["q_hi"], p["b_amplitude"], rng)
         return u, b
     if kind == "uniform_b_plus_whistler":
-        return whistler_initial(
-            grid,
-            b0=float(params.get("b0", 1.0)),
-            eps=float(params.get("eps", 1e-6)),
-            k=params.get("k", 1),
+        return whistler_initial(grid, p["b0"], p["eps"], p["k"])
+    _, _, _, u, b = read_checkpoint(p["path"])  # from_checkpoint
+    if u.grid.n != grid.n:
+        raise ConfigError(
+            f"key 'init.path': checkpoint grid n={u.grid.n} does not match "
+            f"config n={grid.n}"
         )
-    if kind == "from_checkpoint":
-        from .checkpoint import read_checkpoint
-
-        _, _, _, u, b = read_checkpoint(params["path"])
-        if u.grid.n != grid.n:
-            raise ConfigError(
-                f"key 'init.path': checkpoint grid n={u.grid.n} does not match "
-                f"config n={grid.n}"
-            )
-        return u, b
-    raise ValueError(f"unknown initial-condition kind {kind!r}")
+    return u, b

@@ -356,7 +356,7 @@ class TestShellLinfBoxes:
             assert np.array_equal(part.shell_linf(f), linf_per_block(part, f))
 
     def test_whistler_support_cut_one(self, part32):
-        _, b = whistler_initial(part32.grid)
+        _, b = whistler_initial(part32.grid, 1.0, 1e-6, 1)
         got = part32.shell_linf(b)
         assert np.array_equal(got, linf_per_block(part32, b))
         assert got[0] > 0.0 and got[1] > 0.0 and not got[2:].any()
@@ -564,7 +564,7 @@ class TestCheckpointCodec:
             SolverState(0.0, *make_initial(cfg.init, grid, 2))
         )
         path = tmp_path / "state.hmhd"
-        for u, b in (noise, (stepped.u, stepped.b), whistler_initial(grid, k=-2)):
+        for u, b in (noise, (stepped.u, stepped.b), whistler_initial(grid, 1.0, 1e-6, -2)):
             write_checkpoint(path, 0.375, 0.01, 0.02, u, b)
             t, nu, mu, u2, b2 = read_checkpoint(path)
             assert (t, nu, mu) == (0.375, 0.01, 0.02)

@@ -64,10 +64,15 @@ class TestRhs:
     def test_beltrami_b_annihilates(self):
         # Lorentz term projects to zero, Hall term is b x b = 0
         g = Grid(16)
-        b = abc_beltrami(g)
+        b = abc_beltrami(g, 1.0)
         du, db = rhs(zero_field(g), b, hall_on=True)
         assert np.abs(du.coeffs).max() <= 1e-11
         assert np.abs(db.coeffs).max() <= 1e-11
+
+    def test_mixed_grids_rejected(self):
+        u, b = abc_beltrami(Grid(16), 1.0), abc_beltrami(Grid(32), 1.0)
+        with pytest.raises(DimensionError, match="u is on .*n=16.*b on .*n=32"):
+            rhs(u, b)
 
     def test_matches_convolution_oracle(self):
         g = Grid(8)
@@ -365,38 +370,8 @@ class TestWhistler:
     def test_frequency_matches_linearized_eigensystem(self):
         # circularly polarized perturbation about uniform B0 z_hat; the init
         # excites the minus-polarization at wavevector +k
-        n, b0, k, nu = 32, 1.0, 1, 1e-3
-        cfg = RunConfig(
-            n=n, dt=5e-3, t_end=0.75, nu=nu, mu=nu,
-            init={"kind": "uniform_b_plus_whistler", "b0": b0, "eps": 1e-6, "k": k},
-        )
-        grid = Grid(n)
-        u0, bb0 = make_initial(cfg.init, grid, 0)
-        st = SolverState(0.0, u0, bb0)
-        stepper = Stepper(grid, cfg)
-        mat = oracles.whistler_matrix(k, b0, nu, nu)["-"]
-        evals, evecs = np.linalg.eig(mat)
-
-        def minus_coords(state):
-            uu = state.u.coeffs[:, 0, 0, k]
-            bb = state.b.coeffs[:, 0, 0, k]
-            vec = np.array(
-                [(uu[0] - 1j * uu[1]) / np.sqrt(2), (bb[0] - 1j * bb[1]) / np.sqrt(2)]
-            )
-            return np.linalg.solve(evecs, vec)
-
-        ts, coords = [], []
-        for _ in range(150):
-            ts.append(st.t)
-            coords.append(minus_coords(st))
-            st = stepper.step(st)
-        ts = np.array(ts)
-        coords = np.array(coords)
-        for i in range(2):
-            phase = np.unwrap(np.angle(coords[:, i]))
-            slope = np.polyfit(ts, phase, 1)[0]
-            oracle_freq = abs(evals[i].imag)
-            assert abs(abs(slope) - oracle_freq) / oracle_freq < 0.01
+        for err in whistler_frequency_errors(32, 5e-3, 149, True):
+            assert err < 0.01
 
 
 def whistler_frequency_errors(n, dt, n_steps, hall):
@@ -615,6 +590,14 @@ class TestIdealInvariants:
 
 
 class TestGateAndBlowUp:
+    def test_gate_of_mixed_grids_rejected(self):
+        # b's box would be padded into the rows of u's smaller grid
+        cfg = RunConfig(n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1)
+        u, _ = make_initial({"kind": "random_band"}, Grid(16), 0)
+        _, b = make_initial({"kind": "random_band"}, Grid(32), 0)
+        with pytest.raises(DimensionError, match="n=16.*n=32"):
+            dt_gate(u, b, cfg)
+
     def test_gate_formula(self):
         g = Grid(16)
         u = abc_beltrami(g, 2.0)
@@ -756,10 +739,11 @@ class TestInitialConditions:
             for field, samples in pairs:
                 assert np.abs(field.coeffs - from_physical(samples, g).coeffs).max() <= 1e-15
 
-    def test_random_band_peaks_under_four_half_cubes(self):
+    def test_random_band_peaks_under_three_half_cubes(self):
         # the band's coefficients are drawn on the box and scattered into
-        # the half cube once: no n^3 noise and no transform.  A first call
-        # loads numpy's lazily imported modules, which tracemalloc counts
+        # the half cube once: no n^3 noise and no transform, and the field
+        # is scaled in place.  A first call loads numpy's lazily imported
+        # modules, which tracemalloc counts
         import tracemalloc
 
         make_initial({"kind": "random_band"}, Grid(16))
@@ -771,7 +755,7 @@ class TestInitialConditions:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * half_cube
+        assert peak <= 3 * half_cube
 
     def test_uniform_b_plus_whistler(self):
         g = Grid(16)
@@ -816,8 +800,23 @@ class TestInitialConditions:
 
     def test_unknown_kind_rejected(self):
         g = Grid(8)
-        with pytest.raises(ValueError, match="unknown initial-condition"):
-            make_initial({"kind": "nope"}, g)
+        for spec in ({"kind": "nope"}, {}):
+            with pytest.raises(
+                ConfigError, match="key 'init.kind': unknown initial-condition kind"
+            ):
+                make_initial(spec, g)
+
+    @pytest.mark.parametrize("kind", sorted(set(KNOWN_INIT_KINDS) - {"from_checkpoint"}))
+    def test_defaults_are_the_table(self, kind):
+        # random_band's b_amplitude defaults to its amplitude
+        defaults = dict(KNOWN_INIT_KINDS[kind])
+        if kind == "random_band":
+            defaults["b_amplitude"] = defaults["amplitude"]
+        for g in (Grid(16), Grid(34, 10)):
+            implicit = make_initial({"kind": kind}, g, 5)
+            explicit = make_initial({"kind": kind, **defaults}, g, 5)
+            for got, expect in zip(implicit, explicit):
+                assert np.array_equal(got.coeffs, expect.coeffs)
 
 
 # (key, bad value) rows: validate must raise a ConfigError naming the key
@@ -840,6 +839,7 @@ BAD_VALUES = [
     ("n", 16.0),
     ("diag_every", 2.5),
     ("seed", 1.5),
+    ("init.kind", {"kind": "nope"}),
     ("init.amplitud", {"kind": "random_band", "amplitud": 2.0}),
     ("init.q_lo", {"kind": "beltrami_u", "q_lo": 1}),
     ("init.q_lo", {"kind": "random_band", "q_lo": 1.5}),
@@ -866,7 +866,7 @@ def bad_value_id(key, value):
     if not isinstance(value, dict):
         return f"{key}={value}"
     name = key.split(".")[1]
-    if name not in KNOWN_INIT_KINDS[value["kind"]]:
+    if name != "kind" and name not in KNOWN_INIT_KINDS[value["kind"]]:
         return key
     return f"{key}={value.get(name)!r}"
 
