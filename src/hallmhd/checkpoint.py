@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import secrets
 import struct
 
 import numpy as np
@@ -54,7 +53,7 @@ def write_checkpoint(
         raise CheckpointError("checkpoint needs two 3-component fields on one grid")
     path = os.fspath(path)
     head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, n, float(t), float(nu), float(mu)))

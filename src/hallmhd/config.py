@@ -40,8 +40,8 @@ def check_init_params(init: dict, grid: Grid) -> dict:
     init.kind if it is missing or not a kind of KNOWN_INIT_KINDS, else the
     first parameter that make_initial does not read for the kind, or whose
     value it cannot use on `grid`: q_lo, q_hi and k are integers, with
-    q_lo <= q_hi and 2^q_lo <= dealias_cut (else random_band's band
-    2^q_lo <= |k| <= min(3/4 2^(q_hi + 1), dealias_cut) is empty), and
+    q_lo <= q_hi, q_hi >= 0 and 2^q_lo <= dealias_cut (else random_band's
+    band 2^q_lo <= |k| <= min(3/4 2^(q_hi + 1), dealias_cut) is empty), and
     |k| <= dealias_cut (else the step drops the whistler); amplitude,
     b_amplitude, b0 and eps are finite numbers; path, which from_checkpoint
     requires, is a non-empty string."""
@@ -84,6 +84,11 @@ def check_init_params(init: dict, grid: Grid) -> dict:
             name = "q_hi" if "q_hi" in given else "q_lo"
             raise ConfigError(
                 f"key 'init.{name}': needs q_lo <= q_hi, got q_lo={q_lo}, q_hi={q_hi}"
+            )
+        if q_hi < 0:
+            raise ConfigError(
+                f"key 'init.q_hi': needs q_hi >= 0, got {q_hi}: shells below 0 "
+                f"hold no mode but k = 0, and random_band has zero mean"
             )
         if q_lo >= grid.dealias_cut.bit_length():  # 2^q_lo > cut, exactly
             raise ConfigError(

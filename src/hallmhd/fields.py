@@ -107,14 +107,6 @@ class Grid:
         return _reciprocal(self.k_sq)
 
     @cached_property
-    def k_mag(self) -> np.ndarray:
-        return np.sqrt(self.k_sq)
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        return self.k_mag <= self.dealias_cut
-
-    @cached_property
     def box(self):
         """(wavevectors, |k|^2, 1/|k|^2, dealias mask) on the box |kx|, |ky|,
         kz <= dealias_cut, where the solver steps.  The box holds no n/2

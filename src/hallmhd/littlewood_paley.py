@@ -5,20 +5,22 @@ chi(r) = 1 for r <= 3/4, chi(r) = 0 for r >= 1, and the annular bumps
 phi(r) = chi(r/2) - chi(r), phi_q(r) = phi(r / 2^q) for q >= 0, phi_{-1} = chi.
 Shell projections act as Fourier multipliers (the physical kernels are never
 materialized).  Each phi_q depends on |k| alone, and |k|^2 is an integer on
-the grid, so phi_q is kept as a radial table over |k|^2 = 0..max|k|^2 and
+the grid, so phi_q is kept as a radial table over |k|^2 = 0..3(n/2)^2 and
 gathered onto the array a projection or a norm reads: the half cube, or the
-box that a sup norm inverts.
+box that a sup norm inverts.  The tables and their gather index, the half
+cube's integer |k|^2, are all the partition holds.
 
 The shell sup norms ||Delta_q f||_inf are read from samples, one inverse
 transform per shell, each on the smallest box |kx|, |ky|, kz <= c that holds
 the block.  A block is zero outside the support of f and outside that of
-phi_q, so c is the smaller of the two support cuts (the largest |kx|, |ky|
-or kz of a nonzero entry), both found by an exact scan.  A pruned inverse
-of a box gives the samples of the half cube holding it, zero elsewhere, bit
-for bit: the skipped lines are all zero, and every other line goes through
-the same one-dimensional transform.  So the pruned norms equal the
-half-cube ones exactly, and a field with content up to n/2 still takes the
-half-cube transform.
+phi_q, so c is the smaller of two support cuts: that of f, the largest
+|kx|, |ky| or kz of an x, y or kz plane holding a nonzero entry, and that of
+phi_q, 2^(q+1) - 1 as chi vanishes on [1, inf).  A pruned inverse of a box
+gives the samples of the half cube holding it, zero elsewhere, bit for bit:
+the skipped lines are all zero, and every other line goes through the same
+one-dimensional transform.  So the pruned norms equal the half-cube ones
+exactly, and a field with content up to n/2 still takes the half-cube
+transform.
 """
 
 from __future__ import annotations
@@ -60,36 +62,29 @@ def smooth_bridge_profile(r):
 
 class LPPartition:
     """The multiplier family phi_q, q = -1..q_max, as radial tables: row
-    q + 1 of `radial` holds phi_q(sqrt(j)) for j = 0..max|k|^2, and _mult
+    q + 1 of `radial` holds phi_q(sqrt(j)) for j = 0..3(n/2)^2, and _mult
     gathers a row onto the half cube, or onto any array of integer |k|^2.
-    Built via build_partition."""
+    Rows past the last one that is positive at some |k|^2 of the half cube
+    are dropped.  Raises PartitionError unless the rows sum to 1 within
+    UNITY_TOL at every |k|^2 of the half cube.  Built via build_partition."""
 
     def __init__(self, grid: Grid, radial: np.ndarray):
         self.grid = grid
-        self._radial = radial
-        self.q_max = radial.shape[0] - 2
         # |k|^2 on the half cube as the gather index of the radial tables
         self._k_sq = grid.k_sq.astype(np.intp)
-        # phi_q depends on |k| alone, and the half cube holds every |k|
-        kmag = grid.k_mag
-        err = np.take(np.abs(radial.sum(axis=0) - 1.0), self._k_sq)
-        bad = err > UNITY_TOL
-        if not bad.any():
-            self.unity_radius = float(kmag.max())
-        else:
-            bad_min = kmag[bad].min()
-            good = kmag[kmag < bad_min]
-            self.unity_radius = float(good.max()) if good.size else 0.0
-        self.unity_error = float(err[kmag <= self.unity_radius].max())
-        k = np.abs(grid.k1)
-        # max(|kx|, |ky|, kz) on the half cube, read by _support_cut; as int16
-        # it takes a quarter of the memory of a float64 table
-        self._k_inf = np.maximum(
-            np.maximum.outer(k, k)[..., None], k[: grid.n // 2 + 1]
-        ).astype(np.int16)
-        self._shell_cuts = [
-            self._support_cut(self._mult(q)) for q in self.shell_range()
-        ]
+        held = np.zeros(radial.shape[1], dtype=bool)
+        held[self._k_sq] = True
+        live = np.flatnonzero((radial[:, held] > 0.0).any(axis=1))
+        self._radial = radial[: live.max(initial=0) + 1]
+        self.q_max = self._radial.shape[0] - 2
+        err = np.abs(self._radial.sum(axis=0) - 1.0)
+        err[~held] = 0.0
+        self.unity_error = float(err.max())
+        if self.unity_error > UNITY_TOL:
+            raise PartitionError(
+                f"partition of unity fails at {self.unity_error:.3e}, first at "
+                f"|k|^2 = {np.argmax(err > UNITY_TOL)}"
+            )
 
     # -- projections ------------------------------------------------------
 
@@ -109,13 +104,20 @@ class LPPartition:
                 f"field on the n={f.grid.n} grid, partition on the n={self.grid.n} grid"
             )
 
-    def _support_cut(self, half: np.ndarray) -> int:
-        """Largest |kx|, |ky| or kz of a nonzero entry of a half-cube array
-        (any leading axes), -1 if every entry is zero."""
-        live = half != 0
-        if live.ndim > 3:
-            live = live.any(axis=tuple(range(live.ndim - 3)))
-        return int(self._k_inf.max(where=live, initial=-1))
+    def _shell_cut(self, q: int) -> int:
+        """Largest |kx|, |ky| or kz at which phi_q may be nonzero: 2^(q+1) - 1,
+        as chi vanishes on [1, inf), and at most n/2."""
+        return min(2 ** (q + 1) - 1, self.grid.n // 2)
+
+    def _support_cut(self, coeffs: np.ndarray) -> int:
+        """Largest |kx|, |ky| or kz of an x, y or kz plane of the half-cube
+        coefficients (ncomp, n, n, n//2 + 1) that holds a nonzero entry, -1
+        if every entry is zero."""
+        live = coeffs.any(axis=0)
+        xy = live.any(axis=2)
+        planes = (xy.any(axis=1), xy.any(axis=0), live.any(axis=0).any(axis=0))
+        k = np.abs(self.grid.k1)
+        return int(max(k[: p.size][p].max(initial=-1) for p in planes))
 
     def project(self, f: SpectralField, q: int) -> SpectralField:
         """Dyadic block Delta_q f (Fourier multiplier phi_q)."""
@@ -142,9 +144,9 @@ class LPPartition:
         bit to lp_norm(self.project(f, q), inf).
 
         Shell q is inverted on the box of cut min(b_q, s), s the support cut
-        of f and b_q that of phi_q (2^(q+1) - 1, as chi vanishes on
-        [1, inf)); a cut of n/2 takes the half cube.  A shell whose block is
-        zero reads 0 without a transform."""
+        of f and b_q = min(2^(q+1) - 1, n/2) that of phi_q; a cut of n/2
+        takes the half cube.  A shell whose block is zero reads 0 without a
+        transform."""
         self._check_grid(f)
         n = self.grid.n
         support = self._support_cut(f.coeffs)
@@ -152,7 +154,7 @@ class LPPartition:
         if support < 0:
             return out
         for q in self.shell_range():
-            cut = min(self._shell_cuts[q + 1], support)
+            cut = min(self._shell_cut(q), support)
             if cut >= n // 2:
                 block = f.coeffs * self._mult(q)
             else:
@@ -163,28 +165,18 @@ class LPPartition:
 
 
 def build_partition(grid: Grid) -> LPPartition:
-    """Sample the multiplier family of the cutoff smooth_bridge_profile on
-    the grid and verify partition of unity."""
+    """Sample the multiplier family of the cutoff smooth_bridge_profile once
+    per integer |k|^2 up to the corner's 3(n/2)^2, at r = sqrt(|k|^2);
+    LPPartition drops the shells empty on the grid and verifies partition
+    of unity."""
     chi = smooth_bridge_profile
-    # each multiplier is evaluated once per integer |k|^2 up to the largest,
-    # at r = sqrt(|k|^2), the value grid.k_mag holds
-    r = np.sqrt(np.arange(int(grid.k_sq.max()) + 1))
-    on_grid = np.zeros(r.size, dtype=bool)
-    on_grid[grid.k_sq.astype(np.intp)] = True
-    k_top = float(r[-1])
-    q_cap = int(np.ceil(np.log2(max(k_top, 1.0)))) + 1
+    r = np.sqrt(np.arange(3 * (grid.n // 2) ** 2 + 1))
+    q_cap = int(np.ceil(np.log2(max(float(r[-1]), 1.0)))) + 1
     radial = [chi(r)]
     for q in range(0, q_cap + 1):
         lam = float(2**q)
         radial.append(chi(r / (2.0 * lam)) - chi(r / lam))
-    while len(radial) > 1 and not np.any(radial[-1][on_grid] > 0.0):
-        radial.pop()
-    part = LPPartition(grid, np.array(radial))
-    if part.unity_error > UNITY_TOL:
-        raise PartitionError(
-            f"partition of unity fails at {part.unity_error:.3e} within radius"
-        )
-    return part
+    return LPPartition(grid, np.array(radial))
 
 
 def dealias_limited_q_max(part: LPPartition) -> int:

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the FFT code paths in
 fields.py: transforms are direct O(n^6) summations, convolutions are explicit
 integer-triad sums with no aliasing, and the Leray projection is a dense
 k-loop.  Guarded to n <= 8.  The reference calculus (divergence, gradient,
-dealias) is the plain spectral multipliers on the half cube, at any n.
+dealias) is the plain spectral multipliers on the half cube, at any n, as
+are the wavenumber magnitude k_mag and the dealias mask it builds on.
 
 The package stores real fields as the half cube kz >= 0.  The references
 work on the full cube, which full_cube extends a half cube to, one mode at
@@ -68,8 +69,18 @@ def gradient(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, np.stack(parts))
 
 
+def k_mag(grid) -> np.ndarray:
+    """|k| on the grid's half cube."""
+    return np.sqrt(grid.k_sq)
+
+
+def dealias_mask(grid) -> np.ndarray:
+    """|k| <= dealias_cut on the grid's half cube."""
+    return k_mag(grid) <= grid.dealias_cut
+
+
 def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.dealias_mask)
+    return SpectralField(f.grid, f.coeffs * dealias_mask(f.grid))
 
 
 def mesh(grid) -> list[np.ndarray]:
@@ -203,12 +214,6 @@ def gradient_direct(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dealias_mask(n: int, cut: int) -> np.ndarray:
-    ks = np.fft.fftfreq(n, d=1.0 / n)
-    KX, KY, KZ = np.meshgrid(ks, ks, ks, indexing="ij")
-    return np.sqrt(KX**2 + KY**2 + KZ**2) <= cut
-
-
 def rhs_direct(u: SpectralField, b: SpectralField, hall_on: bool) -> tuple:
     """Nonlinear Hall-MHD right side via exact triad convolutions.
 
@@ -219,8 +224,7 @@ def rhs_direct(u: SpectralField, b: SpectralField, hall_on: bool) -> tuple:
     grid = u.grid
     n = grid.n
     _guard(n)
-    cut = grid.dealias_cut
-    mask = _dealias_mask(n, cut)
+    mask = full_cube(dealias_mask(grid))
     d = _deriv_ks(n)
     uh, bh = full_cube(u.coeffs), full_cube(b.coeffs)
 

@@ -682,9 +682,10 @@ def make_initial(
     missing kind, a parameter the kind does not read, or a value it cannot
     use.
 
-    A checkpoint is returned as stored.  One written under a larger dealias
-    cut may hold modes beyond this grid's cut, which Stepper drops on the
-    first step (it steps the dealiased part)."""
+    A checkpoint's fields are returned as stored, on `grid`, so they carry
+    its dealias cut.  One written under a larger cut may hold modes beyond
+    this grid's cut, which Stepper drops on the first step (it steps the
+    dealiased part)."""
     p = check_init_params(init_spec, grid)
     kind = p["kind"]
     if kind == "beltrami_u":
@@ -706,4 +707,4 @@ def make_initial(
             f"key 'init.path': checkpoint grid n={u.grid.n} does not match "
             f"config n={grid.n}"
         )
-    return u, b
+    return SpectralField(grid, u.coeffs), SpectralField(grid, b.coeffs)

@@ -22,6 +22,8 @@ from hallmhd.fields import (
     zero_field,
 )
 from hallmhd.littlewood_paley import (
+    LPPartition,
+    PartitionError,
     build_partition,
     dealias_limited_q_max,
     smooth_bridge_profile,
@@ -96,11 +98,23 @@ class TestProfile:
 
 class TestPartition:
     def test_unity_on_resolved_wavenumbers(self, part32):
+        # on every |k|^2 the half cube holds, up to the corner's 3 (n/2)^2
+        held = np.unique(part32._k_sq)
+        assert held[-1] == 3 * 16**2
+        total = sum(part32._mult(q, held) for q in part32.shell_range())
+        assert np.abs(total - 1.0).max() <= 1e-12
         assert part32.unity_error <= 1e-12
-        assert part32.unity_radius == pytest.approx(np.sqrt(3) * 32 / 2)
+
+    @pytest.mark.parametrize("k_sq", [1, 5, 3 * 8**2])
+    def test_unity_failure_raises(self, part16, k_sq):
+        # one |k|^2 > 0 off unity fails the whole partition, not only k = 0
+        radial = part16._radial.copy()
+        radial[2, k_sq] += 1e-9
+        with pytest.raises(PartitionError, match=rf"first at \|k\|\^2 = {k_sq}\b"):
+            LPPartition(part16.grid, radial)
 
     def test_supports_are_dyadic_annuli(self, part32):
-        kmag = part32.grid.k_mag
+        kmag = oracles.k_mag(part32.grid)
         for q in range(0, part32.q_max + 1):
             mult = part32._mult(q)
             active = mult > 0
@@ -112,11 +126,25 @@ class TestPartition:
     @pytest.mark.parametrize("n", [16, 32])
     def test_holds_no_per_shell_half_cube(self, n):
         # the multipliers are kept as radial tables over |k|^2 and gathered
-        # on demand, so the partition's arrays come to a few bytes per
-        # half-cube entry (the |k|^2 index and _k_inf), whatever q_max is
+        # on demand, so the partition's only arrays are those tables and
+        # the |k|^2 gather index, 8 bytes per half-cube entry
         part = build_partition(Grid(n))
-        held = sum(v.nbytes for v in vars(part).values() if isinstance(v, np.ndarray))
-        assert held <= 24 * n * n * (n // 2 + 1)
+        arrays = {k: v for k, v in vars(part).items() if isinstance(v, np.ndarray)}
+        assert sorted(arrays) == ["_k_sq", "_radial"]
+        assert arrays["_k_sq"].nbytes == 8 * n * n * (n // 2 + 1)
+        assert arrays["_radial"].shape == (part.q_max + 2, 3 * (n // 2) ** 2 + 1)
+
+    @pytest.mark.parametrize("n", range(8, 129, 2))
+    def test_shell_cuts_are_the_scanned_supports(self, n):
+        # min(2^(q+1) - 1, n/2) is the largest max(|kx|, |ky|, kz) of a
+        # half-cube entry where phi_q is nonzero, found by an exact scan
+        # (integer |k| per axis in FFT order: Grid.k1 is off by ulps at n = 98)
+        part = build_partition(Grid(n))
+        k = np.minimum(np.arange(n), n - np.arange(n))
+        k_inf = np.maximum(np.maximum.outer(k, k)[..., None], k[: n // 2 + 1])
+        for q in part.shell_range():
+            scanned = k_inf[part._mult(q) != 0].max(initial=-1)
+            assert part._shell_cut(q) == scanned
 
     def test_q_max_matches_resolution(self):
         assert build_partition(Grid(8)).q_max == 3
@@ -135,9 +163,9 @@ class TestPartition:
     @pytest.mark.parametrize("n", [8, 10, 32])
     def test_multipliers_match_profile_on_k_mag(self, n, chi):
         # the profile evaluated per distinct |k|^2 and gathered equals the
-        # profile applied to grid.k_mag, and the first shell dropped is empty
+        # profile applied to oracles.k_mag, and the first shell dropped is empty
         part = build_partition(Grid(n))
-        kmag = part.grid.k_mag
+        kmag = oracles.k_mag(part.grid)
         expect = [chi(kmag)] + [
             chi(kmag / (2.0 * 2.0**q)) - chi(kmag / 2.0**q)
             for q in range(part.q_max + 2)
@@ -199,18 +227,19 @@ class TestProjections:
         # the blocks telescope: sum_{q <= Q} Delta_q has multiplier
         # chi(|k| / 2^(Q+1))
         f = random_field(part16.grid, np.random.default_rng(1))
+        kmag = oracles.k_mag(part16.grid)
         for Q in (-1, 0, 2, part16.q_max):
             total = zero_field(part16.grid)
             for q in range(-1, Q + 1):
                 total = total + part16.project(f, q)
-            low = f.coeffs * smooth_bridge_profile(part16.grid.k_mag / 2.0 ** (Q + 1))
+            low = f.coeffs * smooth_bridge_profile(kmag / 2.0 ** (Q + 1))
             assert np.abs(low - total.coeffs).max() < 1e-14
 
     def test_bandpass_and_tilde(self, part16):
         # Delta_2 + Delta_3 has multiplier chi(|k|/16) - chi(|k|/4), and the
         # neighbours of a block sum to 1 on its support
         f = random_field(part16.grid, np.random.default_rng(2))
-        kmag = part16.grid.k_mag
+        kmag = oracles.k_mag(part16.grid)
         band = part16.project(f, 2) + part16.project(f, 3)
         chi = smooth_bridge_profile
         expect = f.coeffs * (chi(kmag / 16.0) - chi(kmag / 4.0))
@@ -297,19 +326,19 @@ class TestBesov:
     def test_l2_matches_per_shell_sums(self, n):
         # white noise, n/2 planes included, and a band-limited random field;
         # shell q summed over the half cube with phi_q from the profile on
-        # k_mag, the kz = 0 and n/2 planes counted once, those between twice
+        # |k|, the kz = 0 and n/2 planes counted once, those between twice
         part = build_partition(Grid(n))
         g = part.grid
         chi = smooth_bridge_profile
         weight = np.full(n // 2 + 1, 2.0)
         weight[[0, -1]] = 1.0
+        r = oracles.k_mag(g)
         rng = np.random.default_rng(n)
         noise = from_physical(rng.standard_normal((3, n, n, n)), g)
         for f in (noise, random_field(g, rng, k_lo=2.0, k_hi=g.dealias_cut)):
             power = np.sum(np.abs(f.coeffs) ** 2, axis=0) * weight
             got = part.shell_l2_sq(f)
             for q in part.shell_range():
-                r = g.k_mag
                 phi = chi(r) if q < 0 else chi(r / 2 ** (q + 1)) - chi(r / 2**q)
                 expect = (2 * np.pi) ** 3 * np.sum(phi**2 * power)
                 assert got[q + 1] == pytest.approx(expect, rel=1e-14, abs=1e-14 * got.sum())
@@ -371,7 +400,7 @@ class TestShellLinfBoxes:
         grid = Grid(n, cut)
         part = build_partition(grid)
         f = random_field(grid, np.random.default_rng(n))
-        f.coeffs *= grid.dealias_mask
+        f.coeffs *= oracles.dealias_mask(grid)
         assert np.array_equal(part.shell_linf(f), linf_per_block(part, f))
 
     def test_zero_field(self, part32):
@@ -424,7 +453,7 @@ class TestSobolev:
         # sum_q lambda_q^{2s} phi_q(k)^2 / |k|^{2s} over k != 0, and the
         # partition keeps those extremes on either side of 1
         s = 3.0
-        kmag = part32.grid.k_mag
+        kmag = oracles.k_mag(part32.grid)
         nonzero = kmag > 0
         sym = sum(
             lambda_q(q) ** (2 * s) * part32._mult(q) ** 2
