@@ -77,8 +77,12 @@ class Grid:
 
     @cached_property
     def k1(self) -> np.ndarray:
-        """Integer wavenumbers per axis in FFT order."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)
+        """Integer wavenumbers per axis in FFT order, 0..n/2 - 1, -n/2..-1,
+        as floats built from integers: fftfreq(n, 1/n) is off by ulps for
+        some n (1.0000000000000002 at n = 98)."""
+        k = np.arange(self.n, dtype=np.float64)
+        k[self.n // 2 :] -= self.n
+        return k
 
     @cached_property
     def d1(self) -> np.ndarray:
@@ -290,12 +294,11 @@ def _forward_zy(samples: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _forward_x(a: np.ndarray) -> np.ndarray:
+def _forward_x(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The x pass of the pruned forward transform: `a` (..., m, 2c + 1, c + 1)
-    transformed along x in place, its box rows returned as a new box."""
-    c = a.shape[-1] - 1
+    transformed along x in place, its box rows written to the box `out`
+    (..., 2c + 1, 2c + 1, c + 1)."""
     np.fft.fft(a, axis=-3, norm="forward", out=a)
-    out = np.empty(a.shape[:-3] + (2 * c + 1,) + a.shape[-2:], dtype=np.complex128)
     _keep_rows(a, out, -3)
     return out
 

@@ -31,19 +31,23 @@ kernel evaluates it for the stepper and `rhs` on the dealiased box: the
 coefficients with |kx|, |ky|, kz <= dealias_cut (kz >= 0 suffices, the
 fields being real).  It runs the pruned inverse x passes of u, w, b and J
 once, then streams slabs of x planes through the y and z passes, the cross
-products and the forward z and y passes, and ends with the forward x passes;
-its buffers are allocated once per Stepper.  `dt_gate` reads the gate of
-the step's first stage from the same pruned samples.
+products and the forward z and y passes, and ends with the forward x passes
+into the two boxes its caller passes as `dst`; its buffers are allocated
+once per Stepper.  `dt_gate` reads the gate of the step's first stage from
+the same pruned samples.
 
 Products are formed from the dealiased part of u and b (|k| <= dealias_cut),
 as the 2/3 rule assumes: content beyond the cut takes no part in them.  A
 step stays on the box throughout: the four stages, the RK4 sums, the
 dissipation integral (summed with Hermitian multiplicities), the final Leray
 projection and the finiteness and solenoidality checks, so the new state is
-zero beyond the cut.  The state it returns holds the boxes, which the next
-step reads as they are; a box is scattered into the half cube of a
-SpectralField only when the state's `u` or `b` is asked for.  `rhs`
-scatters its results at its own boundary.
+zero beyond the cut.  It allocates four stage arrays, each a (u, b) pair of
+boxes, and writes every stage and RK4 sum into them; one of them becomes
+the new state, which the next step reads as it is.  A state built from
+SpectralFields gives them up at its first step and keeps their masked
+boxes instead.  A box is scattered into the half cube of a SpectralField
+only when the state's `u` or `b` is asked for.  `rhs` scatters its results
+at its own boundary.
 """
 
 from __future__ import annotations
@@ -103,12 +107,15 @@ class SolverState:
     """A time, the fields u and b, the step count and the dissipation
     integral of nu ||grad u||_2^2 + mu ||grad b||_2^2.
 
-    A state built from SpectralFields keeps them as given.  A state that
-    Stepper.step returns holds u and b as their dealiased boxes, shape
-    (3, 2c + 1, 2c + 1, c + 1) with c = dealias_cut, which the next step
-    reads as they are; `u` and `b` scatter each box into a half cube on
-    first access and keep it.  That half cube is read-only, since the next
-    step reads the box, not the half cube.
+    A step reads u and b as their dealiased boxes, shape
+    (3, 2c + 1, 2c + 1, c + 1) with c = dealias_cut.  A state built from
+    SpectralFields keeps them until a step first reads its boxes: then it
+    masks their boxes once, holds those and drops the fields, so that their
+    half cubes are freed once the caller lets them go.  A state that
+    Stepper.step returns holds its boxes from the start.  Either way, once
+    boxes are held, `u` and `b` scatter each box into a half cube on first
+    access and keep it: the dealiased field, read-only, since steps read
+    the box, not the half cube.
     """
 
     def __init__(
@@ -161,11 +168,14 @@ class SolverState:
                 raise DimensionError(f"state {name} is on {g}, the stepper on {grid}")
 
     def _dealiased_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dealiased boxes of u and b: the held ones as they are (read
-        them only), or masked copies of the fields' boxes."""
-        if self._boxes:
-            return self._boxes["u"], self._boxes["b"]
-        return _dealiased_box(self._fields["u"]), _dealiased_box(self._fields["b"])
+        """The dealiased boxes of u and b, to be read only.  A state that
+        holds fields masks their boxes here and drops the fields."""
+        if not self._boxes:
+            u, b = self._fields["u"], self._fields["b"]
+            self._grid = u.grid  # b's, as Stepper.step has checked
+            self._boxes = {"u": _dealiased_box(u), "b": _dealiased_box(b)}
+            self._fields = {"u": None, "b": None}
+        return self._boxes["u"], self._boxes["b"]
 
 
 # -- right-hand side -------------------------------------------------------------
@@ -176,6 +186,12 @@ def _common_grid(u: SpectralField, b: SpectralField) -> Grid:
     if u.grid != b.grid:
         raise DimensionError(f"u is on {u.grid}, b on {b.grid}")
     return u.grid
+
+
+def _pair(grid: Grid) -> np.ndarray:
+    """An empty (u, b) pair of boxes of grid, shape
+    (2, 3, 2c + 1, 2c + 1, c + 1)."""
+    return np.empty((2, 3) + grid.box[3].shape, dtype=np.complex128)
 
 
 def _dealiased_box(f: SpectralField) -> np.ndarray:
@@ -210,9 +226,10 @@ class _Kernel:
     - the forward x passes, in place in those two buffers.
 
     The slab holds as many planes as SLAB_BYTES of sample and transform
-    buffers allow.  Every buffer is allocated once, so a call allocates only
-    box-sized results and temporaries; no result aliases a buffer.  Not
-    thread-safe: one call at a time per instance.
+    buffers allow.  Every buffer is allocated once and the results are
+    written into the caller's boxes, so a call allocates only temporaries of
+    one component; no result aliases a buffer.  Not thread-safe: one call at
+    a time per instance.
     """
 
     def __init__(self, grid: Grid):
@@ -231,9 +248,10 @@ class _Kernel:
         self._y = np.empty((3, s, n, h), dtype=np.complex128)
         self._z = np.empty((3, s, n, n // 2 + 1), dtype=np.complex128)
 
-    def __call__(self, uh: np.ndarray, bh: np.ndarray, hall_on: bool, gate=False):
-        """(du, db, maxima): maxima is (max|u|, max|b|) over the samples
-        when gate is True, else None."""
+    def __call__(self, uh: np.ndarray, bh: np.ndarray, hall_on: bool, dst, gate=False):
+        """Writes du and db into the boxes dst = (du, db) and returns the
+        maxima (max|u|, max|b|) over the samples when gate is True, else
+        None."""
         g = self.grid
         n = g.n
         kvec, _, inv_k_sq, mask = g.box
@@ -248,8 +266,8 @@ class _Kernel:
             s = i1 - i0
             up, wp, bp, jp, fp = (a[:, :s] for a in self._samples)
             tmp, y, z = self._tmp[:s], self._y[:, :s], self._z[:, :s]
-            for x, out in zip(xs, (up, wp, bp, jp)):
-                _inverse_yz(x[:, i0:i1], y, out)
+            for x, o in zip(xs, (up, wp, bp, jp)):
+                _inverse_yz(x[:, i0:i1], y, o)
             if gate:  # fp is free until the products
                 maxima.append([_sup_magnitude(f, fp[0], fp[1]) for f in (up, bp)])
             _cross(up, wp, out=fp, tmp=tmp)
@@ -259,12 +277,15 @@ class _Kernel:
             _cross(ub, bp, out=wp, tmp=tmp)
             _forward_zy(fp, z, xs[0, :, i0:i1])
             _forward_zy(wp, z, xs[1, :, i0:i1])
-        fu, fb = _forward_x(xs[0]), _forward_x(xs[1])
-        fu *= mask
+        du, db = dst
+        _forward_x(xs[0], du)
+        fb = _forward_x(xs[1], self._curl_box)
+        du *= mask
         fb *= mask
-        du = _leray(kvec, inv_k_sq, fu, out=fu)
+        _leray(kvec, inv_k_sq, du, out=du)
+        _curl(kvec, fb, out=db)
         # np.max, unlike max, keeps a nan of any slab
-        return du, _curl(kvec, fb), np.max(maxima, axis=0) if gate else None
+        return np.max(maxima, axis=0) if gate else None
 
 
 def rhs(
@@ -287,7 +308,8 @@ def rhs(
         err = divergence_error(f)
         if err > 1e-8:
             raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
-    du, db, _ = _Kernel(g)(_dealiased_box(u), _dealiased_box(b), hall_on)
+    du, db = _pair(g)
+    _Kernel(g)(_dealiased_box(u), _dealiased_box(b), hall_on, (du, db))
     return SpectralField(g, _from_box(du, g.n)), SpectralField(g, _from_box(db, g.n))
 
 
@@ -337,8 +359,10 @@ class _Diagonal:
     def __init__(self, eu: np.ndarray, eb: np.ndarray):
         self.eu, self.eb = eu, eb
 
-    def __call__(self, u: np.ndarray, b: np.ndarray):
-        return self.eu * u, self.eb * b
+    def __call__(self, u: np.ndarray, b: np.ndarray, out) -> None:
+        """Writes (eu u, eb b) into the pair out."""
+        np.multiply(self.eu, u, out=out[0])
+        np.multiply(self.eb, b, out=out[1])
 
 
 def _expm_sym2(a, beta, d, t: float):
@@ -391,20 +415,27 @@ class _MeanField:
         self.a = tuple((f[0] + f[1]) / 2 for f in branches)
         self.c = tuple(inv_2k * (f[1] - f[0]) for f in branches)
 
-    def __call__(self, u: np.ndarray, b: np.ndarray):
+    def __call__(self, u: np.ndarray, b: np.ndarray, out) -> None:
+        """Writes exp(L t) (u, b) into the pair out = (eu, eb), which must
+        not overlap u or b: eu = a_uu u + a_ub b + c_uu curl u + c_ub curl b
+        and eb = a_ub u + a_bb b + c_ub curl u + c_bb curl b, each summed in
+        that order.  A product goes into eb before eb is begun, or into one
+        of two boxes, which also hold the curls: the only temporaries."""
         a_uu, a_ub, a_bb = self.a
-        eu = a_uu * u
-        eu += a_ub * b
-        eb = a_ub * u
-        eb += a_bb * b
-        if self.c is not None:
-            c_uu, c_ub, c_bb = self.c
-            cu, cb = _curl(self.kvec, u), _curl(self.kvec, b)
-            eu += c_uu * cu
-            eu += c_ub * cb
-            eb += c_ub * cu
-            eb += c_bb * cb
-        return eu, eb
+        eu, eb = out
+        np.multiply(a_uu, u, out=eu)
+        eu += np.multiply(a_ub, b, out=eb)
+        np.multiply(a_ub, u, out=eb)
+        tmp = np.multiply(a_bb, b)
+        eb += tmp
+        if self.c is None:
+            return
+        c_uu, c_ub, c_bb = self.c
+        cu = np.empty_like(tmp)
+        for x, c_x, c_y in ((u, c_uu, c_ub), (b, c_ub, c_bb)):
+            _curl(self.kvec, x, out=cu)
+            eu += np.multiply(c_x, cu, out=tmp)
+            eb += np.multiply(c_y, cu, out=cu)
 
 
 class Stepper:
@@ -434,11 +465,17 @@ class Stepper:
         u4 = E (E u0 + dt du3),
         u_new = E (E u0 + dt/6 E du1 + dt/3 (du2 + du3)) + dt/6 du4.
 
-    The running sum in the last line takes each stage's derivatives as the
-    stage finishes, so only E u0, the sum and the current stage stay alive.
-    The new state holds the new boxes (see SolverState): a step neither
-    masks nor scatters a half cube, except the masked box it copies from a
-    state built from SpectralFields.
+    A step allocates four stage arrays, each a (u, b) pair of boxes of
+    shape (2, 3, 2c + 1, 2c + 1, c + 1): E (u0, b0), the running sum of
+    the last line, the stage input and the derivatives, which the kernel
+    writes into as its `dst`.  Every combination is written into them by
+    out= and +=, each sum pairing its operands as the lines above read;
+    the stage input is the scratch once the kernel and the dissipation sum
+    have read it.  E (u0, b0) is needed no more after stage 3, so the last
+    E of the running sum is written over it, and that pair becomes the new
+    state's boxes (see SolverState): a step neither masks nor scatters a
+    half cube, except the masked boxes of a state built from SpectralFields
+    at its first step, which that state keeps in place of its fields.
 
     A Stepper owns the kernel's workspace, allocated once when it is built
     and reused by every step, so it is not thread-safe: step one state at a
@@ -497,58 +534,53 @@ class Stepper:
     ) -> SolverState:
         cfg = self.cfg
         g = self.grid
-        nonlinear = self._kernel
+        nonlinear, hall = self._kernel, cfg.hall_on
+        # first, so that the fields a state gives up here are freed before
+        # the stage arrays are allocated
         u0, b0 = state._dealiased_boxes()
+        # the running sum, the stage input, the derivatives and E (u0, b0),
+        # which becomes the new state; allocated last (allocated first, it
+        # left the n = 64 benchmark's peak RSS ~5 MB higher, by heap layout)
+        acc, x, d, e0 = (_pair(g) for _ in range(4))
         mean = b0[:, 0, 0, 0].real.copy()
-        if mean.any():
-            b0 = b0.copy()
+        if mean.any():  # b - B0, in the stage input until stage 1 has read it
+            x[1] = b0
+            b0 = x[1]
             b0[:, 0, 0, 0] -= mean
         e_h = self._factor(mean)
 
-        du, db, maxima = nonlinear(u0, b0, cfg.hall_on, gate=enforce_gate)
+        maxima = nonlinear(u0, b0, hall, d, gate=enforce_gate)
         if enforce_gate:
             # the gate of dt_gate, from the stage-1 samples of the state
             gate = _gate(float(maxima[0]), float(maxima[1]), float(g.dealias_cut), cfg)
             if dt > gate:
                 raise DtGateError(state.t, dt, gate)
-        # each stage's derivatives are dropped before the next kernel call, so
-        # that only E u0, E b0 and the running sums sum_u, sum_b outlive a
-        # stage; from here on u0, b0 hold E u0, E b0
         diss = self._diss(u0, b0)
-        u0, b0 = e_h(u0, b0)
-        du, db = e_h(du, db)
-        u, b = u0 + (dt / 2) * du, b0 + (dt / 2) * db
-        sum_u, sum_b = u0 + (dt / 6) * du, b0 + (dt / 6) * db
-        del du, db
+        e_h(u0, b0, out=e0)
+        e_h(*d, out=x)
+        np.add(e0, np.multiply(dt / 6, x, out=acc), out=acc)
+        np.add(e0, np.multiply(dt / 2, x, out=x), out=x)
 
-        du, db, _ = nonlinear(u, b, cfg.hall_on)
-        diss += 2 * self._diss(u, b)
-        sum_u += (dt / 3) * du
-        sum_b += (dt / 3) * db
-        u, b = u0 + (dt / 2) * du, b0 + (dt / 2) * db
-        del du, db
+        nonlinear(*x, hall, d)
+        diss += 2 * self._diss(*x)
+        acc += np.multiply(dt / 3, d, out=x)
+        np.add(e0, np.multiply(dt / 2, d, out=x), out=x)
 
-        du, db, _ = nonlinear(u, b, cfg.hall_on)
-        diss += 2 * self._diss(u, b)
-        sum_u += (dt / 3) * du
-        sum_b += (dt / 3) * db
-        u, b = e_h(u0 + dt * du, b0 + dt * db)
-        del u0, b0, du, db
+        nonlinear(*x, hall, d)
+        diss += 2 * self._diss(*x)
+        acc += np.multiply(dt / 3, d, out=x)
+        np.add(e0, np.multiply(dt, d, out=d), out=d)
+        e_h(*d, out=x)
 
-        du, db, _ = nonlinear(u, b, cfg.hall_on)
-        diss += self._diss(u, b)
-        del u, b
-        u_new, b_new = e_h(sum_u, sum_b)
-        del sum_u, sum_b
-        u_new += (dt / 6) * du
-        b_new += (dt / 6) * db
-        del du, db
-        if not (
-            np.all(np.isfinite(u_new.view(np.float64)))
-            and np.all(np.isfinite(b_new.view(np.float64)))
-        ):
+        nonlinear(*x, hall, d)
+        diss += self._diss(*x)
+        e_h(*acc, out=e0)
+        e0 += np.multiply(dt / 6, d, out=x)
+        del acc, x, d
+        if not np.all(np.isfinite(e0.view(np.float64))):
             raise BlowUpDetected(state)
 
+        u_new, b_new = e0
         kvec, _, inv_k_sq, _ = g.box
         _leray(kvec, inv_k_sq, u_new, out=u_new)
         if mean.any():

@@ -67,6 +67,14 @@ class TestGrid:
         assert list(g.k1) == [0, 1, 2, 3, -4, -3, -2, -1]
         assert g.d1[4] == 0.0  # oddball zeroed for derivatives
 
+    def test_wavenumbers_are_integers(self):
+        # fftfreq(n, 1/n) is off by ulps for 35 even n <= 1024 (at n = 98,
+        # 1.0000000000000002 for 1); k1 holds the integers exactly
+        for n in range(8, 1025, 2):
+            k = np.minimum(np.arange(n), n - np.arange(n))
+            k[n // 2 :] *= -1
+            assert np.array_equal(Grid(n).k1, k), n
+
     def test_validation(self):
         with pytest.raises(DimensionError):
             Grid(7)
@@ -164,7 +172,7 @@ class TestTransforms:
         expect = _to_box(np.fft.rfftn(samples, axes=(1, 2, 3), norm="forward"), c)
         z = np.empty((3, n, n, n // 2 + 1), dtype=np.complex128)
         zy = np.empty((3, n, 2 * c + 1, c + 1), dtype=np.complex128)
-        got = _forward_x(_forward_zy(samples, z, zy))
+        got = _forward_x(_forward_zy(samples, z, zy), np.empty_like(box))
         assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
 

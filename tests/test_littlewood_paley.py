@@ -138,7 +138,7 @@ class TestPartition:
     def test_shell_cuts_are_the_scanned_supports(self, n):
         # min(2^(q+1) - 1, n/2) is the largest max(|kx|, |ky|, kz) of a
         # half-cube entry where phi_q is nonzero, found by an exact scan
-        # (integer |k| per axis in FFT order: Grid.k1 is off by ulps at n = 98)
+        # (integer |k| per axis in FFT order)
         part = build_partition(Grid(n))
         k = np.minimum(np.arange(n), n - np.arange(n))
         k_inf = np.maximum(np.maximum.outer(k, k)[..., None], k[: n // 2 + 1])

@@ -167,6 +167,29 @@ def reference_step(u0, b0, cfg):
     return leray_project(field(u_new)).coeffs, b_new, diss
 
 
+def steady_step_boxes(kind):
+    """The peak of the second Hall step of an n = 32 `kind` state above the
+    memory live before it, in box-sized arrays, by tracemalloc."""
+    import tracemalloc
+
+    cfg = RunConfig(n=32, dt=1e-3, t_end=1.0, nu=0.01, mu=0.01, init={"kind": kind})
+    g = Grid(32)
+    stepper = Stepper(g, cfg)
+    st = stepper.step(SolverState(0.0, *make_initial(cfg.init, g, 4)))
+    c = g.dealias_cut
+    box_bytes = 3 * (2 * c + 1) ** 2 * (c + 1) * 16
+    tracemalloc.start()
+    try:
+        live, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        st = stepper.step(st)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert st.step_count == 2
+    return (peak - live) / box_bytes
+
+
 class TestHalfCubeStep:
     @pytest.mark.parametrize("n", [10, 16, 24])
     @pytest.mark.parametrize("hall", [False, True])
@@ -231,10 +254,11 @@ class TestHalfCubeStep:
                 states[i] = got
         kernel = shared._kernel
         boxes = [st._dealiased_boxes() for st in states]
-        first = kernel(*boxes[0], True, gate=True)
-        kept = [x.copy() for x in first]
-        kernel(*boxes[1], True, gate=True)
-        for a, b in zip(first, kept):
+        first, second = solver._pair(g), solver._pair(g)
+        maxima = kernel(*boxes[0], True, first, gate=True)
+        kept = [first.copy(), maxima.copy()]
+        kernel(*boxes[1], True, second, gate=True)
+        for a, b in zip((first, maxima), kept):
             assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("planes", [1, 3])
@@ -254,7 +278,8 @@ class TestHalfCubeStep:
         def forward(samples):
             z = np.empty((3, n, n, n // 2 + 1), dtype=np.complex128)
             zy = np.empty((3, n, 2 * c + 1, c + 1), dtype=np.complex128)
-            return _forward_x(_forward_zy(samples, z, zy))
+            box = np.empty((3, 2 * c + 1, 2 * c + 1, c + 1), dtype=np.complex128)
+            return _forward_x(_forward_zy(samples, z, zy), box)
 
         g = Grid(16)
         n, c = g.n, g.dealias_cut
@@ -264,7 +289,8 @@ class TestHalfCubeStep:
         assert kernel._slab == planes
         u, b = make_initial({"kind": "random_band"}, g, 7)
         uh, bh = solver._dealiased_box(u), solver._dealiased_box(b)
-        du, db, maxima = kernel(uh, bh, hall, gate=True)
+        du, db = solver._pair(g)
+        maxima = kernel(uh, bh, hall, (du, db), gate=True)
 
         kvec, _, inv_k_sq, mask = g.box
         up, wp = (_half_to_physical(x, n) for x in (uh, _curl(kvec, uh)))
@@ -280,27 +306,42 @@ class TestHalfCubeStep:
 
     def test_steady_step_allocates_few_boxes(self):
         # after the first step has allocated the kernel's buffers, a Hall
-        # step at n = 32 peaks at most 20 box-sized arrays above live memory
-        import tracemalloc
+        # step at n = 32 peaks at most 10 box-sized arrays above live memory,
+        # eight of them the four stage arrays
+        assert steady_step_boxes("random_band") <= 10
 
-        cfg = RunConfig(
-            n=32, dt=1e-3, t_end=1.0, nu=0.01, mu=0.01, init={"kind": "random_band"}
-        )
-        g = Grid(32)
+    def test_steady_mean_field_step_allocates_few_boxes(self):
+        # the factor of a mean field B0 adds at most its two curls
+        assert steady_step_boxes("uniform_b_plus_whistler") <= 11
+
+    def test_first_step_drops_the_fields(self):
+        # a state built from fields keeps only their masked boxes once a step
+        # has read them: the original coefficients are freed, and u is the
+        # dealiased field
+        import weakref
+
+        g = Grid(16)
+        cfg = RunConfig(n=16, dt=1e-3, t_end=1.0, nu=0.05, mu=0.05)
+        u, b = make_initial({"kind": "random_band"}, g, 5)
+        ud = dealias(u).coeffs
+        coeffs = weakref.ref(u.coeffs)
+        st = SolverState(0.0, u, b)
+        del u, b
+        assert coeffs() is not None
+        Stepper(g, cfg).step(st)
+        assert coeffs() is None
+        assert np.array_equal(st.u.coeffs, ud)
+
+    def test_successive_states_share_no_memory(self):
+        g = Grid(16)
+        cfg = RunConfig(n=16, dt=1e-3, t_end=1.0, nu=0.05, mu=0.05)
         stepper = Stepper(g, cfg)
-        st = stepper.step(SolverState(0.0, *make_initial(cfg.init, g, 4)))
-        c = g.dealias_cut
-        box_bytes = 3 * (2 * c + 1) ** 2 * (c + 1) * 16
-        tracemalloc.start()
-        try:
-            live, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            st = stepper.step(st)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert st.step_count == 2
-        assert peak - live <= 20 * box_bytes
+        u, b = make_initial({"kind": "random_band"}, g, 6)
+        first = stepper.step(SolverState(0.0, u, b))
+        second = stepper.step(first)
+        for a in first._dealiased_boxes():
+            for b in second._dealiased_boxes():
+                assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("n", [10, 16])
     def test_products_use_the_dealiased_part(self, n):
@@ -459,7 +500,8 @@ class TestMeanField:
         shape = (3,) + ksq.shape
         re, im = rng.standard_normal((2, 2) + shape)
         u, b = (_leray(kvec, inv_k_sq, x) for x in re + 1j * im)
-        eu, eb = solver._MeanField(g, cfg, b0, t)(u, b)
+        eu, eb = solver._pair(g)
+        solver._MeanField(g, cfg, b0, t)(u, b, out=(eu, eb))
         ks = np.stack(np.broadcast_arrays(*kvec), axis=-1)
         degenerate = 0
         for idx in np.ndindex(ksq.shape):
