@@ -36,6 +36,7 @@ its Hermitian multiplicity.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -57,13 +58,18 @@ class Grid:
     3*dealias_cut < n (2/3 rule on the radial wavenumber).  Under that bound,
     quadratic products of fields supported in |k| <= dealias_cut are exact on
     the retained modes, and collocation quadrature of triple products is
-    exact.  An explicit cut that breaks it raises DimensionError.
+    exact.  An explicit cut that breaks it raises DimensionError, as does a
+    size that is not an integer (a bool is not one).
     """
 
     n: int
     dealias_cut: int | None = None
 
     def __post_init__(self):
+        for name, value in (("n", self.n), ("dealias_cut", self.dealias_cut)):
+            is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not is_int and (name == "n" or value is not None):
+                raise DimensionError(f"grid {name} must be an integer, got {value!r}")
         if self.n < 8 or self.n % 2:
             raise DimensionError(f"grid size must be even and >= 8, got n={self.n}")
         largest = (self.n - 1) // 3

@@ -45,9 +45,9 @@ zero beyond the cut.  It allocates four stage arrays, each a (u, b) pair of
 boxes, and writes every stage and RK4 sum into them; one of them becomes
 the new state, which the next step reads as it is.  A state built from
 SpectralFields gives them up at its first step and keeps their masked
-boxes instead.  A box is scattered into the half cube of a SpectralField
-only when the state's `u` or `b` is asked for.  `rhs` scatters its results
-at its own boundary.
+boxes instead.  A state keeps no half cube: each read of its `u` or `b`
+scatters a box into a new SpectralField.  `rhs` scatters its results at
+its own boundary.
 """
 
 from __future__ import annotations
@@ -104,18 +104,19 @@ class DtGateError(RuntimeError):
 
 
 class SolverState:
-    """A time, the fields u and b, the step count and the dissipation
-    integral of nu ||grad u||_2^2 + mu ||grad b||_2^2.
+    """A time, the fields u and b on `grid` (on two grids they raise
+    DimensionError), the step count and the dissipation integral of
+    nu ||grad u||_2^2 + mu ||grad b||_2^2.
 
     A step reads u and b as their dealiased boxes, shape
     (3, 2c + 1, 2c + 1, c + 1) with c = dealias_cut.  A state built from
     SpectralFields keeps them until a step first reads its boxes: then it
     masks their boxes once, holds those and drops the fields, so that their
     half cubes are freed once the caller lets them go.  A state that
-    Stepper.step returns holds its boxes from the start.  Either way, once
-    boxes are held, `u` and `b` scatter each box into a half cube on first
-    access and keep it: the dealiased field, read-only, since steps read
-    the box, not the half cube.
+    Stepper.step returns holds its boxes from the start.  Once boxes are
+    held, each read of `u` or `b` scatters a new half cube and keeps none:
+    hold a field read more than once (at n = 128 a scatter faults in ~24 MB
+    under transparent huge pages).
     """
 
     def __init__(
@@ -129,53 +130,40 @@ class SolverState:
         self.t = t
         self.step_count = step_count
         self.diss_integral = diss_integral
-        self._fields = {"u": u, "b": b}
-        self._grid: Grid | None = None  # the grid of the boxes, if any
-        self._boxes: dict[str, np.ndarray] = {}
+        self.grid = _common_grid(u, b)
+        self._fields = (u, b)
+        self._boxes = None
 
     @classmethod
     def _from_boxes(
-        cls, grid: Grid, t: float, u: np.ndarray, b: np.ndarray, step_count: int,
+        cls, grid: Grid, t: float, boxes: np.ndarray, step_count: int,
         diss_integral: float,
     ) -> "SolverState":
-        state = cls(t, None, None, step_count, diss_integral)
-        state._grid, state._boxes = grid, {"u": u, "b": b}
+        state = cls.__new__(cls)
+        state.t, state.step_count, state.diss_integral = t, step_count, diss_integral
+        state.grid, state._fields, state._boxes = grid, None, boxes
         return state
 
     @property
     def u(self) -> SpectralField:
-        return self._field("u")
+        return self._field(0)
 
     @property
     def b(self) -> SpectralField:
-        return self._field("b")
+        return self._field(1)
 
-    def _field(self, name: str) -> SpectralField:
-        f = self._fields[name]
-        if f is None:
-            coeffs = _from_box(self._boxes[name], self._grid.n)
-            coeffs.flags.writeable = False
-            f = self._fields[name] = SpectralField(self._grid, coeffs)
-        return f
+    def _field(self, i: int) -> SpectralField:
+        if self._boxes is None:
+            return self._fields[i]
+        return SpectralField(self.grid, _from_box(self._boxes[i], self.grid.n))
 
-    def _check_grid(self, grid: Grid) -> None:
-        if self._boxes:
-            grids = {"u": self._grid, "b": self._grid}
-        else:
-            grids = {name: f.grid for name, f in self._fields.items()}
-        for name, g in grids.items():
-            if g != grid:
-                raise DimensionError(f"state {name} is on {g}, the stepper on {grid}")
-
-    def _dealiased_boxes(self) -> tuple[np.ndarray, np.ndarray]:
-        """The dealiased boxes of u and b, to be read only.  A state that
-        holds fields masks their boxes here and drops the fields."""
-        if not self._boxes:
-            u, b = self._fields["u"], self._fields["b"]
-            self._grid = u.grid  # b's, as Stepper.step has checked
-            self._boxes = {"u": _dealiased_box(u), "b": _dealiased_box(b)}
-            self._fields = {"u": None, "b": None}
-        return self._boxes["u"], self._boxes["b"]
+    def _dealiased_boxes(self):
+        """The dealiased boxes (u, b), to be read only.  A state that holds
+        fields masks their boxes here and drops the fields."""
+        if self._boxes is None:
+            self._boxes = tuple(_dealiased_box(f) for f in self._fields)
+            self._fields = None
+        return self._boxes
 
 
 # -- right-hand side -------------------------------------------------------------
@@ -484,8 +472,8 @@ class Stepper:
     about SLAB_BYTES.
 
     The config is validated, and must describe the stepper's grid: a
-    mismatch in n or dealias_cut raises ConfigError, and a state on another
-    grid raises DimensionError.
+    mismatch in n or dealias_cut raises ConfigError, and a state whose
+    `grid` is another raises DimensionError naming both.
     """
 
     def __init__(self, grid: Grid, cfg: RunConfig):
@@ -508,7 +496,8 @@ class Stepper:
         self._kernel = _Kernel(grid)
 
     def step(self, state: SolverState, enforce_gate: bool = True) -> SolverState:
-        state._check_grid(self.grid)
+        if state.grid != self.grid:
+            raise DimensionError(f"state is on {state.grid}, stepper on {self.grid}")
         # overflow en route to the isfinite check below is the expected way a
         # blow-up manifests; it is reported, not treated as an FP error
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -594,8 +583,7 @@ class Stepper:
         return SolverState._from_boxes(
             g,
             state.t + dt,
-            u_new,
-            b_new,
+            e0,
             state.step_count + 1,
             # dissipation integral advanced with the same RK4 quadrature
             state.diss_integral + (dt / 6.0) * diss,
@@ -717,7 +705,8 @@ def make_initial(
     A checkpoint's fields are returned as stored, on `grid`, so they carry
     its dealias cut.  One written under a larger cut may hold modes beyond
     this grid's cut, which Stepper drops on the first step (it steps the
-    dealiased part)."""
+    dealiased part).  A path that cannot be read, or a file of another n,
+    raises ConfigError naming init.path."""
     p = check_init_params(init_spec, grid)
     kind = p["kind"]
     if kind == "beltrami_u":
@@ -733,7 +722,10 @@ def make_initial(
         return u, b
     if kind == "uniform_b_plus_whistler":
         return whistler_initial(grid, p["b0"], p["eps"], p["k"])
-    _, _, _, u, b = read_checkpoint(p["path"])  # from_checkpoint
+    try:  # from_checkpoint
+        _, _, _, u, b = read_checkpoint(p["path"])
+    except OSError as exc:
+        raise ConfigError(f"key 'init.path': {exc}") from exc
     if u.grid.n != grid.n:
         raise ConfigError(
             f"key 'init.path': checkpoint grid n={u.grid.n} does not match "

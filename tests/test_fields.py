@@ -86,6 +86,28 @@ class TestGrid:
         with pytest.raises(DimensionError, match=r"outside \[1, 7\]"):
             Grid(24, dealias_cut=8)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((32, 8.5), "dealias_cut"),
+            ((32, 8.0), "dealias_cut"),
+            ((32, True), "dealias_cut"),
+            ((32, "8"), "dealias_cut"),
+            ((32.0,), "n"),
+            ((True,), "n"),
+        ],
+    )
+    def test_sizes_must_be_integers(self, args, name):
+        # a float or a string fails inside Grid.box, and a bool passes as 0 or 1
+        msg = f"grid {name} must be an integer, got {re.escape(repr(args[-1]))}"
+        with pytest.raises(DimensionError, match=msg):
+            Grid(*args)
+
+    def test_numpy_integer_sizes_accepted(self):
+        g = Grid(np.int64(32), np.int64(8))
+        assert g == Grid(32, 8)
+        assert g.box[3].shape == (17, 17, 9)
+
     @pytest.mark.parametrize("n", [24, 48])
     def test_default_cut_keeps_squares_unaliased(self, n):
         # cos^2(cut x) = 1/2 + cos(2 cut x)/2; were 3*cut = n, the 2*cut mode

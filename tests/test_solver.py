@@ -167,27 +167,40 @@ def reference_step(u0, b0, cfg):
     return leray_project(field(u_new)).coeffs, b_new, diss
 
 
-def steady_step_boxes(kind):
-    """The peak of the second Hall step of an n = 32 `kind` state above the
-    memory live before it, in box-sized arrays, by tracemalloc."""
+def traced(action):
+    """action()'s result, the peak of the memory traced while it ran and the
+    memory traced after it, each in bytes above the memory live before it,
+    by tracemalloc."""
     import tracemalloc
 
-    cfg = RunConfig(n=32, dt=1e-3, t_end=1.0, nu=0.01, mu=0.01, init={"kind": kind})
-    g = Grid(32)
-    stepper = Stepper(g, cfg)
-    st = stepper.step(SolverState(0.0, *make_initial(cfg.init, g, 4)))
-    c = g.dealias_cut
-    box_bytes = 3 * (2 * c + 1) ** 2 * (c + 1) * 16
     tracemalloc.start()
     try:
         live, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        st = stepper.step(st)
-        _, peak = tracemalloc.get_traced_memory()
+        result = action()
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak - live, after - live
+
+
+def stepped_once(kind):
+    """The Stepper of a Hall n = 32 `kind` config, and the state of one step."""
+    cfg = RunConfig(n=32, dt=1e-3, t_end=1.0, nu=0.01, mu=0.01, init={"kind": kind})
+    g = Grid(32)
+    stepper = Stepper(g, cfg)
+    return stepper, stepper.step(SolverState(0.0, *make_initial(cfg.init, g, 4)))
+
+
+def steady_step_boxes(kind):
+    """The peak of the second Hall step of an n = 32 `kind` state above the
+    memory live before it, in box-sized arrays, by tracemalloc."""
+    stepper, st = stepped_once(kind)
+    c = stepper.grid.dealias_cut
+    box_bytes = 3 * (2 * c + 1) ** 2 * (c + 1) * 16
+    st, peak, _ = traced(lambda: stepper.step(st))
     assert st.step_count == 2
-    return (peak - live) / box_bytes
+    return peak / box_bytes
 
 
 class TestHalfCubeStep:
@@ -208,8 +221,8 @@ class TestHalfCubeStep:
         assert hermitian_error(st.b) < 1e-14
 
     def test_step_fills_nothing_until_asked(self, monkeypatch):
-        # a stepped state holds boxes; each half cube is scattered from its
-        # box on first access and kept
+        # a stepped state holds boxes; each access to u or b scatters one box
+        # into a new half cube
         calls = []
 
         def counting_scatter(box, n):
@@ -227,11 +240,24 @@ class TestHalfCubeStep:
         u = st.u
         assert calls == [(3, 11, 11, 6)]
         assert u.coeffs.shape == (3, 16, 16, 9)
-        b = st.b
+        assert st.b.coeffs.shape == (3, 16, 16, 9)
         assert calls == [(3, 11, 11, 6)] * 2
-        assert st.u is u and st.b is b
-        assert calls == [(3, 11, 11, 6)] * 2
-        assert not u.coeffs.flags.writeable
+        assert np.array_equal(st.u.coeffs, u.coeffs)
+        assert calls == [(3, 11, 11, 6)] * 3
+
+    def test_stepped_state_keeps_no_half_cube(self):
+        # the half cubes that reads of u and b scatter are the reader's: once
+        # it drops them, the traced memory is back at its level from before
+        _, st = stepped_once("random_band")
+        half_cube = 3 * 32 * 32 * 17 * 16
+
+        def read():
+            u, b = st.u, st.b
+            assert u.coeffs.nbytes == b.coeffs.nbytes == half_cube
+
+        _, peak, kept = traced(read)
+        assert peak >= 2 * half_cube
+        assert kept < half_cube / 100
 
     def test_workspace_reuse(self):
         # one stepper alternating between a Hall random_band state and a B0
@@ -713,6 +739,12 @@ class TestStepperInputs:
         with pytest.raises(ConfigError, match="key 'dealias_cut'"):
             Stepper(Grid(32, 8), cfg)
 
+    def test_state_fields_on_two_grids_rejected(self):
+        # when the state is built, before any step
+        u, b = zero_field(Grid(16)), zero_field(Grid(32))
+        with pytest.raises(DimensionError, match="n=16.*n=32"):
+            SolverState(0.0, u, b)
+
     def test_state_on_another_grid_rejected(self):
         # an n = 34 state has the cut 10 of n = 32, but not its grid
         cfg = RunConfig(n=32, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1)
@@ -855,6 +887,15 @@ class TestInitialConditions:
         write_checkpoint(path, 0.5, 0.1, 0.1, zero_field(Grid(8)), zero_field(Grid(8)))
         with pytest.raises(ConfigError, match="key 'init.path'.*n=8.*n=16"):
             make_initial({"kind": "from_checkpoint", "path": str(path)}, Grid(16))
+
+    @pytest.mark.parametrize(
+        "name, cause", [("missing.hmhd", FileNotFoundError), (".", IsADirectoryError)]
+    )
+    def test_from_checkpoint_unreadable_path_named(self, tmp_path, name, cause):
+        path = tmp_path / name
+        with pytest.raises(ConfigError, match="key 'init.path'") as info:
+            make_initial({"kind": "from_checkpoint", "path": str(path)}, Grid(8))
+        assert isinstance(info.value.__cause__, cause)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="key 'init.amplitud'"):
