@@ -29,6 +29,17 @@ its axis, exists only as its passes: the solver's kernel streams slabs of x
 planes through them, and through the passes of the pruned inverse, in
 buffers it keeps.
 
+Every pass is a pocketfft call (numpy.fft) but the z passes of the kernel.
+Those run between kz = 0..c and n real samples, so the kernel computes them
+as one real matrix product per slab against a cached 2(c + 1) x n DFT
+matrix (_z_matrices), O(n c) per line in one BLAS call, which is faster
+than the FFT up to about n = 128 (solver._Kernel has the measurements).
+They equal the FFT passes to rounding (<= 1e-15 relative), not bit for
+bit.  The half-cube transforms and the pruned inverse of _half_to_physical
+keep pocketfft: a half cube has no cut to prune at, and the box path serves
+LPPartition.shell_linf, whose maxima must equal lp_norm(project(f, q), inf)
+bit for bit, and lp_norm reads the half cube through irfftn.
+
 Spectral power sums and inner products (Parseval norms, ||grad f||^2, shell
 powers) are taken on the half cube or the box, each kz plane counted with
 its Hermitian multiplicity.
@@ -277,27 +288,59 @@ def _inverse_x(box: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.fft.ifft(out, axis=-3, norm="forward", out=out)
 
 
-def _inverse_yz(xs: np.ndarray, y: np.ndarray, out: np.ndarray | None = None):
-    """The y and z passes of the pruned inverse: x-pass output xs
-    (..., 2c + 1, c + 1) zero-padded along y into the buffer y (..., m, c + 1),
-    inverse-transformed along y in place, then along z to the real samples
-    (..., m, m), written to `out` when given."""
+def _inverse_y(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The y pass of the pruned inverse: x-pass output xs (..., 2c + 1, c + 1)
+    zero-padded along y into the buffer y (..., m, c + 1) and
+    inverse-transformed along y in place."""
     _pad_rows(xs, y, -2)
-    np.fft.ifft(y, axis=-2, norm="forward", out=y)
+    return np.fft.ifft(y, axis=-2, norm="forward", out=y)
+
+
+def _inverse_yz(xs: np.ndarray, y: np.ndarray, out: np.ndarray | None = None):
+    """The y and z passes of the pruned inverse: the y pass into the buffer
+    y, then irfft along z to the real samples (..., m, m), written to `out`
+    when given."""
     m = y.shape[-2]
-    return np.fft.irfft(y, n=m, axis=-1, norm="forward", out=out)
+    return np.fft.irfft(_inverse_y(xs, y), n=m, axis=-1, norm="forward", out=out)
+
+
+def _inverse_z(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The z pass of the pruned inverse as one real matrix product: y-pass
+    output y (..., m, c + 1) to the real samples `out` (..., m, m), both
+    C-contiguous.  Equals irfft along z to rounding (see _z_matrices)."""
+    m, h = out.shape[-1], y.shape[-1]
+    inv, _ = _z_matrices(m, h - 1)
+    np.matmul(_rows_of(y.view(np.float64), 2 * h), inv, out=_rows_of(out, m))
+    return out
+
+
+def _forward_z(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The z pass of the pruned forward transform as one real matrix
+    product: real samples (..., m, m) to their kz <= c in `out`
+    (..., m, c + 1), both C-contiguous.  Equals rfft along z, truncated, to
+    rounding (see _z_matrices)."""
+    m, h = samples.shape[-1], out.shape[-1]
+    _, fwd = _z_matrices(m, h - 1)
+    np.matmul(_rows_of(samples, m), fwd, out=_rows_of(out.view(np.float64), 2 * h))
+    return out
+
+
+def _forward_y(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The y pass of the pruned forward transform: z-pass output `a`
+    (..., m, c + 1) transformed along y in place, its box rows written to
+    `out` (..., 2c + 1, c + 1)."""
+    np.fft.fft(a, axis=-2, norm="forward", out=a)
+    _keep_rows(a, out, -2)
+    return out
 
 
 def _forward_zy(samples: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The z and y passes of the pruned forward transform: real samples
     (..., m, m) to `out` (..., 2c + 1, c + 1), through the buffer z
-    (..., m, m//2 + 1): kz <= c is kept after the z pass and the box rows of
-    y after the y pass, which runs in place in z."""
+    (..., m, m//2 + 1): rfft along z, of which kz <= c is kept, then the y
+    pass, which runs in place in z."""
     c = out.shape[-1] - 1
-    a = np.fft.rfft(samples, axis=-1, norm="forward", out=z)[..., : c + 1]
-    np.fft.fft(a, axis=-2, norm="forward", out=a)
-    _keep_rows(a, out, -2)
-    return out
+    return _forward_y(np.fft.rfft(samples, axis=-1, norm="forward", out=z)[..., : c + 1], out)
 
 
 def _forward_x(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -307,6 +350,37 @@ def _forward_x(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.fft.fft(a, axis=-3, norm="forward", out=a)
     _keep_rows(a, out, -3)
     return out
+
+
+def _rows_of(a: np.ndarray, width: int) -> np.ndarray:
+    """a as a (rows, width) view.  A reshape of a non-contiguous array is a
+    copy, and a product written to a copy is lost, so that raises."""
+    if not a.flags.c_contiguous:
+        raise ValueError(f"a dense z pass needs C-contiguous arrays, got strides {a.strides}")
+    return a.reshape(-1, width)
+
+
+@cache
+def _z_matrices(m: int, cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """(INV, FWD): the real DFT matrices of the pruned z passes between kz =
+    0..cut, stored as interleaved (re, im) pairs, and m real samples.
+    INV, (2 cut + 2, m), sums the Hermitian series: weight 1 at kz = 0 and 2
+    above it, so that samples = re . w cos - im . w sin; the imaginary part
+    of kz = 0 meets sin 0 = 0 and is ignored, as irfft ignores it.  FWD,
+    (m, 2 cut + 2), holds cos/m and -sin/m, the 1/m of this module's
+    normalization.  The phases are 2 pi ((k z) mod m)/m, reduced in
+    integers: unreduced, the rounding of 2 pi k z/m grew with k z to 4.7e-15
+    relative at m = 64.  Cached and read-only, as _box_rows."""
+    k = np.arange(cut + 1)
+    phase = (TWO_PI / m) * (np.outer(k, np.arange(m)) % m)
+    cos, sin = np.cos(phase), np.sin(phase)
+    weight = np.where(k == 0, 1.0, 2.0)[:, None]
+    inv = np.empty((2 * (cut + 1), m))
+    inv[0::2], inv[1::2] = weight * cos, -weight * sin
+    fwd = np.empty((m, 2 * (cut + 1)))
+    fwd[:, 0::2], fwd[:, 1::2] = cos.T / m, -sin.T / m
+    inv.flags.writeable = fwd.flags.writeable = False
+    return inv, fwd
 
 
 @cache
@@ -321,9 +395,18 @@ def _box_rows(n: int, cut: int) -> np.ndarray:
 
 def _to_box(a: np.ndarray, cut: int) -> np.ndarray:
     """The box |kx|, |ky| <= cut, 0 <= kz <= cut of a half-cube array,
-    shape (..., 2 cut + 1, 2 cut + 1, cut + 1), a copy."""
-    rows = _box_rows(a.shape[-3], cut)
-    return a[..., rows[:, None], rows, : cut + 1]
+    shape (..., 2 cut + 1, 2 cut + 1, cut + 1), a C-contiguous copy.  Its
+    four blocks of x and y rows (_box_rows: 0..cut, then n - cut..n - 1)
+    are copied by slices, so no temporary is made; a gather by the index
+    arrays lays the box out in another axis order, over which sums such as
+    _parseval run in another order."""
+    n, w = a.shape[-3], 2 * cut + 1
+    box = np.empty(a.shape[:-3] + (w, w, cut + 1), dtype=a.dtype)
+    halves = ((slice(cut + 1), slice(cut + 1)), (slice(cut + 1, w), slice(n - cut, n)))
+    for bx, ax in halves:
+        for by, ay in halves:
+            box[..., bx, by, :] = a[..., ax, ay, : cut + 1]
+    return box
 
 
 def _from_box(box: np.ndarray, n: int) -> np.ndarray:
@@ -440,8 +523,10 @@ def leray_project(f: SpectralField) -> SpectralField:
 def _vector_potential(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """A = i k x coeffs / |k|^2 for broadcastable wavevectors and 1/|k|^2 on
     the half cube, its n/2 planes zeroed (not for the box, whose index n/2
-    is no n/2 plane)."""
-    return _zero_nyquist(_curl(kvec, coeffs) * inv_k_sq)
+    is no n/2 plane), computed in place in one new array."""
+    a = _curl(kvec, coeffs)
+    a *= inv_k_sq
+    return _zero_nyquist(a)
 
 
 def vector_potential(b: SpectralField) -> SpectralField:

@@ -32,9 +32,10 @@ coefficients with |kx|, |ky|, kz <= dealias_cut (kz >= 0 suffices, the
 fields being real).  It runs the pruned inverse x passes of u, w, b and J
 once, then streams slabs of x planes through the y and z passes, the cross
 products and the forward z and y passes, and ends with the forward x passes
-into the two boxes its caller passes as `dst`; its buffers are allocated
+into the two boxes its caller passes as `dst`; its z passes are dense real
+matrix products, its x and y passes FFTs, and its buffers are allocated
 once per Stepper.  `dt_gate` reads the gate of the step's first stage from
-the same pruned samples.
+the same pruned samples, made by the same passes on the same slabs.
 
 Products are formed from the dealiased part of u and b (|k| <= dealias_cut),
 as the 2/3 rule assumes: content beyond the cut takes no part in them.  A
@@ -57,6 +58,7 @@ import numpy as np
 from .checkpoint import read_checkpoint
 from .config import ConfigError, RunConfig, check_init_params
 from .fields import (
+    VOLUME,
     DimensionError,
     Grid,
     SpectralField,
@@ -64,12 +66,13 @@ from .fields import (
     _curl,
     _divergence_error,
     _forward_x,
-    _forward_zy,
+    _forward_y,
+    _forward_z,
     _from_box,
-    _half_to_physical,
-    _inner,
+    _hermitian_sum,
     _inverse_x,
-    _inverse_yz,
+    _inverse_y,
+    _inverse_z,
     _leray,
     _parseval,
     _sup_magnitude,
@@ -193,7 +196,11 @@ def _dealiased_box(f: SpectralField) -> np.ndarray:
 # bytes of the sample and transform buffers a kernel streams x planes
 # through, which sets the planes per slab (at least one, at most n).  Budgets
 # of 0.5 to 16 MiB stepped within noise of each other at n = 32, 64 and 128
-# (2-core host, 2 MiB L2 per core); this is the smallest that was never worse.
+# (2-core host, 2 MiB L2 per core, FFT z passes); this is the smallest that
+# was never worse.  A plane holds 8 (16 n^2 + 6 n (c + 1)) bytes: n^2
+# float64 of five 3-component sample arrays and one scratch array, and
+# 3 n (c + 1) complex128 of the one transform buffer, which the dense z
+# passes keep at kz <= c.  That is 14, 3 and 1 planes at n = 32, 64 and 128.
 SLAB_BYTES = 2 << 20
 
 
@@ -213,11 +220,28 @@ class _Kernel:
       over the planes of the u and w buffers that the slab has consumed;
     - the forward x passes, in place in those two buffers.
 
+    The x and y passes are FFTs.  The z passes are dense real matrix
+    products (fields._inverse_z, _forward_z), one per slab and field: only
+    kz <= c is nonzero on the way in and kept on the way out, so a z line
+    costs one row of a product with a 2(c + 1) x n matrix, O(n c) = O(n^2)
+    multiply-adds in one BLAS call, against an O(n log n) FFT of the whole
+    line.  The product wins while n is small and loses as n/log n grows.
+    Single-threaded OpenBLAS on a 2-core Xeon, per slab: the inverse z pass
+    5x faster than irfft at n = 32, 1.8x at 64 and 1.0-1.3x at 128; the
+    forward z and y passes 1.2-1.7x faster than rfft and y at n = 32 and
+    1.0-1.1x at 64.  Whole Hall steps take 0.76x, 0.83x and 0.985x the time
+    of FFT z passes at n = 32, 64 and 128, so the crossover lies near
+    n = 128; above it the products are untested.  Dense x and y passes were
+    slower at n = 64 and 128.
+
     The slab holds as many planes as SLAB_BYTES of sample and transform
-    buffers allow.  Every buffer is allocated once and the results are
-    written into the caller's boxes, so a call allocates only temporaries of
-    one component; no result aliases a buffer.  Not thread-safe: one call at
-    a time per instance.
+    buffers allow.  Each buffer is one flat array, and a slab takes its
+    C-contiguous leading part, as the matrix products need; one complex
+    buffer serves the inverse y/z passes and then the forward z/y passes.
+    Every buffer is allocated once and the results are written into the
+    caller's boxes, so a call allocates only temporaries of one component;
+    no result aliases a buffer.  Not thread-safe: one call at a time per
+    instance.
     """
 
     def __init__(self, grid: Grid):
@@ -226,36 +250,54 @@ class _Kernel:
         self.grid = grid
         self._curl_box = np.empty((3, w, w, h), dtype=np.complex128)
         self._xs = np.empty((4, 3, n, w, h), dtype=np.complex128)
-        # per x plane: five 3-component sample planes and one scratch plane
-        # (real), and the y and z transform planes (complex)
-        plane = 8 * 16 * n * n + 16 * 3 * n * (h + n // 2 + 1)
+        plane = 8 * 16 * n * n + 16 * 3 * n * h
         s = min(n, max(1, SLAB_BYTES // plane))
         self._slab = s
-        self._samples = np.empty((5, 3, s, n, n))
-        self._tmp = np.empty((s, n, n))
-        self._y = np.empty((3, s, n, h), dtype=np.complex128)
-        self._z = np.empty((3, s, n, n // 2 + 1), dtype=np.complex128)
+        self._samples = np.empty(5 * 3 * s * n * n)
+        self._tmp = np.empty(s * n * n)
+        self._y = np.empty(3 * s * n * h, dtype=np.complex128)
+
+    def _slabs(self):
+        """(i0, i1, samples, tmp, y) per slab of x planes i0..i1 - 1:
+        samples (5, 3, s, n, n), tmp (s, n, n) and the transform buffer y
+        (3, s, n, c + 1), C-contiguous views of the flat buffers."""
+        n, h = self.grid.n, self.grid.dealias_cut + 1
+        for i0 in range(0, n, self._slab):
+            i1 = min(i0 + self._slab, n)
+            s = i1 - i0
+            yield (
+                i0, i1,
+                self._samples[: 15 * s * n * n].reshape(5, 3, s, n, n),
+                self._tmp[: s * n * n].reshape(s, n, n),
+                self._y[: 3 * s * n * h].reshape(3, s, n, h),
+            )
+
+    def sup(self, box: np.ndarray) -> float:
+        """max_x |samples| of the box, from the samples the kernel itself
+        makes: the same passes on the same slabs, so equal bit for bit to
+        the maxima a gated call returns for that box."""
+        xs = _inverse_x(box, self._xs[0])
+        maxima = []
+        for i0, i1, samples, _, y in self._slabs():
+            f, fp = samples[0], samples[4]
+            _inverse_z(_inverse_y(xs[:, i0:i1], y), f)
+            maxima.append(_sup_magnitude(f, fp[0], fp[1]))
+        return float(np.max(maxima))
 
     def __call__(self, uh: np.ndarray, bh: np.ndarray, hall_on: bool, dst, gate=False):
         """Writes du and db into the boxes dst = (du, db) and returns the
         maxima (max|u|, max|b|) over the samples when gate is True, else
         None."""
-        g = self.grid
-        n = g.n
-        kvec, _, inv_k_sq, mask = g.box
+        kvec, _, inv_k_sq, mask = self.grid.box
         xs = self._xs
         _inverse_x(uh, xs[0])
         _inverse_x(_curl(kvec, uh, out=self._curl_box), xs[1])
         _inverse_x(bh, xs[2])
         _inverse_x(_curl(kvec, bh, out=self._curl_box), xs[3])
         maxima = []
-        for i0 in range(0, n, self._slab):
-            i1 = min(i0 + self._slab, n)
-            s = i1 - i0
-            up, wp, bp, jp, fp = (a[:, :s] for a in self._samples)
-            tmp, y, z = self._tmp[:s], self._y[:, :s], self._z[:, :s]
+        for i0, i1, (up, wp, bp, jp, fp), tmp, y in self._slabs():
             for x, o in zip(xs, (up, wp, bp, jp)):
-                _inverse_yz(x[:, i0:i1], y, o)
+                _inverse_z(_inverse_y(x[:, i0:i1], y), o)
             if gate:  # fp is free until the products
                 maxima.append([_sup_magnitude(f, fp[0], fp[1]) for f in (up, bp)])
             _cross(up, wp, out=fp, tmp=tmp)
@@ -263,8 +305,8 @@ class _Kernel:
             # J is needed no more: u - J overwrites it
             ub = np.subtract(up, jp, out=jp) if hall_on else up
             _cross(ub, bp, out=wp, tmp=tmp)
-            _forward_zy(fp, z, xs[0, :, i0:i1])
-            _forward_zy(wp, z, xs[1, :, i0:i1])
+            _forward_y(_forward_z(fp, y), xs[0, :, i0:i1])
+            _forward_y(_forward_z(wp, y), xs[1, :, i0:i1])
         du, db = dst
         _forward_x(xs[0], du)
         fb = _forward_x(xs[1], self._curl_box)
@@ -328,14 +370,20 @@ def dt_gate(
     exactly, so the whistler term reads only the fluctuating field b - B0.
     The mean velocity is not removed from max|u|.  The maxima are taken over
     the pruned samples of the dealiased boxes of u and b, the samples a step
-    gates on in its first stage, so the gate of the DtGateError a step
-    raises equals dt_gate of its state, bit for bit.  u and b on different
-    grids raise DimensionError."""
+    gates on in its first stage: a kernel of the grid streams each box
+    through its own passes, with its dense z products, on the step's slabs
+    (_Kernel.sup), so the gate of the DtGateError a step raises equals
+    dt_gate of its state, bit for bit: a BLAS need not round a row alike in
+    products of another height, so the slabs must be the step's.  That
+    costs the x pass of one box and one slab of buffers at a time, not two
+    (3, n, n, n) sample cubes, and the z passes cost what they cost in the
+    kernel (see _Kernel).  u and b on different grids raise
+    DimensionError."""
     g = _common_grid(u, b)
     uh, bh = _dealiased_box(u), _dealiased_box(b)
     bh[:, 0, 0, 0] -= bh[:, 0, 0, 0].real
-    u_max, b_max = (_sup_magnitude(_half_to_physical(x, g.n)) for x in (uh, bh))
-    return _gate(u_max, b_max, float(g.dealias_cut), cfg)
+    kernel = _Kernel(g)
+    return _gate(kernel.sup(uh), kernel.sup(bh), float(g.dealias_cut), cfg)
 
 
 # -- integrating factors ------------------------------------------------------------
@@ -600,9 +648,13 @@ def energy(f: SpectralField) -> float:
 
 def magnetic_helicity(b: SpectralField) -> float:
     """Integral of A . b with curl A = b, A solenoidal: the spectral sum
-    with vector_potential's A."""
+    with vector_potential's A, the terms conj(A) b formed in place in A, so
+    that the one half cube of A is the only temporary."""
     g = b.grid
-    return _inner(_vector_potential(g.kvec, g.inv_k_sq, b.coeffs), b.coeffs)
+    a = _vector_potential(g.kvec, g.inv_k_sq, b.coeffs)
+    np.conjugate(a, out=a)
+    a *= b.coeffs
+    return VOLUME * _hermitian_sum(a.real)
 
 
 # -- initial conditions ----------------------------------------------------------------

@@ -15,12 +15,18 @@ from hallmhd.fields import (
     Grid,
     SpectralField,
     _forward_x,
+    _forward_y,
+    _forward_z,
     _forward_zy,
     _from_box,
     _half_to_physical,
+    _inverse_x,
+    _inverse_y,
+    _inverse_z,
     _parseval,
     _physical_to_half,
     _to_box,
+    _z_matrices,
     curl,
     divergence_error,
     from_physical,
@@ -196,6 +202,46 @@ class TestTransforms:
         zy = np.empty((3, n, 2 * c + 1, c + 1), dtype=np.complex128)
         got = _forward_x(_forward_zy(samples, z, zy), np.empty_like(box))
         assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("n", [8, 10, 16, 24, 32, 64])
+    def test_dense_z_passes_match_full_real_transforms(self, n):
+        # the solver kernel's pruned pair, its z passes dense real matrix
+        # products: the inverse against irfftn of the half cube holding the
+        # box, the forward against the truncated rfftn, as for the FFT passes
+        g = Grid(n)
+        c = g.dealias_cut
+        w, h = 2 * c + 1, c + 1
+        rng = np.random.default_rng(n)
+        samples = rng.standard_normal((3, n, n, n))
+        box = _to_box(from_physical(samples, g).coeffs, c)
+        expect = np.fft.irfftn(_from_box(box, n), s=(n,) * 3, axes=(1, 2, 3), norm="forward")
+        y = np.empty((3, n, n, h), dtype=np.complex128)
+        xs = _inverse_x(box, np.empty((3, n, w, h), dtype=np.complex128))
+        got = _inverse_z(_inverse_y(xs, y), np.empty((3, n, n, n)))
+        assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+        expect = _to_box(np.fft.rfftn(samples, axes=(1, 2, 3), norm="forward"), c)
+        zy = _forward_y(_forward_z(samples, y), np.empty((3, n, w, h), dtype=np.complex128))
+        got = _forward_x(zy, np.empty_like(box))
+        assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+
+    def test_dense_z_passes_refuse_strided_arrays(self):
+        # a reshape of a strided slice is a copy: a product written to it
+        # would be lost, so the passes raise instead
+        n, h = 16, 6
+        y = np.zeros((3, 4, n, h), dtype=np.complex128)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _inverse_z(y, np.empty((3, 8, n, n))[:, :4])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _forward_z(np.zeros((3, 8, n, n))[:, :4], y)
+
+    def test_z_matrices_are_cached_and_read_only(self):
+        inv, fwd = _z_matrices(32, 10)
+        assert _z_matrices(32, 10)[0] is inv
+        assert inv.shape == (22, 32) and fwd.shape == (32, 22)
+        with pytest.raises(ValueError):
+            inv[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            fwd[0, 0] = 0.0
 
 
 class TestCalculus:
@@ -552,13 +598,16 @@ class TestSingleTransformPath:
         # every FFT in the package goes through the two real transforms of
         # fields and the passes of their pruned box path, which the solver's
         # kernel streams over x slabs, so the sample/coefficient convention
-        # lives in one place
+        # lives in one place; the kernel's dense z passes are matrix
+        # products in fields, and its x and y passes these FFTs
         allowed = {
             ("fields.py", "_half_to_physical"),
             ("fields.py", "_physical_to_half"),
             ("fields.py", "_inverse_x"),
+            ("fields.py", "_inverse_y"),
             ("fields.py", "_inverse_yz"),
             ("fields.py", "_forward_zy"),
+            ("fields.py", "_forward_y"),
             ("fields.py", "_forward_x"),
         }
         found, stray = set(), []
