@@ -18,7 +18,9 @@ Every wavenumber array of Grid has the same layout.
 Inside the solver's step, coefficients live on a smaller array still: the
 box |kx|, |ky| <= c, 0 <= kz <= c of a cut c < n/2, shape
 (..., 2c + 1, 2c + 1, c + 1), x and y wavenumbers in FFT order
-[0..c, -c..-1].  With c = dealias_cut it holds every mode the 2/3 rule keeps.
+[0..c, -c..-1], rows 0..c and n - c..n - 1 of an axis of n: one block map
+(_halves) makes every copy between a box and a longer axis.  With
+c = dealias_cut the box holds every mode the 2/3 rule keeps.
 
 All transforms are real and go through one pair.  Samples are made from the
 half cube by one inverse real FFT, or from a box by a pruned one that skips
@@ -36,7 +38,8 @@ matrix (_z_matrices), O(n c) per line in one BLAS call, which is faster
 than the FFT up to about n = 128 (solver._Kernel has the measurements).
 They equal the FFT passes to rounding (<= 1e-15 relative), not bit for
 bit.  The half-cube transforms and the pruned inverse of _half_to_physical
-keep pocketfft: a half cube has no cut to prune at, and the box path serves
+(_inverse_x, _inverse_y, then irfft along z) keep pocketfft: a half cube
+has no cut to prune at, and the box path serves
 LPPartition.shell_linf, whose maxima must equal lp_norm(project(f, q), inf)
 bit for bit, and lp_norm reads the half cube through irfftn.
 
@@ -50,6 +53,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import product
 
 import numpy as np
 
@@ -133,7 +137,7 @@ class Grid:
         kz <= dealias_cut, where the solver steps.  The box holds no n/2
         index, so its derivative wavenumbers are its wavevectors."""
         c = self.dealias_cut
-        kvec = _box_axes(self.k1, c)
+        kvec = _box_axes(c)
         k_sq = _norm_sq(kvec)
         return kvec, k_sq, _reciprocal(k_sq), np.sqrt(k_sq) <= c
 
@@ -145,10 +149,10 @@ def _half_cube_axes(k1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return k1.reshape(n, 1, 1), k1.reshape(1, n, 1), k1[: n // 2 + 1].reshape(1, 1, -1)
 
 
-def _box_axes(k1: np.ndarray, cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Broadcastable x, y and kz axes of the box of `cut`, from the per-axis
-    wavenumbers k1 in FFT order."""
-    k = k1[_box_rows(k1.size, cut)]
+def _box_axes(cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Broadcastable x, y and kz axes of the box of `cut`, x and y in FFT
+    order [0..cut, -cut..-1]."""
+    k = np.r_[0 : cut + 1, -cut:0].astype(np.float64)
     return k.reshape(-1, 1, 1), k.reshape(1, -1, 1), np.arange(cut + 1.0)
 
 
@@ -229,9 +233,9 @@ def zero_field(grid: Grid, ncomp: int = 3) -> SpectralField:
 # The two real transforms below, and the passes of their pruned path, are
 # the only FFT calls in the package.  The inverse takes either the half cube
 # or the box; the forward returns the half cube, and the box only through
-# the pruned passes.  The pruned passes write in place
-# or into given buffers through the `out` argument of numpy.fft (NumPy 2.0),
-# which spares one fresh array per pass.
+# the kernel's pruned passes (_forward_z, _forward_y, _forward_x).  The
+# pruned passes write in place or into given buffers through the `out`
+# argument of numpy.fft (NumPy 2.0), which spares one fresh array per pass.
 
 
 def _half_to_physical(half: np.ndarray, m: int) -> np.ndarray:
@@ -245,7 +249,7 @@ def _half_to_physical(half: np.ndarray, m: int) -> np.ndarray:
     lead = half.shape[:-3]
     xs = np.empty(lead + (m,) + half.shape[-2:], dtype=np.complex128)
     y = np.empty(lead + (m, m, half.shape[-1]), dtype=np.complex128)
-    return _inverse_yz(_inverse_x(half, xs), y)
+    return np.fft.irfft(_inverse_y(_inverse_x(half, xs), y), n=m, axis=-1, norm="forward")
 
 
 def _physical_to_half(samples: np.ndarray) -> np.ndarray:
@@ -255,9 +259,15 @@ def _physical_to_half(samples: np.ndarray) -> np.ndarray:
 
 
 # The passes of the pruned box transforms, for callers that stream x planes
-# through the y and z passes with buffers of their own.  Box x and y
-# wavenumbers are in FFT order [0..c, -c..-1]: rows 0..c and m - c..m - 1 of
-# an axis of length m.
+# through the y and z passes with buffers of their own.  Every copy between
+# a box and an axis of length m goes through the block map _halves.
+
+
+def _halves(m: int, c: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
+    """The (box rows, axis rows) slice pairs of the box of cut c on an
+    FFT-ordered axis of length m: box x and y wavenumbers are in FFT order
+    [0..c, -c..-1], rows 0..c and m - c..m - 1 of the axis."""
+    return (slice(c + 1), slice(c + 1)), (slice(c + 1, 2 * c + 1), slice(m - c, m))
 
 
 def _rows(axis: int, rows: slice) -> tuple:
@@ -269,16 +279,16 @@ def _pad_rows(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
     """dst = src zero-padded along `axis` from the 2c + 1 box rows to the
     dst length m."""
     c, m = src.shape[axis] // 2, dst.shape[axis]
-    dst[_rows(axis, slice(c + 1))] = src[_rows(axis, slice(c + 1))]
     dst[_rows(axis, slice(c + 1, m - c))] = 0.0
-    dst[_rows(axis, slice(m - c, m))] = src[_rows(axis, slice(c + 1, None))]
+    for box_rows, axis_rows in _halves(m, c):
+        dst[_rows(axis, axis_rows)] = src[_rows(axis, box_rows)]
 
 
 def _keep_rows(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
     """dst = the 2c + 1 box rows of src along `axis`, c from dst."""
     c, m = dst.shape[axis] // 2, src.shape[axis]
-    dst[_rows(axis, slice(c + 1))] = src[_rows(axis, slice(c + 1))]
-    dst[_rows(axis, slice(c + 1, None))] = src[_rows(axis, slice(m - c, m))]
+    for box_rows, axis_rows in _halves(m, c):
+        dst[_rows(axis, box_rows)] = src[_rows(axis, axis_rows)]
 
 
 def _inverse_x(box: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -294,14 +304,6 @@ def _inverse_y(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
     inverse-transformed along y in place."""
     _pad_rows(xs, y, -2)
     return np.fft.ifft(y, axis=-2, norm="forward", out=y)
-
-
-def _inverse_yz(xs: np.ndarray, y: np.ndarray, out: np.ndarray | None = None):
-    """The y and z passes of the pruned inverse: the y pass into the buffer
-    y, then irfft along z to the real samples (..., m, m), written to `out`
-    when given."""
-    m = y.shape[-2]
-    return np.fft.irfft(_inverse_y(xs, y), n=m, axis=-1, norm="forward", out=out)
 
 
 def _inverse_z(y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -334,15 +336,6 @@ def _forward_y(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_zy(samples: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The z and y passes of the pruned forward transform: real samples
-    (..., m, m) to `out` (..., 2c + 1, c + 1), through the buffer z
-    (..., m, m//2 + 1): rfft along z, of which kz <= c is kept, then the y
-    pass, which runs in place in z."""
-    c = out.shape[-1] - 1
-    return _forward_y(np.fft.rfft(samples, axis=-1, norm="forward", out=z)[..., : c + 1], out)
-
-
 def _forward_x(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The x pass of the pruned forward transform: `a` (..., m, 2c + 1, c + 1)
     transformed along x in place, its box rows written to the box `out`
@@ -370,7 +363,8 @@ def _z_matrices(m: int, cut: int) -> tuple[np.ndarray, np.ndarray]:
     (m, 2 cut + 2), holds cos/m and -sin/m, the 1/m of this module's
     normalization.  The phases are 2 pi ((k z) mod m)/m, reduced in
     integers: unreduced, the rounding of 2 pi k z/m grew with k z to 4.7e-15
-    relative at m = 64.  Cached and read-only, as _box_rows."""
+    relative at m = 64.  Cached, as every pruned z pass asks for them, and
+    read-only."""
     k = np.arange(cut + 1)
     phase = (TWO_PI / m) * (np.outer(k, np.arange(m)) % m)
     cos, sin = np.cos(phase), np.sin(phase)
@@ -383,38 +377,26 @@ def _z_matrices(m: int, cut: int) -> tuple[np.ndarray, np.ndarray]:
     return inv, fwd
 
 
-@cache
-def _box_rows(n: int, cut: int) -> np.ndarray:
-    """Indices of the wavenumbers 0..cut, -cut..-1 on an FFT-ordered axis of
-    length n: the x and y rows of the box of that cut.  Cached, as every
-    pruned transform asks for them, and read-only."""
-    rows = np.r_[0 : cut + 1, n - cut : n]
-    rows.flags.writeable = False
-    return rows
-
-
 def _to_box(a: np.ndarray, cut: int) -> np.ndarray:
     """The box |kx|, |ky| <= cut, 0 <= kz <= cut of a half-cube array,
     shape (..., 2 cut + 1, 2 cut + 1, cut + 1), a C-contiguous copy.  Its
-    four blocks of x and y rows (_box_rows: 0..cut, then n - cut..n - 1)
-    are copied by slices, so no temporary is made; a gather by the index
-    arrays lays the box out in another axis order, over which sums such as
-    _parseval run in another order."""
+    four blocks of x and y rows (_halves) are copied by slices, so no
+    temporary is made; a gather by index arrays lays the box out in another
+    axis order, over which sums such as _parseval run in another order."""
     n, w = a.shape[-3], 2 * cut + 1
     box = np.empty(a.shape[:-3] + (w, w, cut + 1), dtype=a.dtype)
-    halves = ((slice(cut + 1), slice(cut + 1)), (slice(cut + 1, w), slice(n - cut, n)))
-    for bx, ax in halves:
-        for by, ay in halves:
-            box[..., bx, by, :] = a[..., ax, ay, : cut + 1]
+    for (bx, ax), (by, ay) in product(_halves(n, cut), repeat=2):
+        box[..., bx, by, :] = a[..., ax, ay, : cut + 1]
     return box
 
 
 def _from_box(box: np.ndarray, n: int) -> np.ndarray:
-    """The n-grid half cube holding `box`, zero elsewhere."""
+    """The n-grid half cube holding `box`, zero elsewhere: the copies of
+    _to_box in reverse."""
     cut = box.shape[-1] - 1
-    rows = _box_rows(n, cut)
     out = np.zeros(box.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
-    out[..., rows[:, None], rows, : cut + 1] = box
+    for (bx, ax), (by, ay) in product(_halves(n, cut), repeat=2):
+        out[..., ax, ay, : cut + 1] = box[..., bx, by, :]
     return out
 
 
@@ -594,16 +576,11 @@ def l2_norm_spectral(f: SpectralField) -> float:
     return float(np.sqrt(_parseval(f.coeffs)))
 
 
-def _inner(f: np.ndarray, g: np.ndarray) -> float:
-    """(2*pi)^3 sum_k Re(conj(f(k)) g(k)) over all wavevectors of real
-    fields, from their half cubes or boxes."""
-    return VOLUME * _hermitian_sum((np.conj(f) * g).real)
-
-
 def inner_product(f: SpectralField, g: SpectralField) -> float:
-    """L^2 inner product of real fields via the spectral sum."""
+    """L^2 inner product of real fields via the spectral sum,
+    (2*pi)^3 sum_k Re(conj(f(k)) g(k)) over all wavevectors."""
     _check_same(f, g)
-    return _inner(f.coeffs, g.coeffs)
+    return VOLUME * _hermitian_sum((np.conj(f.coeffs) * g.coeffs).real)
 
 
 def grad_norm_sq(f: SpectralField) -> float:
@@ -665,7 +642,7 @@ def random_field(
     cut = n // 2 - 1
     if k_hi is not None:
         cut = int(min(max(k_hi, 0), cut))
-    kvec = _box_axes(grid.k1, cut)
+    kvec = _box_axes(cut)
     k_sq = _norm_sq(kvec)
     draw = rng.standard_normal((ncomp,) + k_sq.shape + (2,))
     coeffs = draw.view(np.complex128)[..., 0]

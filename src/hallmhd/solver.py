@@ -173,10 +173,18 @@ class SolverState:
 
 
 def _common_grid(u: SpectralField, b: SpectralField) -> Grid:
-    """The grid of u and b; DimensionError naming both if they differ."""
+    """The grid of u and b; DimensionError naming both if they differ, or
+    naming a field that is not a 3-component vector."""
+    for name, f in (("u", u), ("b", b)):
+        _check_vector(f, name)
     if u.grid != b.grid:
         raise DimensionError(f"u is on {u.grid}, b on {b.grid}")
     return u.grid
+
+
+def _check_vector(f: SpectralField, name: str) -> None:
+    if f.ncomp != 3:
+        raise DimensionError(f"{name} has ncomp={f.ncomp}, not a 3-component vector field")
 
 
 def _pair(grid: Grid) -> np.ndarray:
@@ -650,6 +658,7 @@ def magnetic_helicity(b: SpectralField) -> float:
     """Integral of A . b with curl A = b, A solenoidal: the spectral sum
     with vector_potential's A, the terms conj(A) b formed in place in A, so
     that the one half cube of A is the only temporary."""
+    _check_vector(b, "b")
     g = b.grid
     a = _vector_potential(g.kvec, g.inv_k_sq, b.coeffs)
     np.conjugate(a, out=a)

@@ -14,15 +14,17 @@ from hallmhd.fields import (
     DimensionError,
     Grid,
     SpectralField,
+    _box_axes,
     _forward_x,
     _forward_y,
     _forward_z,
-    _forward_zy,
     _from_box,
     _half_to_physical,
     _inverse_x,
     _inverse_y,
     _inverse_z,
+    _keep_rows,
+    _pad_rows,
     _parseval,
     _physical_to_half,
     _to_box,
@@ -184,7 +186,8 @@ class TestTransforms:
     @pytest.mark.parametrize("n", [8, 10, 16, 24])
     def test_pruned_pair_matches_full_real_transforms(self, n):
         # the box |kx|, |ky|, kz <= cut: its inverse against irfftn of the
-        # half cube holding it, its forward against the truncated rfftn
+        # half cube holding it (the forward pair, whose z pass is dense, is
+        # checked in test_dense_z_passes_match_full_real_transforms)
         g = Grid(n)
         c = g.dealias_cut
         rng = np.random.default_rng(n)
@@ -194,13 +197,6 @@ class TestTransforms:
         half = _from_box(box, n)
         expect = np.fft.irfftn(half, s=(n,) * 3, axes=(1, 2, 3), norm="forward")
         got = _half_to_physical(box, n)
-        assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
-        # the pruned forward transform, composed of the passes the solver's
-        # kernel runs
-        expect = _to_box(np.fft.rfftn(samples, axes=(1, 2, 3), norm="forward"), c)
-        z = np.empty((3, n, n, n // 2 + 1), dtype=np.complex128)
-        zy = np.empty((3, n, 2 * c + 1, c + 1), dtype=np.complex128)
-        got = _forward_x(_forward_zy(samples, z, zy), np.empty_like(box))
         assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
     @pytest.mark.parametrize("n", [8, 10, 16, 24, 32, 64])
@@ -242,6 +238,72 @@ class TestTransforms:
             inv[0, 0] = 0.0
         with pytest.raises(ValueError):
             fwd[0, 0] = 0.0
+
+
+def layout_cases():
+    """(n, cut) of every box cut the package makes: 0 (random_field with
+    k_hi < 1), 1, the dealias cut and n/2 - 1 (random_field's default)."""
+    for n in (8, 10, 16, 32):
+        for c in sorted({0, 1, Grid(n).dealias_cut, n // 2 - 1}):
+            yield n, c
+
+
+class TestBoxLayout:
+    # the block map fields._halves against the box's x and y rows written
+    # as an index array, rows np.r_[0:c + 1, n - c:n] of an axis of n
+
+    @pytest.mark.parametrize("n, c", list(layout_cases()))
+    def test_box_copies_match_the_index_rows(self, n, c):
+        rows = np.r_[0 : c + 1, n - c : n]
+        rng = np.random.default_rng(n + c)
+        half = rng.standard_normal((2, n, n, n // 2 + 1, 2)).view(np.complex128)[..., 0]
+        box = _to_box(half, c)
+        assert box.flags.c_contiguous
+        assert np.array_equal(box, half[:, rows[:, None], rows, : c + 1])
+        expect = np.zeros_like(half)
+        expect[:, rows[:, None], rows, : c + 1] = box
+        assert np.array_equal(_from_box(box, n), expect)
+        assert np.array_equal(_to_box(_from_box(box, n), c), box)
+
+    @pytest.mark.parametrize("n, c", list(layout_cases()))
+    @pytest.mark.parametrize("axis", [-3, -2])
+    def test_pad_and_keep_rows_match_the_index_rows(self, n, c, axis):
+        rows = np.r_[0 : c + 1, n - c : n]
+        rng = np.random.default_rng(n + c)
+        shape = [2, 3, 4, 5]
+        shape[axis] = 2 * c + 1
+        box = rng.standard_normal(shape) + 0j
+        shape[axis] = n
+        padded = np.full(shape, np.nan, dtype=np.complex128)
+        _pad_rows(box, padded, axis)
+        expect = np.zeros(shape, dtype=np.complex128)
+        np.moveaxis(expect, axis, 0)[rows] = np.moveaxis(box, axis, 0)
+        assert np.array_equal(padded, expect)
+        full = rng.standard_normal(shape) + 0j
+        kept = np.empty_like(box)
+        _keep_rows(full, kept, axis)
+        assert np.array_equal(kept, np.take(full, rows, axis=axis))
+
+    @pytest.mark.parametrize("n, c", list(layout_cases()))
+    def test_box_wavevectors_match_k1(self, n, c):
+        rows = np.r_[0 : c + 1, n - c : n]
+        k1 = Grid(n).k1
+        axes = [_box_axes(c)]
+        if 1 <= c <= (n - 1) // 3:
+            axes.append(Grid(n, c).box[0])
+        for kx, ky, kz in axes:
+            assert kx.dtype == ky.dtype == kz.dtype == np.float64
+            assert np.array_equal(kx, k1[rows].reshape(-1, 1, 1))
+            assert np.array_equal(ky, k1[rows].reshape(1, -1, 1))
+            assert np.array_equal(kz, k1[: c + 1])
+
+    def test_random_field_of_cut_zero_is_its_mean(self):
+        g = Grid(8)
+        f = random_field(g, np.random.default_rng(0), k_hi=0.5, zero_mean=False)
+        mean = f.coeffs[:, 0, 0, 0].copy()
+        f.coeffs[:, 0, 0, 0] = 0.0
+        assert np.all(mean != 0.0) and np.all(mean.imag == 0.0)
+        assert not f.coeffs.any()
 
 
 class TestCalculus:
@@ -605,8 +667,6 @@ class TestSingleTransformPath:
             ("fields.py", "_physical_to_half"),
             ("fields.py", "_inverse_x"),
             ("fields.py", "_inverse_y"),
-            ("fields.py", "_inverse_yz"),
-            ("fields.py", "_forward_zy"),
             ("fields.py", "_forward_y"),
             ("fields.py", "_forward_x"),
         }
@@ -644,3 +704,45 @@ class TestImports:
             names = unused_imports(ast.parse(path.read_text()))
             unused += [f"{path.name}: {name}" for name in names]
         assert unused == []
+
+
+def private_defs(tree):
+    """(name, line) of each module-level private function and each private
+    method of a module-level class; dunders are not private."""
+    for node in tree.body:
+        for d in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if (
+                isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and d.name.startswith("_")
+                and not d.name.endswith("__")
+            ):
+                yield d.name, d.lineno
+
+
+def names_read(tree):
+    """Every name a module reads, bare or as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+class TestDeadHelpers:
+    def test_every_private_helper_is_read_by_the_package(self):
+        # a private helper that only tests or the benchmark read is code the
+        # package keeps for nothing, so only the package's modules are read
+        trees = {
+            path.name: ast.parse(path.read_text())
+            for path in sorted(Path(fields.__file__).parent.glob("*.py"))
+        }
+        read = set().union(*(names_read(tree) for tree in trees.values()))
+        dead = [
+            f"{name}:{line} {helper}"
+            for name, tree in trees.items()
+            for helper, line in private_defs(tree)
+            if helper not in read
+        ]
+        assert dead == []

@@ -848,6 +848,33 @@ class TestStepperInputs:
         with pytest.raises(DimensionError, match="n=16.*n=32"):
             SolverState(0.0, u, b)
 
+    @pytest.mark.parametrize(
+        "call, name, ncomp",
+        [
+            ("state", "u", 1),
+            ("state", "b", 9),
+            ("rhs", "u", 1),
+            ("rhs", "b", 1),
+            ("dt_gate", "u", 1),
+            ("dt_gate", "b", 1),
+            ("magnetic_helicity", "b", 9),
+        ],
+    )
+    def test_fields_that_are_not_vectors_rejected(self, call, name, ncomp):
+        # a named error, not an IndexError or a failed unpacking inside a pass
+        g = Grid(16)
+        cfg = RunConfig(n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1)
+        pair = {"u": zero_field(g), "b": zero_field(g), name: zero_field(g, ncomp)}
+        u, b = pair["u"], pair["b"]
+        calls = {
+            "state": lambda: Stepper(g, cfg).step(SolverState(0.0, u, b)),
+            "rhs": lambda: rhs(u, b),
+            "dt_gate": lambda: dt_gate(u, b, cfg),
+            "magnetic_helicity": lambda: magnetic_helicity(b),
+        }
+        with pytest.raises(DimensionError, match=f"{name} has ncomp={ncomp}"):
+            calls[call]()
+
     def test_state_on_another_grid_rejected(self):
         # an n = 34 state has the cut 10 of n = 32, but not its grid
         cfg = RunConfig(n=32, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1)
