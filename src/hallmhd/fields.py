@@ -38,8 +38,8 @@ matrix (_z_matrices), O(n c) per line in one BLAS call, which is faster
 than the FFT up to about n = 128 (solver._Kernel has the measurements).
 They equal the FFT passes to rounding (<= 1e-15 relative), not bit for
 bit.  The half-cube transforms and the pruned inverse of _half_to_physical
-(_inverse_x, _inverse_y, then irfft along z) keep pocketfft: a half cube
-has no cut to prune at, and the box path serves
+(_inverse_pass along x and y, then irfft along z) keep pocketfft: a half
+cube has no cut to prune at, and the box path serves
 LPPartition.shell_linf, whose maxima must equal lp_norm(project(f, q), inf)
 bit for bit, and lp_norm reads the half cube through irfftn.
 
@@ -233,9 +233,10 @@ def zero_field(grid: Grid, ncomp: int = 3) -> SpectralField:
 # The two real transforms below, and the passes of their pruned path, are
 # the only FFT calls in the package.  The inverse takes either the half cube
 # or the box; the forward returns the half cube, and the box only through
-# the kernel's pruned passes (_forward_z, _forward_y, _forward_x).  The
-# pruned passes write in place or into given buffers through the `out`
-# argument of numpy.fft (NumPy 2.0), which spares one fresh array per pass.
+# the kernel's pruned passes (_forward_z, then _forward_pass along y and
+# x).  The pruned passes write in place or into given buffers through the
+# `out` argument of numpy.fft (NumPy 2.0), which spares one fresh array per
+# pass.
 
 
 def _half_to_physical(half: np.ndarray, m: int) -> np.ndarray:
@@ -249,7 +250,8 @@ def _half_to_physical(half: np.ndarray, m: int) -> np.ndarray:
     lead = half.shape[:-3]
     xs = np.empty(lead + (m,) + half.shape[-2:], dtype=np.complex128)
     y = np.empty(lead + (m, m, half.shape[-1]), dtype=np.complex128)
-    return np.fft.irfft(_inverse_y(_inverse_x(half, xs), y), n=m, axis=-1, norm="forward")
+    _inverse_pass(_inverse_pass(half, xs, -3), y, -2)
+    return np.fft.irfft(y, n=m, axis=-1, norm="forward")
 
 
 def _physical_to_half(samples: np.ndarray) -> np.ndarray:
@@ -275,35 +277,15 @@ def _rows(axis: int, rows: slice) -> tuple:
     return (Ellipsis, rows) + (slice(None),) * (-axis - 1)
 
 
-def _pad_rows(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
-    """dst = src zero-padded along `axis` from the 2c + 1 box rows to the
-    dst length m."""
-    c, m = src.shape[axis] // 2, dst.shape[axis]
-    dst[_rows(axis, slice(c + 1, m - c))] = 0.0
+def _inverse_pass(box: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """The x (axis -3) or y (axis -2) pass of the pruned inverse: the 2c + 1
+    box rows of `box` zero-padded along `axis` to the length m of `out` and
+    inverse-transformed along it in place."""
+    c, m = box.shape[axis] // 2, out.shape[axis]
+    out[_rows(axis, slice(c + 1, m - c))] = 0.0
     for box_rows, axis_rows in _halves(m, c):
-        dst[_rows(axis, axis_rows)] = src[_rows(axis, box_rows)]
-
-
-def _keep_rows(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
-    """dst = the 2c + 1 box rows of src along `axis`, c from dst."""
-    c, m = dst.shape[axis] // 2, src.shape[axis]
-    for box_rows, axis_rows in _halves(m, c):
-        dst[_rows(axis, box_rows)] = src[_rows(axis, axis_rows)]
-
-
-def _inverse_x(box: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The x pass of the pruned inverse: box (..., 2c + 1, w, h) zero-padded
-    to `out` (..., m, w, h) and inverse-transformed along x in place."""
-    _pad_rows(box, out, -3)
-    return np.fft.ifft(out, axis=-3, norm="forward", out=out)
-
-
-def _inverse_y(xs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The y pass of the pruned inverse: x-pass output xs (..., 2c + 1, c + 1)
-    zero-padded along y into the buffer y (..., m, c + 1) and
-    inverse-transformed along y in place."""
-    _pad_rows(xs, y, -2)
-    return np.fft.ifft(y, axis=-2, norm="forward", out=y)
+        out[_rows(axis, axis_rows)] = box[_rows(axis, box_rows)]
+    return np.fft.ifft(out, axis=axis, norm="forward", out=out)
 
 
 def _inverse_z(y: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -327,21 +309,14 @@ def _forward_z(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_y(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The y pass of the pruned forward transform: z-pass output `a`
-    (..., m, c + 1) transformed along y in place, its box rows written to
-    `out` (..., 2c + 1, c + 1)."""
-    np.fft.fft(a, axis=-2, norm="forward", out=a)
-    _keep_rows(a, out, -2)
-    return out
-
-
-def _forward_x(a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The x pass of the pruned forward transform: `a` (..., m, 2c + 1, c + 1)
-    transformed along x in place, its box rows written to the box `out`
-    (..., 2c + 1, 2c + 1, c + 1)."""
-    np.fft.fft(a, axis=-3, norm="forward", out=a)
-    _keep_rows(a, out, -3)
+def _forward_pass(a: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """The y (axis -2) or x (axis -3) pass of the pruned forward transform:
+    `a` transformed along `axis` in place, its box rows written to `out`,
+    whose 2c + 1 rows along `axis` give c."""
+    np.fft.fft(a, axis=axis, norm="forward", out=a)
+    c, m = out.shape[axis] // 2, a.shape[axis]
+    for box_rows, axis_rows in _halves(m, c):
+        out[_rows(axis, box_rows)] = a[_rows(axis, axis_rows)]
     return out
 
 

@@ -65,13 +65,11 @@ from .fields import (
     _cross,
     _curl,
     _divergence_error,
-    _forward_x,
-    _forward_y,
+    _forward_pass,
     _forward_z,
     _from_box,
     _hermitian_sum,
-    _inverse_x,
-    _inverse_y,
+    _inverse_pass,
     _inverse_z,
     _leray,
     _parseval,
@@ -164,7 +162,7 @@ class SolverState:
         """The dealiased boxes (u, b), to be read only.  A state that holds
         fields masks their boxes here and drops the fields."""
         if self._boxes is None:
-            self._boxes = tuple(_dealiased_box(f) for f in self._fields)
+            self._boxes = tuple(map(_dealiased_box, self._fields, "ub"))
             self._fields = None
         return self._boxes
 
@@ -193,10 +191,14 @@ def _pair(grid: Grid) -> np.ndarray:
     return np.empty((2, 3) + grid.box[3].shape, dtype=np.complex128)
 
 
-def _dealiased_box(f: SpectralField) -> np.ndarray:
-    """The box of f's coefficients with the modes beyond the cut zeroed."""
+def _dealiased_box(f: SpectralField, name: str) -> np.ndarray:
+    """The box of f's coefficients with the modes beyond the cut zeroed.  A
+    nan or inf in the box raises ValueError naming the field: a gate would
+    read a nan maximum as a zero field, and the mask turns inf into nan."""
     _, _, _, mask = f.grid.box
     box = _to_box(f.coeffs, f.grid.dealias_cut)
+    if not np.isfinite(box).all():
+        raise ValueError(f"{name} has a nan or inf coefficient in the dealias box")
     box *= mask
     return box
 
@@ -284,11 +286,11 @@ class _Kernel:
         """max_x |samples| of the box, from the samples the kernel itself
         makes: the same passes on the same slabs, so equal bit for bit to
         the maxima a gated call returns for that box."""
-        xs = _inverse_x(box, self._xs[0])
+        xs = _inverse_pass(box, self._xs[0], -3)
         maxima = []
         for i0, i1, samples, _, y in self._slabs():
             f, fp = samples[0], samples[4]
-            _inverse_z(_inverse_y(xs[:, i0:i1], y), f)
+            _inverse_z(_inverse_pass(xs[:, i0:i1], y, -2), f)
             maxima.append(_sup_magnitude(f, fp[0], fp[1]))
         return float(np.max(maxima))
 
@@ -298,14 +300,14 @@ class _Kernel:
         None."""
         kvec, _, inv_k_sq, mask = self.grid.box
         xs = self._xs
-        _inverse_x(uh, xs[0])
-        _inverse_x(_curl(kvec, uh, out=self._curl_box), xs[1])
-        _inverse_x(bh, xs[2])
-        _inverse_x(_curl(kvec, bh, out=self._curl_box), xs[3])
+        _inverse_pass(uh, xs[0], -3)
+        _inverse_pass(_curl(kvec, uh, out=self._curl_box), xs[1], -3)
+        _inverse_pass(bh, xs[2], -3)
+        _inverse_pass(_curl(kvec, bh, out=self._curl_box), xs[3], -3)
         maxima = []
         for i0, i1, (up, wp, bp, jp, fp), tmp, y in self._slabs():
             for x, o in zip(xs, (up, wp, bp, jp)):
-                _inverse_z(_inverse_y(x[:, i0:i1], y), o)
+                _inverse_z(_inverse_pass(x[:, i0:i1], y, -2), o)
             if gate:  # fp is free until the products
                 maxima.append([_sup_magnitude(f, fp[0], fp[1]) for f in (up, bp)])
             _cross(up, wp, out=fp, tmp=tmp)
@@ -313,11 +315,11 @@ class _Kernel:
             # J is needed no more: u - J overwrites it
             ub = np.subtract(up, jp, out=jp) if hall_on else up
             _cross(ub, bp, out=wp, tmp=tmp)
-            _forward_y(_forward_z(fp, y), xs[0, :, i0:i1])
-            _forward_y(_forward_z(wp, y), xs[1, :, i0:i1])
+            _forward_pass(_forward_z(fp, y), xs[0, :, i0:i1], -2)
+            _forward_pass(_forward_z(wp, y), xs[1, :, i0:i1], -2)
         du, db = dst
-        _forward_x(xs[0], du)
-        fb = _forward_x(xs[1], self._curl_box)
+        _forward_pass(xs[0], du, -3)
+        fb = _forward_pass(xs[1], self._curl_box, -3)
         du *= mask
         fb *= mask
         _leray(kvec, inv_k_sq, du, out=du)
@@ -338,16 +340,18 @@ def rhs(
     and b (|k| <= dealias_cut), as the 2/3 rule assumes: rhs(u, b) equals
     rhs(dealias(u), dealias(b)).  Equal to the advective form
     -P[u.grad u - b.grad b], curl(u x b) - curl((curl b) x b) for solenoidal
-    u and b, which is checked: a non-solenoidal input raises ValueError,
-    and u and b on different grids raise DimensionError.
+    u and b, which is checked: a non-solenoidal input, or a nan or inf in
+    a dealias box, raises ValueError, and u and b on different grids raise
+    DimensionError.
     """
     g = _common_grid(u, b)
+    uh, bh = _dealiased_box(u, "u"), _dealiased_box(b, "b")
     for f, name in ((u, "u"), (b, "b")):
         err = divergence_error(f)
         if err > 1e-8:
             raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
     du, db = _pair(g)
-    _Kernel(g)(_dealiased_box(u), _dealiased_box(b), hall_on, (du, db))
+    _Kernel(g)(uh, bh, hall_on, (du, db))
     return SpectralField(g, _from_box(du, g.n)), SpectralField(g, _from_box(db, g.n))
 
 
@@ -386,9 +390,9 @@ def dt_gate(
     costs the x pass of one box and one slab of buffers at a time, not two
     (3, n, n, n) sample cubes, and the z passes cost what they cost in the
     kernel (see _Kernel).  u and b on different grids raise
-    DimensionError."""
+    DimensionError, and a nan or inf in a dealias box ValueError."""
     g = _common_grid(u, b)
-    uh, bh = _dealiased_box(u), _dealiased_box(b)
+    uh, bh = _dealiased_box(u, "u"), _dealiased_box(b, "b")
     bh[:, 0, 0, 0] -= bh[:, 0, 0, 0].real
     kernel = _Kernel(g)
     return _gate(kernel.sup(uh), kernel.sup(bh), float(g.dealias_cut), cfg)
@@ -525,7 +529,11 @@ class Stepper:
     and reused by every step, so it is not thread-safe: step one state at a
     time per Stepper.  The workspace holds four arrays of shape
     (3, n, 2c + 1, c + 1) and a slab of sample and transform planes of
-    about SLAB_BYTES.
+    about SLAB_BYTES.  A step's last bits depend on the BLAS kernel and on
+    the slab height, which SLAB_BYTES sets: a BLAS need not round a row of
+    a dense z product alike in products of another height.  So a step, and
+    a run resumed from a checkpoint, is bit-identical only under the same
+    BLAS kernel and the same SLAB_BYTES.
 
     The config is validated, and must describe the stepper's grid: a
     mismatch in n or dealias_cut raises ConfigError, and a state whose
@@ -551,13 +559,13 @@ class Stepper:
         self._mean_field = None  # (B0, its factor) of the last B0 != 0 stepped
         self._kernel = _Kernel(grid)
 
-    def step(self, state: SolverState, enforce_gate: bool = True) -> SolverState:
+    def step(self, state: SolverState) -> SolverState:
         if state.grid != self.grid:
             raise DimensionError(f"state is on {state.grid}, stepper on {self.grid}")
         # overflow en route to the isfinite check below is the expected way a
         # blow-up manifests; it is reported, not treated as an FP error
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            return self._step_inner(state, self.cfg.dt, enforce_gate)
+            return self._step_inner(state, self.cfg.dt)
 
     def _factor(self, mean: np.ndarray):
         """The integrating factor over dt/2 for the mean field `mean`."""
@@ -574,9 +582,7 @@ class Stepper:
         cfg, ksq = self.cfg, self._k_sq
         return cfg.nu * _parseval(u, ksq) + cfg.mu * _parseval(b, ksq)
 
-    def _step_inner(
-        self, state: SolverState, dt: float, enforce_gate: bool
-    ) -> SolverState:
+    def _step_inner(self, state: SolverState, dt: float) -> SolverState:
         cfg = self.cfg
         g = self.grid
         nonlinear, hall = self._kernel, cfg.hall_on
@@ -594,12 +600,11 @@ class Stepper:
             b0[:, 0, 0, 0] -= mean
         e_h = self._factor(mean)
 
-        maxima = nonlinear(u0, b0, hall, d, gate=enforce_gate)
-        if enforce_gate:
-            # the gate of dt_gate, from the stage-1 samples of the state
-            gate = _gate(float(maxima[0]), float(maxima[1]), float(g.dealias_cut), cfg)
-            if dt > gate:
-                raise DtGateError(state.t, dt, gate)
+        maxima = nonlinear(u0, b0, hall, d, gate=True)
+        # the gate of dt_gate, from the stage-1 samples of the state
+        gate = _gate(float(maxima[0]), float(maxima[1]), float(g.dealias_cut), cfg)
+        if dt > gate:
+            raise DtGateError(state.t, dt, gate)
         diss = self._diss(u0, b0)
         e_h(u0, b0, out=e0)
         e_h(*d, out=x)

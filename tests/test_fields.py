@@ -15,16 +15,12 @@ from hallmhd.fields import (
     Grid,
     SpectralField,
     _box_axes,
-    _forward_x,
-    _forward_y,
+    _forward_pass,
     _forward_z,
     _from_box,
     _half_to_physical,
-    _inverse_x,
-    _inverse_y,
+    _inverse_pass,
     _inverse_z,
-    _keep_rows,
-    _pad_rows,
     _parseval,
     _physical_to_half,
     _to_box,
@@ -212,12 +208,13 @@ class TestTransforms:
         box = _to_box(from_physical(samples, g).coeffs, c)
         expect = np.fft.irfftn(_from_box(box, n), s=(n,) * 3, axes=(1, 2, 3), norm="forward")
         y = np.empty((3, n, n, h), dtype=np.complex128)
-        xs = _inverse_x(box, np.empty((3, n, w, h), dtype=np.complex128))
-        got = _inverse_z(_inverse_y(xs, y), np.empty((3, n, n, n)))
+        xs = _inverse_pass(box, np.empty((3, n, w, h), dtype=np.complex128), -3)
+        got = _inverse_z(_inverse_pass(xs, y, -2), np.empty((3, n, n, n)))
         assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
         expect = _to_box(np.fft.rfftn(samples, axes=(1, 2, 3), norm="forward"), c)
-        zy = _forward_y(_forward_z(samples, y), np.empty((3, n, w, h), dtype=np.complex128))
-        got = _forward_x(zy, np.empty_like(box))
+        zy = np.empty((3, n, w, h), dtype=np.complex128)
+        _forward_pass(_forward_z(samples, y), zy, -2)
+        got = _forward_pass(zy, np.empty_like(box), -3)
         assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
     def test_dense_z_passes_refuse_strided_arrays(self):
@@ -268,21 +265,23 @@ class TestBoxLayout:
     @pytest.mark.parametrize("n, c", list(layout_cases()))
     @pytest.mark.parametrize("axis", [-3, -2])
     def test_pad_and_keep_rows_match_the_index_rows(self, n, c, axis):
+        # the x and y passes: the inverse pads the box rows before its FFT,
+        # the forward keeps them after its FFT
         rows = np.r_[0 : c + 1, n - c : n]
         rng = np.random.default_rng(n + c)
         shape = [2, 3, 4, 5]
         shape[axis] = 2 * c + 1
         box = rng.standard_normal(shape) + 0j
         shape[axis] = n
-        padded = np.full(shape, np.nan, dtype=np.complex128)
-        _pad_rows(box, padded, axis)
-        expect = np.zeros(shape, dtype=np.complex128)
-        np.moveaxis(expect, axis, 0)[rows] = np.moveaxis(box, axis, 0)
-        assert np.array_equal(padded, expect)
+        padded = np.zeros(shape, dtype=np.complex128)
+        np.moveaxis(padded, axis, 0)[rows] = np.moveaxis(box, axis, 0)
+        expect = np.fft.ifft(padded, axis=axis, norm="forward")
+        got = _inverse_pass(box, np.full(shape, np.nan, dtype=np.complex128), axis)
+        assert np.array_equal(got, expect)
         full = rng.standard_normal(shape) + 0j
-        kept = np.empty_like(box)
-        _keep_rows(full, kept, axis)
-        assert np.array_equal(kept, np.take(full, rows, axis=axis))
+        expect = np.take(np.fft.fft(full, axis=axis, norm="forward"), rows, axis=axis)
+        got = _forward_pass(full, np.empty_like(box), axis)
+        assert np.array_equal(got, expect)
 
     @pytest.mark.parametrize("n, c", list(layout_cases()))
     def test_box_wavevectors_match_k1(self, n, c):
@@ -665,10 +664,8 @@ class TestSingleTransformPath:
         allowed = {
             ("fields.py", "_half_to_physical"),
             ("fields.py", "_physical_to_half"),
-            ("fields.py", "_inverse_x"),
-            ("fields.py", "_inverse_y"),
-            ("fields.py", "_forward_y"),
-            ("fields.py", "_forward_x"),
+            ("fields.py", "_inverse_pass"),
+            ("fields.py", "_forward_pass"),
         }
         found, stray = set(), []
         for path in sorted(Path(fields.__file__).parent.glob("*.py")):

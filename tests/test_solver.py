@@ -48,13 +48,13 @@ from hallmhd.oracles import dealias, hermitian_error
 VOLUME = (2 * np.pi) ** 3
 
 
-def run_steps(cfg, n_steps, seed=0, enforce_gate=True):
+def run_steps(cfg, n_steps, seed=0):
     grid = Grid(cfg.n, cfg.dealias_cut)
     u0, b0 = make_initial(cfg.init, grid, seed)
     st = SolverState(0.0, u0, b0)
     stepper = Stepper(grid, cfg)
     for _ in range(n_steps):
-        st = stepper.step(st, enforce_gate=enforce_gate)
+        st = stepper.step(st)
     return st, (u0, b0)
 
 
@@ -302,24 +302,22 @@ class TestHalfCubeStep:
         from hallmhd.fields import (
             _cross,
             _curl,
-            _forward_x,
-            _forward_y,
+            _forward_pass,
             _forward_z,
-            _inverse_x,
-            _inverse_y,
+            _inverse_pass,
             _inverse_z,
             _z_matrices,
         )
 
         def inverse(box):
-            xs = _inverse_x(box, np.empty((3, n, w, h), dtype=np.complex128))
-            y = _inverse_y(xs, np.empty((3, n, n, h), dtype=np.complex128))
+            xs = _inverse_pass(box, np.empty((3, n, w, h), dtype=np.complex128), -3)
+            y = _inverse_pass(xs, np.empty((3, n, n, h), dtype=np.complex128), -2)
             return _inverse_z(y, np.empty((3, n, n, n)))
 
         def forward(samples):
             z = _forward_z(samples, np.empty((3, n, n, h), dtype=np.complex128))
-            zy = _forward_y(z, np.empty((3, n, w, h), dtype=np.complex128))
-            return _forward_x(zy, np.empty((3, w, w, h), dtype=np.complex128))
+            zy = _forward_pass(z, np.empty((3, n, w, h), dtype=np.complex128), -2)
+            return _forward_pass(zy, np.empty((3, w, w, h), dtype=np.complex128), -3)
 
         def assert_close(got, expect):
             if exact:
@@ -344,7 +342,7 @@ class TestHalfCubeStep:
         kernel = solver._Kernel(g)
         assert kernel._slab == planes
         u, b = make_initial({"kind": "random_band"}, g, 7)
-        uh, bh = solver._dealiased_box(u), solver._dealiased_box(b)
+        uh, bh = solver._dealiased_box(u, "u"), solver._dealiased_box(b, "b")
         du, db = solver._pair(g)
         maxima = kernel(uh, bh, hall, (du, db), gate=True)
 
@@ -809,13 +807,14 @@ class TestGateAndBlowUp:
             run_steps(cfg, 1)
 
     def test_blow_up_detected_carries_last_finite_state(self):
+        # gate constants so large that the gate never binds
         cfg = RunConfig(
             n=16, dt=0.2, t_end=10.0, nu=1e-4, mu=1e-4,
             init={"kind": "random_band", "q_lo": 1, "q_hi": 3, "amplitude": 5.0},
-            seed=1,
+            seed=1, cfl_adv=1e300, cfl_whistler=1e300,
         )
         with pytest.raises(BlowUpDetected) as excinfo:
-            run_steps(cfg, 50, seed=1, enforce_gate=False)
+            run_steps(cfg, 50, seed=1)
         last = excinfo.value.last_state
         assert np.all(np.isfinite(last.u.coeffs.view(np.float64)))
         assert np.all(np.isfinite(last.b.coeffs.view(np.float64)))
@@ -874,6 +873,25 @@ class TestStepperInputs:
         }
         with pytest.raises(DimensionError, match=f"{name} has ncomp={ncomp}"):
             calls[call]()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["u", "b"])
+    def test_non_finite_coefficients_rejected(self, name, value):
+        # a nan maximum is not read as a zero field by the gate, and rhs and
+        # the first step do not run on it
+        g = Grid(16)
+        cfg = RunConfig(n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1)
+        pair = dict(zip("ub", make_initial({"kind": "random_band"}, g, 0)))
+        pair[name].coeffs[0, 1, 2, 3] = value
+        u, b = pair["u"], pair["b"]
+        calls = (
+            lambda: dt_gate(u, b, cfg),
+            lambda: rhs(u, b),
+            lambda: Stepper(g, cfg).step(SolverState(0.0, u, b)),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"{name} has a nan or inf"):
+                call()
 
     def test_state_on_another_grid_rejected(self):
         # an n = 34 state has the cut 10 of n = 32, but not its grid
