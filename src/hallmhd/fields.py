@@ -20,28 +20,36 @@ box |kx|, |ky| <= c, 0 <= kz <= c of a cut c < n/2, shape
 (..., 2c + 1, 2c + 1, c + 1), x and y wavenumbers in FFT order
 [0..c, -c..-1], rows 0..c and n - c..n - 1 of an axis of n: one block map
 (_halves) makes every copy between a box and a longer axis.  With
-c = dealias_cut the box holds every mode the 2/3 rule keeps.
+c = dealias_cut the box holds every mode the 2/3 rule keeps.  The spectral
+sums and sup norms of a record take the box of a field's support cut
+(_support_cut), the smallest that holds its nonzero coefficients: for a
+stepped state, which is zero beyond the dealias cut, the step's box.
 
 All transforms are real and go through one pair.  Samples are made from the
-half cube by one inverse real FFT, or from a box by a pruned one that skips
-the all-zero lines (Markel 1971): each axis is zero-padded only for its own
-pass.  Coefficients are made from samples by one forward real FFT.  The
-pruned forward transform to the box, each pass keeping only the box rows of
-its axis, exists only as its passes: the solver's kernel streams slabs of x
-planes through them, and through the passes of the pruned inverse, in
-buffers it keeps.
+half cube by one inverse real FFT, and coefficients from samples by one
+forward real FFT.  A box is transformed by a pruned pair that skips the
+all-zero lines (Markel 1971): the inverse zero-pads each axis only for its
+own pass, the forward keeps only the box rows of each axis after its pass.
+The pruned pair exists only as its passes, which are streamed over slabs of
+x planes in buffers their caller keeps: the x pass of the inverse runs once
+into a (..., n, 2c + 1, c + 1) buffer, then each slab takes its y and z
+passes (and, in the solver's kernel, the products and the forward z and y
+passes), and the forward x pass runs last.  The solver's kernel streams the
+pair; _BoxSup streams the inverse to the sup of a box's samples, for the
+step's dt gate and for LPPartition.shell_linf, and no sample cube is built.
 
-Every pass is a pocketfft call (numpy.fft) but the z passes of the kernel.
-Those run between kz = 0..c and n real samples, so the kernel computes them
-as one real matrix product per slab against a cached 2(c + 1) x n DFT
-matrix (_z_matrices), O(n c) per line in one BLAS call, which is faster
-than the FFT up to about n = 128 (solver._Kernel has the measurements).
-They equal the FFT passes to rounding (<= 1e-15 relative), not bit for
-bit.  The half-cube transforms and the pruned inverse of _half_to_physical
-(_inverse_pass along x and y, then irfft along z) keep pocketfft: a half
-cube has no cut to prune at, and the box path serves
-LPPartition.shell_linf, whose maxima must equal lp_norm(project(f, q), inf)
-bit for bit, and lp_norm reads the half cube through irfftn.
+The x and y passes are pocketfft calls (numpy.fft).  The z passes run
+between kz = 0..c and n real samples, so they are computed as one real
+matrix product per slab against a cached 2(c + 1) x n DFT matrix
+(_z_matrices), O(n c) per line in one BLAS call, which is faster than the
+FFT up to about n = 128 (solver._Kernel has the measurements).  They equal
+the FFT passes to rounding (<= 1e-15 relative), not bit for bit, and a BLAS
+need not round a row alike in products of another height: the last bits of
+whatever a slab computes depend on the BLAS kernel and on the slab height,
+which SLAB_BYTES sets.  So the step's products and the shell sup norms
+match their half-cube references (irfftn, lp_norm) to <= 1e-15 relative.
+The half-cube transforms keep pocketfft: a half cube has no cut to prune
+at.
 
 Spectral power sums and inner products (Parseval norms, ||grad f||^2, shell
 powers) are taken on the half cube or the box, each kz plane counted with
@@ -230,28 +238,20 @@ def zero_field(grid: Grid, ncomp: int = 3) -> SpectralField:
 
 
 # -- transforms ---------------------------------------------------------------
-# The two real transforms below, and the passes of their pruned path, are
-# the only FFT calls in the package.  The inverse takes either the half cube
-# or the box; the forward returns the half cube, and the box only through
-# the kernel's pruned passes (_forward_z, then _forward_pass along y and
-# x).  The pruned passes write in place or into given buffers through the
-# `out` argument of numpy.fft (NumPy 2.0), which spares one fresh array per
-# pass.
+# The two real transforms below, and the x and y passes of the pruned box
+# pair, are the only FFT calls in the package.  Both real transforms take
+# or return the half cube; a box is transformed only through the pruned
+# passes (_inverse_pass along x and y, then _inverse_z; _forward_z, then
+# _forward_pass along y and x).  The pruned passes write in place or into
+# given buffers through the `out` argument of numpy.fft (NumPy 2.0), which
+# spares one fresh array per pass.
 
 
-def _half_to_physical(half: np.ndarray, m: int) -> np.ndarray:
-    """Collocation samples on the m^3 grid of real fields from coefficients
-    on kz >= 0: the half cube coeffs[..., :m//2 + 1], or a box (odd x/y
-    extent 2c + 1).  A box is a pruned transform: each axis is zero-padded to
-    m just before its own pass, so the x pass runs on the box's (2c + 1)(c + 1)
-    lines and the y pass on m (c + 1) lines, and irfft pads kz."""
-    if half.shape[-3] == m:
-        return np.fft.irfftn(half, s=(m, m, m), axes=(-3, -2, -1), norm="forward")
-    lead = half.shape[:-3]
-    xs = np.empty(lead + (m,) + half.shape[-2:], dtype=np.complex128)
-    y = np.empty(lead + (m, m, half.shape[-1]), dtype=np.complex128)
-    _inverse_pass(_inverse_pass(half, xs, -3), y, -2)
-    return np.fft.irfft(y, n=m, axis=-1, norm="forward")
+def _half_to_physical(half: np.ndarray) -> np.ndarray:
+    """Collocation samples on the n^3 grid of real fields from their half
+    cube (..., n, n, n//2 + 1)."""
+    m = half.shape[-3]
+    return np.fft.irfftn(half, s=(m, m, m), axes=(-3, -2, -1), norm="forward")
 
 
 def _physical_to_half(samples: np.ndarray) -> np.ndarray:
@@ -389,7 +389,7 @@ def _zero_nyquist(coeffs: np.ndarray) -> np.ndarray:
 
 def to_physical(f: SpectralField) -> np.ndarray:
     """Collocation samples, shape (ncomp, n, n, n)."""
-    return _half_to_physical(f.coeffs, f.grid.n)
+    return _half_to_physical(f.coeffs)
 
 
 def from_physical(samples: np.ndarray, grid: Grid) -> SpectralField:
@@ -424,6 +424,88 @@ def _sup_magnitude(samples: np.ndarray, sq=None, tmp=None) -> float:
     for comp in samples[1:]:
         sq += np.multiply(comp, comp, out=tmp)
     return float(np.sqrt(sq.max()))
+
+
+# -- streamed box samples --------------------------------------------------------
+
+# bytes of the solver kernel's sample and transform buffers per slab, which
+# sets the x planes per slab of every pass streamed on a grid (at least one,
+# at most n; _slab_planes).  Budgets of 0.5 to 16 MiB stepped within noise
+# of each other at n = 32, 64 and 128 (2-core host, 2 MiB L2 per core, FFT z
+# passes); this is the smallest that was never worse.  A kernel plane holds
+# 8 (16 n^2 + 6 n (c + 1)) bytes: n^2 float64 of five 3-component sample
+# arrays and one scratch array, and 3 n (c + 1) complex128 of the one
+# transform buffer, which the dense z passes keep at kz <= c.  That is 14, 3
+# and 1 planes at n = 32, 64 and 128.  _BoxSup takes the same height, so
+# that the dt gate's maxima are the step's bits.  Its slab holds a third of
+# the kernel's, but the slabs its own budget allows (32, 9 and 2 planes) made
+# no shell sup norm faster: 7.8 against 7.7 ms, 55 against 56 ms and 626
+# against 563 ms for u and b of a stepped state at n = 32, 64 and 128.
+SLAB_BYTES = 2 << 20
+
+
+def _slab_planes(grid: Grid) -> int:
+    """x planes per slab of the passes streamed on `grid`: as many kernel
+    planes as SLAB_BYTES holds, at least one, at most n."""
+    n, h = grid.n, grid.dealias_cut + 1
+    return min(n, max(1, SLAB_BYTES // (8 * 16 * n * n + 16 * 3 * n * h)))
+
+
+def _support_cut(coeffs: np.ndarray) -> int | None:
+    """The cut of the smallest box that holds every nonzero entry of the
+    half-cube coefficients (ncomp, n, n, n//2 + 1): the largest |kx|, |ky|
+    or kz of an x, y or kz plane holding one, 0 for a zero field.  None when
+    that is n/2: a box of cut n/2 would hold the n/2 rows twice (its _halves
+    overlap), so only the half cube holds such a field."""
+    n = coeffs.shape[-3]
+    live = coeffs.any(axis=0)
+    xy = live.any(axis=2)
+    planes = (xy.any(axis=1), xy.any(axis=0), live.any(axis=0).any(axis=0))
+    k = np.minimum(np.arange(n), n - np.arange(n))  # |k| of an index in FFT order
+    cut = int(max(k[: p.size][p].max(initial=0) for p in planes))
+    return None if cut == n // 2 else cut
+
+
+class _BoxSup:
+    """max_x |samples(x)| over the n^3 grid of the real fields whose
+    coefficients on kz >= 0 are a box, streamed: the x pass of the pruned
+    inverse runs once into an x buffer, then each slab of _slab_planes(grid)
+    x planes takes the y pass, the dense z product and _sup_magnitude, so no
+    sample cube is built.  The x buffer, for boxes of up to `ncomp`
+    components and cut `cut`, and the slab's buffers are flat arrays
+    allocated once and reused by every box, which takes their C-contiguous
+    leading parts.
+
+    The maxima match those of the half-cube samples to <= 1e-15 relative.
+    Their last bits depend on the BLAS kernel and on SLAB_BYTES; at the
+    kernel's slab height they are the kernel's.  An all-zero box reads 0 and
+    a box of cut 0, a constant field, the magnitude of Re(box), without a
+    transform; a nan is kept.  Not thread-safe: one call at a time."""
+
+    def __init__(self, grid: Grid, ncomp: int, cut: int):
+        n, h = grid.n, cut + 1
+        self.n, self.planes = n, _slab_planes(grid)
+        self._x = np.empty(ncomp * n * (2 * cut + 1) * h, dtype=np.complex128)
+        self._y = np.empty(ncomp * self.planes * n * h, dtype=np.complex128)
+        self._samples = np.empty((ncomp + 2) * self.planes * n * n)
+
+    def __call__(self, box: np.ndarray) -> float:
+        ncomp, w, _, h = box.shape
+        if not box.any():
+            return 0.0
+        if w == 1:
+            return _sup_magnitude(box.real)
+        n, planes = self.n, self.planes
+        xs = _inverse_pass(box, self._x[: ncomp * n * w * h].reshape(ncomp, n, w, h), -3)
+        maxima = []
+        for i0 in range(0, n, planes):
+            p = min(planes, n - i0)
+            y = self._y[: ncomp * p * n * h].reshape(ncomp, p, n, h)
+            samples = self._samples[: (ncomp + 2) * p * n * n].reshape(ncomp + 2, p, n, n)
+            f = _inverse_z(_inverse_pass(xs[:, i0 : i0 + p], y, -2), samples[:ncomp])
+            maxima.append(_sup_magnitude(f, samples[ncomp], samples[ncomp + 1]))
+        # np.max, unlike max, keeps a nan of any slab
+        return float(np.max(maxima))
 
 
 # -- calculus -----------------------------------------------------------------

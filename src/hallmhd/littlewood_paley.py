@@ -6,21 +6,18 @@ phi(r) = chi(r/2) - chi(r), phi_q(r) = phi(r / 2^q) for q >= 0, phi_{-1} = chi.
 Shell projections act as Fourier multipliers (the physical kernels are never
 materialized).  Each phi_q depends on |k| alone, and |k|^2 is an integer on
 the grid, so phi_q is kept as a radial table over |k|^2 = 0..3(n/2)^2 and
-gathered onto the array a projection or a norm reads: the half cube, or the
-box that a sup norm inverts.  The tables and their gather index, the half
-cube's integer |k|^2, are all the partition holds.
+gathered onto the array a projection or a norm reads: the half cube or a
+box.  The tables and their gather index, the half cube's integer |k|^2,
+are all the partition holds.
 
-The shell sup norms ||Delta_q f||_inf are read from samples, one inverse
-transform per shell, each on the smallest box |kx|, |ky|, kz <= c that holds
-the block.  A block is zero outside the support of f and outside that of
-phi_q, so c is the smaller of two support cuts: that of f, the largest
-|kx|, |ky| or kz of an x, y or kz plane holding a nonzero entry, and that of
-phi_q, 2^(q+1) - 1 as chi vanishes on [1, inf).  A pruned inverse of a box
-gives the samples of the half cube holding it, zero elsewhere, bit for bit:
-the skipped lines are all zero, and every other line goes through the same
-one-dimensional transform.  So the pruned norms equal the half-cube ones
-exactly, and a field with content up to n/2 still takes the half-cube
-transform.
+The shell norms are taken on the box of f's support cut s
+(fields._support_cut), the smallest box that holds f: for a stepped state,
+the step's box.  The sup norm of shell q streams the smaller box of cut
+min(2^(q+1) - 1, s), beyond which phi_q vanishes as chi does on [1, inf),
+through fields._BoxSup, which builds no sample cube.  It matches the
+half-cube samples to <= 1e-15 relative, its last bits set by the BLAS
+kernel and the slab height, as a step's are.  A field with content at n/2
+has no box and takes the half cube, bit for bit.
 """
 
 from __future__ import annotations
@@ -32,9 +29,11 @@ from .fields import (
     Grid,
     SpectralField,
     VOLUME,
+    _BoxSup,
     _half_to_physical,
     _multiplicity,
     _sup_magnitude,
+    _support_cut,
     _to_box,
 )
 
@@ -109,16 +108,6 @@ class LPPartition:
         as chi vanishes on [1, inf), and at most n/2."""
         return min(2 ** (q + 1) - 1, self.grid.n // 2)
 
-    def _support_cut(self, coeffs: np.ndarray) -> int:
-        """Largest |kx|, |ky| or kz of an x, y or kz plane of the half-cube
-        coefficients (ncomp, n, n, n//2 + 1) that holds a nonzero entry, -1
-        if every entry is zero."""
-        live = coeffs.any(axis=0)
-        xy = live.any(axis=2)
-        planes = (xy.any(axis=1), xy.any(axis=0), live.any(axis=0).any(axis=0))
-        k = np.abs(self.grid.k1)
-        return int(max(k[: p.size][p].max(initial=-1) for p in planes))
-
     def project(self, f: SpectralField, q: int) -> SpectralField:
         """Dyadic block Delta_q f (Fourier multiplier phi_q)."""
         self._check_grid(f)
@@ -129,39 +118,57 @@ class LPPartition:
     def shell_l2_sq(self, f: SpectralField) -> np.ndarray:
         """(2*pi)^3 sum_k phi_q^2 |coeff|^2 per shell, the ||Delta_q f||_2^2.
         The power, each kz plane weighted by its Hermitian multiplicity, is
-        binned once by integer |k|^2 on the half cube; shell q is then the
-        dot product of the square of its radial table with the bins."""
+        binned once by integer |k|^2 on the box of f's support cut
+        (fields._support_cut), or on the half cube for a field with content
+        at n/2; shell q is then the dot product of the square of its radial
+        table with the bins."""
         self._check_grid(f)
-        power = np.sum(np.abs(f.coeffs) ** 2, axis=0)
+        coeffs, k_sq = f.coeffs, self._k_sq
+        cut = _support_cut(coeffs)
+        if cut is not None:
+            coeffs, k_sq = _to_box(coeffs, cut), _to_box(k_sq, cut)
+        power = np.abs(coeffs)
+        np.square(power, out=power)
+        power = power.sum(axis=0)
         power *= _multiplicity(power)
         binned = np.bincount(
-            self._k_sq.ravel(), weights=power.ravel(), minlength=self._radial.shape[1]
+            k_sq.ravel(), weights=power.ravel(), minlength=self._radial.shape[1]
         )
         return VOLUME * (self._radial**2 @ binned)
 
     def shell_linf(self, f: SpectralField) -> np.ndarray:
-        """max_x |Delta_q f(x)| per shell on the collocation grid, equal bit for
-        bit to lp_norm(self.project(f, q), inf).
+        """max_x |Delta_q f(x)| per shell on the collocation grid.
 
-        Shell q is inverted on the box of cut min(b_q, s), s the support cut
-        of f and b_q = min(2^(q+1) - 1, n/2) that of phi_q; a cut of n/2
-        takes the half cube.  A shell whose block is zero reads 0 without a
-        transform."""
+        Shell q is f's box of cut min(2^(q+1) - 1, s) times phi_q, s the
+        support cut of f, streamed to its maximum by one fields._BoxSup of
+        cut s.  That equals lp_norm(self.project(f, q), inf) to <= 1e-15
+        relative, its last bits set by the BLAS kernel and the slab height;
+        a zero block reads exactly 0 and the mean-only block the magnitude
+        of its real part, bit for bit.  A field with content at n/2 takes
+        the half cube's irfftn per shell, as lp_norm does, bit for bit."""
         self._check_grid(f)
-        n = self.grid.n
-        support = self._support_cut(f.coeffs)
+        cut = _support_cut(f.coeffs)
         out = np.zeros(self.q_max + 2)
-        if support < 0:
-            return out
-        for q in self.shell_range():
-            cut = min(self._shell_cut(q), support)
-            if cut >= n // 2:
+        if cut is None:
+            for q in self.shell_range():
                 block = f.coeffs * self._mult(q)
-            else:
-                block = _to_box(f.coeffs, cut) * self._mult(q, _to_box(self._k_sq, cut))
-            if block.any():
-                out[q + 1] = _sup_magnitude(_half_to_physical(block, n))
+                if block.any():
+                    out[q + 1] = _sup_magnitude(_half_to_physical(block))
+            return out
+        sup = _BoxSup(self.grid, f.ncomp, cut)
+        for q in self.shell_range():
+            out[q + 1] = sup(self._box_block(f, q, min(self._shell_cut(q), cut)))
         return out
+
+    def _box_block(self, f: SpectralField, q: int, cut: int) -> np.ndarray:
+        """Delta_q f on the box of `cut`, which must hold it: the box of f
+        times phi_q gathered on the box's |k|^2, formed in place.  shell_linf
+        passes it straight to the sup, so that no two blocks are alive at
+        once."""
+        mult = self._mult(q, _to_box(self._k_sq, cut))
+        block = _to_box(f.coeffs, cut)
+        block *= mult
+        return block
 
 
 def build_partition(grid: Grid) -> LPPartition:

@@ -35,7 +35,8 @@ products and the forward z and y passes, and ends with the forward x passes
 into the two boxes its caller passes as `dst`; its z passes are dense real
 matrix products, its x and y passes FFTs, and its buffers are allocated
 once per Stepper.  `dt_gate` reads the gate of the step's first stage from
-the same pruned samples, made by the same passes on the same slabs.
+the same pruned samples, made by the same passes on slabs of the same
+height (fields._BoxSup).
 
 Products are formed from the dealiased part of u and b (|k| <= dealias_cut),
 as the 2/3 rule assumes: content beyond the cut takes no part in them.  A
@@ -62,6 +63,8 @@ from .fields import (
     DimensionError,
     Grid,
     SpectralField,
+    _BoxSup,
+    _box_axes,
     _cross,
     _curl,
     _divergence_error,
@@ -72,8 +75,12 @@ from .fields import (
     _inverse_pass,
     _inverse_z,
     _leray,
+    _norm_sq,
     _parseval,
+    _reciprocal,
+    _slab_planes,
     _sup_magnitude,
+    _support_cut,
     _to_box,
     _vector_potential,
     divergence_error,
@@ -203,17 +210,6 @@ def _dealiased_box(f: SpectralField, name: str) -> np.ndarray:
     return box
 
 
-# bytes of the sample and transform buffers a kernel streams x planes
-# through, which sets the planes per slab (at least one, at most n).  Budgets
-# of 0.5 to 16 MiB stepped within noise of each other at n = 32, 64 and 128
-# (2-core host, 2 MiB L2 per core, FFT z passes); this is the smallest that
-# was never worse.  A plane holds 8 (16 n^2 + 6 n (c + 1)) bytes: n^2
-# float64 of five 3-component sample arrays and one scratch array, and
-# 3 n (c + 1) complex128 of the one transform buffer, which the dense z
-# passes keep at kz <= c.  That is 14, 3 and 1 planes at n = 32, 64 and 128.
-SLAB_BYTES = 2 << 20
-
-
 class _Kernel:
     """The rotational-form nonlinear terms of dealiased box coefficients uh,
     bh, with the buffers they are computed in:
@@ -244,14 +240,14 @@ class _Kernel:
     n = 128; above it the products are untested.  Dense x and y passes were
     slower at n = 64 and 128.
 
-    The slab holds as many planes as SLAB_BYTES of sample and transform
-    buffers allow.  Each buffer is one flat array, and a slab takes its
-    C-contiguous leading part, as the matrix products need; one complex
-    buffer serves the inverse y/z passes and then the forward z/y passes.
-    Every buffer is allocated once and the results are written into the
-    caller's boxes, so a call allocates only temporaries of one component;
-    no result aliases a buffer.  Not thread-safe: one call at a time per
-    instance.
+    The slab holds fields._slab_planes(grid) planes, as many as
+    fields.SLAB_BYTES of sample and transform buffers allow.  Each buffer
+    is one flat array, and a slab takes its C-contiguous leading part, as
+    the matrix products need; one complex buffer serves the inverse y/z
+    passes and then the forward z/y passes.  Every buffer is allocated once
+    and the results are written into the caller's boxes, so a call
+    allocates only temporaries of one component; no result aliases a
+    buffer.  Not thread-safe: one call at a time per instance.
     """
 
     def __init__(self, grid: Grid):
@@ -260,9 +256,7 @@ class _Kernel:
         self.grid = grid
         self._curl_box = np.empty((3, w, w, h), dtype=np.complex128)
         self._xs = np.empty((4, 3, n, w, h), dtype=np.complex128)
-        plane = 8 * 16 * n * n + 16 * 3 * n * h
-        s = min(n, max(1, SLAB_BYTES // plane))
-        self._slab = s
+        s = self._slab = _slab_planes(grid)
         self._samples = np.empty(5 * 3 * s * n * n)
         self._tmp = np.empty(s * n * n)
         self._y = np.empty(3 * s * n * h, dtype=np.complex128)
@@ -281,18 +275,6 @@ class _Kernel:
                 self._tmp[: s * n * n].reshape(s, n, n),
                 self._y[: 3 * s * n * h].reshape(3, s, n, h),
             )
-
-    def sup(self, box: np.ndarray) -> float:
-        """max_x |samples| of the box, from the samples the kernel itself
-        makes: the same passes on the same slabs, so equal bit for bit to
-        the maxima a gated call returns for that box."""
-        xs = _inverse_pass(box, self._xs[0], -3)
-        maxima = []
-        for i0, i1, samples, _, y in self._slabs():
-            f, fp = samples[0], samples[4]
-            _inverse_z(_inverse_pass(xs[:, i0:i1], y, -2), f)
-            maxima.append(_sup_magnitude(f, fp[0], fp[1]))
-        return float(np.max(maxima))
 
     def __call__(self, uh: np.ndarray, bh: np.ndarray, hall_on: bool, dst, gate=False):
         """Writes du and db into the boxes dst = (du, db) and returns the
@@ -382,20 +364,20 @@ def dt_gate(
     exactly, so the whistler term reads only the fluctuating field b - B0.
     The mean velocity is not removed from max|u|.  The maxima are taken over
     the pruned samples of the dealiased boxes of u and b, the samples a step
-    gates on in its first stage: a kernel of the grid streams each box
-    through its own passes, with its dense z products, on the step's slabs
-    (_Kernel.sup), so the gate of the DtGateError a step raises equals
-    dt_gate of its state, bit for bit: a BLAS need not round a row alike in
-    products of another height, so the slabs must be the step's.  That
-    costs the x pass of one box and one slab of buffers at a time, not two
-    (3, n, n, n) sample cubes, and the z passes cost what they cost in the
-    kernel (see _Kernel).  u and b on different grids raise
+    gates on in its first stage: fields._BoxSup streams each box through
+    the kernel's passes, with its dense z products, on slabs of the step's
+    height, so the gate of the DtGateError a step raises equals dt_gate of
+    its state, bit for bit: a BLAS need not round a row alike in products
+    of another height, so the slabs must be the step's.  That costs one
+    x-pass buffer and one slab, shared by u and b, not two (3, n, n, n)
+    sample cubes nor a kernel's workspace, and the z passes cost what they
+    cost in the kernel (see _Kernel).  u and b on different grids raise
     DimensionError, and a nan or inf in a dealias box ValueError."""
     g = _common_grid(u, b)
     uh, bh = _dealiased_box(u, "u"), _dealiased_box(b, "b")
     bh[:, 0, 0, 0] -= bh[:, 0, 0, 0].real
-    kernel = _Kernel(g)
-    return _gate(kernel.sup(uh), kernel.sup(bh), float(g.dealias_cut), cfg)
+    sup = _BoxSup(g, 3, g.dealias_cut)
+    return _gate(sup(uh), sup(bh), float(g.dealias_cut), cfg)
 
 
 # -- integrating factors ------------------------------------------------------------
@@ -661,13 +643,23 @@ def energy(f: SpectralField) -> float:
 
 def magnetic_helicity(b: SpectralField) -> float:
     """Integral of A . b with curl A = b, A solenoidal: the spectral sum
-    with vector_potential's A, the terms conj(A) b formed in place in A, so
-    that the one half cube of A is the only temporary."""
+    with vector_potential's A, the terms conj(A) b formed in place in A.
+    Both are taken on the box of b's support cut (fields._support_cut),
+    which holds no n/2 plane, so that A costs a box, not a half cube; a b
+    with content at n/2 takes the half cube, whose n/2 planes A zeroes."""
     _check_vector(b, "b")
     g = b.grid
-    a = _vector_potential(g.kvec, g.inv_k_sq, b.coeffs)
+    cut = _support_cut(b.coeffs)
+    if cut is None:
+        coeffs = b.coeffs
+        a = _vector_potential(g.kvec, g.inv_k_sq, coeffs)
+    else:
+        kvec = _box_axes(cut)
+        coeffs = _to_box(b.coeffs, cut)
+        a = _curl(kvec, coeffs)
+        a *= _reciprocal(_norm_sq(kvec))
     np.conjugate(a, out=a)
-    a *= b.coeffs
+    a *= coeffs
     return VOLUME * _hermitian_sum(a.real)
 
 

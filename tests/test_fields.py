@@ -15,10 +15,10 @@ from hallmhd.fields import (
     Grid,
     SpectralField,
     _box_axes,
+    _BoxSup,
     _forward_pass,
     _forward_z,
     _from_box,
-    _half_to_physical,
     _inverse_pass,
     _inverse_z,
     _parseval,
@@ -180,20 +180,28 @@ class TestTransforms:
         assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
     @pytest.mark.parametrize("n", [8, 10, 16, 24])
-    def test_pruned_pair_matches_full_real_transforms(self, n):
-        # the box |kx|, |ky|, kz <= cut: its inverse against irfftn of the
-        # half cube holding it (the forward pair, whose z pass is dense, is
+    def test_pruned_pair_matches_full_real_transforms(self, monkeypatch, n):
+        # the box |kx|, |ky|, kz <= cut: the sup of its pruned inverse,
+        # streamed slab by slab with dense z products (_BoxSup), against the
+        # sup of irfftn of the half cube holding it, for 1, 3 and 9
+        # components and slabs of 1, 3 and n planes (the pair's passes are
         # checked in test_dense_z_passes_match_full_real_transforms)
         g = Grid(n)
         c = g.dealias_cut
+        per_plane = 8 * 16 * n * n + 16 * 3 * n * (c + 1)
         rng = np.random.default_rng(n)
-        samples = rng.standard_normal((3, n, n, n))
-        box = _to_box(from_physical(samples, g).coeffs, c)
-        assert box.shape == (3, 2 * c + 1, 2 * c + 1, c + 1)
-        half = _from_box(box, n)
-        expect = np.fft.irfftn(half, s=(n,) * 3, axes=(1, 2, 3), norm="forward")
-        got = _half_to_physical(box, n)
-        assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+        for ncomp in (1, 3, 9):
+            samples = rng.standard_normal((ncomp, n, n, n))
+            box = _to_box(from_physical(samples, g).coeffs, c)
+            assert box.shape == (ncomp, 2 * c + 1, 2 * c + 1, c + 1)
+            half = _from_box(box, n)
+            expect = np.fft.irfftn(half, s=(n,) * 3, axes=(1, 2, 3), norm="forward")
+            expect = np.sqrt(np.sum(expect * expect, axis=0)).max()
+            for planes in (1, 3, n):
+                monkeypatch.setattr(fields, "SLAB_BYTES", planes * per_plane)
+                sup = _BoxSup(g, ncomp, c)
+                assert sup.planes == planes
+                assert abs(sup(box) - expect) <= 1e-15 * expect
 
     @pytest.mark.parametrize("n", [8, 10, 16, 24, 32, 64])
     def test_dense_z_passes_match_full_real_transforms(self, n):
@@ -610,6 +618,37 @@ class TestHalfCubeSums:
             mult = full_cube(part._mult(q))
             expect = VOLUME * np.sum(mult**2 * total)
             assert shells[q + 1] == pytest.approx(expect, rel=1e-14, abs=1e-14 * full)
+
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("which", ["zero", "one", "dealias", "below_half", "half"])
+    def test_support_box_sums_match_half_cube(self, n, which):
+        # magnetic_helicity and shell_l2_sq sum on the box of the field's
+        # support cut, below n/2, and on the half cube at n/2, against the
+        # half-cube formulas they replaced
+        from hallmhd.fields import _support_cut
+        from hallmhd.littlewood_paley import build_partition
+        from hallmhd.solver import magnetic_helicity
+
+        g = Grid(n)
+        cut = {"zero": 0, "one": 1, "dealias": g.dealias_cut, "below_half": n // 2 - 1,
+               "half": n // 2}[which]
+        b = white_noise(g, n + cut)
+        kx, ky, kz = (np.abs(k) for k in g.kvec)
+        b.coeffs *= np.maximum(np.maximum(kx, ky), kz) <= cut
+        assert _support_cut(b.coeffs) == (None if cut == n // 2 else cut)
+        a = vector_potential(b)
+        expect = inner_product(a, b)
+        bound = np.sqrt(inner_product(a, a) * inner_product(b, b))
+        assert abs(magnetic_helicity(b) - expect) <= 1e-14 * bound
+        part = build_partition(g)
+        power = np.sum(np.abs(b.coeffs) ** 2, axis=0)
+        power *= fields._multiplicity(power)
+        binned = np.bincount(
+            part._k_sq.ravel(), weights=power.ravel(), minlength=part._radial.shape[1]
+        )
+        expect = VOLUME * (part._radial**2 @ binned)
+        assert np.all(np.abs(part.shell_l2_sq(b) - expect) <= 1e-14 * expect)
 
 
 class TestConvolutionOracleSelfConsistency:

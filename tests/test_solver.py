@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hallmhd import oracles, solver
+from hallmhd import fields, oracles, solver
 from hallmhd.config import KNOWN_INIT_KINDS, ConfigError, RunConfig
 from hallmhd.fields import (
     DimensionError,
@@ -300,6 +300,7 @@ class TestHalfCubeStep:
         # arrays: bit for bit where the BLAS gives the same bits for a row
         # in a product of any height, else to 1e-15 relative
         from hallmhd.fields import (
+            _BoxSup,
             _cross,
             _curl,
             _forward_pass,
@@ -338,7 +339,7 @@ class TestHalfCubeStep:
             for rows in {3 * n * min(planes, n - i0) for i0 in range(0, n, planes)}
         )
         per_plane = 8 * 16 * n * n + 16 * 3 * n * h
-        monkeypatch.setattr(solver, "SLAB_BYTES", planes * per_plane)
+        monkeypatch.setattr(fields, "SLAB_BYTES", planes * per_plane)
         kernel = solver._Kernel(g)
         assert kernel._slab == planes
         u, b = make_initial({"kind": "random_band"}, g, 7)
@@ -357,9 +358,12 @@ class TestHalfCubeStep:
         assert_close(db, _curl(kvec, fb))
         for got, p in zip(maxima, (up, bp)):
             assert_close(got, np.sqrt(np.sum(p * p, axis=0)).max())
-        # the gate reads the slabs' own samples, as dt_gate does
-        assert maxima[0] == kernel.sup(uh)
-        assert maxima[1] == kernel.sup(bh)
+        # dt_gate reads the same samples: _BoxSup streams a box through the
+        # same passes on slabs of the same height
+        sup = _BoxSup(g, 3, g.dealias_cut)
+        assert sup.planes == planes
+        assert maxima[0] == sup(uh)
+        assert maxima[1] == sup(bh)
 
     def test_steady_step_allocates_few_boxes(self):
         # after the first step has allocated the kernel's buffers, a Hall
