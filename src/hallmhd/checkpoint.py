@@ -9,7 +9,9 @@ trip is bit-exact.  A checkpoint is written to a temporary file beside the
 target and renamed over it, so a write that fails part-way leaves the
 previous checkpoint intact.  A run resumed from a checkpoint is bit-identical
 to the straight run only under the same BLAS kernel and the same
-fields.SLAB_BYTES, since both set the last bits of a step (see Stepper).
+fields.SLAB_BYTES, since both set the last bits of a step (see Stepper), as
+does fields._dense_xy, which the grid fixes, so a resume on the same machine
+keeps it.
 """
 
 from __future__ import annotations

@@ -38,18 +38,27 @@ passes), and the forward x pass runs last.  The solver's kernel streams the
 pair; _BoxSup streams the inverse to the sup of a box's samples, for the
 step's dt gate and for LPPartition.shell_linf, and no sample cube is built.
 
-The x and y passes are pocketfft calls (numpy.fft).  The z passes run
-between kz = 0..c and n real samples, so they are computed as one real
-matrix product per slab against a cached 2(c + 1) x n DFT matrix
-(_z_matrices), O(n c) per line in one BLAS call, which is faster than the
-FFT up to about n = 128 (solver._Kernel has the measurements).  They equal
-the FFT passes to rounding (<= 1e-15 relative), not bit for bit, and a BLAS
-need not round a row alike in products of another height: the last bits of
-whatever a slab computes depend on the BLAS kernel and on the slab height,
-which SLAB_BYTES sets.  So the step's products and the shell sup norms
-match their half-cube references (irfftn, lp_norm) to <= 1e-15 relative.
-The half-cube transforms keep pocketfft: a half cube has no cut to prune
-at.
+The z passes run between kz = 0..c and n real samples, so they are
+computed as one real matrix product per slab against a cached 2(c + 1) x n
+DFT matrix (_z_matrices), O(n c) per line in one BLAS call, which is faster
+than the FFT up to about n = 128 (solver._Kernel has the measurements).
+The x and y passes run between the 2c + 1 box rows and n samples: where
+_dense_xy(n, c) holds, which reads n and c alone, each is one complex
+matrix product per component against a cached n x (2c + 1) DFT matrix
+(_xy_matrices), and elsewhere a pocketfft call (numpy.fft).  That puts the
+kernel and dt gate at n <= 56 and the shell boxes of cut <= 15 at n = 64
+and 128 on the products, and the kernel and dt gate at n >= 64 on the
+FFTs.  A dense y pass takes a slab's planes transposed, so its samples
+come out in (comp, y, x, z) order, which the pointwise products and maxima
+read as they are and the dense forward y pass takes back.  The dense
+passes equal the FFT passes to rounding (<= 1e-15 relative), not bit for
+bit, and a BLAS need not round a row alike in products of another height:
+the last bits of whatever a slab computes depend on the BLAS kernel, on
+the slab height, which SLAB_BYTES sets, and on the side of _dense_xy that
+(n, c) falls on, which is fixed per grid and box.  So the step's products
+and the shell sup norms match their half-cube references (irfftn, lp_norm)
+to <= 1e-15 relative.  The half-cube transforms keep pocketfft: a half
+cube has no cut to prune at.
 
 Spectral power sums and inner products (Parseval norms, ||grad f||^2, shell
 powers) are taken on the half cube or the box, each kz plane counted with
@@ -58,6 +67,7 @@ its Hermitian multiplicity.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -238,13 +248,13 @@ def zero_field(grid: Grid, ncomp: int = 3) -> SpectralField:
 
 
 # -- transforms ---------------------------------------------------------------
-# The two real transforms below, and the x and y passes of the pruned box
-# pair, are the only FFT calls in the package.  Both real transforms take
-# or return the half cube; a box is transformed only through the pruned
-# passes (_inverse_pass along x and y, then _inverse_z; _forward_z, then
-# _forward_pass along y and x).  The pruned passes write in place or into
-# given buffers through the `out` argument of numpy.fft (NumPy 2.0), which
-# spares one fresh array per pass.
+# The two real transforms below, and the FFT x and y passes of the pruned
+# box pair, are the only FFT calls in the package.  Both real transforms
+# take or return the half cube; a box is transformed only through the
+# pruned passes (_inverse_x, _inverse_y, then _inverse_z; _forward_z, then
+# _forward_y and _forward_x).  The pruned passes write in place or into
+# given buffers through the `out` argument of numpy.fft (NumPy 2.0) and
+# numpy.matmul, which spares one fresh array per pass.
 
 
 def _half_to_physical(half: np.ndarray) -> np.ndarray:
@@ -278,9 +288,9 @@ def _rows(axis: int, rows: slice) -> tuple:
 
 
 def _inverse_pass(box: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
-    """The x (axis -3) or y (axis -2) pass of the pruned inverse: the 2c + 1
-    box rows of `box` zero-padded along `axis` to the length m of `out` and
-    inverse-transformed along it in place."""
+    """The FFT x (axis -3) or y (axis -2) pass of the pruned inverse: the
+    2c + 1 box rows of `box` zero-padded along `axis` to the length m of
+    `out` and inverse-transformed along it in place."""
     c, m = box.shape[axis] // 2, out.shape[axis]
     out[_rows(axis, slice(c + 1, m - c))] = 0.0
     for box_rows, axis_rows in _halves(m, c):
@@ -288,31 +298,10 @@ def _inverse_pass(box: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.ifft(out, axis=axis, norm="forward", out=out)
 
 
-def _inverse_z(y: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The z pass of the pruned inverse as one real matrix product: y-pass
-    output y (..., m, c + 1) to the real samples `out` (..., m, m), both
-    C-contiguous.  Equals irfft along z to rounding (see _z_matrices)."""
-    m, h = out.shape[-1], y.shape[-1]
-    inv, _ = _z_matrices(m, h - 1)
-    np.matmul(_rows_of(y.view(np.float64), 2 * h), inv, out=_rows_of(out, m))
-    return out
-
-
-def _forward_z(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The z pass of the pruned forward transform as one real matrix
-    product: real samples (..., m, m) to their kz <= c in `out`
-    (..., m, c + 1), both C-contiguous.  Equals rfft along z, truncated, to
-    rounding (see _z_matrices)."""
-    m, h = samples.shape[-1], out.shape[-1]
-    _, fwd = _z_matrices(m, h - 1)
-    np.matmul(_rows_of(samples, m), fwd, out=_rows_of(out.view(np.float64), 2 * h))
-    return out
-
-
 def _forward_pass(a: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
-    """The y (axis -2) or x (axis -3) pass of the pruned forward transform:
-    `a` transformed along `axis` in place, its box rows written to `out`,
-    whose 2c + 1 rows along `axis` give c."""
+    """The FFT y (axis -2) or x (axis -3) pass of the pruned forward
+    transform: `a` transformed along `axis` in place, its box rows written
+    to `out`, whose 2c + 1 rows along `axis` give c."""
     np.fft.fft(a, axis=axis, norm="forward", out=a)
     c, m = out.shape[axis] // 2, a.shape[axis]
     for box_rows, axis_rows in _halves(m, c):
@@ -320,12 +309,138 @@ def _forward_pass(a: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _rows_of(a: np.ndarray, width: int) -> np.ndarray:
-    """a as a (rows, width) view.  A reshape of a non-contiguous array is a
-    copy, and a product written to a copy is lost, so that raises."""
+# The x and y passes between the box rows of cut c and an axis of m are
+# matrix products against a cached complex DFT matrix (_xy_matrices), O(m c)
+# multiply-adds per line in one BLAS call, where 2c + 1 <= DENSE_XY_SLOPE
+# log2 m, and the FFT passes above, O(m log m) per line, elsewhere.  The
+# slope is where one Hall kernel call with gate took as long with either
+# (solver._Kernel has the table): between 37/log2 56 = 6.4, where the
+# products tied, and 43/log2 64 = 7.2, where they lost.
+DENSE_XY_SLOPE = 6.7
+
+
+def _dense_xy(m: int, cut: int) -> bool:
+    """Whether the x and y passes between the 2 cut + 1 box rows and an
+    axis of m samples are matrix products rather than FFTs."""
+    return 2 * cut + 1 <= DENSE_XY_SLOPE * math.log2(m)
+
+
+def _inverse_x(box: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The x pass of the pruned inverse: box (k, w, w, h), w = 2 cut + 1, to
+    out (k, m, w, h).  The dense pass takes one complex product per
+    component, written straight into out, which must be C-contiguous."""
+    k, w, _, h = box.shape
+    m = out.shape[-3]
+    if not _dense_xy(m, w // 2):
+        return _inverse_pass(box, out, -3)
+    inv, _ = _xy_matrices(m, w // 2)
+    np.matmul(inv, box.reshape(k, w, w * h), out=_view(out, (k, m, w * h)))
+    return out
+
+
+def _inverse_y(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The y pass of the pruned inverse on a slab: x (k, s, w, h), the
+    slab's planes of the x pass, to `out`, a C-contiguous (k, s, m, h).
+    The FFT pass returns out, in (comp, x, y, kz) order.  The dense pass
+    copies x transposed to (k, w, s, h) onto the leading bytes of
+    `scratch`, a C-contiguous buffer the slab holds and the pass may
+    overwrite, then takes one (m, w) by (w, s h) product per component;
+    it returns out as (k, m, s, h), in (comp, y, x, kz) order.  The z pass
+    keeps that order, so the samples it makes are in it too, which only
+    pointwise products and maxima and _forward_y read."""
+    k, s, w, h = x.shape
+    m = out.shape[-2]
+    if not _dense_xy(m, w // 2):
+        return _inverse_pass(x, out, -2)
+    inv, _ = _xy_matrices(m, w // 2)
+    t = _complex_scratch(scratch, (k, w, s, h))
+    np.copyto(t, x.swapaxes(-3, -2))
+    np.matmul(inv, t.reshape(k, w, s * h), out=_view(out, (k, m, s * h)))
+    return out.reshape(k, m, s, h)
+
+
+def _forward_y(a: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The y pass of the pruned forward transform on a slab: a, the forward
+    z pass of samples in the order _inverse_y made them, (k, s, m, h) as the
+    caller shapes it, to the box rows out (k, s, w, h), the slab's planes
+    of the x buffer.  The FFT pass transforms a in place.  The dense pass
+    takes one (w, m) by (m, s h) product per component onto the leading
+    bytes of `scratch`, as for _inverse_y, and copies it transposed to
+    out."""
+    k, s, w, h = out.shape
+    m = a.shape[-2]
+    if not _dense_xy(m, w // 2):
+        return _forward_pass(a, out, -2)
+    _, fwd = _xy_matrices(m, w // 2)
+    t = _complex_scratch(scratch, (k, w, s, h))
+    np.matmul(fwd, _view(a, (k, m, s * h)), out=t.reshape(k, w, s * h))
+    np.copyto(out, t.swapaxes(-3, -2))
+    return out
+
+
+def _forward_x(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The x pass of the pruned forward transform: a (k, m, w, h) to the
+    box out (k, w, w, h).  The FFT pass transforms a in place; the dense
+    one takes one complex product per component, of C-contiguous a, written
+    straight into out, which must be C-contiguous."""
+    k, m, w, h = a.shape
+    if not _dense_xy(m, w // 2):
+        return _forward_pass(a, out, -3)
+    _, fwd = _xy_matrices(m, w // 2)
+    np.matmul(fwd, _view(a, (k, m, w * h)), out=_view(out, (k, w, w * h)))
+    return out
+
+
+def _inverse_z(y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The z pass of the pruned inverse as one real matrix product: y-pass
+    output y (..., m, c + 1) to the real samples `out` (..., m, m), both
+    C-contiguous, row for row, so the samples keep the order of y's rows.
+    Equals irfft along z to rounding (see _z_matrices)."""
+    m, h = out.shape[-1], y.shape[-1]
+    inv, _ = _z_matrices(m, h - 1)
+    np.matmul(_view(y.view(np.float64), (-1, 2 * h)), inv, out=_view(out, (-1, m)))
+    return out
+
+
+def _forward_z(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The z pass of the pruned forward transform as one real matrix
+    product: real samples (..., m, m) to their kz <= c in `out`
+    (..., m, c + 1), both C-contiguous, row for row.  Equals rfft along z,
+    truncated, to rounding (see _z_matrices)."""
+    m, h = samples.shape[-1], out.shape[-1]
+    _, fwd = _z_matrices(m, h - 1)
+    np.matmul(_view(samples, (-1, m)), fwd, out=_view(out.view(np.float64), (-1, 2 * h)))
+    return out
+
+
+def _view(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """a reshaped to `shape` as a view.  A reshape of a non-contiguous array
+    is a copy, and a product written to a copy is lost, so that raises."""
     if not a.flags.c_contiguous:
-        raise ValueError(f"a dense z pass needs C-contiguous arrays, got strides {a.strides}")
-    return a.reshape(-1, width)
+        raise ValueError(f"a dense pass needs C-contiguous arrays, got strides {a.strides}")
+    return a.reshape(shape)
+
+
+def _complex_scratch(buf: np.ndarray, shape: tuple) -> np.ndarray:
+    """A complex128 array of `shape` on the leading bytes of buf, a
+    C-contiguous float64 or complex128 array that must hold it."""
+    return _view(buf, (-1,)).view(np.complex128)[: math.prod(shape)].reshape(shape)
+
+
+@cache
+def _xy_matrices(m: int, cut: int) -> tuple[np.ndarray, np.ndarray]:
+    """(INV, FWD): the complex DFT matrices of the dense x and y passes
+    between the box rows [0..cut, -cut..-1] and m samples.  INV, (m,
+    2 cut + 1), holds exp(i phase); FWD, (2 cut + 1, m), its conjugate
+    transpose over m, the 1/m of this module's normalization.  The phases
+    are 2 pi ((x k) mod m)/m, reduced in integers as in _z_matrices.
+    Cached, as every dense x and y pass asks for them, and read-only."""
+    k = np.r_[0 : cut + 1, m - cut : m]
+    phase = (TWO_PI / m) * (np.outer(np.arange(m), k) % m)
+    inv = np.cos(phase) + 1j * np.sin(phase)
+    fwd = np.ascontiguousarray(inv.T.conj()) / m
+    inv.flags.writeable = fwd.flags.writeable = False
+    return inv, fwd
 
 
 @cache
@@ -440,7 +555,10 @@ def _sup_magnitude(samples: np.ndarray, sq=None, tmp=None) -> float:
 # that the dt gate's maxima are the step's bits.  Its slab holds a third of
 # the kernel's, but the slabs its own budget allows (32, 9 and 2 planes) made
 # no shell sup norm faster: 7.8 against 7.7 ms, 55 against 56 ms and 626
-# against 563 ms for u and b of a stepped state at n = 32, 64 and 128.
+# against 563 ms for u and b of a stepped state at n = 32, 64 and 128.  The
+# budget was tuned with FFT x and y passes and is kept with the dense ones:
+# another slab height would change the last bits of every step at n = 64,
+# whose x and y passes are still FFTs but whose z products are not.
 SLAB_BYTES = 2 << 20
 
 
@@ -474,11 +592,13 @@ class _BoxSup:
     sample cube is built.  The x buffer, for boxes of up to `ncomp`
     components and cut `cut`, and the slab's buffers are flat arrays
     allocated once and reused by every box, which takes their C-contiguous
-    leading parts.
+    leading parts; a dense y pass takes its scratch on the slab's sample
+    planes, which the z pass fills after it.
 
     The maxima match those of the half-cube samples to <= 1e-15 relative.
-    Their last bits depend on the BLAS kernel and on SLAB_BYTES; at the
-    kernel's slab height they are the kernel's.  An all-zero box reads 0 and
+    Their last bits depend on the BLAS kernel, on SLAB_BYTES and on the
+    side of _dense_xy that (n, cut) falls on; at the kernel's slab height
+    and cut they are the kernel's.  An all-zero box reads 0 and
     a box of cut 0, a constant field, the magnitude of Re(box), without a
     transform; a nan is kept.  Not thread-safe: one call at a time."""
 
@@ -496,13 +616,14 @@ class _BoxSup:
         if w == 1:
             return _sup_magnitude(box.real)
         n, planes = self.n, self.planes
-        xs = _inverse_pass(box, self._x[: ncomp * n * w * h].reshape(ncomp, n, w, h), -3)
+        xs = _inverse_x(box, self._x[: ncomp * n * w * h].reshape(ncomp, n, w, h))
         maxima = []
         for i0 in range(0, n, planes):
             p = min(planes, n - i0)
             y = self._y[: ncomp * p * n * h].reshape(ncomp, p, n, h)
             samples = self._samples[: (ncomp + 2) * p * n * n].reshape(ncomp + 2, p, n, n)
-            f = _inverse_z(_inverse_pass(xs[:, i0 : i0 + p], y, -2), samples[:ncomp])
+            # the sample planes are the y pass's scratch until the z pass
+            f = _inverse_z(_inverse_y(xs[:, i0 : i0 + p], y, samples[:ncomp]), samples[:ncomp])
             maxima.append(_sup_magnitude(f, samples[ncomp], samples[ncomp + 1]))
         # np.max, unlike max, keeps a nan of any slab
         return float(np.max(maxima))

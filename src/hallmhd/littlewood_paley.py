@@ -16,7 +16,8 @@ the step's box.  The sup norm of shell q streams the smaller box of cut
 min(2^(q+1) - 1, s), beyond which phi_q vanishes as chi does on [1, inf),
 through fields._BoxSup, which builds no sample cube.  It matches the
 half-cube samples to <= 1e-15 relative, its last bits set by the BLAS
-kernel and the slab height, as a step's are.  A field with content at n/2
+kernel, the slab height and the side of fields._dense_xy that the shell's
+box falls on, as a step's are.  A field with content at n/2
 has no box and takes the half cube, bit for bit.
 """
 
@@ -142,7 +143,8 @@ class LPPartition:
         Shell q is f's box of cut min(2^(q+1) - 1, s) times phi_q, s the
         support cut of f, streamed to its maximum by one fields._BoxSup of
         cut s.  That equals lp_norm(self.project(f, q), inf) to <= 1e-15
-        relative, its last bits set by the BLAS kernel and the slab height;
+        relative, its last bits set by the BLAS kernel, the slab height and
+        the side of fields._dense_xy that each shell's box falls on;
         a zero block reads exactly 0 and the mean-only block the magnitude
         of its real part, bit for bit.  A field with content at n/2 takes
         the half cube's irfftn per shell, as lp_norm does, bit for bit."""

@@ -33,10 +33,11 @@ fields being real).  It runs the pruned inverse x passes of u, w, b and J
 once, then streams slabs of x planes through the y and z passes, the cross
 products and the forward z and y passes, and ends with the forward x passes
 into the two boxes its caller passes as `dst`; its z passes are dense real
-matrix products, its x and y passes FFTs, and its buffers are allocated
-once per Stepper.  `dt_gate` reads the gate of the step's first stage from
-the same pruned samples, made by the same passes on slabs of the same
-height (fields._BoxSup).
+matrix products, its x and y passes dense complex products up to n = 56
+and FFTs above at the default cut (fields._dense_xy), and its buffers are
+allocated once per Stepper.  `dt_gate` reads the gate of the step's first
+stage from the same pruned samples, made by the same passes on slabs of
+the same height (fields._BoxSup).
 
 Products are formed from the dealiased part of u and b (|k| <= dealias_cut),
 as the 2/3 rule assumes: content beyond the cut takes no part in them.  A
@@ -68,11 +69,13 @@ from .fields import (
     _cross,
     _curl,
     _divergence_error,
-    _forward_pass,
+    _forward_x,
+    _forward_y,
     _forward_z,
     _from_box,
     _hermitian_sum,
-    _inverse_pass,
+    _inverse_x,
+    _inverse_y,
     _inverse_z,
     _leray,
     _norm_sq,
@@ -224,21 +227,32 @@ class _Kernel:
     - per slab of x planes: the y and z passes to samples, the two cross
       products, and their forward z and y passes, which are written back
       over the planes of the u and w buffers that the slab has consumed;
-    - the forward x passes, in place in those two buffers.
+    - the forward x passes, from those two buffers into the result boxes.
 
-    The x and y passes are FFTs.  The z passes are dense real matrix
-    products (fields._inverse_z, _forward_z), one per slab and field: only
-    kz <= c is nonzero on the way in and kept on the way out, so a z line
-    costs one row of a product with a 2(c + 1) x n matrix, O(n c) = O(n^2)
-    multiply-adds in one BLAS call, against an O(n log n) FFT of the whole
-    line.  The product wins while n is small and loses as n/log n grows.
-    Single-threaded OpenBLAS on a 2-core Xeon, per slab: the inverse z pass
-    5x faster than irfft at n = 32, 1.8x at 64 and 1.0-1.3x at 128; the
-    forward z and y passes 1.2-1.7x faster than rfft and y at n = 32 and
-    1.0-1.1x at 64.  Whole Hall steps take 0.76x, 0.83x and 0.985x the time
-    of FFT z passes at n = 32, 64 and 128, so the crossover lies near
-    n = 128; above it the products are untested.  Dense x and y passes were
-    slower at n = 64 and 128.
+    The z passes are dense real matrix products (fields._inverse_z,
+    _forward_z), one per slab and field: only kz <= c is nonzero on the way
+    in and kept on the way out, so a z line costs one row of a product with
+    a 2(c + 1) x n matrix, O(n c) = O(n^2) multiply-adds in one BLAS call,
+    against an O(n log n) FFT of the whole line.  The product wins while n
+    is small and loses as n/log n grows.  Single-threaded OpenBLAS on a
+    2-core Xeon, per slab: the inverse z pass 5x faster than irfft at
+    n = 32, 1.8x at 64 and 1.0-1.3x at 128; the forward z and y passes
+    1.2-1.7x faster than rfft and y at n = 32 and 1.0-1.1x at 64.  Whole
+    Hall steps take 0.76x, 0.83x and 0.985x the time of FFT z passes at
+    n = 32, 64 and 128, so the crossover lies near n = 128; above it the
+    products are untested.
+
+    The x and y passes are dense complex products (fields._inverse_x,
+    _inverse_y, _forward_y, _forward_x) where fields._dense_xy(n, c) holds,
+    and FFTs elsewhere; the slab loop calls the same passes either way.
+    Dense over FFT time of one Hall call with gate at the dealias cut, the
+    two sides forced and alternated call by call, median of the pair
+    ratios (same host and BLAS):
+
+        n      16    24    32    40    48    56    64    80    96    128
+        ratio  0.69  0.71  0.81  0.93  0.94  1.00  1.18  1.13  1.20  1.36
+
+    so the products run up to n = 56, where they tie.
 
     The slab holds fields._slab_planes(grid) planes, as many as
     fields.SLAB_BYTES of sample and transform buffers allow.  Each buffer
@@ -282,14 +296,16 @@ class _Kernel:
         None."""
         kvec, _, inv_k_sq, mask = self.grid.box
         xs = self._xs
-        _inverse_pass(uh, xs[0], -3)
-        _inverse_pass(_curl(kvec, uh, out=self._curl_box), xs[1], -3)
-        _inverse_pass(bh, xs[2], -3)
-        _inverse_pass(_curl(kvec, bh, out=self._curl_box), xs[3], -3)
+        _inverse_x(uh, xs[0])
+        _inverse_x(_curl(kvec, uh, out=self._curl_box), xs[1])
+        _inverse_x(bh, xs[2])
+        _inverse_x(_curl(kvec, bh, out=self._curl_box), xs[3])
         maxima = []
         for i0, i1, (up, wp, bp, jp, fp), tmp, y in self._slabs():
+            # fp, free until the products and again after its forward z
+            # pass, is the scratch of the y passes
             for x, o in zip(xs, (up, wp, bp, jp)):
-                _inverse_z(_inverse_pass(x[:, i0:i1], y, -2), o)
+                _inverse_z(_inverse_y(x[:, i0:i1], y, fp), o)
             if gate:  # fp is free until the products
                 maxima.append([_sup_magnitude(f, fp[0], fp[1]) for f in (up, bp)])
             _cross(up, wp, out=fp, tmp=tmp)
@@ -297,11 +313,11 @@ class _Kernel:
             # J is needed no more: u - J overwrites it
             ub = np.subtract(up, jp, out=jp) if hall_on else up
             _cross(ub, bp, out=wp, tmp=tmp)
-            _forward_pass(_forward_z(fp, y), xs[0, :, i0:i1], -2)
-            _forward_pass(_forward_z(wp, y), xs[1, :, i0:i1], -2)
+            _forward_y(_forward_z(fp, y), xs[0, :, i0:i1], fp)
+            _forward_y(_forward_z(wp, y), xs[1, :, i0:i1], fp)
         du, db = dst
-        _forward_pass(xs[0], du, -3)
-        fb = _forward_pass(xs[1], self._curl_box, -3)
+        _forward_x(xs[0], du)
+        fb = _forward_x(xs[1], self._curl_box)
         du *= mask
         fb *= mask
         _leray(kvec, inv_k_sq, du, out=du)
@@ -370,7 +386,7 @@ def dt_gate(
     its state, bit for bit: a BLAS need not round a row alike in products
     of another height, so the slabs must be the step's.  That costs one
     x-pass buffer and one slab, shared by u and b, not two (3, n, n, n)
-    sample cubes nor a kernel's workspace, and the z passes cost what they
+    sample cubes nor a kernel's workspace, and the passes cost what they
     cost in the kernel (see _Kernel).  u and b on different grids raise
     DimensionError, and a nan or inf in a dealias box ValueError."""
     g = _common_grid(u, b)
@@ -511,11 +527,13 @@ class Stepper:
     and reused by every step, so it is not thread-safe: step one state at a
     time per Stepper.  The workspace holds four arrays of shape
     (3, n, 2c + 1, c + 1) and a slab of sample and transform planes of
-    about SLAB_BYTES.  A step's last bits depend on the BLAS kernel and on
-    the slab height, which SLAB_BYTES sets: a BLAS need not round a row of
-    a dense z product alike in products of another height.  So a step, and
-    a run resumed from a checkpoint, is bit-identical only under the same
-    BLAS kernel and the same SLAB_BYTES.
+    about SLAB_BYTES.  A step's last bits depend on the BLAS kernel, on
+    the slab height, which SLAB_BYTES sets, and on whether the grid's x
+    and y passes are dense (fields._dense_xy): a BLAS need not round a row
+    of a dense product alike in products of another height.  Which side of
+    that rule a grid falls on is fixed by n and its cut, so a step, and a
+    run resumed from a checkpoint, is bit-identical under the same BLAS
+    kernel and the same SLAB_BYTES.
 
     The config is validated, and must describe the stepper's grid: a
     mismatch in n or dealias_cut raises ConfigError, and a state whose

@@ -16,14 +16,20 @@ from hallmhd.fields import (
     SpectralField,
     _box_axes,
     _BoxSup,
+    _dense_xy,
     _forward_pass,
+    _forward_x,
+    _forward_y,
     _forward_z,
     _from_box,
     _inverse_pass,
+    _inverse_x,
+    _inverse_y,
     _inverse_z,
     _parseval,
     _physical_to_half,
     _to_box,
+    _xy_matrices,
     _z_matrices,
     curl,
     divergence_error,
@@ -225,6 +231,62 @@ class TestTransforms:
         got = _forward_pass(zy, np.empty_like(box), -3)
         assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
+    @pytest.mark.parametrize("n, c", [(16, 5), (32, 10), (56, 18), (64, 15), (64, 21)])
+    def test_x_and_y_passes_match_ffts(self, n, c):
+        # the x and y passes, dense matrix products where _dense_xy(n, c)
+        # holds (all but (64, 21)), against ifft of the box rows zero-padded
+        # at the index rows and the box rows of fft, to 1e-15 relative, for
+        # 1, 3 and 9 components and y slabs of 1, 3 and n planes, each a
+        # slice of an x buffer as a kernel's slab is
+        rows = np.r_[0 : c + 1, n - c : n]
+        w, h = 2 * c + 1, c + 1
+        dense = _dense_xy(n, c)
+        rng = np.random.default_rng(n + c)
+
+        def rand(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def padded(box, axis):
+            shape = list(box.shape)
+            shape[axis] = n
+            out = np.zeros(shape, dtype=np.complex128)
+            np.moveaxis(out, axis, 0)[rows] = np.moveaxis(box, axis, 0)
+            return out
+
+        def assert_close(got, expect):
+            assert got.shape == expect.shape
+            assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+
+        for k in (1, 3, 9):
+            box = rand(k, w, w, h)
+            expect = np.fft.ifft(padded(box, -3), axis=-3, norm="forward")
+            assert_close(_inverse_x(box, np.empty((k, n, w, h), dtype=np.complex128)), expect)
+            a = rand(k, n, w, h)
+            expect = np.take(np.fft.fft(a, axis=-3, norm="forward"), rows, axis=-3)
+            assert_close(_forward_x(a.copy(), np.empty((k, w, w, h), dtype=np.complex128)), expect)
+            xs = rand(k, n, w, h)
+            for s in (1, 3, n):
+                i0 = 1 if s < n else 0
+                x = xs[:, i0 : i0 + s]
+                scratch = np.full((k, s, n, n), np.nan)
+                y = _inverse_y(x, np.empty((k, s, n, h), dtype=np.complex128), scratch)
+                # the dense pass gives (comp, y, x, kz), the FFT pass (comp, x, y, kz)
+                got = y.swapaxes(-3, -2) if dense else y
+                assert_close(got, np.fft.ifft(padded(x, -2), axis=-2, norm="forward"))
+                a = rand(k, s, n, h)
+                expect = np.take(np.fft.fft(a, axis=-2, norm="forward"), rows, axis=-2)
+                ordered = np.ascontiguousarray(a.swapaxes(-3, -2) if dense else a)
+                out = np.empty((k, n, w, h), dtype=np.complex128)[:, i0 : i0 + s]
+                got = _forward_y(ordered.reshape(k, s, n, h), out, scratch)
+                assert_close(got, expect)
+
+    def test_dense_xy_rule(self):
+        # the rule sends the benchmark's n = 32 workloads (whistler32,
+        # diag32_mhd: cut 10) to the dense x and y passes and its n = 64
+        # workload (turb64_hall: cut 21) to the FFT passes
+        assert _dense_xy(32, 10)
+        assert not _dense_xy(64, 21)
+
     def test_dense_z_passes_refuse_strided_arrays(self):
         # a reshape of a strided slice is a copy: a product written to it
         # would be lost, so the passes raise instead
@@ -239,6 +301,13 @@ class TestTransforms:
         inv, fwd = _z_matrices(32, 10)
         assert _z_matrices(32, 10)[0] is inv
         assert inv.shape == (22, 32) and fwd.shape == (32, 22)
+        with pytest.raises(ValueError):
+            inv[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            fwd[0, 0] = 0.0
+        inv, fwd = _xy_matrices(32, 10)
+        assert _xy_matrices(32, 10)[0] is inv
+        assert inv.shape == (32, 21) and fwd.shape == (21, 32)
         with pytest.raises(ValueError):
             inv[0, 0] = 0.0
         with pytest.raises(ValueError):
@@ -698,8 +767,9 @@ class TestSingleTransformPath:
         # every FFT in the package goes through the two real transforms of
         # fields and the passes of their pruned box path, which the solver's
         # kernel streams over x slabs, so the sample/coefficient convention
-        # lives in one place; the kernel's dense z passes are matrix
-        # products in fields, and its x and y passes these FFTs
+        # lives in one place; the dense z passes, and the x and y passes
+        # where fields._dense_xy holds, are matrix products in fields that
+        # call no FFT, and the x and y passes elsewhere these FFTs
         allowed = {
             ("fields.py", "_half_to_physical"),
             ("fields.py", "_physical_to_half"),

@@ -296,74 +296,105 @@ class TestHalfCubeStep:
     def test_kernel_slabs_match_whole_transforms(self, monkeypatch, planes, hall):
         # the kernel streamed over slabs of one plane, and of three planes
         # with a shorter last slab, equals the same products formed with its
-        # own passes (FFT x and y passes, dense z products) over whole
-        # arrays: bit for bit where the BLAS gives the same bits for a row
-        # in a product of any height, else to 1e-15 relative
+        # own passes over whole arrays, at n = 16, where the x and y passes
+        # are dense products, and at n = 64, where they are FFTs (the z
+        # passes are dense at both): bit for bit where the BLAS gives the
+        # same bits for a row or column in a product of any height or width,
+        # else to 1e-15 relative
         from hallmhd.fields import (
             _BoxSup,
             _cross,
             _curl,
-            _forward_pass,
+            _dense_xy,
+            _forward_x,
+            _forward_y,
             _forward_z,
-            _inverse_pass,
+            _inverse_x,
+            _inverse_y,
             _inverse_z,
+            _xy_matrices,
             _z_matrices,
         )
 
         def inverse(box):
-            xs = _inverse_pass(box, np.empty((3, n, w, h), dtype=np.complex128), -3)
-            y = _inverse_pass(xs, np.empty((3, n, n, h), dtype=np.complex128), -2)
+            xs = _inverse_x(box, np.empty((3, n, w, h), dtype=np.complex128))
+            y = _inverse_y(xs, np.empty((3, n, n, h), dtype=np.complex128), scratch)
             return _inverse_z(y, np.empty((3, n, n, n)))
 
         def forward(samples):
             z = _forward_z(samples, np.empty((3, n, n, h), dtype=np.complex128))
-            zy = _forward_pass(z, np.empty((3, n, w, h), dtype=np.complex128), -2)
-            return _forward_pass(zy, np.empty((3, w, w, h), dtype=np.complex128), -3)
+            zy = _forward_y(z, np.empty((3, n, w, h), dtype=np.complex128), scratch)
+            return _forward_x(zy, np.empty((3, w, w, h), dtype=np.complex128))
 
         def assert_close(got, expect):
             if exact:
-                assert np.array_equal(got, expect)
+                assert np.array_equal(got, expect), n
             err = np.abs(got - expect).max()
-            assert err <= 1e-15 * np.abs(expect).max(), (err, np.abs(expect).max())
+            assert err <= 1e-15 * np.abs(expect).max(), (n, err, np.abs(expect).max())
 
-        g = Grid(16)
-        n, c = g.n, g.dealias_cut
-        w, h = 2 * c + 1, c + 1
-        # whether this BLAS rounds the rows of a z product of a slab's height
-        # as it rounds them in the product over the whole array
-        rng = np.random.default_rng(0)
-        a, s = rng.standard_normal((3 * n * n, 2 * h)), rng.standard_normal((3 * n * n, n))
-        exact = all(
-            np.array_equal(x[:rows] @ m, (x @ m)[:rows])
-            for x, m in zip((a, s), _z_matrices(n, c))
-            for rows in {3 * n * min(planes, n - i0) for i0 in range(0, n, planes)}
-        )
-        per_plane = 8 * 16 * n * n + 16 * 3 * n * h
-        monkeypatch.setattr(fields, "SLAB_BYTES", planes * per_plane)
-        kernel = solver._Kernel(g)
-        assert kernel._slab == planes
-        u, b = make_initial({"kind": "random_band"}, g, 7)
-        uh, bh = solver._dealiased_box(u, "u"), solver._dealiased_box(b, "b")
-        du, db = solver._pair(g)
-        maxima = kernel(uh, bh, hall, (du, db), gate=True)
+        for n in (16, 64):
+            g = Grid(n)
+            c = g.dealias_cut
+            w, h = 2 * c + 1, c + 1
+            scratch = np.empty((3, n, n, n))
+            # whether this BLAS rounds the rows of each slab's z products,
+            # and the columns of its dense y products, as it rounds them in
+            # the products over the whole array; a slab's z rows are its x
+            # planes of (comp, x, y) rows, or of (comp, y, x) rows where
+            # the y pass is dense, and its y columns (x, kz) columns
+            dense = _dense_xy(n, c)
+            rng = np.random.default_rng(0)
+            z_pairs = [
+                (x, m, x @ m)
+                for x, m in zip(
+                    (rng.standard_normal((3 * n * n, r)) for r in (2 * h, n)),
+                    _z_matrices(n, c),
+                )
+            ]
+            y_pairs = [
+                (x, m, m @ x)
+                for x, m in zip(
+                    (rng.standard_normal((r, n * h, 2)).view(np.complex128)[..., 0] for r in (w, n)),
+                    _xy_matrices(n, c),
+                )
+            ]
+            index = np.arange(3 * n * n).reshape(3, n, n)
+            exact = True
+            for i0 in range(0, n, planes):
+                i1 = min(i0 + planes, n)
+                rows = (index[:, :, i0:i1] if dense else index[:, i0:i1]).ravel()
+                exact &= all(np.array_equal(x[rows] @ m, xm[rows]) for x, m, xm in z_pairs)
+                cols = slice(i0 * h, i1 * h)
+                exact &= not dense or all(
+                    np.array_equal(m @ np.ascontiguousarray(x[:, cols]), mx[:, cols])
+                    for x, m, mx in y_pairs
+                )
+            per_plane = 8 * 16 * n * n + 16 * 3 * n * h
+            monkeypatch.setattr(fields, "SLAB_BYTES", planes * per_plane)
+            kernel = solver._Kernel(g)
+            assert kernel._slab == planes
+            u, b = make_initial({"kind": "random_band"}, g, 7)
+            uh, bh = solver._dealiased_box(u, "u"), solver._dealiased_box(b, "b")
+            du, db = solver._pair(g)
+            maxima = kernel(uh, bh, hall, (du, db), gate=True)
 
-        kvec, _, inv_k_sq, mask = g.box
-        up, wp = (inverse(x) for x in (uh, _curl(kvec, uh)))
-        bp, jp = (inverse(x) for x in (bh, _curl(kvec, bh)))
-        f = _cross(up, wp)
-        f += _cross(jp, bp)
-        fu = forward(f) * mask
-        fb = forward(_cross(up - jp if hall else up, bp)) * mask
-        assert_close(du, _leray(kvec, inv_k_sq, fu))
-        assert_close(db, _curl(kvec, fb))
-        for got, p in zip(maxima, (up, bp)):
-            assert_close(got, np.sqrt(np.sum(p * p, axis=0)).max())
-        # dt_gate reads the same samples: _BoxSup streams a box through the
-        # same passes on slabs of the same height
-        sup = _BoxSup(g, 3, g.dealias_cut)
-        assert sup.planes == planes
-        assert maxima[0] == sup(uh)
-        assert maxima[1] == sup(bh)
+            kvec, _, inv_k_sq, mask = g.box
+            up, wp = (inverse(x) for x in (uh, _curl(kvec, uh)))
+            bp, jp = (inverse(x) for x in (bh, _curl(kvec, bh)))
+            f = _cross(up, wp)
+            f += _cross(jp, bp)
+            fu = forward(f) * mask
+            fb = forward(_cross(up - jp if hall else up, bp)) * mask
+            assert_close(du, _leray(kvec, inv_k_sq, fu))
+            assert_close(db, _curl(kvec, fb))
+            for got, p in zip(maxima, (up, bp)):
+                assert_close(got, np.sqrt(np.sum(p * p, axis=0)).max())
+            # dt_gate reads the same samples: _BoxSup streams a box through
+            # the same passes on slabs of the same height
+            sup = _BoxSup(g, 3, g.dealias_cut)
+            assert sup.planes == planes
+            assert maxima[0] == sup(uh)
+            assert maxima[1] == sup(bh)
 
     def test_steady_step_allocates_few_boxes(self):
         # after the first step has allocated the kernel's buffers, a Hall
@@ -465,11 +496,13 @@ DIGEST_SCRIPT = """
 import hashlib, sys
 from hallmhd.config import RunConfig
 from hallmhd.fields import Grid
-from hallmhd.solver import SolverState, Stepper, make_initial
+from hallmhd.solver import SolverState, Stepper, dt_gate, make_initial
 n = int(sys.argv[1])
-cfg = RunConfig(n=n, dt=1e-3, t_end=1.0, nu=0.01, mu=0.01, hall_on=True)
 grid = Grid(n)
-st = SolverState(0.0, *make_initial({"kind": "random_band"}, grid, 3))
+u, b = make_initial({"kind": "random_band"}, grid, 3)
+cfg = RunConfig(n=n, dt=1e-3, t_end=1.0, nu=0.01, mu=0.01, hall_on=True)
+cfg.dt = min(cfg.dt, 0.5 * dt_gate(u, b, cfg))
+st = SolverState(0.0, u, b)
 stepper = Stepper(grid, cfg)
 for _ in range(3):
     st = stepper.step(st)
@@ -481,11 +514,12 @@ print(h.hexdigest())
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("n", [16, 32, 64])
     def test_steps_do_not_depend_on_blas_threads(self, n):
-        # the kernel's z passes are BLAS products; a run and its resume must
-        # give the same bits whether the BLAS may run them on one thread or
-        # on two, between which it may split a product
+        # the kernel's z passes, and its x and y passes at n <= 56, are BLAS
+        # products; a run and its resume must give the same bits whether the
+        # BLAS may run them on one thread or on two, between which it may
+        # split a product
         src = str(Path(solver.__file__).parents[1])
         digests = []
         for threads in ("1", "2"):
@@ -789,18 +823,20 @@ class TestGateAndBlowUp:
     def test_step_gate_matches_dt_gate(self, kind):
         # the stepper gates on its stage-1 samples; the gate it reports in
         # DtGateError is the one dt_gate computes from the state, bit for
-        # bit, also for a state with content beyond the cut
-        cfg = RunConfig(n=16, dt=10.0, t_end=10.0, nu=0.1, mu=0.1)
-        grid = Grid(16)
-        if kind == "full_band":
-            # Leray-projected white noise reaches every mode
-            rng = np.random.default_rng(3)
-            u0, b0 = (leray_project(random_field(grid, rng)) for _ in "ub")
-        else:
-            u0, b0 = make_initial({"kind": kind}, grid, 3)
-        with pytest.raises(DtGateError) as excinfo:
-            Stepper(grid, cfg).step(SolverState(0.0, u0, b0))
-        assert excinfo.value.gate == dt_gate(u0, b0, cfg)
+        # bit, also for a state with content beyond the cut; at n = 16 the
+        # kernel's x and y passes are dense products, at n = 64 FFTs
+        for n in (16, 64):
+            cfg = RunConfig(n=n, dt=10.0, t_end=10.0, nu=0.1, mu=0.1)
+            grid = Grid(n)
+            if kind == "full_band":
+                # Leray-projected white noise reaches every mode
+                rng = np.random.default_rng(3)
+                u0, b0 = (leray_project(random_field(grid, rng)) for _ in "ub")
+            else:
+                u0, b0 = make_initial({"kind": kind}, grid, 3)
+            with pytest.raises(DtGateError) as excinfo:
+                Stepper(grid, cfg).step(SolverState(0.0, u0, b0))
+            assert excinfo.value.gate == dt_gate(u0, b0, cfg), n
 
     def test_gate_violation_raises(self):
         cfg = RunConfig(
