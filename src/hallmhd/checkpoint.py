@@ -8,10 +8,8 @@ outside the test references.  Reading keeps the half cube, so the round
 trip is bit-exact.  A checkpoint is written to a temporary file beside the
 target and renamed over it, so a write that fails part-way leaves the
 previous checkpoint intact.  A run resumed from a checkpoint is bit-identical
-to the straight run only under the same BLAS kernel and the same
-fields.SLAB_BYTES, since both set the last bits of a step (see Stepper), as
-does fields._dense_xy, which the grid fixes, so a resume on the same machine
-keeps it.
+to the straight run under the same BLAS kernel and the same
+fields.SLAB_BYTES (see bit determinism in the fields docstring).
 """
 
 from __future__ import annotations
@@ -74,7 +72,8 @@ def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralF
     """Returns (t, nu, mu, u, b), u and b the half cubes kz >= 0 of the
     stored cubes.  The file size is checked against the header before the
     payload is read, one field at a time, into one cube buffer that each
-    half cube is copied from."""
+    half cube is copied from.  A half cube with content on an n/2 plane,
+    which no field holds, raises CheckpointError naming the field."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
@@ -97,11 +96,14 @@ def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralF
             )
         cube = np.empty((3, n, n, n), dtype="<c16")
         fields = []
-        for _ in range(2):
+        for name in "ub":
             got = fh.readinto(cube)
             if got != cube.nbytes:
                 msg = f"checkpoint parse: read {got} of a field's {cube.nbytes} bytes"
                 raise CheckpointError(msg)
-            # a strided slice (n//2 + 1 < n), so SpectralField copies it out
-            fields.append(SpectralField(grid, cube[..., : n // 2 + 1]))
+            try:
+                # a strided slice (n//2 + 1 < n), so SpectralField copies it out
+                fields.append(SpectralField(grid, cube[..., : n // 2 + 1]))
+            except DimensionError as exc:
+                raise CheckpointError(f"checkpoint parse: field {name}: {exc}") from exc
     return float(t), float(nu), float(mu), *fields

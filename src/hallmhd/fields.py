@@ -4,16 +4,23 @@ Convention: for samples f(x) on the n^3 collocation grid of the 2*pi torus,
 
     coeff(k) = (1/n^3) * sum_x f(x) exp(-i k.x),     k in [-n/2, n/2)^3,
 
-so f(x) = sum_k coeff(k) exp(i k.x).  Wavevectors are integers; the n/2
-("oddball") mode present for even n is zeroed whenever a derivative is taken,
-and the Leray projection and the vector potential zero the n/2 planes.
-Fields are real, so their coefficients are Hermitian, coeff(-k) =
-conj(coeff(k)), and the half kz >= 0 determines the rest (Canuto et al.,
-Spectral Methods, 2006, sec. 2.1).  Field coefficients are stored as that
-half cube, complex128 of shape (..., n, n, n//2 + 1), the layout of a real
-FFT: kz index j holds the wavenumber j, and the last plane the n/2 plane,
-whose partners, like those of the kz = 0 plane, lie in the same plane.
-Every wavenumber array of Grid has the same layout.
+so f(x) = sum_k coeff(k) exp(i k.x).  Wavevectors are integers.  Fields
+are real, so their coefficients are Hermitian, coeff(-k) = conj(coeff(k)),
+and the half kz >= 0 determines the rest (Canuto et al., Spectral Methods,
+2006, sec. 2.1).  Field coefficients are stored as that half cube,
+complex128 of shape (..., n, n, n//2 + 1), the layout of a real FFT: kz
+index j holds the wavenumber j, and the last plane the n/2 plane.  Every
+wavenumber array of Grid has the same layout.
+
+A field holds no content on an n/2 ("oddball") plane, index n/2 of any
+axis: SpectralField raises DimensionError naming the plane, and
+from_physical drops those planes of its transform.  Index n/2 stands for
+the wavenumber -n/2 of a mode and of its Hermitian partner alike, so a
+k-dependent multiplier applied there breaks the symmetry, and no dyadic
+shell the package reads reaches it: they all lie inside the dealias cut,
+below n/3.  So derivatives, projections and spectral sums take the plain
+wavenumbers, and every field sits in the box of its support cut, which is
+below n/2.
 
 Inside the solver's step, coefficients live on a smaller array still: the
 box |kx|, |ky| <= c, 0 <= kz <= c of a cut c < n/2, shape
@@ -50,15 +57,19 @@ kernel and dt gate at n <= 56 and the shell boxes of cut <= 15 at n = 64
 and 128 on the products, and the kernel and dt gate at n >= 64 on the
 FFTs.  A dense y pass takes a slab's planes transposed, so its samples
 come out in (comp, y, x, z) order, which the pointwise products and maxima
-read as they are and the dense forward y pass takes back.  The dense
-passes equal the FFT passes to rounding (<= 1e-15 relative), not bit for
-bit, and a BLAS need not round a row alike in products of another height:
-the last bits of whatever a slab computes depend on the BLAS kernel, on
-the slab height, which SLAB_BYTES sets, and on the side of _dense_xy that
-(n, c) falls on, which is fixed per grid and box.  So the step's products
-and the shell sup norms match their half-cube references (irfftn, lp_norm)
-to <= 1e-15 relative.  The half-cube transforms keep pocketfft: a half
-cube has no cut to prune at.
+read as they are and the dense forward y pass takes back.
+
+Bit determinism.  The dense passes equal the FFT passes to rounding
+(<= 1e-15 relative), not bit for bit, and a BLAS need not round a row alike
+in products of another height.  So the last bits of whatever a slab
+computes depend on the BLAS kernel, on the slab height, which SLAB_BYTES
+sets, and on the side of _dense_xy that (n, c) falls on, which is fixed per
+grid and box (one and two BLAS threads give the same bits).  A step, a
+run resumed from a checkpoint, dt_gate (the stage-1 gate of a step) and the
+shell sup norms are therefore bit-identical under the same BLAS kernel and
+the same SLAB_BYTES, and the step's products and the shell sup norms match
+their half-cube references (irfftn, lp_norm) to <= 1e-15 relative.  The
+half-cube transforms keep pocketfft: a half cube has no cut to prune at.
 
 Spectral power sums and inner products (Parseval norms, ||grad f||^2, shell
 powers) are taken on the half cube or the box, each kz plane counted with
@@ -93,6 +104,10 @@ class Grid:
     the retained modes, and collocation quadrature of triple products is
     exact.  An explicit cut that breaks it raises DimensionError, as does a
     size that is not an integer (a bool is not one).
+
+    The wavenumbers are the plain integers: index n/2 holds -n/2, and no
+    field stores content there (see the module docstring), so derivatives
+    need no oddball rule.
     """
 
     n: int
@@ -124,21 +139,11 @@ class Grid:
         return k
 
     @cached_property
-    def d1(self) -> np.ndarray:
-        """Differentiation wavenumbers: k1 with the oddball n/2 mode zeroed."""
-        d = self.k1.copy()
-        d[self.n // 2] = 0.0
-        return d
-
-    @cached_property
     def kvec(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Broadcastable (kx, ky, kz) on the half cube, with shapes (n,1,1),
         (1,n,1), (1,1,n//2 + 1)."""
-        return _half_cube_axes(self.k1)
-
-    @cached_property
-    def dvec(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _half_cube_axes(self.d1)
+        k, n = self.k1, self.n
+        return k.reshape(n, 1, 1), k.reshape(1, n, 1), k[: n // 2 + 1].reshape(1, 1, -1)
 
     @cached_property
     def k_sq(self) -> np.ndarray:
@@ -152,19 +157,11 @@ class Grid:
     @cached_property
     def box(self):
         """(wavevectors, |k|^2, 1/|k|^2, dealias mask) on the box |kx|, |ky|,
-        kz <= dealias_cut, where the solver steps.  The box holds no n/2
-        index, so its derivative wavenumbers are its wavevectors."""
+        kz <= dealias_cut, where the solver steps."""
         c = self.dealias_cut
         kvec = _box_axes(c)
         k_sq = _norm_sq(kvec)
         return kvec, k_sq, _reciprocal(k_sq), np.sqrt(k_sq) <= c
-
-
-def _half_cube_axes(k1: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-axis wavenumbers k1 in FFT order as broadcastable x, y and kz >= 0
-    axes of the half cube."""
-    n = k1.size
-    return k1.reshape(n, 1, 1), k1.reshape(1, n, 1), k1[: n // 2 + 1].reshape(1, 1, -1)
 
 
 def _box_axes(cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,7 +191,8 @@ class SpectralField:
 
     coeffs has shape (ncomp, n, n, n//2 + 1); ncomp is 1 for scalars, 3 for
     vectors, 9 for gradient tensors (component order d_j f_i at index
-    3*i + j).
+    3*i + j).  The constructor raises DimensionError naming an n/2 plane
+    that holds content (see the module docstring).
     """
 
     grid: Grid
@@ -209,6 +207,12 @@ class SpectralField:
             raise DimensionError(
                 f"coeffs shape {c.shape} incompatible with n={self.grid.n}"
             )
+        for axis, plane in zip("xyz", _nyquist_planes(c)):
+            if plane.any():
+                raise DimensionError(
+                    f"coeffs hold content on the k{axis} = n/2 = {n // 2} plane, "
+                    f"which a field does not store"
+                )
         self.coeffs = np.ascontiguousarray(c, dtype=np.complex128)
 
     @property
@@ -218,21 +222,11 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 
-    def __add__(self, other):
-        _check_same(self, other)
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
-    def __sub__(self, other):
-        _check_same(self, other)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar):
-        return SpectralField(self.grid, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * (-1.0)
+def _nyquist_planes(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kx, ky and kz = n/2 planes of half-cube coefficients, as views."""
+    h = coeffs.shape[-3] // 2
+    return coeffs[..., h, :, :], coeffs[..., :, h, :], coeffs[..., h]
 
 
 def _check_same(f: SpectralField, g: SpectralField):
@@ -490,31 +484,24 @@ def _from_box(box: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _zero_nyquist(coeffs: np.ndarray) -> np.ndarray:
-    """Zero the n/2 planes (index n/2 on each axis) of half-cube
-    coefficients in place, and return them.  Grid.kvec gives index n/2 the
-    wavenumber -n/2 both for a mode and for its Hermitian partner, so a
-    k-dependent multiplier applied there breaks the symmetry."""
-    h = coeffs.shape[-3] // 2
-    coeffs[..., h, :, :] = 0.0
-    coeffs[..., :, h, :] = 0.0
-    coeffs[..., :, :, h] = 0.0
-    return coeffs
-
-
 def to_physical(f: SpectralField) -> np.ndarray:
     """Collocation samples, shape (ncomp, n, n, n)."""
     return _half_to_physical(f.coeffs)
 
 
 def from_physical(samples: np.ndarray, grid: Grid) -> SpectralField:
-    """Inverse of to_physical; accepts (n,n,n) or (c,n,n,n)."""
+    """Inverse of to_physical on fields without n/2 content; accepts
+    (n,n,n) or (c,n,n,n).  The n/2 planes of the transform are dropped, as
+    no field stores them."""
     s = np.asarray(samples, dtype=np.float64)
     if s.ndim == 3:
         s = s[None]
     if s.shape[1:] != (grid.n,) * 3:
         raise DimensionError(f"sample shape {s.shape} incompatible with n={grid.n}")
-    return SpectralField(grid, _physical_to_half(s))
+    coeffs = _physical_to_half(s)
+    for plane in _nyquist_planes(coeffs):
+        plane[...] = 0.0
+    return SpectralField(grid, coeffs)
 
 
 def _cross(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -569,19 +556,17 @@ def _slab_planes(grid: Grid) -> int:
     return min(n, max(1, SLAB_BYTES // (8 * 16 * n * n + 16 * 3 * n * h)))
 
 
-def _support_cut(coeffs: np.ndarray) -> int | None:
+def _support_cut(coeffs: np.ndarray) -> int:
     """The cut of the smallest box that holds every nonzero entry of the
-    half-cube coefficients (ncomp, n, n, n//2 + 1): the largest |kx|, |ky|
-    or kz of an x, y or kz plane holding one, 0 for a zero field.  None when
-    that is n/2: a box of cut n/2 would hold the n/2 rows twice (its _halves
-    overlap), so only the half cube holds such a field."""
+    half-cube coefficients (ncomp, n, n, n//2 + 1) of a field: the largest
+    |kx|, |ky| or kz of an x, y or kz plane holding one, 0 for a zero field.
+    Below n/2, as a field holds no n/2 content."""
     n = coeffs.shape[-3]
     live = coeffs.any(axis=0)
     xy = live.any(axis=2)
     planes = (xy.any(axis=1), xy.any(axis=0), live.any(axis=0).any(axis=0))
     k = np.minimum(np.arange(n), n - np.arange(n))  # |k| of an index in FFT order
-    cut = int(max(k[: p.size][p].max(initial=0) for p in planes))
-    return None if cut == n // 2 else cut
+    return int(max(k[: p.size][p].max(initial=0) for p in planes))
 
 
 class _BoxSup:
@@ -595,10 +580,9 @@ class _BoxSup:
     leading parts; a dense y pass takes its scratch on the slab's sample
     planes, which the z pass fills after it.
 
-    The maxima match those of the half-cube samples to <= 1e-15 relative.
-    Their last bits depend on the BLAS kernel, on SLAB_BYTES and on the
-    side of _dense_xy that (n, cut) falls on; at the kernel's slab height
-    and cut they are the kernel's.  An all-zero box reads 0 and
+    The maxima match those of the half-cube samples to <= 1e-15 relative,
+    and at the kernel's slab height and cut they are the kernel's bits (see
+    bit determinism in the module docstring).  An all-zero box reads 0 and
     a box of cut 0, a constant field, the magnitude of Re(box), without a
     transform; a nan is kept.  Not thread-safe: one call at a time."""
 
@@ -632,12 +616,12 @@ class _BoxSup:
 # -- calculus -----------------------------------------------------------------
 
 
-def _curl(dvec, coeffs: np.ndarray, out=None) -> np.ndarray:
-    """i d x coeffs for broadcastable derivative wavenumbers (half cube or
-    box), written to `out` when given (not coeffs).  The wavenumbers
-    are made imaginary first, i d, so that no product casts a real operand,
-    and each component is written in place."""
-    dx, dy, dz = (1j * d for d in dvec)
+def _curl(kvec, coeffs: np.ndarray, out=None) -> np.ndarray:
+    """i k x coeffs for broadcastable wavevectors (half cube or box),
+    written to `out` when given (not coeffs).  The wavenumbers are made
+    imaginary first, i k, so that no product casts a real operand, and each
+    component is written in place."""
+    dx, dy, dz = (1j * k for k in kvec)
     cx, cy, cz = coeffs
     if out is None:
         out = np.empty(coeffs.shape, dtype=np.complex128)
@@ -651,7 +635,7 @@ def _curl(dvec, coeffs: np.ndarray, out=None) -> np.ndarray:
 def curl(f: SpectralField) -> SpectralField:
     if f.ncomp != 3:
         raise DimensionError("curl needs a 3-component field")
-    return SpectralField(f.grid, _curl(f.grid.dvec, f.coeffs))
+    return SpectralField(f.grid, _curl(f.grid.kvec, f.coeffs))
 
 
 def _leray(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
@@ -671,29 +655,19 @@ def _leray(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarr
 
 
 def leray_project(f: SpectralField) -> SpectralField:
-    """Remove the gradient part: coeff -= k (k.coeff)/|k|^2, k=0 untouched.
-    The n/2 planes are zeroed, which keeps the output Hermitian."""
+    """Remove the gradient part: coeff -= k (k.coeff)/|k|^2, k=0 untouched."""
     if f.ncomp != 3:
         raise DimensionError("leray_project needs a 3-component field")
     g = f.grid
-    out = _zero_nyquist(_leray(g.kvec, g.inv_k_sq, f.coeffs))
-    return SpectralField(g, out)
-
-
-def _vector_potential(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """A = i k x coeffs / |k|^2 for broadcastable wavevectors and 1/|k|^2 on
-    the half cube, its n/2 planes zeroed (not for the box, whose index n/2
-    is no n/2 plane), computed in place in one new array."""
-    a = _curl(kvec, coeffs)
-    a *= inv_k_sq
-    return _zero_nyquist(a)
+    return SpectralField(g, _leray(g.kvec, g.inv_k_sq, f.coeffs))
 
 
 def vector_potential(b: SpectralField) -> SpectralField:
-    """Solenoidal A with curl A = b (b solenoidal, zero mean): A = i k x b / |k|^2.
-    The n/2 planes are zeroed, which keeps the output Hermitian."""
+    """Solenoidal A with curl A = b (b solenoidal, zero mean): A = i k x b / |k|^2."""
     g = b.grid
-    return SpectralField(g, _vector_potential(g.kvec, g.inv_k_sq, b.coeffs))
+    a = _curl(g.kvec, b.coeffs)
+    a *= g.inv_k_sq
+    return SpectralField(g, a)
 
 
 # -- norms and inner products --------------------------------------------------
@@ -718,12 +692,10 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 def _hermitian_sum(p: np.ndarray) -> float:
     """Sum over all wavevectors of a quantity p(k) = p(-k) given on kz >= 0,
-    either on the half cube (x extent n, even; last plane kz = n/2) or on
-    the box (x extent 2 cut + 1, odd; last plane kz = cut).  Each plane
-    kz > 0 counts twice, for itself and its Hermitian partner kz < 0, which
-    is not stored, except the half cube's kz = n/2 plane, which holds its
-    own partners and, like kz = 0, counts once.  The parity of the x extent
-    tells the two apart: Grid makes n even, and a box is always odd."""
+    on the half cube or on a box.  Each plane kz > 0 counts twice, for
+    itself and its Hermitian partner kz < 0, which is not stored; the kz = 0
+    plane holds its own partners and counts once.  The half cube's kz = n/2
+    plane, which holds its own partners too, is zero in every field."""
     return float(np.sum(p @ _multiplicity(p), dtype=np.float64))
 
 
@@ -732,16 +704,13 @@ def _multiplicity(p: np.ndarray) -> np.ndarray:
     as _hermitian_sum counts them."""
     multiplicity = np.full(p.shape[-1], 2.0)
     multiplicity[0] = 1.0
-    if p.shape[-3] % 2 == 0:
-        multiplicity[-1] = 1.0
     return multiplicity
 
 
 def _parseval(coeffs: np.ndarray, weight: np.ndarray | None = None) -> float:
     """(2*pi)^3 sum_k weight(k) |coeff(k)|^2 over all wavevectors of real
     fields, from their half cube or their box; weight (even in k, given on
-    the same array) defaults to 1.  Which one it is follows from the x
-    extent, as in _hermitian_sum."""
+    the same array) defaults to 1."""
     p = np.abs(coeffs)
     np.square(p, out=p)
     if weight is not None:
@@ -781,7 +750,7 @@ def _divergence_error(kvec, coeffs: np.ndarray) -> float:
 
 
 def divergence_error(f: SpectralField) -> float:
-    """max_k |k . coeff(k)| relative to max |coeff| (plain k, not oddball-zeroed)."""
+    """max_k |k . coeff(k)| relative to max |coeff|."""
     return _divergence_error(f.grid.kvec, f.coeffs)
 
 

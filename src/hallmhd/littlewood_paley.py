@@ -15,10 +15,8 @@ The shell norms are taken on the box of f's support cut s
 the step's box.  The sup norm of shell q streams the smaller box of cut
 min(2^(q+1) - 1, s), beyond which phi_q vanishes as chi does on [1, inf),
 through fields._BoxSup, which builds no sample cube.  It matches the
-half-cube samples to <= 1e-15 relative, its last bits set by the BLAS
-kernel, the slab height and the side of fields._dense_xy that the shell's
-box falls on, as a step's are.  A field with content at n/2
-has no box and takes the half cube, bit for bit.
+half-cube samples to <= 1e-15 relative; its last bits are set as a step's
+are (see bit determinism in the fields docstring).
 """
 
 from __future__ import annotations
@@ -31,9 +29,7 @@ from .fields import (
     SpectralField,
     VOLUME,
     _BoxSup,
-    _half_to_physical,
     _multiplicity,
-    _sup_magnitude,
     _support_cut,
     _to_box,
 )
@@ -120,15 +116,12 @@ class LPPartition:
         """(2*pi)^3 sum_k phi_q^2 |coeff|^2 per shell, the ||Delta_q f||_2^2.
         The power, each kz plane weighted by its Hermitian multiplicity, is
         binned once by integer |k|^2 on the box of f's support cut
-        (fields._support_cut), or on the half cube for a field with content
-        at n/2; shell q is then the dot product of the square of its radial
-        table with the bins."""
+        (fields._support_cut); shell q is then the dot product of the square
+        of its radial table with the bins."""
         self._check_grid(f)
-        coeffs, k_sq = f.coeffs, self._k_sq
-        cut = _support_cut(coeffs)
-        if cut is not None:
-            coeffs, k_sq = _to_box(coeffs, cut), _to_box(k_sq, cut)
-        power = np.abs(coeffs)
+        cut = _support_cut(f.coeffs)
+        k_sq = _to_box(self._k_sq, cut)
+        power = np.abs(_to_box(f.coeffs, cut))
         np.square(power, out=power)
         power = power.sum(axis=0)
         power *= _multiplicity(power)
@@ -143,20 +136,11 @@ class LPPartition:
         Shell q is f's box of cut min(2^(q+1) - 1, s) times phi_q, s the
         support cut of f, streamed to its maximum by one fields._BoxSup of
         cut s.  That equals lp_norm(self.project(f, q), inf) to <= 1e-15
-        relative, its last bits set by the BLAS kernel, the slab height and
-        the side of fields._dense_xy that each shell's box falls on;
-        a zero block reads exactly 0 and the mean-only block the magnitude
-        of its real part, bit for bit.  A field with content at n/2 takes
-        the half cube's irfftn per shell, as lp_norm does, bit for bit."""
+        relative; a zero block reads exactly 0 and the mean-only block the
+        magnitude of its real part, bit for bit."""
         self._check_grid(f)
         cut = _support_cut(f.coeffs)
         out = np.zeros(self.q_max + 2)
-        if cut is None:
-            for q in self.shell_range():
-                block = f.coeffs * self._mult(q)
-                if block.any():
-                    out[q + 1] = _sup_magnitude(_half_to_physical(block))
-            return out
         sup = _BoxSup(self.grid, f.ncomp, cut)
         for q in self.shell_range():
             out[q + 1] = sup(self._box_block(f, q, min(self._shell_cut(q), cut)))

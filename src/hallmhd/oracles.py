@@ -42,26 +42,26 @@ def full_cube(half: np.ndarray) -> np.ndarray:
 
 
 def hermitian_error(f: SpectralField) -> float:
-    """max |coeff(-k) - conj(coeff(k))| on the kz = 0 and kz = n/2 planes,
-    the half cube's planes that hold their own partners, relative to
-    max |coeff|."""
+    """max |coeff(-k) - conj(coeff(k))| on the kz = 0 plane, the half
+    cube's plane that holds its own partners (its kz = n/2 plane, which
+    does too, is zero in every field), relative to max |coeff|."""
     scale = np.abs(f.coeffs).max()
-    planes = f.coeffs[..., [0, -1]]
-    flipped = np.roll(planes[:, ::-1, ::-1], 1, axis=(1, 2))
-    return float(np.abs(flipped - np.conj(planes)).max() / scale) if scale else 0.0
+    plane = f.coeffs[..., 0]
+    flipped = np.roll(plane[:, ::-1, ::-1], 1, axis=(1, 2))
+    return float(np.abs(flipped - np.conj(plane)).max() / scale) if scale else 0.0
 
 
 def divergence(f: SpectralField) -> SpectralField:
     if f.ncomp != 3:
         raise DimensionError("divergence needs a 3-component field")
-    dx, dy, dz = f.grid.dvec
+    dx, dy, dz = f.grid.kvec
     out = 1j * (dx * f.coeffs[0] + dy * f.coeffs[1] + dz * f.coeffs[2])
     return SpectralField(f.grid, out[None])
 
 
 def gradient(f: SpectralField) -> SpectralField:
     """Full gradient: ncomp -> 3*ncomp, component order d_j f_i at 3*i + j."""
-    dx, dy, dz = f.grid.dvec
+    dx, dy, dz = f.grid.kvec
     parts = []
     for i in range(f.ncomp):
         c = f.coeffs[i]

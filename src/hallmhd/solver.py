@@ -85,7 +85,6 @@ from .fields import (
     _sup_magnitude,
     _support_cut,
     _to_box,
-    _vector_potential,
     divergence_error,
     l2_norm_spectral,
     random_field,
@@ -356,6 +355,19 @@ def rhs(
 # -- time stepping ----------------------------------------------------------------
 
 
+def _check_config(grid: Grid, cfg: RunConfig) -> None:
+    """Validate cfg and require that it describe `grid`: ConfigError names
+    the key, an invalid one or an n or dealias_cut that differs."""
+    cfg.validate()
+    if cfg.n != grid.n:
+        raise ConfigError(f"key 'n': config n={cfg.n}, grid n={grid.n}")
+    cut = Grid(cfg.n, cfg.dealias_cut).dealias_cut
+    if cut != grid.dealias_cut:
+        raise ConfigError(
+            f"key 'dealias_cut': config cut {cut}, grid cut {grid.dealias_cut}"
+        )
+
+
 def _gate(u_max: float, b_max: float, k_cut: float, cfg: RunConfig) -> float:
     """min(c_adv/(k_cut u_max), c_whistler/(k_cut^2 b_max)), b_max taken
     from b - B0; inf for zero fields."""
@@ -381,15 +393,17 @@ def dt_gate(
     The mean velocity is not removed from max|u|.  The maxima are taken over
     the pruned samples of the dealiased boxes of u and b, the samples a step
     gates on in its first stage: fields._BoxSup streams each box through
-    the kernel's passes, with its dense z products, on slabs of the step's
-    height, so the gate of the DtGateError a step raises equals dt_gate of
-    its state, bit for bit: a BLAS need not round a row alike in products
-    of another height, so the slabs must be the step's.  That costs one
-    x-pass buffer and one slab, shared by u and b, not two (3, n, n, n)
-    sample cubes nor a kernel's workspace, and the passes cost what they
-    cost in the kernel (see _Kernel).  u and b on different grids raise
-    DimensionError, and a nan or inf in a dealias box ValueError."""
+    the kernel's passes on slabs of the step's height, so the gate of the
+    DtGateError a step raises equals dt_gate of its state, bit for bit (see
+    bit determinism in the fields docstring).  That costs one x-pass buffer
+    and one slab, shared by u and b, not two (3, n, n, n) sample cubes nor
+    a kernel's workspace, and the passes cost what they cost in the kernel
+    (see _Kernel).  The config is checked as Stepper checks it, so an
+    invalid one, or one of another n or dealias_cut, raises ConfigError; u
+    and b on different grids raise DimensionError, and a nan or inf in a
+    dealias box ValueError."""
     g = _common_grid(u, b)
+    _check_config(g, cfg)
     uh, bh = _dealiased_box(u, "u"), _dealiased_box(b, "b")
     bh[:, 0, 0, 0] -= bh[:, 0, 0, 0].real
     sup = _BoxSup(g, 3, g.dealias_cut)
@@ -527,13 +541,9 @@ class Stepper:
     and reused by every step, so it is not thread-safe: step one state at a
     time per Stepper.  The workspace holds four arrays of shape
     (3, n, 2c + 1, c + 1) and a slab of sample and transform planes of
-    about SLAB_BYTES.  A step's last bits depend on the BLAS kernel, on
-    the slab height, which SLAB_BYTES sets, and on whether the grid's x
-    and y passes are dense (fields._dense_xy): a BLAS need not round a row
-    of a dense product alike in products of another height.  Which side of
-    that rule a grid falls on is fixed by n and its cut, so a step, and a
-    run resumed from a checkpoint, is bit-identical under the same BLAS
-    kernel and the same SLAB_BYTES.
+    about SLAB_BYTES.  A step, and a run resumed from a checkpoint, is
+    bit-identical under the same BLAS kernel and the same SLAB_BYTES (see
+    bit determinism in the fields docstring).
 
     The config is validated, and must describe the stepper's grid: a
     mismatch in n or dealias_cut raises ConfigError, and a state whose
@@ -541,14 +551,7 @@ class Stepper:
     """
 
     def __init__(self, grid: Grid, cfg: RunConfig):
-        cfg.validate()
-        if cfg.n != grid.n:
-            raise ConfigError(f"key 'n': config n={cfg.n}, grid n={grid.n}")
-        cut = Grid(cfg.n, cfg.dealias_cut).dealias_cut
-        if cut != grid.dealias_cut:
-            raise ConfigError(
-                f"key 'dealias_cut': config cut {cut}, grid cut {grid.dealias_cut}"
-            )
+        _check_config(grid, cfg)
         self.grid = grid
         self.cfg = cfg
         _, ksq, _, _ = grid.box
@@ -662,20 +665,14 @@ def energy(f: SpectralField) -> float:
 def magnetic_helicity(b: SpectralField) -> float:
     """Integral of A . b with curl A = b, A solenoidal: the spectral sum
     with vector_potential's A, the terms conj(A) b formed in place in A.
-    Both are taken on the box of b's support cut (fields._support_cut),
-    which holds no n/2 plane, so that A costs a box, not a half cube; a b
-    with content at n/2 takes the half cube, whose n/2 planes A zeroes."""
+    Both are taken on the box of b's support cut (fields._support_cut), so
+    that A costs a box, not a half cube."""
     _check_vector(b, "b")
-    g = b.grid
     cut = _support_cut(b.coeffs)
-    if cut is None:
-        coeffs = b.coeffs
-        a = _vector_potential(g.kvec, g.inv_k_sq, coeffs)
-    else:
-        kvec = _box_axes(cut)
-        coeffs = _to_box(b.coeffs, cut)
-        a = _curl(kvec, coeffs)
-        a *= _reciprocal(_norm_sq(kvec))
+    kvec = _box_axes(cut)
+    coeffs = _to_box(b.coeffs, cut)
+    a = _curl(kvec, coeffs)
+    a *= _reciprocal(_norm_sq(kvec))
     np.conjugate(a, out=a)
     a *= coeffs
     return VOLUME * _hermitian_sum(a.real)

@@ -49,7 +49,7 @@ VOLUME = (2 * np.pi) ** 3
 
 
 def white_noise(grid, seed):
-    """Coefficients of real white noise: Hermitian, with n/2 content."""
+    """Coefficients of real white noise: Hermitian, its n/2 planes dropped."""
     rng = np.random.default_rng(seed)
     return from_physical(rng.standard_normal((3,) + (grid.n,) * 3), grid)
 
@@ -75,7 +75,6 @@ class TestGrid:
     def test_wavenumber_layout(self):
         g = Grid(8)
         assert list(g.k1) == [0, 1, 2, 3, -4, -3, -2, -1]
-        assert g.d1[4] == 0.0  # oddball zeroed for derivatives
 
     def test_wavenumbers_are_integers(self):
         # fftfreq(n, 1/n) is off by ulps for 35 even n <= 1024 (at n = 98,
@@ -175,8 +174,30 @@ class TestTransforms:
         with pytest.raises(DimensionError):
             from_physical(np.zeros((3, 16, 16, 16)), g)
 
+    def test_nyquist_content_is_refused_and_dropped(self):
+        # no field holds content on an n/2 plane: the constructor names the
+        # plane, and from_physical drops those planes of its transform, here
+        # all of cos(4x) + cos(4y) + cos(4z) at n = 8, and keeps the rest
+        g = Grid(8)
+        for axis, index in (("x", np.s_[:, 4, 1, 0]), ("y", np.s_[:, 1, 4, 0]),
+                            ("z", np.s_[:, 1, 1, 4])):
+            c = np.zeros((3, 8, 8, 5), dtype=np.complex128)
+            c[index] = 1.0
+            with pytest.raises(DimensionError, match=f"k{axis} = n/2 = 4 plane"):
+                SpectralField(g, c)
+        x, y, z = mesh(g)
+        oddball = from_physical(np.cos(4 * x) + np.cos(4 * y) + np.cos(4 * z), g)
+        assert not oddball.coeffs.any()
+        samples = np.random.default_rng(2).standard_normal((3, 8, 8, 8))
+        half = _physical_to_half(samples)
+        keep = np.ones(half.shape[1:], dtype=bool)
+        keep[4], keep[:, 4], keep[..., 4] = False, False, False
+        f = from_physical(samples, g)
+        assert np.array_equal(f.coeffs[:, keep], half[:, keep])
+        assert not f.coeffs[:, ~keep].any() and half[:, ~keep].all()
+
     def test_samples_of_white_noise(self):
-        # white noise keeps its n/2 planes; the real part of the complex
+        # white noise without its n/2 planes; the real part of the complex
         # inverse transform of the full cube is the reference
         g = Grid(8)
         rng = np.random.default_rng(17)
@@ -391,21 +412,16 @@ class TestCalculus:
 
     def test_curl_matches_componentwise_formula(self):
         # the same products and differences as i (dy cz - dz cy), ... in the
-        # same order, so equal to the last bit on the half cube, with the
-        # derivative and with the plain wavenumbers, and on the box
+        # same order, so equal to the last bit on the half cube and on the box
         g = Grid(16)
         f = white_noise(g, 4).coeffs
-        for dvec, c in (
-            (g.dvec, f),
-            (g.kvec, f),
-            (g.box[0], _to_box(f, g.dealias_cut)),
-        ):
-            dx, dy, dz = dvec
+        for kvec, c in ((g.kvec, f), (g.box[0], _to_box(f, g.dealias_cut))):
+            dx, dy, dz = kvec
             cx, cy, cz = c
             expect = np.stack(
                 [1j * (dy * cz - dz * cy), 1j * (dz * cx - dx * cz), 1j * (dx * cy - dy * cx)]
             )
-            assert np.array_equal(fields._curl(dvec, c), expect)
+            assert np.array_equal(fields._curl(kvec, c), expect)
 
     def test_divergence_of_curl_vanishes(self):
         g = Grid(16)
@@ -554,7 +570,8 @@ class TestHermitianAndPotential:
     @pytest.mark.parametrize("n", [8, 10])
     def test_outputs_hermitian_on_nyquist_planes(self, n):
         # index n/2 carries the wavenumber -n/2 for a mode and for its
-        # partner alike; the n/2 planes are zeroed to keep the symmetry
+        # partner alike; no field holds content there, so the outputs stay
+        # Hermitian
         g = Grid(n)
         f = white_noise(g, n)
         assert hermitian_error(f) < 1e-14
@@ -630,9 +647,9 @@ class TestHermitianAndPotential:
 
 
 class TestHalfCubeSums:
-    # the half cube kz >= 0 with Hermitian multiplicities (2 inside, 1 on the
-    # kz = 0 and kz = n/2 planes) against the plain sums over the full cube
-    # of oracles.full_cube; n = 10 has an odd n/2
+    # the half cube kz >= 0 with Hermitian multiplicities (2 above the kz = 0
+    # plane, 1 on it; the kz = n/2 plane of a field is zero) against the plain
+    # sums over the full cube of oracles.full_cube; n = 10 has an odd n/2
     @pytest.mark.parametrize("n", [8, 10, 16])
     def test_parseval_matches_full_cube_sum(self, n):
         g = Grid(n)
@@ -690,22 +707,21 @@ class TestHalfCubeSums:
 
 
     @pytest.mark.parametrize("n", [16, 32])
-    @pytest.mark.parametrize("which", ["zero", "one", "dealias", "below_half", "half"])
+    @pytest.mark.parametrize("which", ["zero", "one", "dealias", "below_half"])
     def test_support_box_sums_match_half_cube(self, n, which):
         # magnetic_helicity and shell_l2_sq sum on the box of the field's
-        # support cut, below n/2, and on the half cube at n/2, against the
-        # half-cube formulas they replaced
+        # support cut, which is below n/2, against the half-cube formulas
+        # they replaced
         from hallmhd.fields import _support_cut
         from hallmhd.littlewood_paley import build_partition
         from hallmhd.solver import magnetic_helicity
 
         g = Grid(n)
-        cut = {"zero": 0, "one": 1, "dealias": g.dealias_cut, "below_half": n // 2 - 1,
-               "half": n // 2}[which]
+        cut = {"zero": 0, "one": 1, "dealias": g.dealias_cut, "below_half": n // 2 - 1}[which]
         b = white_noise(g, n + cut)
         kx, ky, kz = (np.abs(k) for k in g.kvec)
         b.coeffs *= np.maximum(np.maximum(kx, ky), kz) <= cut
-        assert _support_cut(b.coeffs) == (None if cut == n // 2 else cut)
+        assert _support_cut(b.coeffs) == cut
         a = vector_potential(b)
         expect = inner_product(a, b)
         bound = np.sqrt(inner_product(a, a) * inner_product(b, b))

@@ -48,6 +48,16 @@ from hallmhd.oracles import dealias, hermitian_error
 VOLUME = (2 * np.pi) ** 3
 
 
+def scaled(f, a):
+    """The field a f."""
+    return SpectralField(f.grid, a * f.coeffs)
+
+
+def l2_distance(f, g):
+    """||f - g||_2 by the spectral sum."""
+    return l2_norm_spectral(SpectralField(f.grid, f.coeffs - g.coeffs))
+
+
 def run_steps(cfg, n_steps, seed=0):
     grid = Grid(cfg.n, cfg.dealias_cut)
     u0, b0 = make_initial(cfg.init, grid, seed)
@@ -81,8 +91,8 @@ class TestRhs:
     def test_matches_convolution_oracle(self):
         g = Grid(8)
         rng = np.random.default_rng(5)
-        u = dealias(leray_project(random_field(g, rng))) * 0.3
-        b = dealias(leray_project(random_field(g, rng))) * 0.3
+        u = scaled(dealias(leray_project(random_field(g, rng))), 0.3)
+        b = scaled(dealias(leray_project(random_field(g, rng))), 0.3)
         half = np.s_[..., : g.n // 2 + 1]
         for hall in (False, True):
             du, db = rhs(u, b, hall_on=hall)
@@ -213,8 +223,8 @@ class TestHalfCubeStep:
     def test_matches_full_cube_step(self, n, hall):
         g = Grid(n)
         rng = np.random.default_rng(n + hall)
-        u0 = dealias(leray_project(random_field(g, rng))) * 0.5
-        b0 = dealias(leray_project(random_field(g, rng))) * 0.5
+        u0 = scaled(dealias(leray_project(random_field(g, rng))), 0.5)
+        b0 = scaled(dealias(leray_project(random_field(g, rng))), 0.5)
         cfg = RunConfig(n=n, dt=1e-2, t_end=1.0, nu=0.05, mu=0.03, hall_on=hall)
         st = Stepper(g, cfg).step(SolverState(0.0, u0, b0, diss_integral=0.25))
         u_ref, b_ref, diss_ref = reference_step(u0, b0, cfg)
@@ -468,8 +478,8 @@ class TestHalfCubeStep:
         # takes no part in a product, and a step leaves nothing there
         g = Grid(n)
         rng = np.random.default_rng(n)
-        u = leray_project(random_field(g, rng)) * 0.5
-        b = leray_project(random_field(g, rng)) * 0.5
+        u = scaled(leray_project(random_field(g, rng)), 0.5)
+        b = scaled(leray_project(random_field(g, rng)), 0.5)
         ud, bd = dealias(u), dealias(b)
         assert np.abs(u.coeffs - ud.coeffs).max() > 0.1 * np.abs(u.coeffs).max()
         for hall in (False, True):
@@ -491,12 +501,14 @@ class TestHalfCubeStep:
 
 
 # steps a Hall random_band state of size n three times and prints a SHA-256
-# of u, b and the dissipation integral
+# of u, b, the dissipation integral and the record of the stepped state:
+# dt_gate, the shell norms of u and b and the magnetic helicity of b
 DIGEST_SCRIPT = """
 import hashlib, sys
 from hallmhd.config import RunConfig
 from hallmhd.fields import Grid
-from hallmhd.solver import SolverState, Stepper, dt_gate, make_initial
+from hallmhd.littlewood_paley import build_partition
+from hallmhd.solver import SolverState, Stepper, dt_gate, magnetic_helicity, make_initial
 n = int(sys.argv[1])
 grid = Grid(n)
 u, b = make_initial({"kind": "random_band"}, grid, 3)
@@ -506,9 +518,14 @@ st = SolverState(0.0, u, b)
 stepper = Stepper(grid, cfg)
 for _ in range(3):
     st = stepper.step(st)
-h = hashlib.sha256(st.u.coeffs.tobytes())
-h.update(st.b.coeffs.tobytes())
-h.update(repr(st.diss_integral).encode())
+u, b = st.u, st.b
+h = hashlib.sha256(u.coeffs.tobytes())
+h.update(b.coeffs.tobytes())
+h.update(repr((st.diss_integral, dt_gate(u, b, cfg), magnetic_helicity(b))).encode())
+part = build_partition(grid)
+for f in (u, b):
+    h.update(part.shell_l2_sq(f).tobytes())
+    h.update(part.shell_linf(f).tobytes())
 print(h.hexdigest())
 """
 
@@ -517,9 +534,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_steps_do_not_depend_on_blas_threads(self, n):
         # the kernel's z passes, and its x and y passes at n <= 56, are BLAS
-        # products; a run and its resume must give the same bits whether the
-        # BLAS may run them on one thread or on two, between which it may
-        # split a product
+        # products, as are the passes of the shell sup norms; a run, its
+        # resume and its record must give the same bits whether the BLAS may
+        # run them on one thread or on two, between which it may split a
+        # product
         src = str(Path(solver.__file__).parents[1])
         digests = []
         for threads in ("1", "2"):
@@ -544,7 +562,7 @@ class TestExactDecays:
         )
         st, (u0, _) = run_steps(cfg, 100)
         expect = np.exp(-nu * 1.0)
-        err = l2_norm_spectral(st.u - expect * u0) / (expect * l2_norm_spectral(u0))
+        err = l2_distance(st.u, scaled(u0, expect)) / (expect * l2_norm_spectral(u0))
         assert err <= 1e-8
         assert l2_norm_spectral(st.b) == 0.0
         assert hermitian_error(st.u) < 1e-12
@@ -557,7 +575,7 @@ class TestExactDecays:
         )
         st, (_, b0) = run_steps(cfg, 100)
         expect = np.exp(-mu * 1.0)
-        err = l2_norm_spectral(st.b - expect * b0) / (expect * l2_norm_spectral(b0))
+        err = l2_distance(st.b, scaled(b0, expect)) / (expect * l2_norm_spectral(b0))
         assert err <= 1e-8
         assert l2_norm_spectral(st.u) <= 1e-10 * l2_norm_spectral(b0)
 
@@ -633,7 +651,7 @@ class TestMeanField:
         # the k x term with the Hall term only: the operator the factor takes
         g = Grid(16)
         rng = np.random.default_rng(4)
-        u, b = (dealias(leray_project(random_field(g, rng))) * 0.5 for _ in "ub")
+        u, b = (scaled(dealias(leray_project(random_field(g, rng))), 0.5) for _ in "ub")
         mean = np.array([0.3, -0.2, 1.1])
         bm = b.copy()
         bm.coeffs[:, 0, 0, 0] = mean
@@ -733,7 +751,7 @@ class TestMeanField:
             return st
 
         def error(st):
-            return l2_norm_spectral(st.u - ref.u) + l2_norm_spectral(st.b - ref.b)
+            return l2_distance(st.u, ref.u) + l2_distance(st.b, ref.b)
 
         def residual(st):
             return abs(energy(st.u) + energy(st.b) + st.diss_integral - e0)
@@ -773,7 +791,7 @@ class TestTemporalOrder:
         for dt in (4e-3, 2e-3):
             st = run(dt)
             errs.append(
-                l2_norm_spectral(st.u - ref.u) + l2_norm_spectral(st.b - ref.b)
+                l2_distance(st.u, ref.u) + l2_distance(st.b, ref.b)
             )
         ratio = errs[0] / errs[1]
         assert 12.0 <= ratio <= 20.0
@@ -881,6 +899,25 @@ class TestStepperInputs:
         with pytest.raises(ConfigError, match="key 'dealias_cut'"):
             Stepper(Grid(32, 8), cfg)
 
+    @pytest.mark.parametrize(
+        "key, cfg, grid",
+        [
+            ("cfl_adv", RunConfig(n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1,
+                                  cfl_adv=-1.0, cfl_whistler=-1.0), Grid(16)),
+            ("n", RunConfig(n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1), Grid(32)),
+            ("dealias_cut", RunConfig(n=32, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1),
+             Grid(32, 8)),
+        ],
+        ids=["negative_cfl", "other_n", "other_cut"],
+    )
+    def test_dt_gate_refuses_what_stepper_refuses(self, key, cfg, grid):
+        # an invalid config, or one of another grid, gives no gate: with
+        # negative CFL constants it would be a negative dt
+        u, b = make_initial({"kind": "random_band"}, grid, 0)
+        for call in (lambda: Stepper(grid, cfg), lambda: dt_gate(u, b, cfg)):
+            with pytest.raises(ConfigError, match=f"key '{key}'"):
+                call()
+
     def test_state_fields_on_two_grids_rejected(self):
         # when the state is built, before any step
         u, b = zero_field(Grid(16)), zero_field(Grid(32))
@@ -950,7 +987,7 @@ class TestInitialConditions:
     def test_beltrami_u_is_curl_eigenfield(self):
         g = Grid(16)
         u, b = make_initial({"kind": "beltrami_u", "amplitude": 1.0}, g)
-        assert lp_norm(curl(u) - u, np.inf) <= 1e-12
+        assert lp_norm(SpectralField(g, curl(u).coeffs - u.coeffs), np.inf) <= 1e-12
         assert np.abs(b.coeffs).max() == 0.0
 
     def test_random_band_energy_confinement(self):
