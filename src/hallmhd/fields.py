@@ -618,17 +618,26 @@ class _BoxSup:
 
 def _curl(kvec, coeffs: np.ndarray, out=None) -> np.ndarray:
     """i k x coeffs for broadcastable wavevectors (half cube or box),
-    written to `out` when given (not coeffs).  The wavenumbers are made
-    imaginary first, i k, so that no product casts a real operand, and each
-    component is written in place."""
-    dx, dy, dz = (1j * k for k in kvec)
-    cx, cy, cz = coeffs
+    written to `out` when given (not coeffs), one component at a time by
+    _curl_component."""
     if out is None:
         out = np.empty(coeffs.shape, dtype=np.complex128)
-    terms = ((dy, cz, dz, cy), (dz, cx, dx, cz), (dx, cy, dy, cx))
-    for o, (d1, c1, d2, c2) in zip(out, terms):
-        np.multiply(d1, c1, out=o)
-        o -= d2 * c2
+    for i, o in enumerate(out):
+        _curl_component(kvec, coeffs, i, o)
+    return out
+
+
+def _curl_component(
+    kvec, coeffs: np.ndarray, i: int, out: np.ndarray, tmp=None
+) -> np.ndarray:
+    """Component i of i k x coeffs, written to `out` (not coeffs), one
+    component's shape: i k_j c_k - i k_k c_j with j, k = i + 1, i + 2
+    (mod 3).  The wavenumbers are made imaginary first, i k, so that no
+    product casts a real operand; tmp, one component's shape, holds the
+    subtrahend."""
+    j, k = (i + 1) % 3, (i + 2) % 3
+    np.multiply(1j * kvec[j], coeffs[k], out=out)
+    out -= np.multiply(1j * kvec[k], coeffs[j], out=tmp)
     return out
 
 

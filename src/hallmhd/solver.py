@@ -32,21 +32,23 @@ coefficients with |kx|, |ky|, kz <= dealias_cut (kz >= 0 suffices, the
 fields being real).  It runs the pruned inverse x passes of u, w, b and J
 once, then streams slabs of x planes through the y and z passes, the cross
 products and the forward z and y passes, and ends with the forward x passes
-into the two boxes its caller passes as `dst`; its z passes are dense real
-matrix products, its x and y passes dense complex products up to n = 56
-and FFTs above at the default cut (fields._dense_xy), and its buffers are
-allocated once per Stepper.  `dt_gate` reads the gate of the step's first
-stage from the same pruned samples, made by the same passes on slabs of
-the same height (fields._BoxSup).
+into a (du, db) pair on its own buffers, which its caller reads until the
+next call; its z passes are dense real matrix products, its x and y passes
+dense complex products up to n = 56 and FFTs above at the default cut
+(fields._dense_xy), and its buffers are allocated once per Stepper.
+`dt_gate` reads the gate of the step's first stage from the same pruned
+samples, made by the same passes on slabs of the same height
+(fields._BoxSup).
 
 Products are formed from the dealiased part of u and b (|k| <= dealias_cut),
 as the 2/3 rule assumes: content beyond the cut takes no part in them.  A
 step stays on the box throughout: the four stages, the RK4 sums, the
 dissipation integral (summed with Hermitian multiplicities), the final Leray
 projection and the finiteness and solenoidality checks, so the new state is
-zero beyond the cut.  It allocates four stage arrays, each a (u, b) pair of
-boxes, and writes every stage and RK4 sum into them; one of them becomes
-the new state, which the next step reads as it is.  A state built from
+zero beyond the cut.  It allocates three stage arrays, each a (u, b) pair
+of boxes, and writes every stage input and RK4 sum into them, reading the
+derivatives where the kernel leaves them; one of them becomes the new
+state, which the next step reads as it is.  A state built from
 SpectralFields gives them up at its first step and keeps their masked
 boxes instead.  A state keeps no half cube: each read of its `u` or `b`
 scatters a box into a new SpectralField.  `rhs` scatters its results at
@@ -68,6 +70,7 @@ from .fields import (
     _box_axes,
     _cross,
     _curl,
+    _curl_component,
     _divergence_error,
     _forward_x,
     _forward_y,
@@ -222,11 +225,15 @@ class _Kernel:
     and 6 pruned real forward transforms, in three phases:
 
     - the x passes of u, w = curl u, b and J = curl b, once, into four
-      buffers of shape (3, n, 2c + 1, c + 1);
+      buffers of shape (3, n, 2c + 1, c + 1), the curls formed one
+      component at a time in a one-component scratch;
     - per slab of x planes: the y and z passes to samples, the two cross
       products, and their forward z and y passes, which are written back
       over the planes of the u and w buffers that the slab has consumed;
-    - the forward x passes, from those two buffers into the result boxes.
+    - the forward x passes, from those two buffers: du onto the leading
+      bytes of the b and J buffers, which the slabs have consumed, then
+      the magnetic product onto those of the u buffer, from which db is
+      its curl, written after du on the b and J buffers.
 
     The z passes are dense real matrix products (fields._inverse_z,
     _forward_z), one per slab and field: only kz <= c is nonzero on the way
@@ -257,18 +264,23 @@ class _Kernel:
     fields.SLAB_BYTES of sample and transform buffers allow.  Each buffer
     is one flat array, and a slab takes its C-contiguous leading part, as
     the matrix products need; one complex buffer serves the inverse y/z
-    passes and then the forward z/y passes.  Every buffer is allocated once
-    and the results are written into the caller's boxes, so a call
-    allocates only temporaries of one component; no result aliases a
-    buffer.  Not thread-safe: one call at a time per instance.
+    passes and then the forward z/y passes.  Every buffer is allocated once,
+    so a call allocates only temporaries of one component.  The pair a call
+    returns lives on the b and J buffers: the next call overwrites it, and
+    until then the caller may read it or write into it.  The inputs are
+    only read.  Not thread-safe: one call at a time per instance.
     """
 
     def __init__(self, grid: Grid):
         n, c = grid.n, grid.dealias_cut
         w, h = 2 * c + 1, c + 1
         self.grid = grid
-        self._curl_box = np.empty((3, w, w, h), dtype=np.complex128)
-        self._xs = np.empty((4, 3, n, w, h), dtype=np.complex128)
+        self._curl = np.empty((1, w, w, h), dtype=np.complex128)
+        xs = self._xs = np.empty((4, 3, n, w, h), dtype=np.complex128)
+        # the result pair on the leading bytes of the b and J buffers, the
+        # magnetic product's box on those of the u buffer (w < n)
+        self._d = xs[2:].reshape(-1)[: 6 * w * w * h].reshape(2, 3, w, w, h)
+        self._fb = xs[0].reshape(-1)[: 3 * w * w * h].reshape(3, w, w, h)
         s = self._slab = _slab_planes(grid)
         self._samples = np.empty(5 * 3 * s * n * n)
         self._tmp = np.empty(s * n * n)
@@ -289,16 +301,18 @@ class _Kernel:
                 self._y[: 3 * s * n * h].reshape(3, s, n, h),
             )
 
-    def __call__(self, uh: np.ndarray, bh: np.ndarray, hall_on: bool, dst, gate=False):
-        """Writes du and db into the boxes dst = (du, db) and returns the
-        maxima (max|u|, max|b|) over the samples when gate is True, else
-        None."""
+    def __call__(self, uh: np.ndarray, bh: np.ndarray, hall_on: bool, gate=False):
+        """The pair (du, db), on the kernel's x buffers and valid until its
+        next call, and the maxima (max|u|, max|b|) over the samples when gate
+        is True, else None.  uh and bh are only read."""
         kvec, _, inv_k_sq, mask = self.grid.box
-        xs = self._xs
-        _inverse_x(uh, xs[0])
-        _inverse_x(_curl(kvec, uh, out=self._curl_box), xs[1])
-        _inverse_x(bh, xs[2])
-        _inverse_x(_curl(kvec, bh, out=self._curl_box), xs[3])
+        xs, cu = self._xs, self._curl
+        for i, f in ((0, uh), (2, bh)):
+            _inverse_x(f, xs[i])
+            # the curl one component at a time, each into its rows of xs[i + 1]
+            for j in range(3):
+                _curl_component(kvec, f, j, cu[0])
+                _inverse_x(cu, xs[i + 1, j : j + 1])
         maxima = []
         for i0, i1, (up, wp, bp, jp, fp), tmp, y in self._slabs():
             # fp, free until the products and again after its forward z
@@ -314,15 +328,16 @@ class _Kernel:
             _cross(ub, bp, out=wp, tmp=tmp)
             _forward_y(_forward_z(fp, y), xs[0, :, i0:i1], fp)
             _forward_y(_forward_z(wp, y), xs[1, :, i0:i1], fp)
-        du, db = dst
+        # the b and J buffers are free, and the u buffer once du is read
+        du, db = self._d
         _forward_x(xs[0], du)
-        fb = _forward_x(xs[1], self._curl_box)
+        fb = _forward_x(xs[1], self._fb)
         du *= mask
         fb *= mask
         _leray(kvec, inv_k_sq, du, out=du)
         _curl(kvec, fb, out=db)
         # np.max, unlike max, keeps a nan of any slab
-        return np.max(maxima, axis=0) if gate else None
+        return self._d, (np.max(maxima, axis=0) if gate else None)
 
 
 def rhs(
@@ -339,7 +354,8 @@ def rhs(
     -P[u.grad u - b.grad b], curl(u x b) - curl((curl b) x b) for solenoidal
     u and b, which is checked: a non-solenoidal input, or a nan or inf in
     a dealias box, raises ValueError, and u and b on different grids raise
-    DimensionError.
+    DimensionError.  The results are copies: the pair the kernel leaves on
+    its buffers is scattered into two new half cubes.
     """
     g = _common_grid(u, b)
     uh, bh = _dealiased_box(u, "u"), _dealiased_box(b, "b")
@@ -347,8 +363,7 @@ def rhs(
         err = divergence_error(f)
         if err > 1e-8:
             raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
-    du, db = _pair(g)
-    _Kernel(g)(uh, bh, hall_on, (du, db))
+    (du, db), _ = _Kernel(g)(uh, bh, hall_on)
     return SpectralField(g, _from_box(du, g.n)), SpectralField(g, _from_box(db, g.n))
 
 
@@ -479,23 +494,27 @@ class _MeanField:
         """Writes exp(L t) (u, b) into the pair out = (eu, eb), which must
         not overlap u or b: eu = a_uu u + a_ub b + c_uu curl u + c_ub curl b
         and eb = a_ub u + a_bb b + c_ub curl u + c_bb curl b, each summed in
-        that order.  A product goes into eb before eb is begun, or into one
-        of two boxes, which also hold the curls: the only temporaries."""
+        that order.  A product goes into eb before eb is begun, or into a
+        one-component scratch, which also takes the subtrahend of each curl
+        component; the curls are formed one component at a time in a
+        second: the only temporaries."""
         a_uu, a_ub, a_bb = self.a
         eu, eb = out
         np.multiply(a_uu, u, out=eu)
         eu += np.multiply(a_ub, b, out=eb)
         np.multiply(a_ub, u, out=eb)
-        tmp = np.multiply(a_bb, b)
-        eb += tmp
+        tmp = np.empty(u.shape[1:], dtype=np.complex128)
+        for i in range(3):
+            eb[i] += np.multiply(a_bb, b[i], out=tmp)
         if self.c is None:
             return
         c_uu, c_ub, c_bb = self.c
         cu = np.empty_like(tmp)
         for x, c_x, c_y in ((u, c_uu, c_ub), (b, c_ub, c_bb)):
-            _curl(self.kvec, x, out=cu)
-            eu += np.multiply(c_x, cu, out=tmp)
-            eb += np.multiply(c_y, cu, out=cu)
+            for i in range(3):
+                _curl_component(self.kvec, x, i, cu, tmp)
+                eu[i] += np.multiply(c_x, cu, out=tmp)
+                eb[i] += np.multiply(c_y, cu, out=cu)
 
 
 class Stepper:
@@ -525,23 +544,26 @@ class Stepper:
         u4 = E (E u0 + dt du3),
         u_new = E (E u0 + dt/6 E du1 + dt/3 (du2 + du3)) + dt/6 du4.
 
-    A step allocates four stage arrays, each a (u, b) pair of boxes of
+    A step allocates three stage arrays, each a (u, b) pair of boxes of
     shape (2, 3, 2c + 1, 2c + 1, c + 1): E (u0, b0), the running sum of
-    the last line, the stage input and the derivatives, which the kernel
-    writes into as its `dst`.  Every combination is written into them by
-    out= and +=, each sum pairing its operands as the lines above read;
-    the stage input is the scratch once the kernel and the dissipation sum
-    have read it.  E (u0, b0) is needed no more after stage 3, so the last
-    E of the running sum is written over it, and that pair becomes the new
-    state's boxes (see SolverState): a step neither masks nor scatters a
-    half cube, except the masked boxes of a state built from SpectralFields
-    at its first step, which that state keeps in place of its fields.
+    the last line and the stage input.  The derivatives are the pair the
+    kernel returns on its own buffers (see _Kernel), read, and once
+    overwritten with E u0 + dt du3, before the next kernel call.  Every
+    combination is written into these pairs by out= and +=, each sum
+    pairing its operands as the lines above read; the stage input is the
+    scratch once the kernel and the dissipation sum have read it.
+    E (u0, b0) is needed no more after stage 3, so the last E of the
+    running sum is written over it, and that pair becomes the new state's
+    boxes (see SolverState): a step neither masks nor scatters a half cube,
+    except the masked boxes of a state built from SpectralFields at its
+    first step, which that state keeps in place of its fields.
 
     A Stepper owns the kernel's workspace, allocated once when it is built
     and reused by every step, so it is not thread-safe: step one state at a
     time per Stepper.  The workspace holds four arrays of shape
-    (3, n, 2c + 1, c + 1) and a slab of sample and transform planes of
-    about SLAB_BYTES.  A step, and a run resumed from a checkpoint, is
+    (3, n, 2c + 1, c + 1), on which the kernel also returns its pair, one
+    component of a box and a slab of sample and transform planes of about
+    SLAB_BYTES.  A step, and a run resumed from a checkpoint, is
     bit-identical under the same BLAS kernel and the same SLAB_BYTES (see
     bit determinism in the fields docstring).
 
@@ -592,10 +614,11 @@ class Stepper:
         # first, so that the fields a state gives up here are freed before
         # the stage arrays are allocated
         u0, b0 = state._dealiased_boxes()
-        # the running sum, the stage input, the derivatives and E (u0, b0),
-        # which becomes the new state; allocated last (allocated first, it
-        # left the n = 64 benchmark's peak RSS ~5 MB higher, by heap layout)
-        acc, x, d, e0 = (_pair(g) for _ in range(4))
+        # the running sum, the stage input and E (u0, b0), which becomes the
+        # new state; allocated last (allocated first, it left the n = 64
+        # benchmark's peak RSS 2.5 MB higher, by heap layout, while the order
+        # of the other two moved it by less than 0.2 MB)
+        acc, x, e0 = (_pair(g) for _ in range(3))
         mean = b0[:, 0, 0, 0].real.copy()
         if mean.any():  # b - B0, in the stage input until stage 1 has read it
             x[1] = b0
@@ -603,7 +626,8 @@ class Stepper:
             b0[:, 0, 0, 0] -= mean
         e_h = self._factor(mean)
 
-        maxima = nonlinear(u0, b0, hall, d, gate=True)
+        # d, the derivatives, lives on the kernel's buffers until its next call
+        d, maxima = nonlinear(u0, b0, hall, gate=True)
         # the gate of dt_gate, from the stage-1 samples of the state
         gate = _gate(float(maxima[0]), float(maxima[1]), float(g.dealias_cut), cfg)
         if dt > gate:
@@ -614,18 +638,18 @@ class Stepper:
         np.add(e0, np.multiply(dt / 6, x, out=acc), out=acc)
         np.add(e0, np.multiply(dt / 2, x, out=x), out=x)
 
-        nonlinear(*x, hall, d)
+        d, _ = nonlinear(*x, hall)
         diss += 2 * self._diss(*x)
         acc += np.multiply(dt / 3, d, out=x)
         np.add(e0, np.multiply(dt / 2, d, out=x), out=x)
 
-        nonlinear(*x, hall, d)
+        d, _ = nonlinear(*x, hall)
         diss += 2 * self._diss(*x)
         acc += np.multiply(dt / 3, d, out=x)
         np.add(e0, np.multiply(dt, d, out=d), out=d)
         e_h(*d, out=x)
 
-        nonlinear(*x, hall, d)
+        d, _ = nonlinear(*x, hall)
         diss += self._diss(*x)
         e_h(*acc, out=e0)
         e0 += np.multiply(dt / 6, d, out=x)
