@@ -3,13 +3,15 @@
 Layout: header {magic "HMHD", version u32, n u32, t f64, nu f64, mu f64},
 then u then b as little-endian f64 interleaved (re, im) pairs in
 component-major, k-row-major order, each the full (3, n, n, n) cube: the
-Hermitian fill of the stored half cube kz >= 0, the only full cube built
-outside the test references.  Reading keeps the half cube, so the round
-trip is bit-exact.  A checkpoint is written to a temporary file beside the
-target and renamed over it, so a write that fails part-way leaves the
-previous checkpoint intact.  A run resumed from a checkpoint is bit-identical
-to the straight run under the same BLAS kernel and the same
-fields.SLAB_BYTES (see bit determinism in the fields docstring).
+Hermitian fill of the field's half cube kz >= 0, into which its box is
+regridded, the only full cube built outside the test references.  Reading
+refuses a half cube with content on an n/2 plane, which no field holds,
+and regrids the others to their boxes, so the round trip is bit-exact.  A
+checkpoint is written to a temporary file beside the target and renamed
+over it, so a write that fails part-way leaves the previous checkpoint
+intact.  A run resumed from a checkpoint is bit-identical to the straight
+run under the same BLAS kernel and the same fields.SLAB_BYTES (see bit
+determinism in the fields docstring).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import struct
 
 import numpy as np
 
-from .fields import DimensionError, Grid, SpectralField
+from .fields import DimensionError, Grid, SpectralField, _regrid
 
 MAGIC = b"HMHD"
 VERSION = 1
@@ -60,7 +62,8 @@ def write_checkpoint(
         with open(tmp, "xb") as fh:
             fh.write(_HEADER.pack(MAGIC, VERSION, n, float(t), float(nu), float(mu)))
             for f in (u, b):
-                fh.write(_full_cube(np.asarray(f.coeffs, dtype="<c16")).data)
+                half = _regrid(np.asarray(f.coeffs, dtype="<c16"), (n, n, n // 2 + 1))
+                fh.write(_full_cube(half).data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -69,11 +72,12 @@ def write_checkpoint(
 
 
 def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralField]:
-    """Returns (t, nu, mu, u, b), u and b the half cubes kz >= 0 of the
-    stored cubes.  The file size is checked against the header before the
-    payload is read, one field at a time, into one cube buffer that each
-    half cube is copied from.  A half cube with content on an n/2 plane,
-    which no field holds, raises CheckpointError naming the field."""
+    """Returns (t, nu, mu, u, b), u and b the fields of the half cubes
+    kz >= 0 of the stored cubes.  The file size is checked against the
+    header before the payload is read, one field at a time, into one cube
+    buffer that each field's box is copied from.  A half cube with content
+    on an n/2 plane, which no field holds, raises CheckpointError naming
+    the field and the plane."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
@@ -101,9 +105,13 @@ def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralF
             if got != cube.nbytes:
                 msg = f"checkpoint parse: read {got} of a field's {cube.nbytes} bytes"
                 raise CheckpointError(msg)
-            try:
-                # a strided slice (n//2 + 1 < n), so SpectralField copies it out
-                fields.append(SpectralField(grid, cube[..., : n // 2 + 1]))
-            except DimensionError as exc:
-                raise CheckpointError(f"checkpoint parse: field {name}: {exc}") from exc
+            h = n // 2
+            half = cube[..., : h + 1]
+            for axis, plane in zip("xyz", (half[:, h], half[:, :, h], half[..., h])):
+                if plane.any():
+                    raise CheckpointError(
+                        f"checkpoint parse: field {name}: content on the k{axis} = "
+                        f"n/2 = {h} plane, which a field does not store"
+                    )
+            fields.append(SpectralField(grid, half))
     return float(t), float(nu), float(mu), *fields

@@ -36,15 +36,16 @@ KNOWN_INIT_KINDS = {
 
 def check_init_params(init: dict, grid: Grid) -> dict:
     """Return init with the defaults of its kind in KNOWN_INIT_KINDS filled
-    in: the spec make_initial builds from.  Raise ConfigError naming
-    init.kind if it is missing or not a kind of KNOWN_INIT_KINDS, else the
-    first parameter that make_initial does not read for the kind, or whose
-    value it cannot use on `grid`: q_lo, q_hi and k are integers, with
-    q_lo <= q_hi, q_hi >= 0 and 2^q_lo <= dealias_cut (else random_band's
-    band 2^q_lo <= |k| <= min(3/4 2^(q_hi + 1), dealias_cut) is empty), and
-    |k| <= dealias_cut (else the step drops the whistler); amplitude,
-    b_amplitude, b0 and eps are finite numbers; path, which from_checkpoint
-    requires, is a non-empty string."""
+    in: the spec make_initial builds from.  Raise ConfigError naming init
+    if it is not a dict, init.kind if it is missing or not a kind of
+    KNOWN_INIT_KINDS, else the first parameter that make_initial does not
+    read for the kind, or whose value it cannot use on `grid`: q_lo, q_hi
+    and k are integers, with q_lo <= q_hi, q_hi >= 0 and 2^q_lo <=
+    dealias_cut (else random_band's band 2^q_lo <= |k| <= min(3/4
+    2^(q_hi + 1), dealias_cut) is empty), and |k| <= dealias_cut (else the
+    step drops the whistler); amplitude, b_amplitude, b0 and eps are finite
+    numbers; path, which from_checkpoint requires, is a non-empty string."""
+    _require(isinstance(init, dict), "init", "must be an object", init)
     kind = init.get("kind")
     if not (isinstance(kind, str) and kind in KNOWN_INIT_KINDS):
         raise ConfigError(
@@ -177,7 +178,6 @@ class RunConfig:
             grid = Grid(self.n, self.dealias_cut)
         except DimensionError as exc:
             raise ConfigError(f"key 'dealias_cut': {exc}") from exc
-        _require(isinstance(self.init, dict), "init", "must be an object", self.init)
         check_init_params(self.init, grid)
 
     def to_dict(self) -> dict:
@@ -185,6 +185,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - names)
         if unknown:
@@ -211,6 +213,4 @@ class RunConfig:
             raise ConfigError(f"cannot read config: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
         return cls.from_dict(data)

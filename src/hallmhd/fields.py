@@ -7,30 +7,34 @@ Convention: for samples f(x) on the n^3 collocation grid of the 2*pi torus,
 so f(x) = sum_k coeff(k) exp(i k.x).  Wavevectors are integers.  Fields
 are real, so their coefficients are Hermitian, coeff(-k) = conj(coeff(k)),
 and the half kz >= 0 determines the rest (Canuto et al., Spectral Methods,
-2006, sec. 2.1).  Field coefficients are stored as that half cube,
-complex128 of shape (..., n, n, n//2 + 1), the layout of a real FFT: kz
-index j holds the wavenumber j, and the last plane the n/2 plane.  Every
-wavenumber array of Grid has the same layout.
+2006, sec. 2.1).  A field stores the box |kx|, |ky| <= C, 0 <= kz <= C of
+that half, complex128 of shape (..., 2C + 1, 2C + 1, C + 1), x and y
+wavenumbers in FFT order [0..C, -C..-1] and kz index j holding the
+wavenumber j, with C = max(dealias_cut, s) and s the field's support cut
+(_support_cut), the largest |kx|, |ky| or kz of a nonzero coefficient.  So
+equal fields have equal arrays, a stepped state, which is zero beyond the
+dealias cut, is stored as the step's box, and every spectral operation
+takes the integer wavevectors of the box it is given (_box_axes): no array
+of the grid's size holds wavenumbers.
 
-A field holds no content on an n/2 ("oddball") plane, index n/2 of any
-axis: SpectralField raises DimensionError naming the plane, and
-from_physical drops those planes of its transform.  Index n/2 stands for
-the wavenumber -n/2 of a mode and of its Hermitian partner alike, so a
-k-dependent multiplier applied there breaks the symmetry, and no dyadic
-shell the package reads reaches it: they all lie inside the dealias cut,
-below n/3.  So derivatives, projections and spectral sums take the plain
-wavenumbers, and every field sits in the box of its support cut, which is
-below n/2.
+The half cube (..., n, n, n//2 + 1), the layout of a real FFT, holds every
+box of a cut below n/2 in rows 0..C and n - C..n - 1 of its x and y axes.
+One block map (_halves) makes every copy between a box and a longer axis,
+and one function (_regrid) every copy between two layouts, box or half
+cube.  Only the real FFT pair (to_physical, from_physical), the v1
+checkpoint codec and the oracles build a half cube.  Its n/2 ("oddball")
+planes, index n/2 of any axis, hold the wavenumber -n/2 of a mode and of
+its Hermitian partner alike, so a k-dependent multiplier applied there
+breaks the symmetry, and no dyadic shell the package reads reaches them:
+they all lie inside the dealias cut, below n/3.  No field holds content
+there: SpectralField drops the n/2 planes of a half cube it is given, as
+from_physical does with its transform, and the checkpoint reader refuses a
+file with content there.
 
-Inside the solver's step, coefficients live on a smaller array still: the
-box |kx|, |ky| <= c, 0 <= kz <= c of a cut c < n/2, shape
-(..., 2c + 1, 2c + 1, c + 1), x and y wavenumbers in FFT order
-[0..c, -c..-1], rows 0..c and n - c..n - 1 of an axis of n: one block map
-(_halves) makes every copy between a box and a longer axis.  With
-c = dealias_cut the box holds every mode the 2/3 rule keeps.  The spectral
-sums and sup norms of a record take the box of a field's support cut
-(_support_cut), the smallest that holds its nonzero coefficients: for a
-stepped state, which is zero beyond the dealias cut, the step's box.
+Inside the solver's step, coefficients live on the box of c = dealias_cut,
+which holds every mode the 2/3 rule keeps.  The spectral sums and sup
+norms of a record take the box of a field's support cut, the smallest that
+holds its nonzero coefficients: for a stepped state, the step's box.
 
 All transforms are real and go through one pair.  Samples are made from the
 half cube by one inverse real FFT, and coefficients from samples by one
@@ -72,8 +76,8 @@ their half-cube references (irfftn, lp_norm) to <= 1e-15 relative.  The
 half-cube transforms keep pocketfft: a half cube has no cut to prune at.
 
 Spectral power sums and inner products (Parseval norms, ||grad f||^2, shell
-powers) are taken on the half cube or the box, each kz plane counted with
-its Hermitian multiplicity.
+powers) are taken on a box, each kz plane counted with its Hermitian
+multiplicity.
 """
 
 from __future__ import annotations
@@ -105,9 +109,9 @@ class Grid:
     exact.  An explicit cut that breaks it raises DimensionError, as does a
     size that is not an integer (a bool is not one).
 
-    The wavenumbers are the plain integers: index n/2 holds -n/2, and no
-    field stores content there (see the module docstring), so derivatives
-    need no oddball rule.
+    A grid holds no wavenumber array of its size: each field and each step
+    takes the integer wavevectors of its own box (_box_axes), and `box`
+    caches those of the dealias box, where the solver steps.
     """
 
     n: int
@@ -130,31 +134,6 @@ class Grid:
             )
 
     @cached_property
-    def k1(self) -> np.ndarray:
-        """Integer wavenumbers per axis in FFT order, 0..n/2 - 1, -n/2..-1,
-        as floats built from integers: fftfreq(n, 1/n) is off by ulps for
-        some n (1.0000000000000002 at n = 98)."""
-        k = np.arange(self.n, dtype=np.float64)
-        k[self.n // 2 :] -= self.n
-        return k
-
-    @cached_property
-    def kvec(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable (kx, ky, kz) on the half cube, with shapes (n,1,1),
-        (1,n,1), (1,1,n//2 + 1)."""
-        k, n = self.k1, self.n
-        return k.reshape(n, 1, 1), k.reshape(1, n, 1), k[: n // 2 + 1].reshape(1, 1, -1)
-
-    @cached_property
-    def k_sq(self) -> np.ndarray:
-        return _norm_sq(self.kvec)
-
-    @cached_property
-    def inv_k_sq(self) -> np.ndarray:
-        """1/|k|^2, 0 at k = 0."""
-        return _reciprocal(self.k_sq)
-
-    @cached_property
     def box(self):
         """(wavevectors, |k|^2, 1/|k|^2, dealias mask) on the box |kx|, |ky|,
         kz <= dealias_cut, where the solver steps."""
@@ -166,9 +145,20 @@ class Grid:
 
 def _box_axes(cut: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Broadcastable x, y and kz axes of the box of `cut`, x and y in FFT
-    order [0..cut, -cut..-1]."""
+    order [0..cut, -cut..-1], integers as floats."""
     k = np.r_[0 : cut + 1, -cut:0].astype(np.float64)
     return k.reshape(-1, 1, 1), k.reshape(1, -1, 1), np.arange(cut + 1.0)
+
+
+def _box_shape(cut: int) -> tuple[int, int, int]:
+    """The shape (2 cut + 1, 2 cut + 1, cut + 1) of the box of `cut`."""
+    return 2 * cut + 1, 2 * cut + 1, cut + 1
+
+
+def _cut_of(coeffs: np.ndarray) -> int:
+    """The cut of the box `coeffs` is on, (m - 1)//2 of its m x rows:
+    n/2 - 1 for a half cube, the largest box it holds."""
+    return (coeffs.shape[-3] - 1) // 2
 
 
 def _norm_sq(kvec) -> np.ndarray:
@@ -187,33 +177,32 @@ def _reciprocal(k_sq: np.ndarray) -> np.ndarray:
 @dataclass
 class SpectralField:
     """A real field (scalar, vector, or tensor) as its Fourier coefficients
-    on the half cube kz >= 0.
+    on the box of cut C = max(grid.dealias_cut, s), s its support cut (see
+    the module docstring).
 
-    coeffs has shape (ncomp, n, n, n//2 + 1); ncomp is 1 for scalars, 3 for
-    vectors, 9 for gradient tensors (component order d_j f_i at index
-    3*i + j).  The constructor raises DimensionError naming an n/2 plane
-    that holds content (see the module docstring).
+    coeffs has shape (ncomp, 2C + 1, 2C + 1, C + 1); ncomp is 1 for
+    scalars, 3 for vectors, 9 for gradient tensors (component order
+    d_j f_i at index 3*i + j).  The constructor takes the coefficients on a
+    box of any cut below n/2, or on the half cube (ncomp, n, n, n//2 + 1),
+    whose n/2 planes it drops, and regrids them to C, so equal fields have
+    equal arrays; coefficients already on that box are kept, not copied.
     """
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs)
+        c = np.asarray(self.coeffs, dtype=np.complex128)
         if c.ndim == 3:
             c = c[None]
-        n = self.grid.n
-        if c.ndim != 4 or c.shape[1:] != (n, n, n // 2 + 1):
-            raise DimensionError(
-                f"coeffs shape {c.shape} incompatible with n={self.grid.n}"
-            )
-        for axis, plane in zip("xyz", _nyquist_planes(c)):
-            if plane.any():
-                raise DimensionError(
-                    f"coeffs hold content on the k{axis} = n/2 = {n // 2} plane, "
-                    f"which a field does not store"
-                )
-        self.coeffs = np.ascontiguousarray(c, dtype=np.complex128)
+        n, dealias_cut = self.grid.n, self.grid.dealias_cut
+        cut = _cut_of(c) if c.ndim == 4 else n
+        if cut >= n // 2 or c.shape[1:] not in ((n, n, n // 2 + 1), _box_shape(cut)):
+            raise DimensionError(f"coeffs shape {c.shape} incompatible with n={n}")
+        if cut > dealias_cut:
+            # a half cube drops its n/2 planes here, before its support is read
+            cut = _support_cut(_regrid(c, _box_shape(cut)))
+        self.coeffs = np.ascontiguousarray(_regrid(c, _box_shape(max(cut, dealias_cut))))
 
     @property
     def ncomp(self) -> int:
@@ -221,12 +210,6 @@ class SpectralField:
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
-
-
-def _nyquist_planes(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kx, ky and kz = n/2 planes of half-cube coefficients, as views."""
-    h = coeffs.shape[-3] // 2
-    return coeffs[..., h, :, :], coeffs[..., :, h, :], coeffs[..., h]
 
 
 def _check_same(f: SpectralField, g: SpectralField):
@@ -237,31 +220,18 @@ def _check_same(f: SpectralField, g: SpectralField):
 
 
 def zero_field(grid: Grid, ncomp: int = 3) -> SpectralField:
-    n = grid.n
-    return SpectralField(grid, np.zeros((ncomp, n, n, n // 2 + 1), dtype=np.complex128))
+    shape = (ncomp,) + _box_shape(grid.dealias_cut)
+    return SpectralField(grid, np.zeros(shape, dtype=np.complex128))
 
 
 # -- transforms ---------------------------------------------------------------
-# The two real transforms below, and the FFT x and y passes of the pruned
-# box pair, are the only FFT calls in the package.  Both real transforms
-# take or return the half cube; a box is transformed only through the
-# pruned passes (_inverse_x, _inverse_y, then _inverse_z; _forward_z, then
-# _forward_y and _forward_x).  The pruned passes write in place or into
+# The real transform pair (to_physical, from_physical), and the FFT x and y
+# passes of the pruned box pair, are the only FFT calls in the package.  The
+# real pair goes through the half cube; a box is transformed only through
+# the pruned passes (_inverse_x, _inverse_y, then _inverse_z; _forward_z,
+# then _forward_y and _forward_x).  The pruned passes write in place or into
 # given buffers through the `out` argument of numpy.fft (NumPy 2.0) and
 # numpy.matmul, which spares one fresh array per pass.
-
-
-def _half_to_physical(half: np.ndarray) -> np.ndarray:
-    """Collocation samples on the n^3 grid of real fields from their half
-    cube (..., n, n, n//2 + 1)."""
-    m = half.shape[-3]
-    return np.fft.irfftn(half, s=(m, m, m), axes=(-3, -2, -1), norm="forward")
-
-
-def _physical_to_half(samples: np.ndarray) -> np.ndarray:
-    """Half-cube coefficients of real samples, with this module's 1/n^3
-    normalization."""
-    return np.fft.rfftn(samples, axes=(-3, -2, -1), norm="forward")
 
 
 # The passes of the pruned box transforms, for callers that stream x planes
@@ -269,11 +239,11 @@ def _physical_to_half(samples: np.ndarray) -> np.ndarray:
 # a box and an axis of length m goes through the block map _halves.
 
 
-def _halves(m: int, c: int) -> tuple[tuple[slice, slice], tuple[slice, slice]]:
-    """The (box rows, axis rows) slice pairs of the box of cut c on an
-    FFT-ordered axis of length m: box x and y wavenumbers are in FFT order
-    [0..c, -c..-1], rows 0..c and m - c..m - 1 of the axis."""
-    return (slice(c + 1), slice(c + 1)), (slice(c + 1, 2 * c + 1), slice(m - c, m))
+def _halves(m: int, c: int) -> tuple[slice, slice]:
+    """The rows of the two blocks of the box of cut c on an FFT-ordered
+    axis of m rows: x and y wavenumbers 0..c in rows 0..c, -c..-1 in rows
+    m - c..m - 1; on the box's own axis, m = 2c + 1, rows c + 1..2c."""
+    return slice(c + 1), slice(m - c, m)
 
 
 def _rows(axis: int, rows: slice) -> tuple:
@@ -285,9 +255,10 @@ def _inverse_pass(box: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     """The FFT x (axis -3) or y (axis -2) pass of the pruned inverse: the
     2c + 1 box rows of `box` zero-padded along `axis` to the length m of
     `out` and inverse-transformed along it in place."""
-    c, m = box.shape[axis] // 2, out.shape[axis]
+    w, m = box.shape[axis], out.shape[axis]
+    c = w // 2
     out[_rows(axis, slice(c + 1, m - c))] = 0.0
-    for box_rows, axis_rows in _halves(m, c):
+    for box_rows, axis_rows in zip(_halves(w, c), _halves(m, c)):
         out[_rows(axis, axis_rows)] = box[_rows(axis, box_rows)]
     return np.fft.ifft(out, axis=axis, norm="forward", out=out)
 
@@ -297,8 +268,9 @@ def _forward_pass(a: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     transform: `a` transformed along `axis` in place, its box rows written
     to `out`, whose 2c + 1 rows along `axis` give c."""
     np.fft.fft(a, axis=axis, norm="forward", out=a)
-    c, m = out.shape[axis] // 2, a.shape[axis]
-    for box_rows, axis_rows in _halves(m, c):
+    w, m = out.shape[axis], a.shape[axis]
+    c = w // 2
+    for box_rows, axis_rows in zip(_halves(w, c), _halves(m, c)):
         out[_rows(axis, box_rows)] = a[_rows(axis, axis_rows)]
     return out
 
@@ -461,47 +433,46 @@ def _z_matrices(m: int, cut: int) -> tuple[np.ndarray, np.ndarray]:
     return inv, fwd
 
 
-def _to_box(a: np.ndarray, cut: int) -> np.ndarray:
-    """The box |kx|, |ky| <= cut, 0 <= kz <= cut of a half-cube array,
-    shape (..., 2 cut + 1, 2 cut + 1, cut + 1), a C-contiguous copy.  Its
-    four blocks of x and y rows (_halves) are copied by slices, so no
-    temporary is made; a gather by index arrays lays the box out in another
-    axis order, over which sums such as _parseval run in another order."""
-    n, w = a.shape[-3], 2 * cut + 1
-    box = np.empty(a.shape[:-3] + (w, w, cut + 1), dtype=a.dtype)
-    for (bx, ax), (by, ay) in product(_halves(n, cut), repeat=2):
-        box[..., bx, by, :] = a[..., ax, ay, : cut + 1]
-    return box
-
-
-def _from_box(box: np.ndarray, n: int) -> np.ndarray:
-    """The n-grid half cube holding `box`, zero elsewhere: the copies of
-    _to_box in reverse."""
-    cut = box.shape[-1] - 1
-    out = np.zeros(box.shape[:-3] + (n, n, n // 2 + 1), dtype=np.complex128)
-    for (bx, ax), (by, ay) in product(_halves(n, cut), repeat=2):
-        out[..., ax, ay, : cut + 1] = box[..., bx, by, :]
+def _regrid(a: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """Coefficients a (..., m, m, h) on a box or a half cube, on the layout
+    `shape` of another: the box of cut c for _box_shape(c), the n-grid half
+    cube for (n, n, n//2 + 1).  The modes both layouts hold, the box of the
+    smaller cut (_cut_of), are copied, and the others are dropped or zero,
+    so a half cube's n/2 planes are never copied.  a itself when it is on
+    `shape` already, else a new C-contiguous array of a's dtype.  The four
+    blocks of x and y rows (_halves) are copied by slices, so no temporary
+    is made; a gather by index arrays lays the box out in another axis
+    order, over which sums such as _parseval run in another order."""
+    if a.shape[-3:] == shape:
+        return a
+    cut = min(_cut_of(a), (shape[0] - 1) // 2)
+    fresh = np.empty if shape == _box_shape(cut) else np.zeros
+    out = fresh(a.shape[:-3] + shape, dtype=a.dtype)
+    blocks = zip(_halves(a.shape[-3], cut), _halves(shape[0], cut))
+    for (ax, ox), (ay, oy) in product(blocks, repeat=2):
+        out[..., ox, oy, : cut + 1] = a[..., ax, ay, : cut + 1]
     return out
 
 
 def to_physical(f: SpectralField) -> np.ndarray:
-    """Collocation samples, shape (ncomp, n, n, n)."""
-    return _half_to_physical(f.coeffs)
+    """Collocation samples, shape (ncomp, n, n, n), by the inverse real FFT
+    of f's half cube."""
+    n = f.grid.n
+    half = _regrid(f.coeffs, (n, n, n // 2 + 1))
+    return np.fft.irfftn(half, s=(n, n, n), axes=(-3, -2, -1), norm="forward")
 
 
 def from_physical(samples: np.ndarray, grid: Grid) -> SpectralField:
-    """Inverse of to_physical on fields without n/2 content; accepts
-    (n,n,n) or (c,n,n,n).  The n/2 planes of the transform are dropped, as
-    no field stores them."""
+    """Inverse of to_physical on fields without n/2 content, by the forward
+    real FFT, with this module's 1/n^3 normalization; accepts (n,n,n) or
+    (c,n,n,n).  SpectralField drops the n/2 planes of the transform, as no
+    field stores them."""
     s = np.asarray(samples, dtype=np.float64)
     if s.ndim == 3:
         s = s[None]
     if s.shape[1:] != (grid.n,) * 3:
         raise DimensionError(f"sample shape {s.shape} incompatible with n={grid.n}")
-    coeffs = _physical_to_half(s)
-    for plane in _nyquist_planes(coeffs):
-        plane[...] = 0.0
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, np.fft.rfftn(s, axes=(-3, -2, -1), norm="forward"))
 
 
 def _cross(a: np.ndarray, b: np.ndarray, out=None, tmp=None) -> np.ndarray:
@@ -558,14 +529,13 @@ def _slab_planes(grid: Grid) -> int:
 
 def _support_cut(coeffs: np.ndarray) -> int:
     """The cut of the smallest box that holds every nonzero entry of the
-    half-cube coefficients (ncomp, n, n, n//2 + 1) of a field: the largest
-    |kx|, |ky| or kz of an x, y or kz plane holding one, 0 for a zero field.
-    Below n/2, as a field holds no n/2 content."""
-    n = coeffs.shape[-3]
+    box coefficients (ncomp, 2c + 1, 2c + 1, c + 1) of a field: the largest
+    |kx|, |ky| or kz of an x, y or kz plane holding one, 0 for a zero field."""
+    m = coeffs.shape[-3]
     live = coeffs.any(axis=0)
     xy = live.any(axis=2)
     planes = (xy.any(axis=1), xy.any(axis=0), live.any(axis=0).any(axis=0))
-    k = np.minimum(np.arange(n), n - np.arange(n))  # |k| of an index in FFT order
+    k = np.minimum(np.arange(m), m - np.arange(m))  # |k| of an index in FFT order
     return int(max(k[: p.size][p].max(initial=0) for p in planes))
 
 
@@ -617,7 +587,7 @@ class _BoxSup:
 
 
 def _curl(kvec, coeffs: np.ndarray, out=None) -> np.ndarray:
-    """i k x coeffs for broadcastable wavevectors (half cube or box),
+    """i k x coeffs for the broadcastable wavevectors of coeffs' box,
     written to `out` when given (not coeffs), one component at a time by
     _curl_component."""
     if out is None:
@@ -644,13 +614,13 @@ def _curl_component(
 def curl(f: SpectralField) -> SpectralField:
     if f.ncomp != 3:
         raise DimensionError("curl needs a 3-component field")
-    return SpectralField(f.grid, _curl(f.grid.kvec, f.coeffs))
+    return SpectralField(f.grid, _curl(_box_axes(_cut_of(f.coeffs)), f.coeffs))
 
 
 def _leray(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
-    """coeffs - k (k.coeffs)/|k|^2 for broadcastable wavevectors and 1/|k|^2
-    (0 at k = 0, which is left untouched) on the half cube or the box,
-    written to `out` when given, which may be coeffs itself."""
+    """coeffs - k (k.coeffs)/|k|^2 for the broadcastable wavevectors and
+    1/|k|^2 (0 at k = 0, which is left untouched) of coeffs' box, written to
+    `out` when given, which may be coeffs itself."""
     kx, ky, kz = kvec
     kdot = kx * coeffs[0]
     kdot += ky * coeffs[1]
@@ -667,16 +637,16 @@ def leray_project(f: SpectralField) -> SpectralField:
     """Remove the gradient part: coeff -= k (k.coeff)/|k|^2, k=0 untouched."""
     if f.ncomp != 3:
         raise DimensionError("leray_project needs a 3-component field")
-    g = f.grid
-    return SpectralField(g, _leray(g.kvec, g.inv_k_sq, f.coeffs))
+    kvec = _box_axes(_cut_of(f.coeffs))
+    return SpectralField(f.grid, _leray(kvec, _reciprocal(_norm_sq(kvec)), f.coeffs))
 
 
 def vector_potential(b: SpectralField) -> SpectralField:
     """Solenoidal A with curl A = b (b solenoidal, zero mean): A = i k x b / |k|^2."""
-    g = b.grid
-    a = _curl(g.kvec, b.coeffs)
-    a *= g.inv_k_sq
-    return SpectralField(g, a)
+    kvec = _box_axes(_cut_of(b.coeffs))
+    a = _curl(kvec, b.coeffs)
+    a *= _reciprocal(_norm_sq(kvec))
+    return SpectralField(b.grid, a)
 
 
 # -- norms and inner products --------------------------------------------------
@@ -700,17 +670,16 @@ def lp_norm(f: SpectralField, p: float) -> float:
 
 
 def _hermitian_sum(p: np.ndarray) -> float:
-    """Sum over all wavevectors of a quantity p(k) = p(-k) given on kz >= 0,
-    on the half cube or on a box.  Each plane kz > 0 counts twice, for
-    itself and its Hermitian partner kz < 0, which is not stored; the kz = 0
-    plane holds its own partners and counts once.  The half cube's kz = n/2
-    plane, which holds its own partners too, is zero in every field."""
+    """Sum over all wavevectors of a quantity p(k) = p(-k) given on the
+    box kz >= 0.  Each plane kz > 0 counts twice, for itself and its
+    Hermitian partner kz < 0, which is not stored; the kz = 0 plane holds
+    its own partners and counts once."""
     return float(np.sum(p @ _multiplicity(p), dtype=np.float64))
 
 
 def _multiplicity(p: np.ndarray) -> np.ndarray:
-    """The Hermitian multiplicity of each kz plane of a half cube or box p,
-    as _hermitian_sum counts them."""
+    """The Hermitian multiplicity of each kz plane of a box p, as
+    _hermitian_sum counts them."""
     multiplicity = np.full(p.shape[-1], 2.0)
     multiplicity[0] = 1.0
     return multiplicity
@@ -718,8 +687,8 @@ def _multiplicity(p: np.ndarray) -> np.ndarray:
 
 def _parseval(coeffs: np.ndarray, weight: np.ndarray | None = None) -> float:
     """(2*pi)^3 sum_k weight(k) |coeff(k)|^2 over all wavevectors of real
-    fields, from their half cube or their box; weight (even in k, given on
-    the same array) defaults to 1."""
+    fields, from their box; weight (even in k, given on the same box)
+    defaults to 1."""
     p = np.abs(coeffs)
     np.square(p, out=p)
     if weight is not None:
@@ -734,22 +703,25 @@ def l2_norm_spectral(f: SpectralField) -> float:
 
 def inner_product(f: SpectralField, g: SpectralField) -> float:
     """L^2 inner product of real fields via the spectral sum,
-    (2*pi)^3 sum_k Re(conj(f(k)) g(k)) over all wavevectors."""
+    (2*pi)^3 sum_k Re(conj(f(k)) g(k)) over all wavevectors, taken on the
+    smaller of their two boxes, beyond which one of them is zero."""
     _check_same(f, g)
-    return VOLUME * _hermitian_sum((np.conj(f.coeffs) * g.coeffs).real)
+    shape = _box_shape(min(_cut_of(f.coeffs), _cut_of(g.coeffs)))
+    fc, gc = (_regrid(h.coeffs, shape) for h in (f, g))
+    return VOLUME * _hermitian_sum((np.conj(fc) * gc).real)
 
 
 def grad_norm_sq(f: SpectralField) -> float:
     """(2*pi)^3 * sum_k |k|^2 |coeff|^2  =  || grad f ||_2^2."""
-    return _parseval(f.coeffs, f.grid.k_sq)
+    return _parseval(f.coeffs, _norm_sq(_box_axes(_cut_of(f.coeffs))))
 
 
 # -- consistency checks ---------------------------------------------------------
 
 
 def _divergence_error(kvec, coeffs: np.ndarray) -> float:
-    """max_k |k . coeffs(k)| relative to max |coeffs| for broadcastable
-    wavevectors (half cube or box)."""
+    """max_k |k . coeffs(k)| relative to max |coeffs| for the broadcastable
+    wavevectors of coeffs' box."""
     kx, ky, kz = kvec
     kdot = kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]
     scale = np.abs(coeffs).max()
@@ -760,7 +732,7 @@ def _divergence_error(kvec, coeffs: np.ndarray) -> float:
 
 def divergence_error(f: SpectralField) -> float:
     """max_k |k . coeff(k)| relative to max |coeff|."""
-    return _divergence_error(f.grid.kvec, f.coeffs)
+    return _divergence_error(_box_axes(_cut_of(f.coeffs)), f.coeffs)
 
 
 # -- random fields --------------------------------------------------------------
@@ -780,14 +752,13 @@ def random_field(
     The coefficients are drawn directly as i.i.d. complex Gaussians with
     E|c(k)|^2 = 1/n^3, the law of the coefficients of unit white noise on
     the n^3 grid, so no noise is sampled and nothing is transformed.  They
-    are drawn on the smallest array that holds the band: the box of cut
-    min(floor(k_hi), n/2 - 1), which is the half cube without its n/2
-    planes when k_hi is None or k_hi >= n/2 - 1.  The kz = 0 plane holds
-    its own Hermitian partners, so there the drawn a(k) become
-    (a(k) + conj a(-k)) / sqrt(2): exactly Hermitian, of the same variance,
-    and real at the self-conjugate k = 0.  The band mask, the zero mean and
-    the Leray projection are applied on the box, and it is scattered into
-    the half cube once, with the n/2 planes left zero.
+    are drawn on the smallest box that holds the band, of cut
+    min(floor(k_hi), n/2 - 1), the largest box a field has when k_hi is
+    None or k_hi >= n/2 - 1.  The kz = 0 plane holds its own Hermitian
+    partners, so there the drawn a(k) become (a(k) + conj a(-k)) / sqrt(2):
+    exactly Hermitian, of the same variance, and real at the self-conjugate
+    k = 0.  The band mask, the zero mean and the Leray projection are
+    applied on that box, which SpectralField regrids to the field's.
 
     A seed gives another field than the former draw, which transformed n^3
     white physical noise, but one of the same law.
@@ -812,4 +783,4 @@ def random_field(
         coeffs[:, 0, 0, 0] = 0.0
     if solenoidal:
         _leray(kvec, _reciprocal(k_sq), coeffs, out=coeffs)
-    return SpectralField(grid, _from_box(coeffs, n))
+    return SpectralField(grid, coeffs)

@@ -6,9 +6,8 @@ phi(r) = chi(r/2) - chi(r), phi_q(r) = phi(r / 2^q) for q >= 0, phi_{-1} = chi.
 Shell projections act as Fourier multipliers (the physical kernels are never
 materialized).  Each phi_q depends on |k| alone, and |k|^2 is an integer on
 the grid, so phi_q is kept as a radial table over |k|^2 = 0..3(n/2)^2 and
-gathered onto the array a projection or a norm reads: the half cube or a
-box.  The tables and their gather index, the half cube's integer |k|^2,
-are all the partition holds.
+gathered onto the box a projection or a norm reads, by the box's integer
+|k|^2 (_k_sq_index).  The tables are all the partition holds.
 
 The shell norms are taken on the box of f's support cut s
 (fields._support_cut), the smallest box that holds f: for a stepped state,
@@ -29,9 +28,13 @@ from .fields import (
     SpectralField,
     VOLUME,
     _BoxSup,
+    _box_axes,
+    _box_shape,
+    _cut_of,
     _multiplicity,
+    _norm_sq,
+    _regrid,
     _support_cut,
-    _to_box,
 )
 
 UNITY_TOL = 1e-12
@@ -56,20 +59,26 @@ def smooth_bridge_profile(r):
     return out
 
 
+def _k_sq_index(cut: int) -> np.ndarray:
+    """The integer |k|^2 on the box of `cut`, the gather index of the
+    radial tables."""
+    return _norm_sq(_box_axes(cut)).astype(np.intp)
+
+
 class LPPartition:
     """The multiplier family phi_q, q = -1..q_max, as radial tables: row
     q + 1 of `radial` holds phi_q(sqrt(j)) for j = 0..3(n/2)^2, and _mult
-    gathers a row onto the half cube, or onto any array of integer |k|^2.
-    Rows past the last one that is positive at some |k|^2 of the half cube
-    are dropped.  Raises PartitionError unless the rows sum to 1 within
-    UNITY_TOL at every |k|^2 of the half cube.  Built via build_partition."""
+    gathers a row onto an array of integer |k|^2.  The grid's wavevectors
+    are those with |kx|, |ky|, |kz| <= n/2; rows past the last one that is
+    positive at some |k|^2 of theirs are dropped.  Raises PartitionError
+    unless the rows sum to 1 within UNITY_TOL at every |k|^2 of theirs.
+    Built via build_partition."""
 
     def __init__(self, grid: Grid, radial: np.ndarray):
         self.grid = grid
-        # |k|^2 on the half cube as the gather index of the radial tables
-        self._k_sq = grid.k_sq.astype(np.intp)
+        k_sq = np.arange(grid.n // 2 + 1) ** 2
         held = np.zeros(radial.shape[1], dtype=bool)
-        held[self._k_sq] = True
+        held[np.add.outer(np.add.outer(k_sq, k_sq), k_sq)] = True
         live = np.flatnonzero((radial[:, held] > 0.0).any(axis=1))
         self._radial = radial[: live.max(initial=0) + 1]
         self.q_max = self._radial.shape[0] - 2
@@ -87,12 +96,11 @@ class LPPartition:
     def shell_range(self) -> range:
         return range(-1, self.q_max + 1)
 
-    def _mult(self, q: int, k_sq: np.ndarray | None = None) -> np.ndarray:
-        """phi_q gathered onto the integer |k|^2 of `k_sq`, by default the
-        half cube's."""
+    def _mult(self, q: int, k_sq: np.ndarray) -> np.ndarray:
+        """phi_q gathered onto the integer |k|^2 of `k_sq`."""
         if not -1 <= q <= self.q_max:
             raise ValueError(f"shell index {q} outside [-1, {self.q_max}]")
-        return np.take(self._radial[q + 1], self._k_sq if k_sq is None else k_sq)
+        return np.take(self._radial[q + 1], k_sq)
 
     def _check_grid(self, f: SpectralField) -> None:
         if f.grid.n != self.grid.n:
@@ -108,7 +116,7 @@ class LPPartition:
     def project(self, f: SpectralField, q: int) -> SpectralField:
         """Dyadic block Delta_q f (Fourier multiplier phi_q)."""
         self._check_grid(f)
-        return SpectralField(f.grid, f.coeffs * self._mult(q))
+        return SpectralField(f.grid, f.coeffs * self._mult(q, _k_sq_index(_cut_of(f.coeffs))))
 
     # -- norms --------------------------------------------------------------
 
@@ -120,13 +128,12 @@ class LPPartition:
         of its radial table with the bins."""
         self._check_grid(f)
         cut = _support_cut(f.coeffs)
-        k_sq = _to_box(self._k_sq, cut)
-        power = np.abs(_to_box(f.coeffs, cut))
+        power = np.abs(_regrid(f.coeffs, _box_shape(cut)))
         np.square(power, out=power)
         power = power.sum(axis=0)
         power *= _multiplicity(power)
         binned = np.bincount(
-            k_sq.ravel(), weights=power.ravel(), minlength=self._radial.shape[1]
+            _k_sq_index(cut).ravel(), weights=power.ravel(), minlength=self._radial.shape[1]
         )
         return VOLUME * (self._radial**2 @ binned)
 
@@ -143,18 +150,11 @@ class LPPartition:
         out = np.zeros(self.q_max + 2)
         sup = _BoxSup(self.grid, f.ncomp, cut)
         for q in self.shell_range():
-            out[q + 1] = sup(self._box_block(f, q, min(self._shell_cut(q), cut)))
+            # Delta_q f on the box of c, which holds it, straight to the sup,
+            # so that no two blocks are alive at once
+            c = min(self._shell_cut(q), cut)
+            out[q + 1] = sup(_regrid(f.coeffs, _box_shape(c)) * self._mult(q, _k_sq_index(c)))
         return out
-
-    def _box_block(self, f: SpectralField, q: int, cut: int) -> np.ndarray:
-        """Delta_q f on the box of `cut`, which must hold it: the box of f
-        times phi_q gathered on the box's |k|^2, formed in place.  shell_linf
-        passes it straight to the sup, so that no two blocks are alive at
-        once."""
-        mult = self._mult(q, _to_box(self._k_sq, cut))
-        block = _to_box(f.coeffs, cut)
-        block *= mult
-        return block
 
 
 def build_partition(grid: Grid) -> LPPartition:

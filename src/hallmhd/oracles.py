@@ -5,11 +5,14 @@ fields.py: transforms are direct O(n^6) summations, convolutions are explicit
 integer-triad sums with no aliasing, and the Leray projection is a dense
 k-loop.  Guarded to n <= 8.  The reference calculus (divergence, gradient,
 dealias) is the plain spectral multipliers on the half cube, at any n, as
-are the wavenumber magnitude k_mag and the dealias mask it builds on.
+are the wavevectors, the wavenumber magnitude k_mag and the dealias mask
+they build on.
 
-The package stores real fields as the half cube kz >= 0.  The references
-work on the full cube, which full_cube extends a half cube to, one mode at
-a time: idft_direct and rhs_direct take half cubes, the others full cubes.
+The package stores a real field as a box of its half cube kz >= 0, which
+half_cube scatters into the half cube by index arrays.  The references work
+on the full cube, which full_cube extends a half cube to, one mode at a
+time: idft_direct takes half cubes, rhs_direct fields, and the others full
+cubes.
 """
 
 from __future__ import annotations
@@ -24,6 +27,17 @@ MAX_N = 8
 def _guard(n: int):
     if n > MAX_N:
         raise ValueError(f"oracle refused: n={n} exceeds cost guard {MAX_N}")
+
+
+def half_cube(f: SpectralField) -> np.ndarray:
+    """The half cube (ncomp, n, n, n//2 + 1) of f: its box, x and y rows
+    0..c and n - c..n - 1 for its cut c, kz planes 0..c, scattered by index
+    arrays into zeros."""
+    n, c = f.grid.n, (f.coeffs.shape[-3] - 1) // 2
+    out = np.zeros((f.ncomp, n, n, n // 2 + 1), dtype=np.complex128)
+    rows = np.r_[0 : c + 1, n - c : n]
+    out[:, rows[:, None], rows, : c + 1] = f.coeffs
+    return out
 
 
 def full_cube(half: np.ndarray) -> np.ndarray:
@@ -42,9 +56,8 @@ def full_cube(half: np.ndarray) -> np.ndarray:
 
 
 def hermitian_error(f: SpectralField) -> float:
-    """max |coeff(-k) - conj(coeff(k))| on the kz = 0 plane, the half
-    cube's plane that holds its own partners (its kz = n/2 plane, which
-    does too, is zero in every field), relative to max |coeff|."""
+    """max |coeff(-k) - conj(coeff(k))| on the kz = 0 plane of f's box, the
+    plane that holds its own partners, relative to max |coeff|."""
     scale = np.abs(f.coeffs).max()
     plane = f.coeffs[..., 0]
     flipped = np.roll(plane[:, ::-1, ::-1], 1, axis=(1, 2))
@@ -54,24 +67,39 @@ def hermitian_error(f: SpectralField) -> float:
 def divergence(f: SpectralField) -> SpectralField:
     if f.ncomp != 3:
         raise DimensionError("divergence needs a 3-component field")
-    dx, dy, dz = f.grid.kvec
-    out = 1j * (dx * f.coeffs[0] + dy * f.coeffs[1] + dz * f.coeffs[2])
+    dx, dy, dz = wavevectors(f.grid)
+    c = half_cube(f)
+    out = 1j * (dx * c[0] + dy * c[1] + dz * c[2])
     return SpectralField(f.grid, out[None])
 
 
 def gradient(f: SpectralField) -> SpectralField:
     """Full gradient: ncomp -> 3*ncomp, component order d_j f_i at 3*i + j."""
-    dx, dy, dz = f.grid.kvec
+    dx, dy, dz = wavevectors(f.grid)
     parts = []
-    for i in range(f.ncomp):
-        c = f.coeffs[i]
+    for c in half_cube(f):
         parts += [1j * dx * c, 1j * dy * c, 1j * dz * c]
     return SpectralField(f.grid, np.stack(parts))
 
 
+def wavevectors(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Broadcastable (kx, ky, kz) on the grid's half cube, shapes (n, 1, 1),
+    (1, n, 1) and (1, 1, n//2 + 1): the integers 0..n/2 - 1, -n/2..-1 in
+    FFT order, as floats."""
+    n = grid.n
+    k = np.r_[0 : n // 2, -n // 2 : 0].astype(np.float64)
+    return k.reshape(n, 1, 1), k.reshape(1, n, 1), k[: n // 2 + 1].reshape(1, 1, -1)
+
+
+def k_sq(grid) -> np.ndarray:
+    """|k|^2 on the grid's half cube, integers as floats."""
+    kx, ky, kz = wavevectors(grid)
+    return kx**2 + ky**2 + kz**2
+
+
 def k_mag(grid) -> np.ndarray:
     """|k| on the grid's half cube."""
-    return np.sqrt(grid.k_sq)
+    return np.sqrt(k_sq(grid))
 
 
 def dealias_mask(grid) -> np.ndarray:
@@ -80,7 +108,7 @@ def dealias_mask(grid) -> np.ndarray:
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * dealias_mask(f.grid))
+    return SpectralField(f.grid, half_cube(f) * dealias_mask(f.grid))
 
 
 def mesh(grid) -> list[np.ndarray]:
@@ -226,7 +254,7 @@ def rhs_direct(u: SpectralField, b: SpectralField, hall_on: bool) -> tuple:
     _guard(n)
     mask = full_cube(dealias_mask(grid))
     d = _deriv_ks(n)
-    uh, bh = full_cube(u.coeffs), full_cube(b.coeffs)
+    uh, bh = full_cube(half_cube(u)), full_cube(half_cube(b))
 
     def div_of_tensor(t):  # t[i][j] spectral products
         out = np.zeros((3, n, n, n), dtype=np.complex128)

@@ -50,9 +50,9 @@ of boxes, and writes every stage input and RK4 sum into them, reading the
 derivatives where the kernel leaves them; one of them becomes the new
 state, which the next step reads as it is.  A state built from
 SpectralFields gives them up at its first step and keeps their masked
-boxes instead.  A state keeps no half cube: each read of its `u` or `b`
-scatters a box into a new SpectralField.  `rhs` scatters its results at
-its own boundary.
+boxes instead.  A field is stored on its box (see the fields docstring),
+so a read of a stepped state's `u` or `b` is a copy of its box, and `rhs`
+returns copies of the kernel's.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ from .fields import (
     SpectralField,
     _BoxSup,
     _box_axes,
+    _box_shape,
     _cross,
     _curl,
     _curl_component,
@@ -75,7 +76,6 @@ from .fields import (
     _forward_x,
     _forward_y,
     _forward_z,
-    _from_box,
     _hermitian_sum,
     _inverse_x,
     _inverse_y,
@@ -84,10 +84,10 @@ from .fields import (
     _norm_sq,
     _parseval,
     _reciprocal,
+    _regrid,
     _slab_planes,
     _sup_magnitude,
     _support_cut,
-    _to_box,
     divergence_error,
     l2_norm_spectral,
     random_field,
@@ -125,11 +125,10 @@ class SolverState:
     (3, 2c + 1, 2c + 1, c + 1) with c = dealias_cut.  A state built from
     SpectralFields keeps them until a step first reads its boxes: then it
     masks their boxes once, holds those and drops the fields, so that their
-    half cubes are freed once the caller lets them go.  A state that
+    coefficients are freed once the caller lets them go.  A state that
     Stepper.step returns holds its boxes from the start.  Once boxes are
-    held, each read of `u` or `b` scatters a new half cube and keeps none:
-    hold a field read more than once (at n = 128 a scatter faults in ~24 MB
-    under transparent huge pages).
+    held, each read of `u` or `b` is a new field on a copy of its box, which
+    is the field's own box (see the fields docstring).
     """
 
     def __init__(
@@ -168,7 +167,7 @@ class SolverState:
     def _field(self, i: int) -> SpectralField:
         if self._boxes is None:
             return self._fields[i]
-        return SpectralField(self.grid, _from_box(self._boxes[i], self.grid.n))
+        return SpectralField(self.grid, self._boxes[i].copy())
 
     def _dealiased_boxes(self):
         """The dealiased boxes (u, b), to be read only.  A state that holds
@@ -204,15 +203,15 @@ def _pair(grid: Grid) -> np.ndarray:
 
 
 def _dealiased_box(f: SpectralField, name: str) -> np.ndarray:
-    """The box of f's coefficients with the modes beyond the cut zeroed.  A
-    nan or inf in the box raises ValueError naming the field: a gate would
-    read a nan maximum as a zero field, and the mask turns inf into nan."""
+    """A new dealias box of f's coefficients with the modes beyond the cut
+    zeroed.  A nan or inf in the box raises ValueError naming the field: a
+    gate would read a nan maximum as a zero field, and the mask turns inf
+    into nan."""
     _, _, _, mask = f.grid.box
-    box = _to_box(f.coeffs, f.grid.dealias_cut)
+    box = _regrid(f.coeffs, mask.shape)
     if not np.isfinite(box).all():
         raise ValueError(f"{name} has a nan or inf coefficient in the dealias box")
-    box *= mask
-    return box
+    return box * mask
 
 
 class _Kernel:
@@ -354,8 +353,8 @@ def rhs(
     -P[u.grad u - b.grad b], curl(u x b) - curl((curl b) x b) for solenoidal
     u and b, which is checked: a non-solenoidal input, or a nan or inf in
     a dealias box, raises ValueError, and u and b on different grids raise
-    DimensionError.  The results are copies: the pair the kernel leaves on
-    its buffers is scattered into two new half cubes.
+    DimensionError.  The results are copies of the pair the kernel leaves
+    on its buffers.
     """
     g = _common_grid(u, b)
     uh, bh = _dealiased_box(u, "u"), _dealiased_box(b, "b")
@@ -364,7 +363,7 @@ def rhs(
         if err > 1e-8:
             raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
     (du, db), _ = _Kernel(g)(uh, bh, hall_on)
-    return SpectralField(g, _from_box(du, g.n)), SpectralField(g, _from_box(db, g.n))
+    return SpectralField(g, du.copy()), SpectralField(g, db.copy())
 
 
 # -- time stepping ----------------------------------------------------------------
@@ -554,9 +553,9 @@ class Stepper:
     scratch once the kernel and the dissipation sum have read it.
     E (u0, b0) is needed no more after stage 3, so the last E of the
     running sum is written over it, and that pair becomes the new state's
-    boxes (see SolverState): a step neither masks nor scatters a half cube,
-    except the masked boxes of a state built from SpectralFields at its
-    first step, which that state keeps in place of its fields.
+    boxes (see SolverState): a step neither masks nor copies a box, except
+    the masked boxes of a state built from SpectralFields at its first
+    step, which that state keeps in place of its fields.
 
     A Stepper owns the kernel's workspace, allocated once when it is built
     and reused by every step, so it is not thread-safe: step one state at a
@@ -689,12 +688,12 @@ def energy(f: SpectralField) -> float:
 def magnetic_helicity(b: SpectralField) -> float:
     """Integral of A . b with curl A = b, A solenoidal: the spectral sum
     with vector_potential's A, the terms conj(A) b formed in place in A.
-    Both are taken on the box of b's support cut (fields._support_cut), so
-    that A costs a box, not a half cube."""
+    Both are taken on the box of b's support cut (fields._support_cut), the
+    smallest that holds b."""
     _check_vector(b, "b")
     cut = _support_cut(b.coeffs)
     kvec = _box_axes(cut)
-    coeffs = _to_box(b.coeffs, cut)
+    coeffs = _regrid(b.coeffs, _box_shape(cut))
     a = _curl(kvec, coeffs)
     a *= _reciprocal(_norm_sq(kvec))
     np.conjugate(a, out=a)
@@ -712,17 +711,17 @@ _X, _Y, _Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 def _trig_field(grid: Grid, terms, amplitude: float) -> SpectralField:
     """The real vector field of a few cosines and sines, its coefficients
-    set directly: each term (i, k, a) puts amplitude * a at the wavevector k
-    (kz >= 0, k != 0) of component i and, on the kz = 0 plane, which holds
-    its own partners, the conjugate at -k.  a is _COS or _SIN times a real
-    factor."""
-    f = zero_field(grid)
-    n = grid.n
+    set directly on the smallest box that holds them: each term (i, k, a)
+    puts amplitude * a at the wavevector k (kz >= 0, k != 0) of component i
+    and, on the kz = 0 plane, which holds its own partners, the conjugate
+    at -k.  a is _COS or _SIN times a real factor."""
+    m = 2 * max(max(map(abs, k)) for _, k, _ in terms) + 1
+    c = np.zeros((3, m, m, m // 2 + 1), dtype=np.complex128)
     for i, (kx, ky, kz), a in terms:
-        f.coeffs[i, kx % n, ky % n, kz] += amplitude * a
+        c[i, kx % m, ky % m, kz] += amplitude * a
         if kz == 0:
-            f.coeffs[i, -kx % n, -ky % n, 0] += np.conj(amplitude * a)
-    return f
+            c[i, -kx % m, -ky % m, 0] += np.conj(amplitude * a)
+    return SpectralField(grid, c)
 
 
 def abc_beltrami(grid: Grid, amplitude: float) -> SpectralField:
@@ -776,18 +775,17 @@ def whistler_initial(
 ) -> tuple[SpectralField, SpectralField]:
     """Uniform b0 z_hat plus a circularly polarized transverse perturbation
     cos(k z) x_hat - sin(k z) y_hat at amplitude eps; u starts at zero.
-    Its coefficients are set directly, b0 at k = 0 and, on the half cube,
-    eps/2 and sign(k) i eps/2 at kz = |k| (eps for k = 0, which leaves
+    Its coefficients are set directly on the box of cut |k|, b0 at k = 0
+    and eps/2 and sign(k) i eps/2 at kz = |k| (eps for k = 0, which leaves
     eps x_hat).  |k| must lie within the dealias cut, or the first step
     would drop the perturbation: make_initial passes the parameters that
     config.check_init_params has checked, or the defaults of
     config.KNOWN_INIT_KINDS."""
-    b = zero_field(grid)
-    c = b.coeffs
+    c = np.zeros((3,) + _box_shape(abs(k)), dtype=np.complex128)
     c[2, 0, 0, 0] = b0
     c[0, 0, 0, abs(k)] = eps if k == 0 else eps / 2
     c[1, 0, 0, abs(k)] = complex(0.0, np.sign(k) * eps / 2)
-    return zero_field(grid), b
+    return zero_field(grid), SpectralField(grid, c)
 
 
 def make_initial(
@@ -799,9 +797,9 @@ def make_initial(
     missing kind, a parameter the kind does not read, or a value it cannot
     use.
 
-    A checkpoint's fields are returned as stored, on `grid`, so they carry
-    its dealias cut.  One written under a larger cut may hold modes beyond
-    this grid's cut, which Stepper drops on the first step (it steps the
+    A checkpoint's fields are returned as stored, regridded to their boxes
+    on `grid`.  One written under a larger cut may hold modes beyond this
+    grid's cut, which Stepper drops on the first step (it steps the
     dealiased part).  A path that cannot be read, or a file of another n,
     raises ConfigError naming init.path."""
     p = check_init_params(init_spec, grid)

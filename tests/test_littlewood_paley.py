@@ -28,7 +28,7 @@ from hallmhd.littlewood_paley import (
     dealias_limited_q_max,
     smooth_bridge_profile,
 )
-from hallmhd.oracles import gradient
+from hallmhd.oracles import gradient, half_cube
 from hallmhd.solver import SolverState, Stepper, make_initial, whistler_initial
 
 # frozen from the profile: the bridge g is symmetric about s = 1/2,
@@ -41,9 +41,13 @@ def box_limited_noise(grid, seed, cut):
     is `cut` (below n/2: from_physical drops the n/2 planes)."""
     rng = np.random.default_rng(seed)
     f = from_physical(rng.standard_normal((3,) + (grid.n,) * 3), grid)
-    kx, ky, kz = (np.abs(k) for k in grid.kvec)
-    f.coeffs *= np.maximum(np.maximum(kx, ky), kz) <= cut
-    return f
+    kx, ky, kz = (np.abs(k) for k in oracles.wavevectors(grid))
+    return SpectralField(grid, half_cube(f) * (np.maximum(np.maximum(kx, ky), kz) <= cut))
+
+
+def half_k_sq(grid):
+    """The integer |k|^2 on the grid's half cube, the radial tables' index."""
+    return oracles.k_sq(grid).astype(np.intp)
 
 
 def single_mode(grid, kvec, amplitude=1.0, comp=0, ncomp=3):
@@ -99,7 +103,7 @@ class TestProfile:
 class TestPartition:
     def test_unity_on_resolved_wavenumbers(self, part32):
         # on every |k|^2 the half cube holds, up to the corner's 3 (n/2)^2
-        held = np.unique(part32._k_sq)
+        held = np.unique(half_k_sq(part32.grid))
         assert held[-1] == 3 * 16**2
         total = sum(part32._mult(q, held) for q in part32.shell_range())
         assert np.abs(total - 1.0).max() <= 1e-12
@@ -116,7 +120,7 @@ class TestPartition:
     def test_supports_are_dyadic_annuli(self, part32):
         kmag = oracles.k_mag(part32.grid)
         for q in range(0, part32.q_max + 1):
-            mult = part32._mult(q)
+            mult = part32._mult(q, half_k_sq(part32.grid))
             active = mult > 0
             if not active.any():
                 continue
@@ -126,12 +130,11 @@ class TestPartition:
     @pytest.mark.parametrize("n", [16, 32])
     def test_holds_no_per_shell_half_cube(self, n):
         # the multipliers are kept as radial tables over |k|^2 and gathered
-        # on demand, so the partition's only arrays are those tables and
-        # the |k|^2 gather index, 8 bytes per half-cube entry
+        # on demand onto the |k|^2 of the box a call reads, so the
+        # partition's only array is those tables
         part = build_partition(Grid(n))
         arrays = {k: v for k, v in vars(part).items() if isinstance(v, np.ndarray)}
-        assert sorted(arrays) == ["_k_sq", "_radial"]
-        assert arrays["_k_sq"].nbytes == 8 * n * n * (n // 2 + 1)
+        assert sorted(arrays) == ["_radial"]
         assert arrays["_radial"].shape == (part.q_max + 2, 3 * (n // 2) ** 2 + 1)
 
     @pytest.mark.parametrize("n", range(8, 129, 2))
@@ -143,7 +146,7 @@ class TestPartition:
         k = np.minimum(np.arange(n), n - np.arange(n))
         k_inf = np.maximum(np.maximum.outer(k, k)[..., None], k[: n // 2 + 1])
         for q in part.shell_range():
-            scanned = k_inf[part._mult(q) != 0].max(initial=-1)
+            scanned = k_inf[part._mult(q, half_k_sq(part.grid)) != 0].max(initial=-1)
             assert part._shell_cut(q) == scanned
 
     def test_q_max_matches_resolution(self):
@@ -170,7 +173,7 @@ class TestPartition:
             chi(kmag / (2.0 * 2.0**q)) - chi(kmag / 2.0**q)
             for q in range(part.q_max + 2)
         ]
-        mults = [part._mult(q) for q in part.shell_range()]
+        mults = [part._mult(q, half_k_sq(part.grid)) for q in part.shell_range()]
         assert np.array_equal(np.array(mults), np.array(expect[:-1]))
         assert not np.any(expect[-1] > 0.0)
 
@@ -229,10 +232,10 @@ class TestProjections:
         f = random_field(part16.grid, np.random.default_rng(1))
         kmag = oracles.k_mag(part16.grid)
         for Q in (-1, 0, 2, part16.q_max):
-            total = np.zeros_like(f.coeffs)
+            total = np.zeros_like(half_cube(f))
             for q in range(-1, Q + 1):
-                total += part16.project(f, q).coeffs
-            low = f.coeffs * smooth_bridge_profile(kmag / 2.0 ** (Q + 1))
+                total += half_cube(part16.project(f, q))
+            low = half_cube(f) * smooth_bridge_profile(kmag / 2.0 ** (Q + 1))
             assert np.abs(low - total).max() < 1e-14
 
     def test_bandpass_and_tilde(self, part16):
@@ -240,24 +243,24 @@ class TestProjections:
         # neighbours of a block sum to 1 on its support
         f = random_field(part16.grid, np.random.default_rng(2))
         kmag = oracles.k_mag(part16.grid)
-        band = part16.project(f, 2).coeffs + part16.project(f, 3).coeffs
+        band = half_cube(part16.project(f, 2)) + half_cube(part16.project(f, 3))
         chi = smooth_bridge_profile
-        expect = f.coeffs * (chi(kmag / 16.0) - chi(kmag / 4.0))
+        expect = half_cube(f) * (chi(kmag / 16.0) - chi(kmag / 4.0))
         assert np.abs(band - expect).max() < 1e-14
         for q in part16.shell_range():
             block = part16.project(f, q)
-            til = np.zeros_like(block.coeffs)
+            til = np.zeros_like(half_cube(block))
             for p in range(max(-1, q - 1), min(part16.q_max, q + 1) + 1):
-                til += part16.project(block, p).coeffs
-            assert np.abs(til - block.coeffs).max() < 1e-14
+                til += half_cube(part16.project(block, p))
+            assert np.abs(til - half_cube(block)).max() < 1e-14
 
     def test_reconstruction(self, part32):
         for seed in range(20):
             f = random_field(part32.grid, np.random.default_rng(seed))
-            total = np.zeros_like(f.coeffs)
+            total = np.zeros_like(half_cube(f))
             for q in part32.shell_range():
-                total += part32.project(f, q).coeffs
-            rest = SpectralField(part32.grid, total - f.coeffs)
+                total += half_cube(part32.project(f, q))
+            rest = SpectralField(part32.grid, total - half_cube(f))
             assert l2_norm_spectral(rest) < 1e-10 * l2_norm_spectral(f)
 
     @given(seed=st.integers(0, 10_000), q=st.integers(-1, 3), p=st.integers(-1, 3))
@@ -336,7 +339,7 @@ class TestBesov:
         rng = np.random.default_rng(n)
         noise = from_physical(rng.standard_normal((3, n, n, n)), g)
         for f in (noise, random_field(g, rng, k_lo=2.0, k_hi=g.dealias_cut)):
-            power = np.sum(np.abs(f.coeffs) ** 2, axis=0) * weight
+            power = np.sum(np.abs(half_cube(f)) ** 2, axis=0) * weight
             got = part.shell_l2_sq(f)
             for q in part.shell_range():
                 phi = chi(r) if q < 0 else chi(r / 2 ** (q + 1)) - chi(r / 2**q)
@@ -348,7 +351,7 @@ class TestBesov:
         f = random_field(part.grid, np.random.default_rng(8))
         got = part.shell_linf(f)
         for q in part.shell_range():
-            samples = oracles.idft_direct(part.project(f, q).coeffs)
+            samples = oracles.idft_direct(half_cube(part.project(f, q)))
             expect = np.sqrt(np.sum(samples**2, axis=0)).max()
             assert got[q + 1] == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
@@ -409,8 +412,7 @@ class TestShellLinfBoxes:
     def test_other_grids(self, n, cut):
         grid = Grid(n, cut)
         part = build_partition(grid)
-        f = random_field(grid, np.random.default_rng(n))
-        f.coeffs *= oracles.dealias_mask(grid)
+        f = oracles.dealias(random_field(grid, np.random.default_rng(n)))
         assert_within_shell_bound(part.shell_linf(f), linf_per_block(part, f))
 
     @pytest.mark.parametrize("ncomp", [1, 9])
@@ -471,9 +473,9 @@ class TestSobolev:
 
     @staticmethod
     def norms(part, f, s):
-        ksq = oracles.full_cube(part.grid.k_sq)
+        ksq = oracles.full_cube(oracles.k_sq(part.grid))
         w = np.where(ksq > 0, ksq, 1.0) ** s * (ksq > 0)
-        power = np.sum(np.abs(oracles.full_cube(f.coeffs)) ** 2, axis=0)
+        power = np.sum(np.abs(oracles.full_cube(half_cube(f))) ** 2, axis=0)
         direct = np.sqrt((2 * np.pi) ** 3 * np.sum(w * power))
         weights = np.array([lambda_q(q) ** (2 * s) for q in part.shell_range()])
         return direct, np.sqrt(np.sum(weights * part.shell_l2_sq(f)))
@@ -495,7 +497,7 @@ class TestSobolev:
         kmag = oracles.k_mag(part32.grid)
         nonzero = kmag > 0
         sym = sum(
-            lambda_q(q) ** (2 * s) * part32._mult(q) ** 2
+            lambda_q(q) ** (2 * s) * part32._mult(q, half_k_sq(part32.grid)) ** 2
             for q in part32.shell_range()
         )
         sym = sym[nonzero] / kmag[nonzero] ** (2 * s)
@@ -616,7 +618,7 @@ class TestCheckpointCodec:
         path = tmp_path / "state.hmhd"
         write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
         payload = np.frombuffer(path.read_bytes()[36:], dtype="<c16")
-        expect = np.stack([oracles.full_cube(u.coeffs), oracles.full_cube(b.coeffs)])
+        expect = np.stack([oracles.full_cube(half_cube(f)) for f in (u, b)])
         assert payload.tobytes() == expect.astype("<c16").tobytes()
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -642,6 +644,13 @@ class TestCheckpointCodec:
             assert (t, nu, mu) == (0.375, 0.01, 0.02)
             assert u2.coeffs.tobytes() == u.coeffs.tobytes()
             assert b2.coeffs.tobytes() == b.coeffs.tobytes()
+        # the benchmark's check: the fields read back equal the state's,
+        # both on the stepped state's dealias box
+        write_checkpoint(path, 0.0, 0.05, 0.05, stepped.u, stepped.b)
+        _, _, _, u2, b2 = read_checkpoint(path)
+        assert np.array_equal(u2.coeffs, stepped.u.coeffs)
+        assert np.array_equal(b2.coeffs, stepped.b.coeffs)
+        assert u2.coeffs.shape == b2.coeffs.shape == (3, 11, 11, 6)
 
     def test_header_layout(self, tmp_path):
         from hallmhd.checkpoint import write_checkpoint

@@ -43,7 +43,7 @@ from hallmhd.solver import (
     rhs,
     ORSZAG_TANG_ENERGY_COEFF,
 )
-from hallmhd.oracles import dealias, hermitian_error
+from hallmhd.oracles import dealias, half_cube, hermitian_error
 
 VOLUME = (2 * np.pi) ** 3
 
@@ -95,16 +95,16 @@ class TestRhs:
         b = scaled(dealias(leray_project(random_field(g, rng))), 0.3)
         half = np.s_[..., : g.n // 2 + 1]
         for hall in (False, True):
-            du, db = rhs(u, b, hall_on=hall)
+            du, db = (half_cube(f) for f in rhs(u, b, hall_on=hall))
             du_o, db_o = (x[half] for x in oracles.rhs_direct(u, b, hall_on=hall))
-            assert np.abs(du.coeffs - du_o).max() / np.abs(du_o).max() < 1e-10
-            assert np.abs(db.coeffs - db_o).max() / np.abs(db_o).max() < 1e-10
+            assert np.abs(du - du_o).max() / np.abs(du_o).max() < 1e-10
+            assert np.abs(db - db_o).max() / np.abs(db_o).max() < 1e-10
         # a uniform b0 z_hat on top: the k = 0 mode takes part in every product
         b.coeffs[2, 0, 0, 0] = 1.5
-        du, db = rhs(u, b, hall_on=True)
+        du, db = (half_cube(f) for f in rhs(u, b, hall_on=True))
         du_o, db_o = (x[half] for x in oracles.rhs_direct(u, b, hall_on=True))
-        assert np.abs(du.coeffs - du_o).max() / np.abs(du_o).max() < 1e-10
-        assert np.abs(db.coeffs - db_o).max() / np.abs(db_o).max() < 1e-10
+        assert np.abs(du - du_o).max() / np.abs(du_o).max() < 1e-10
+        assert np.abs(db - db_o).max() / np.abs(db_o).max() < 1e-10
 
     def test_outputs_hermitian(self):
         # the kz = 0 and kz = n/2 planes of the half cube hold their own
@@ -144,10 +144,10 @@ class TestRhs:
 
 
 def reference_step(u0, b0, cfg):
-    """One IF-RK4 step on the half cube, from the public rhs: the reference
-    for Stepper.step, which works on the dealiased box.  Returns (u, b, the
-    dissipation integral increment)."""
-    ksq, dt = u0.grid.k_sq, cfg.dt
+    """One IF-RK4 step of fields on the dealias box, from the public rhs
+    and field calculus: the reference for Stepper.step, which fuses them.
+    Returns (u, b, the dissipation integral increment)."""
+    ksq, dt = u0.grid.box[1], cfg.dt
     eu_half = np.exp(-cfg.nu * ksq * dt / 2)
     eb_half = np.exp(-cfg.mu * ksq * dt / 2)
     eu_full, eb_full = eu_half**2, eb_half**2
@@ -234,44 +234,47 @@ class TestHalfCubeStep:
         assert hermitian_error(st.u) < 1e-14
         assert hermitian_error(st.b) < 1e-14
 
-    def test_step_fills_nothing_until_asked(self, monkeypatch):
-        # a stepped state holds boxes; each access to u or b scatters one box
-        # into a new half cube
-        calls = []
-
-        def counting_scatter(box, n):
-            calls.append(box.shape)
-            return scatter(box, n)
-
-        scatter = solver._from_box
-        monkeypatch.setattr(solver, "_from_box", counting_scatter)
+    def test_step_fills_nothing_until_asked(self):
+        # a stepped state holds boxes, which are its fields' own boxes; each
+        # access to u or b is a new field on a copy of its box
         cfg = RunConfig(
             n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1, init={"kind": "random_band"}
         )
         st, _ = run_steps(cfg, 2)
         assert st.step_count == 2
-        assert calls == []
         u = st.u
-        assert calls == [(3, 11, 11, 6)]
-        assert u.coeffs.shape == (3, 16, 16, 9)
-        assert st.b.coeffs.shape == (3, 16, 16, 9)
-        assert calls == [(3, 11, 11, 6)] * 2
+        assert u.coeffs.shape == st.b.coeffs.shape == (3, 11, 11, 6)
         assert np.array_equal(st.u.coeffs, u.coeffs)
-        assert calls == [(3, 11, 11, 6)] * 3
+        assert np.array_equal(u.coeffs, st._dealiased_boxes()[0])
+        for f, box in zip((u, st.b), st._dealiased_boxes()):
+            assert not np.shares_memory(f.coeffs, box)
 
     def test_stepped_state_keeps_no_half_cube(self):
-        # the half cubes that reads of u and b scatter are the reader's: once
-        # it drops them, the traced memory is back at its level from before
+        # a read of a stepped state's u is a copy of its box, and a record
+        # like the benchmark's diagnostics record (energy, magnetic helicity
+        # and the shell L^2 and L^inf norms of u and b, each call reading
+        # the state) builds no half cube either: at n = 32 the read peaks
+        # below one (3, 32, 32, 17) half cube, and the record below one
+        # half cube on top of the slab buffers that the shell sup norms
+        # stream through (fields._BoxSup), 1.2 MB at n = 32 in any layout
         _, st = stepped_once("random_band")
-        half_cube = 3 * 32 * 32 * 17 * 16
+        g = st.grid
+        half_cube_bytes = 3 * 32 * 32 * 17 * 16
+        sup = fields._BoxSup(g, 3, g.dealias_cut)
+        slabs = sup._x.nbytes + sup._y.nbytes + sup._samples.nbytes
+        part = build_partition(g)
 
-        def read():
-            u, b = st.u, st.b
-            assert u.coeffs.nbytes == b.coeffs.nbytes == half_cube
+        def record():
+            shells = [(part.shell_l2_sq(f), part.shell_linf(f)) for f in (st.u, st.b)]
+            return energy(st.u) + energy(st.b), magnetic_helicity(st.b), shells
 
-        _, peak, kept = traced(read)
-        assert peak >= 2 * half_cube
-        assert kept < half_cube / 100
+        record()  # the first call fills the caches of the DFT matrices
+        u, peak, kept = traced(lambda: st.u)
+        assert u.coeffs.shape == (3, 21, 21, 11)
+        assert kept >= u.coeffs.nbytes and peak < half_cube_bytes
+        _, peak, kept = traced(record)
+        assert peak < half_cube_bytes + slabs
+        assert kept < half_cube_bytes / 100
 
     def test_workspace_reuse(self):
         # one stepper alternating between a Hall random_band state and a B0
@@ -502,7 +505,7 @@ class TestHalfCubeStep:
         u = scaled(leray_project(random_field(g, rng)), 0.5)
         b = scaled(leray_project(random_field(g, rng)), 0.5)
         ud, bd = dealias(u), dealias(b)
-        assert np.abs(u.coeffs - ud.coeffs).max() > 0.1 * np.abs(u.coeffs).max()
+        assert np.abs(half_cube(u) - half_cube(ud)).max() > 0.1 * np.abs(u.coeffs).max()
         for hall in (False, True):
             for got, expect in zip(rhs(u, b, hall), rhs(ud, bd, hall)):
                 assert np.array_equal(got.coeffs, expect.coeffs)
@@ -517,8 +520,8 @@ class TestHalfCubeStep:
         assert np.array_equal(st.b.coeffs, ref.b.coeffs)
         assert st.diss_integral == ref.diss_integral
         beyond = ~oracles.dealias_mask(g)
-        assert np.all(st.u.coeffs[:, beyond] == 0.0)
-        assert np.all(st.b.coeffs[:, beyond] == 0.0)
+        assert np.all(half_cube(st.u)[:, beyond] == 0.0)
+        assert np.all(half_cube(st.b)[:, beyond] == 0.0)
 
 
 # steps a Hall random_band state of size n three times and prints a SHA-256
@@ -676,7 +679,7 @@ class TestMeanField:
         mean = np.array([0.3, -0.2, 1.1])
         bm = b.copy()
         bm.coeffs[:, 0, 0, 0] = mean
-        k = np.stack(np.broadcast_arrays(*g.kvec))
+        k = np.stack(np.broadcast_arrays(*g.box[0]))
         kappa = np.tensordot(mean, k, axes=1)
         expect_u = 1j * kappa * b.coeffs
         expect_b = 1j * kappa * u.coeffs
@@ -1057,7 +1060,8 @@ class TestInitialConditions:
                 (b, 0.8 * amp * np.stack(ot_b)),
             ]
             for field, samples in pairs:
-                assert np.abs(field.coeffs - from_physical(samples, g).coeffs).max() <= 1e-15
+                sampled = half_cube(from_physical(samples, g))
+                assert np.abs(half_cube(field) - sampled).max() <= 1e-15
 
     def test_random_band_peaks_under_three_half_cubes(self):
         # the band's coefficients are drawn on the box and scattered into
@@ -1085,6 +1089,11 @@ class TestInitialConditions:
         assert np.abs(u.coeffs).max() == 0.0
         assert b.coeffs[2, 0, 0, 0] == pytest.approx(2.0)
         assert divergence_error(b) <= 1e-13
+        # the zero u is the dealias box, so every kz = k <= dealias_cut is
+        # indexable as [:, 0, 0, k], as the benchmark reads the whistler
+        assert u.coeffs.shape == b.coeffs.shape == (3, 11, 11, 6)
+        assert not u.coeffs[:, 0, 0, g.dealias_cut].any()
+        assert b.coeffs[0, 0, 0, 2] == pytest.approx(5e-4)
 
     def test_whistler_beyond_the_cut_rejected(self):
         g = Grid(16)
@@ -1146,6 +1155,11 @@ class TestInitialConditions:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="key 'init.amplitud'"):
             make_initial({"kind": "random_band", "amplitud": 2.0}, Grid(8))
+
+    @pytest.mark.parametrize("spec", ["random_band", None, ["random_band"]])
+    def test_spec_that_is_not_a_dict_rejected(self, spec):
+        with pytest.raises(ConfigError, match="key 'init': must be an object"):
+            make_initial(spec, Grid(8))
 
     def test_unknown_kind_rejected(self):
         g = Grid(8)
@@ -1249,6 +1263,18 @@ class TestConfig:
         data[key.split(".")[0]] = value
         with pytest.raises(ConfigError, match=re.escape(f"key '{key}'")):
             RunConfig.from_dict(data)
+
+    @pytest.mark.parametrize("data", [[1, 2], "abc", None, 3])
+    def test_config_that_is_not_a_dict_rejected(self, data, tmp_path):
+        # from_dict and from_json share the check
+        import json
+
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            RunConfig.from_dict(data)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            RunConfig.from_json(path)
 
     def test_integer_valued_reals_accepted(self):
         cfg = RunConfig.from_dict(

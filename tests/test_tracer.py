@@ -1,6 +1,6 @@
-"""The benchmark's span tracer against the package: every name it wraps
-exists, a wrapped call records a span, and uninstalling puts every
-original back."""
+"""The benchmark against the package: every name its span tracer wraps
+exists, a wrapped call records a span, uninstalling puts every original
+back, and one episode of each workload passes its checks."""
 
 from pathlib import Path
 
@@ -27,3 +27,18 @@ def test_tracer_wraps_the_package_and_restores_it(monkeypatch):
     assert rebound
     for owner, attr, original in rebound:
         assert getattr(owner, attr) is original, (owner, attr)
+
+
+def test_benchmark_episodes_pass_their_checks(monkeypatch, tmp_path):
+    # one episode of each benchmark workload, as perfbench/run.py times it:
+    # the step count, the energy balance or whistler frequencies, the
+    # finite records, the checkpoint round trip (fields read back equal to
+    # the state's by np.array_equal) and the bit-identical resume
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for name, spec in workloads.WORKLOADS.items():
+        wl = workloads.Workload(spec, 0, tmp_path)
+        episode = wl.episode()
+        assert (wl.ops.failed, wl.ops.errors) == (0, []), name
+        assert wl.ops.attempted >= episode["steps"] > 0, name
