@@ -541,20 +541,23 @@ def _support_cut(coeffs: np.ndarray) -> int:
 
 class _BoxSup:
     """max_x |samples(x)| over the n^3 grid of the real fields whose
-    coefficients on kz >= 0 are a box, streamed: the x pass of the pruned
-    inverse runs once into an x buffer, then each slab of _slab_planes(grid)
-    x planes takes the y pass, the dense z product and _sup_magnitude, so no
-    sample cube is built.  The x buffer, for boxes of up to `ncomp`
-    components and cut `cut`, and the slab's buffers are flat arrays
-    allocated once and reused by every box, which takes their C-contiguous
-    leading parts; a dense y pass takes its scratch on the slab's sample
-    planes, which the z pass fills after it.
+    coefficients on kz >= 0 are a box, or a Fourier multiplier times the
+    box of its shape, streamed: the x pass of the pruned inverse runs once
+    into an x buffer, one component at a time, each multiplied as it enters
+    it, then each slab of _slab_planes(grid) x planes takes the y pass, the
+    dense z product and _sup_magnitude, so no sample cube and no multiplied
+    box is built.  The x buffer, for boxes of up to `ncomp` components and
+    cut `cut`, and the slab's buffers are flat arrays allocated once and
+    reused by every box, which takes their C-contiguous leading parts; a
+    dense y pass takes its scratch on the slab's sample planes, which the z
+    pass fills after it.
 
     The maxima match those of the half-cube samples to <= 1e-15 relative,
     and at the kernel's slab height and cut they are the kernel's bits (see
-    bit determinism in the module docstring).  An all-zero box reads 0 and
-    a box of cut 0, a constant field, the magnitude of Re(box), without a
-    transform; a nan is kept.  Not thread-safe: one call at a time."""
+    bit determinism in the module docstring).  An all-zero box or product
+    reads 0 and a box of cut 0, a constant field, the magnitude of its real
+    part, without the y and z passes; a nan is kept.  Not thread-safe: one
+    call at a time."""
 
     def __init__(self, grid: Grid, ncomp: int, cut: int):
         n, h = grid.n, cut + 1
@@ -563,14 +566,29 @@ class _BoxSup:
         self._y = np.empty(ncomp * self.planes * n * h, dtype=np.complex128)
         self._samples = np.empty((ncomp + 2) * self.planes * n * n)
 
-    def __call__(self, box: np.ndarray) -> float:
-        ncomp, w, _, h = box.shape
-        if not box.any():
+    def __call__(self, box: np.ndarray, mult: np.ndarray | None = None) -> float:
+        """The sup of box, or of mult times box regridded to mult's box."""
+        shape = box.shape[1:] if mult is None else mult.shape
+        ncomp, (w, _, h) = len(box), shape
+
+        def component(i):
+            c = _regrid(box[i], shape)
+            return c if mult is None else c * mult
+
+        if not (box if mult is None else mult).any():
             return 0.0
         if w == 1:
-            return _sup_magnitude(box.real)
+            return _sup_magnitude(np.array([component(i).real for i in range(ncomp)]))
         n, planes = self.n, self.planes
-        xs = _inverse_x(box, self._x[: ncomp * n * w * h].reshape(ncomp, n, w, h))
+        xs = self._x[: ncomp * n * w * h].reshape(ncomp, n, w, h)
+        live = False
+        for i in range(ncomp):
+            c = component(i)
+            live = c.any() or live
+            _inverse_x(c[None], xs[i : i + 1])
+            del c  # before the next component is formed
+        if not live:
+            return 0.0
         maxima = []
         for i0 in range(0, n, planes):
             p = min(planes, n - i0)
@@ -586,14 +604,14 @@ class _BoxSup:
 # -- calculus -----------------------------------------------------------------
 
 
-def _curl(kvec, coeffs: np.ndarray, out=None) -> np.ndarray:
+def _curl(kvec, coeffs: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """i k x coeffs for the broadcastable wavevectors of coeffs' box,
     written to `out` when given (not coeffs), one component at a time by
-    _curl_component."""
+    _curl_component, with its tmp."""
     if out is None:
         out = np.empty(coeffs.shape, dtype=np.complex128)
     for i, o in enumerate(out):
-        _curl_component(kvec, coeffs, i, o)
+        _curl_component(kvec, coeffs, i, o, tmp)
     return out
 
 
@@ -617,19 +635,25 @@ def curl(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, _curl(_box_axes(_cut_of(f.coeffs)), f.coeffs))
 
 
-def _leray(kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray, out=None) -> np.ndarray:
+def _leray(
+    kvec, inv_k_sq: np.ndarray, coeffs: np.ndarray, out=None, tmp=None
+) -> np.ndarray:
     """coeffs - k (k.coeffs)/|k|^2 for the broadcastable wavevectors and
     1/|k|^2 (0 at k = 0, which is left untouched) of coeffs' box, written to
-    `out` when given, which may be coeffs itself."""
+    `out` when given, which may be coeffs itself.  tmp, two components,
+    holds k.coeffs and each product."""
+    if tmp is None:
+        tmp = np.empty((2,) + coeffs.shape[1:], dtype=np.complex128)
+    kdot, t = tmp
     kx, ky, kz = kvec
-    kdot = kx * coeffs[0]
-    kdot += ky * coeffs[1]
-    kdot += kz * coeffs[2]
+    np.multiply(kx, coeffs[0], out=kdot)
+    kdot += np.multiply(ky, coeffs[1], out=t)
+    kdot += np.multiply(kz, coeffs[2], out=t)
     kdot *= inv_k_sq
     if out is None:
         out = np.empty(coeffs.shape, dtype=np.complex128)
     for o, c, k in zip(out, coeffs, kvec):
-        np.subtract(c, k * kdot, out=o)
+        np.subtract(c, np.multiply(k, kdot, out=t), out=o)
     return out
 
 
@@ -687,13 +711,17 @@ def _multiplicity(p: np.ndarray) -> np.ndarray:
 
 def _parseval(coeffs: np.ndarray, weight: np.ndarray | None = None) -> float:
     """(2*pi)^3 sum_k weight(k) |coeff(k)|^2 over all wavevectors of real
-    fields, from their box; weight (even in k, given on the same box)
-    defaults to 1."""
-    p = np.abs(coeffs)
-    np.square(p, out=p)
-    if weight is not None:
-        p *= weight
-    return VOLUME * _hermitian_sum(p)
+    fields, from their box (ncomp, ...); weight (even in k, given on the
+    same box) defaults to 1.  The powers are formed one component at a
+    time and summed in _hermitian_sum's order."""
+    rows = np.empty(coeffs.shape[:-1])
+    p = np.empty(coeffs.shape[1:])
+    for c, row in zip(coeffs, rows):
+        np.square(np.abs(c, out=p), out=p)
+        if weight is not None:
+            p *= weight
+        np.matmul(p, _multiplicity(p), out=row)
+    return VOLUME * float(np.sum(rows, dtype=np.float64))
 
 
 def l2_norm_spectral(f: SpectralField) -> float:
@@ -723,8 +751,11 @@ def _divergence_error(kvec, coeffs: np.ndarray) -> float:
     """max_k |k . coeffs(k)| relative to max |coeffs| for the broadcastable
     wavevectors of coeffs' box."""
     kx, ky, kz = kvec
-    kdot = kx * coeffs[0] + ky * coeffs[1] + kz * coeffs[2]
-    scale = np.abs(coeffs).max()
+    kdot = kx * coeffs[0]
+    kdot += ky * coeffs[1]
+    kdot += kz * coeffs[2]
+    # one component at a time; np.max, unlike max, keeps a nan
+    scale = np.max([np.abs(c).max() for c in coeffs])
     if scale == 0.0:
         return 0.0
     return float(np.abs(kdot).max() / scale)

@@ -13,9 +13,9 @@ The shell norms are taken on the box of f's support cut s
 (fields._support_cut), the smallest box that holds f: for a stepped state,
 the step's box.  The sup norm of shell q streams the smaller box of cut
 min(2^(q+1) - 1, s), beyond which phi_q vanishes as chi does on [1, inf),
-through fields._BoxSup, which builds no sample cube.  It matches the
-half-cube samples to <= 1e-15 relative; its last bits are set as a step's
-are (see bit determinism in the fields docstring).
+through fields._BoxSup, which builds no sample cube and no shell box.  It
+matches the half-cube samples to <= 1e-15 relative; its last bits are set
+as a step's are (see bit determinism in the fields docstring).
 """
 
 from __future__ import annotations
@@ -122,15 +122,17 @@ class LPPartition:
 
     def shell_l2_sq(self, f: SpectralField) -> np.ndarray:
         """(2*pi)^3 sum_k phi_q^2 |coeff|^2 per shell, the ||Delta_q f||_2^2.
-        The power, each kz plane weighted by its Hermitian multiplicity, is
-        binned once by integer |k|^2 on the box of f's support cut
-        (fields._support_cut); shell q is then the dot product of the square
-        of its radial table with the bins."""
+        The power, summed one component at a time and each kz plane
+        weighted by its Hermitian multiplicity, is binned once by integer
+        |k|^2 on the box of f's support cut (fields._support_cut); shell q
+        is then the dot product of the square of its radial table with the
+        bins."""
         self._check_grid(f)
         cut = _support_cut(f.coeffs)
-        power = np.abs(_regrid(f.coeffs, _box_shape(cut)))
-        np.square(power, out=power)
-        power = power.sum(axis=0)
+        shape = _box_shape(cut)
+        power, p = np.zeros((2,) + shape)
+        for c in f.coeffs:
+            power += np.square(np.abs(_regrid(c, shape), out=p), out=p)
         power *= _multiplicity(power)
         binned = np.bincount(
             _k_sq_index(cut).ravel(), weights=power.ravel(), minlength=self._radial.shape[1]
@@ -142,7 +144,8 @@ class LPPartition:
 
         Shell q is f's box of cut min(2^(q+1) - 1, s) times phi_q, s the
         support cut of f, streamed to its maximum by one fields._BoxSup of
-        cut s.  That equals lp_norm(self.project(f, q), inf) to <= 1e-15
+        cut s, which applies phi_q one component at a time, so no shell box
+        is built.  That equals lp_norm(self.project(f, q), inf) to <= 1e-15
         relative; a zero block reads exactly 0 and the mean-only block the
         magnitude of its real part, bit for bit."""
         self._check_grid(f)
@@ -150,10 +153,8 @@ class LPPartition:
         out = np.zeros(self.q_max + 2)
         sup = _BoxSup(self.grid, f.ncomp, cut)
         for q in self.shell_range():
-            # Delta_q f on the box of c, which holds it, straight to the sup,
-            # so that no two blocks are alive at once
             c = min(self._shell_cut(q), cut)
-            out[q + 1] = sup(_regrid(f.coeffs, _box_shape(c)) * self._mult(q, _k_sq_index(c)))
+            out[q + 1] = sup(f.coeffs, self._mult(q, _k_sq_index(c)))
         return out
 
 

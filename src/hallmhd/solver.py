@@ -45,14 +45,15 @@ as the 2/3 rule assumes: content beyond the cut takes no part in them.  A
 step stays on the box throughout: the four stages, the RK4 sums, the
 dissipation integral (summed with Hermitian multiplicities), the final Leray
 projection and the finiteness and solenoidality checks, so the new state is
-zero beyond the cut.  It allocates three stage arrays, each a (u, b) pair
+zero beyond the cut.  It allocates two stage arrays, each a (u, b) pair
 of boxes, and writes every stage input and RK4 sum into them, reading the
-derivatives where the kernel leaves them; one of them becomes the new
-state, which the next step reads as it is.  A state built from
-SpectralFields gives them up at its first step and keeps their masked
-boxes instead.  A field is stored on its box (see the fields docstring),
-so a read of a stepped state's `u` or `b` is a copy of its box, and `rhs`
-returns copies of the kernel's.
+derivatives where the kernel leaves them and using them as scratch; the
+stage input becomes the new state, which the next step reads as it is,
+and a steady step allocates nothing else larger than one component of a
+box.  A state built from SpectralFields gives them up at its first step
+and keeps their masked boxes instead.  A field is stored on its box (see
+the fields docstring), so a read of a stepped state's `u` or `b` is a copy
+of its box, and `rhs` returns copies of the kernel's.
 """
 
 from __future__ import annotations
@@ -76,11 +77,11 @@ from .fields import (
     _forward_x,
     _forward_y,
     _forward_z,
-    _hermitian_sum,
     _inverse_x,
     _inverse_y,
     _inverse_z,
     _leray,
+    _multiplicity,
     _norm_sq,
     _parseval,
     _reciprocal,
@@ -232,7 +233,9 @@ class _Kernel:
     - the forward x passes, from those two buffers: du onto the leading
       bytes of the b and J buffers, which the slabs have consumed, then
       the magnetic product onto those of the u buffer, from which db is
-      its curl, written after du on the b and J buffers.
+      its curl, written after du on the b and J buffers.  The Leray
+      projection of du and the curl take their scratch on the w buffer,
+      free once the magnetic product is formed.
 
     The z passes are dense real matrix products (fields._inverse_z,
     _forward_z), one per slab and field: only kz <= c is nonzero on the way
@@ -277,9 +280,11 @@ class _Kernel:
         self._curl = np.empty((1, w, w, h), dtype=np.complex128)
         xs = self._xs = np.empty((4, 3, n, w, h), dtype=np.complex128)
         # the result pair on the leading bytes of the b and J buffers, the
-        # magnetic product's box on those of the u buffer (w < n)
+        # magnetic product's box on those of the u buffer and two components
+        # of scratch on those of the w buffer (w < n)
         self._d = xs[2:].reshape(-1)[: 6 * w * w * h].reshape(2, 3, w, w, h)
         self._fb = xs[0].reshape(-1)[: 3 * w * w * h].reshape(3, w, w, h)
+        self._scratch = xs[1].reshape(-1)[: 2 * w * w * h].reshape(2, w, w, h)
         s = self._slab = _slab_planes(grid)
         self._samples = np.empty(5 * 3 * s * n * n)
         self._tmp = np.empty(s * n * n)
@@ -327,14 +332,15 @@ class _Kernel:
             _cross(ub, bp, out=wp, tmp=tmp)
             _forward_y(_forward_z(fp, y), xs[0, :, i0:i1], fp)
             _forward_y(_forward_z(wp, y), xs[1, :, i0:i1], fp)
-        # the b and J buffers are free, and the u buffer once du is read
+        # the b and J buffers are free, the u buffer once du is read, and the
+        # w buffer, the scratch of the projection and the curl, once fb is
         du, db = self._d
         _forward_x(xs[0], du)
         fb = _forward_x(xs[1], self._fb)
         du *= mask
         fb *= mask
-        _leray(kvec, inv_k_sq, du, out=du)
-        _curl(kvec, fb, out=db)
+        _leray(kvec, inv_k_sq, du, out=du, tmp=self._scratch)
+        _curl(kvec, fb, out=db, tmp=self._scratch[0])
         # np.max, unlike max, keeps a nan of any slab
         return self._d, (np.max(maxima, axis=0) if gate else None)
 
@@ -532,9 +538,9 @@ class Stepper:
     factor integrates the linear terms exactly: diffusion, and the Alfven
     and Hall (whistler) coupling to B0 (see the module docstring), so the
     stage-1 gate, like dt_gate, reads max|b - B0|.  A state with B0 = 0
-    takes the diagonal diffusion factors eu_half, eb_half; otherwise the
-    factor of B0 is built on the first step and kept while B0 stays.  The
-    mean velocity stays in the explicit products.
+    takes the diagonal diffusion factors eu_half, eb_half (one array when
+    mu = nu); otherwise the factor of B0 is built on the first step and
+    kept while B0 stays.  The mean velocity stays in the explicit products.
 
     With E the factor over dt/2, the step is IF-RK4 written with E alone,
     applied four times per field pair:
@@ -543,19 +549,21 @@ class Stepper:
         u4 = E (E u0 + dt du3),
         u_new = E (E u0 + dt/6 E du1 + dt/3 (du2 + du3)) + dt/6 du4.
 
-    A step allocates three stage arrays, each a (u, b) pair of boxes of
-    shape (2, 3, 2c + 1, 2c + 1, c + 1): E (u0, b0), the running sum of
-    the last line and the stage input.  The derivatives are the pair the
-    kernel returns on its own buffers (see _Kernel), read, and once
-    overwritten with E u0 + dt du3, before the next kernel call.  Every
-    combination is written into these pairs by out= and +=, each sum
-    pairing its operands as the lines above read; the stage input is the
-    scratch once the kernel and the dissipation sum have read it.
-    E (u0, b0) is needed no more after stage 3, so the last E of the
-    running sum is written over it, and that pair becomes the new state's
-    boxes (see SolverState): a step neither masks nor copies a box, except
-    the masked boxes of a state built from SpectralFields at its first
-    step, which that state keeps in place of its fields.
+    A step allocates two stage arrays, each a (u, b) pair of boxes of
+    shape (2, 3, 2c + 1, 2c + 1, c + 1): the stage input and the running
+    sum of the last line.  E u0, u0 the pair (u, b - B0), is not stored:
+    where stages 1, 2 and 3 need it, it is formed again from the state's
+    boxes, which are only read, as E (u, b) less B0 at k = 0, where E is
+    the identity, bit for bit.  The derivatives are the pair the kernel
+    returns on its own buffers (see _Kernel), which is also the scratch
+    until the next kernel call.  Every combination is written into these
+    arrays by out= and +=, each sum pairing its operands as the lines above
+    read; the stage input is the scratch once the kernel and the
+    dissipation sum have read it.  The new state is written into the stage
+    input, whose pair becomes its boxes (see SolverState): a step neither
+    masks nor copies a box, except the masked boxes of a state built from
+    SpectralFields at its first step, which that state keeps in place of
+    its fields.
 
     A Stepper owns the kernel's workspace, allocated once when it is built
     and reused by every step, so it is not thread-safe: step one state at a
@@ -579,7 +587,9 @@ class Stepper:
         self._k_sq = ksq
         dt = cfg.dt
         self.eu_half = np.exp(-cfg.nu * ksq * dt / 2.0)
-        self.eb_half = np.exp(-cfg.mu * ksq * dt / 2.0)
+        self.eb_half = (
+            self.eu_half if cfg.mu == cfg.nu else np.exp(-cfg.mu * ksq * dt / 2.0)
+        )
         self._mean_field = None  # (B0, its factor) of the last B0 != 0 stepped
         self._kernel = _Kernel(grid)
 
@@ -613,52 +623,60 @@ class Stepper:
         # first, so that the fields a state gives up here are freed before
         # the stage arrays are allocated
         u0, b0 = state._dealiased_boxes()
-        # the running sum, the stage input and E (u0, b0), which becomes the
-        # new state; allocated last (allocated first, it left the n = 64
-        # benchmark's peak RSS 2.5 MB higher, by heap layout, while the order
-        # of the other two moved it by less than 0.2 MB)
-        acc, x, e0 = (_pair(g) for _ in range(3))
+        # the stage input, which becomes the new state, and the running sum:
+        # in this order the n = 128 record peaked no higher than the step,
+        # 228 MB, and 3 MB above it the other way round; the n = 64
+        # benchmark's peak RSS read 70.65-70.70 MB against 70.59-70.82 MB
+        x, acc = _pair(g), _pair(g)
         mean = b0[:, 0, 0, 0].real.copy()
-        if mean.any():  # b - B0, in the stage input until stage 1 has read it
-            x[1] = b0
-            b0 = x[1]
-            b0[:, 0, 0, 0] -= mean
         e_h = self._factor(mean)
 
-        # d, the derivatives, lives on the kernel's buffers until its next call
-        d, maxima = nonlinear(u0, b0, hall, gate=True)
+        def e0(out):
+            # E (u0, b0 - B0): E is the identity at k = 0, so B0 comes off
+            # after it, bit for bit
+            e_h(u0, b0, out=out)
+            out[1][:, 0, 0, 0] -= mean
+            return out
+
+        b1 = b0
+        if mean.any():  # b - B0, in the stage input until stage 1 has read it
+            b1 = x[1]
+            b1[...] = b0
+            b1[:, 0, 0, 0] -= mean
+        # d, the derivatives, lives on the kernel's buffers until its next
+        # call; until then it is also the scratch
+        d, maxima = nonlinear(u0, b1, hall, gate=True)
         # the gate of dt_gate, from the stage-1 samples of the state
         gate = _gate(float(maxima[0]), float(maxima[1]), float(g.dealias_cut), cfg)
         if dt > gate:
             raise DtGateError(state.t, dt, gate)
-        diss = self._diss(u0, b0)
-        e_h(u0, b0, out=e0)
-        e_h(*d, out=x)
-        np.add(e0, np.multiply(dt / 6, x, out=acc), out=acc)
-        np.add(e0, np.multiply(dt / 2, x, out=x), out=x)
+        diss = self._diss(u0, b1)
+        e_h(*d, out=acc)
+        np.add(e0(d), np.multiply(dt / 2, acc, out=x), out=x)
+        np.add(d, np.multiply(dt / 6, acc, out=acc), out=acc)
 
         d, _ = nonlinear(*x, hall)
         diss += 2 * self._diss(*x)
         acc += np.multiply(dt / 3, d, out=x)
-        np.add(e0, np.multiply(dt / 2, d, out=x), out=x)
+        np.add(e0(x), np.multiply(dt / 2, d, out=d), out=x)
 
         d, _ = nonlinear(*x, hall)
         diss += 2 * self._diss(*x)
         acc += np.multiply(dt / 3, d, out=x)
-        np.add(e0, np.multiply(dt, d, out=d), out=d)
+        np.add(e0(x), np.multiply(dt, d, out=d), out=d)
         e_h(*d, out=x)
 
         d, _ = nonlinear(*x, hall)
         diss += self._diss(*x)
-        e_h(*acc, out=e0)
-        e0 += np.multiply(dt / 6, d, out=x)
-        del acc, x, d
-        if not np.all(np.isfinite(e0.view(np.float64))):
+        e_h(*acc, out=x)
+        del acc
+        x += np.multiply(dt / 6, d, out=d)
+        if not np.all(np.isfinite(x.view(np.float64))):
             raise BlowUpDetected(state)
 
-        u_new, b_new = e0
+        u_new, b_new = x
         kvec, _, inv_k_sq, _ = g.box
-        _leray(kvec, inv_k_sq, u_new, out=u_new)
+        _leray(kvec, inv_k_sq, u_new, out=u_new, tmp=d[0, :2])
         if mean.any():
             b_new[:, 0, 0, 0] += mean
         drift = _divergence_error(kvec, b_new)
@@ -670,7 +688,7 @@ class Stepper:
         return SolverState._from_boxes(
             g,
             state.t + dt,
-            e0,
+            x,
             state.step_count + 1,
             # dissipation integral advanced with the same RK4 quadrature
             state.diss_integral + (dt / 6.0) * diss,
@@ -687,18 +705,24 @@ def energy(f: SpectralField) -> float:
 
 def magnetic_helicity(b: SpectralField) -> float:
     """Integral of A . b with curl A = b, A solenoidal: the spectral sum
-    with vector_potential's A, the terms conj(A) b formed in place in A.
-    Both are taken on the box of b's support cut (fields._support_cut), the
+    with vector_potential's A, the terms conj(A) b formed in place in A one
+    component at a time and summed in fields._hermitian_sum's order.  Both
+    are taken on the box of b's support cut (fields._support_cut), the
     smallest that holds b."""
     _check_vector(b, "b")
     cut = _support_cut(b.coeffs)
     kvec = _box_axes(cut)
     coeffs = _regrid(b.coeffs, _box_shape(cut))
-    a = _curl(kvec, coeffs)
-    a *= _reciprocal(_norm_sq(kvec))
-    np.conjugate(a, out=a)
-    a *= coeffs
-    return VOLUME * _hermitian_sum(a.real)
+    inv_k_sq = _reciprocal(_norm_sq(kvec))
+    rows = np.empty(coeffs.shape[:-1])
+    a, tmp = np.empty((2,) + coeffs.shape[1:], dtype=np.complex128)
+    for i, row in enumerate(rows):
+        _curl_component(kvec, coeffs, i, a, tmp)
+        a *= inv_k_sq
+        np.conjugate(a, out=a)
+        a *= coeffs[i]
+        np.matmul(a.real, _multiplicity(a), out=row)
+    return VOLUME * float(np.sum(rows, dtype=np.float64))
 
 
 # -- initial conditions ----------------------------------------------------------------

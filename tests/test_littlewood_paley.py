@@ -439,10 +439,12 @@ class TestShellLinfBoxes:
         assert_within_shell_bound(part.shell_linf(f), linf_per_block(part, f))
 
     def test_builds_no_sample_cube(self):
-        # the shells stream through one x-pass buffer and one slab: the
-        # norms of a stepped n = 64 state, which fills the dealias box,
-        # allocate less than one (3, 64, 64, 64) sample cube.  The first
-        # call fills the caches
+        # the shells stream through one x-pass buffer and one slab, and the
+        # multiplier enters one component at a time: the norms of a stepped
+        # n = 64 state, which fills the dealias box, allocate less than one
+        # (3, 64, 64, 64) sample cube, and less than the sup's buffers and
+        # one 3-component box of the dealias cut, which the top shell would
+        # fill.  The first call fills the caches
         import tracemalloc
 
         grid = Grid(64)
@@ -459,7 +461,11 @@ class TestShellLinfBoxes:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        c = grid.dealias_cut
+        sup = fields._BoxSup(grid, 3, c)
+        buffers = sup._x.nbytes + sup._y.nbytes + sup._samples.nbytes
         assert peak < 3 * 64**3 * 8
+        assert peak < buffers + 3 * (2 * c + 1) ** 2 * (c + 1) * 16
 
 
 def lambda_q(q):

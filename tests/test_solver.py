@@ -431,14 +431,14 @@ class TestHalfCubeStep:
 
     def test_steady_step_allocates_few_boxes(self):
         # after the first step has allocated the kernel's buffers, a Hall
-        # step at n = 32 peaks at most 8 box-sized arrays above live memory,
-        # six of them the three stage arrays
-        assert steady_step_boxes("random_band") <= 8
+        # step at n = 32 peaks at most 6 box-sized arrays above live memory,
+        # four of them the two stage pairs
+        assert steady_step_boxes("random_band") <= 6
 
     def test_steady_mean_field_step_allocates_few_boxes(self):
         # the factor of a mean field B0 forms its curls one component at a
         # time, so it peaks no higher than the kernel
-        assert steady_step_boxes("uniform_b_plus_whistler") <= 8
+        assert steady_step_boxes("uniform_b_plus_whistler") <= 6
 
     def test_first_step_drops_the_fields(self):
         # a state built from fields keeps only their masked boxes once a step
@@ -722,6 +722,43 @@ class TestMeanField:
             degenerate += abs(k @ b0) < 1e-12
         if direction == "z":
             assert degenerate == (2 * g.dealias_cut + 1) ** 2
+
+    @pytest.mark.parametrize("hall", [False, True])
+    @pytest.mark.parametrize(
+        "mean", [(1.3, 0, 0), (0, 1.3, 0), (0, 0, 1.3), (0.7, -0.4, 1.1)]
+    )
+    def test_factors_leave_k0_unchanged(self, hall, mean):
+        # a step recomputes E (u0, b0 - B0) from the state's boxes as
+        # E (u0, b0) - B0, which holds bit for bit only because both factors
+        # leave every k = 0 coefficient as it is
+        g = Grid(8)
+        rng = np.random.default_rng(7)
+        cfg = RunConfig(n=8, dt=0.2, t_end=1.0, nu=0.05, mu=0.02, hall_on=hall)
+        stepper = Stepper(g, cfg)
+        mean = np.array(mean, dtype=float)
+        kvec, ksq, inv_k_sq, _ = g.box
+        re, im = rng.standard_normal((2, 2, 3) + ksq.shape)
+        u, b = (_leray(kvec, inv_k_sq, x) for x in re + 1j * im)
+        b[:, 0, 0, 0] += mean
+        fluct = b.copy()
+        fluct[:, 0, 0, 0] -= mean
+        factors = (solver._Diagonal(stepper.eu_half, stepper.eb_half), stepper._factor(mean))
+        assert isinstance(factors[1], solver._MeanField)
+        for factor in factors:
+            e, e_fluct = solver._pair(g), solver._pair(g)
+            factor(u, b, out=e)
+            factor(u, fluct, out=e_fluct)
+            assert e[:, :, 0, 0, 0].tobytes() == np.stack([u, b])[:, :, 0, 0, 0].tobytes()
+            assert e_fluct[1, :, 0, 0, 0].tobytes() == fluct[:, 0, 0, 0].tobytes()
+            e[1][:, 0, 0, 0] -= mean
+            assert e.tobytes() == e_fluct.tobytes()
+
+    def test_equal_diffusivities_share_one_factor(self):
+        g = Grid(8)
+        same = Stepper(g, RunConfig(n=8, dt=0.1, t_end=1.0, nu=0.05, mu=0.05))
+        assert same.eb_half is same.eu_half
+        other = Stepper(g, RunConfig(n=8, dt=0.1, t_end=1.0, nu=0.05, mu=0.02))
+        assert not np.array_equal(other.eb_half, other.eu_half)
 
     @pytest.mark.parametrize("hall", [False, True])
     def test_stiff_whistler_frequencies(self, hall):
