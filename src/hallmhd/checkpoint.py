@@ -1,69 +1,86 @@
 """Binary checkpoint codec for solver state.
 
-Layout: header {magic "HMHD", version u32, n u32, t f64, nu f64, mu f64},
-then u then b as little-endian f64 interleaved (re, im) pairs in
-component-major, k-row-major order, each the full (3, n, n, n) cube: the
-Hermitian fill of the field's half cube kz >= 0, into which its box is
-regridded, the only full cube built outside the test references.  Reading
-refuses a half cube with content on an n/2 plane, which no field holds,
-and regrids the others to their boxes, so the round trip is bit-exact.  A
-checkpoint is written to a temporary file beside the target and renamed
-over it, so a write that fails part-way leaves the previous checkpoint
-intact.  A run resumed from a checkpoint is bit-identical to the straight
-run under the same BLAS kernel and the same fields.SLAB_BYTES (see bit
-determinism in the fields docstring).
+Layout (version 2): a fixed prefix {magic "HMHD", version u32 = 2, header
+byte length u32, CRC32 of the header u32}, little-endian, then the header,
+one UTF-8 JSON object, then the payload: the coeffs box of u, then that of
+b, as stored (fields docstring), complex128 little-endian of shape
+(3, 2C + 1, 2C + 1, C + 1) for each field's box cut C.  The header holds
+n, dealias_cut, t, nu, mu, u_cut and b_cut (the two box cuts) and crc32,
+the CRC32 of the payload.  Floats are written by their repr, so they read
+back exactly.  A reader ignores keys it does not know, so a writer can add
+keys without another version.
+
+The writer writes each field's own buffer, and the reader reads each box
+into the one array its field keeps, so on a little-endian host neither
+copies a box, and the fields come back bit-exactly on Grid(n, dealias_cut).  A bad header (a missing or
+bad key, a box cut outside [dealias_cut, n/2 - 1], a checksum), a payload
+size other than the header's boxes and a payload checksum mismatch raise
+CheckpointError naming them.  A checkpoint is written to a temporary file
+beside the target and renamed over it, so a write that fails part-way
+leaves the previous checkpoint intact.  A run resumed from a checkpoint is
+bit-identical to the straight run under the same BLAS kernel and the same
+fields.SLAB_BYTES (see bit determinism in the fields docstring).
+
+Version 1 files are read, not written: a header {magic, version u32 = 1,
+n u32, t f64, nu f64, mu f64}, then u then b as the full (3, n, n, n) cube
+of the Hermitian fill of the field's half cube.  They come back on Grid(n),
+the default cut, which v1 did not store; a cube with content on an n/2
+plane, which no field holds, is refused.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
+import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
-from .fields import DimensionError, Grid, SpectralField, _regrid
+from .fields import DimensionError, Grid, SpectralField, _box_shape, _cut_of
 
 MAGIC = b"HMHD"
-VERSION = 1
-_HEADER = struct.Struct("<4sIIddd")
+VERSION = 2
+_PREFIX = struct.Struct("<4sI")  # magic, version
+_V1 = struct.Struct("<Iddd")  # n, t, nu, mu
+_V2 = struct.Struct("<II")  # header byte length, header CRC32
+_INT_KEYS = ("n", "dealias_cut", "u_cut", "b_cut", "crc32")
+_FLOAT_KEYS = ("t", "nu", "mu")
 
 
 class CheckpointError(ValueError):
     """Raised on checkpoint parse failures."""
 
 
-def _full_cube(half: np.ndarray) -> np.ndarray:
-    """The full coefficient cube (..., n, n, n) of real fields from their
-    half cube (..., n, n, n//2 + 1), the upper kz half being the conjugates
-    of the Hermitian partners: index i pairs with (n - i) % n on every axis."""
-    n, nh = half.shape[-3], half.shape[-1]
-    out = np.empty(half.shape[:-1] + (n,), dtype=half.dtype)
-    out[..., :nh] = half
-    src = half[..., nh - 2 : 0 : -1]  # kz index n - iz for iz = n/2+1 .. n-1
-    up = out[..., nh:]
-    np.conjugate(src[..., 0, 0, :], out=up[..., 0, 0, :])
-    np.conjugate(src[..., 0, :0:-1, :], out=up[..., 0, 1:, :])
-    np.conjugate(src[..., :0:-1, 0, :], out=up[..., 1:, 0, :])
-    np.conjugate(src[..., :0:-1, :0:-1, :], out=up[..., 1:, 1:, :])
-    return out
-
-
 def write_checkpoint(
     path, t: float, nu: float, mu: float, u: SpectralField, b: SpectralField
 ) -> None:
-    n = u.grid.n
-    if b.grid.n != n or u.ncomp != 3 or b.ncomp != 3:
+    grid = u.grid
+    if b.grid != grid or u.ncomp != 3 or b.ncomp != 3:
         raise CheckpointError("checkpoint needs two 3-component fields on one grid")
+    boxes = [np.ascontiguousarray(f.coeffs, dtype="<c16") for f in (u, b)]
+    crc = 0
+    for box in boxes:
+        cut = _cut_of(box)
+        if box.shape[1:] != _box_shape(cut) or not grid.dealias_cut <= cut < grid.n // 2:
+            raise CheckpointError(f"checkpoint needs fields on their boxes, got {box.shape}")
+        crc = zlib.crc32(box, crc)
+    header = json.dumps({
+        "n": grid.n, "dealias_cut": grid.dealias_cut,
+        "t": float(t), "nu": float(nu), "mu": float(mu),
+        "u_cut": _cut_of(boxes[0]), "b_cut": _cut_of(boxes[1]), "crc32": crc,
+    }).encode()
+    prefix = _PREFIX.pack(MAGIC, VERSION) + _V2.pack(len(header), zlib.crc32(header))
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(_HEADER.pack(MAGIC, VERSION, n, float(t), float(nu), float(mu)))
-            for f in (u, b):
-                half = _regrid(np.asarray(f.coeffs, dtype="<c16"), (n, n, n // 2 + 1))
-                fh.write(_full_cube(half).data)
+            fh.write(prefix + header)
+            for box in boxes:
+                fh.write(box)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -72,46 +89,117 @@ def write_checkpoint(
 
 
 def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralField]:
-    """Returns (t, nu, mu, u, b), u and b the fields of the half cubes
-    kz >= 0 of the stored cubes.  The file size is checked against the
-    header before the payload is read, one field at a time, into one cube
-    buffer that each field's box is copied from.  A half cube with content
-    on an n/2 plane, which no field holds, raises CheckpointError naming
-    the field and the plane."""
+    """Returns (t, nu, mu, u, b).  The header is checked, and the file size
+    against it, before the payload is read; each v2 box is read into the
+    array its field keeps."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size < _HEADER.size:
+        if size < _PREFIX.size:
             raise CheckpointError(f"checkpoint parse: file too short ({size} bytes)")
-        magic, version, n, t, nu, mu = _HEADER.unpack(fh.read(_HEADER.size))
+        magic, version = _PREFIX.unpack(fh.read(_PREFIX.size))
         if magic != MAGIC:
             raise CheckpointError(f"checkpoint parse: bad magic {magic!r}")
+        if version == 1:
+            return _read_v1(fh, size)
         if version != VERSION:
             raise CheckpointError(f"checkpoint parse: unsupported version {version}")
+        return _read_v2(fh, size)
+
+
+def _read_v2(fh, size: int) -> tuple[float, float, float, SpectralField, SpectralField]:
+    start = _PREFIX.size + _V2.size
+    if size < start:
+        raise CheckpointError(f"checkpoint parse: file too short ({size} bytes)")
+    length, header_crc = _V2.unpack(fh.read(_V2.size))
+    if length > size - start:
+        msg = f"checkpoint parse: header of {length} bytes in a {size}-byte file"
+        raise CheckpointError(msg)
+    raw = fh.read(length)
+    if zlib.crc32(raw) != header_crc:
+        raise CheckpointError("checkpoint parse: header CRC32 mismatch, the header is corrupt")
+    try:
+        header = json.loads(raw)
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint parse: header is not JSON: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError("checkpoint parse: header is not a JSON object")
+    for key in _INT_KEYS + _FLOAT_KEYS:
+        if key not in header:
+            raise CheckpointError(f"checkpoint parse: header field {key} missing")
+        value = header[key]
+        kinds = int if key in _INT_KEYS else (int, float)
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            raise CheckpointError(f"checkpoint parse: bad header field {key}: {value!r}")
+    n = header["n"]
+    for key, cut in (("n", None), ("dealias_cut", header["dealias_cut"])):
         try:
-            grid = Grid(int(n))
+            grid = Grid(n, cut)
         except DimensionError as exc:
-            msg = f"checkpoint parse: bad header field n: {exc}"
-            raise CheckpointError(msg) from exc
-        expected = 2 * 3 * n**3 * 16
-        if size - _HEADER.size != expected:
+            raise CheckpointError(f"checkpoint parse: bad header field {key}: {exc}") from exc
+    shapes = []
+    for name in "ub":
+        cut = header[f"{name}_cut"]
+        if not grid.dealias_cut <= cut < grid.n // 2:
             raise CheckpointError(
-                f"checkpoint parse: expected {expected} payload bytes, "
-                f"got {size - _HEADER.size}"
+                f"checkpoint parse: bad header field {name}_cut: {cut} outside "
+                f"[dealias_cut, n/2 - 1] = [{grid.dealias_cut}, {grid.n // 2 - 1}]"
             )
-        cube = np.empty((3, n, n, n), dtype="<c16")
-        fields = []
-        for name in "ub":
-            got = fh.readinto(cube)
-            if got != cube.nbytes:
-                msg = f"checkpoint parse: read {got} of a field's {cube.nbytes} bytes"
-                raise CheckpointError(msg)
-            h = n // 2
-            half = cube[..., : h + 1]
-            for axis, plane in zip("xyz", (half[:, h], half[:, :, h], half[..., h])):
-                if plane.any():
-                    raise CheckpointError(
-                        f"checkpoint parse: field {name}: content on the k{axis} = "
-                        f"n/2 = {h} plane, which a field does not store"
-                    )
-            fields.append(SpectralField(grid, half))
+        shapes.append((3,) + _box_shape(cut))
+    expected = sum(16 * math.prod(s) for s in shapes)
+    if size - start - length != expected:
+        raise CheckpointError(
+            f"checkpoint parse: expected {expected} payload bytes, got {size - start - length}"
+        )
+    boxes, crc = [], 0
+    for name, shape in zip("ub", shapes):
+        box = np.empty(shape, dtype="<c16")
+        got = fh.readinto(box)
+        if got != box.nbytes:
+            msg = f"checkpoint parse: read {got} of field {name}'s {box.nbytes} bytes"
+            raise CheckpointError(msg)
+        crc = zlib.crc32(box, crc)
+        boxes.append(box)
+    if crc != header["crc32"]:
+        raise CheckpointError(
+            f"checkpoint parse: payload CRC32 {crc:#010x} does not match the header's "
+            f"{header['crc32']:#010x}, the payload is corrupt"
+        )
+    u, b = (SpectralField(grid, box) for box in boxes)
+    return float(header["t"]), float(header["nu"]), float(header["mu"]), u, b
+
+
+def _read_v1(fh, size: int) -> tuple[float, float, float, SpectralField, SpectralField]:
+    """The fields of the half cubes kz >= 0 of the stored cubes, read one
+    field at a time into one cube buffer that each field's box is copied
+    from.  A half cube with content on an n/2 plane, which no field holds,
+    raises CheckpointError naming the field and the plane."""
+    start = _PREFIX.size + _V1.size
+    if size < start:
+        raise CheckpointError(f"checkpoint parse: file too short ({size} bytes)")
+    n, t, nu, mu = _V1.unpack(fh.read(_V1.size))
+    try:
+        grid = Grid(int(n))
+    except DimensionError as exc:
+        raise CheckpointError(f"checkpoint parse: bad header field n: {exc}") from exc
+    expected = 2 * 3 * n**3 * 16
+    if size - start != expected:
+        raise CheckpointError(
+            f"checkpoint parse: expected {expected} payload bytes, got {size - start}"
+        )
+    cube = np.empty((3, n, n, n), dtype="<c16")
+    fields = []
+    for name in "ub":
+        got = fh.readinto(cube)
+        if got != cube.nbytes:
+            msg = f"checkpoint parse: read {got} of a field's {cube.nbytes} bytes"
+            raise CheckpointError(msg)
+        h = n // 2
+        half = cube[..., : h + 1]
+        for axis, plane in zip("xyz", (half[:, h], half[:, :, h], half[..., h])):
+            if plane.any():
+                raise CheckpointError(
+                    f"checkpoint parse: field {name}: content on the k{axis} = "
+                    f"n/2 = {h} plane, which a field does not store"
+                )
+        fields.append(SpectralField(grid, half))
     return float(t), float(nu), float(mu), *fields

@@ -21,15 +21,16 @@ The half cube (..., n, n, n//2 + 1), the layout of a real FFT, holds every
 box of a cut below n/2 in rows 0..C and n - C..n - 1 of its x and y axes.
 One block map (_halves) makes every copy between a box and a longer axis,
 and one function (_regrid) every copy between two layouts, box or half
-cube.  Only the real FFT pair (to_physical, from_physical), the v1
-checkpoint codec and the oracles build a half cube.  Its n/2 ("oddball")
+cube.  Only the real FFT pair (to_physical, from_physical) and the oracles
+build a half cube; a checkpoint stores boxes, and the reader of a v1 file
+takes the half cube as a view of the full cube it reads.  Its n/2 ("oddball")
 planes, index n/2 of any axis, hold the wavenumber -n/2 of a mode and of
 its Hermitian partner alike, so a k-dependent multiplier applied there
 breaks the symmetry, and no dyadic shell the package reads reaches them:
 they all lie inside the dealias cut, below n/3.  No field holds content
 there: SpectralField drops the n/2 planes of a half cube it is given, as
-from_physical does with its transform, and the checkpoint reader refuses a
-file with content there.
+from_physical does with its transform, and the v1 checkpoint reader refuses
+a file with content there.
 
 Inside the solver's step, coefficients live on the box of c = dealias_cut,
 which holds every mode the 2/3 rule keeps.  The spectral sums and sup

@@ -147,14 +147,22 @@ class LPPartition:
         cut s, which applies phi_q one component at a time, so no shell box
         is built.  That equals lp_norm(self.project(f, q), inf) to <= 1e-15
         relative; a zero block reads exactly 0 and the mean-only block the
-        magnitude of its real part, bit for bit."""
+        magnitude of its real part, bit for bit.  A shell whose table is 0
+        at every |k|^2 where f holds a nonzero coefficient is such a zero
+        block, and is skipped before its x pass; a non-finite coefficient
+        skips none, as nan times 0 is nan."""
         self._check_grid(f)
         cut = _support_cut(f.coeffs)
         out = np.zeros(self.q_max + 2)
+        held = np.zeros(self._radial.shape[1], dtype=bool)
+        held[_k_sq_index(_cut_of(f.coeffs))[f.coeffs.any(axis=0)]] = True
+        if not np.isfinite(f.coeffs).all():
+            held[:] = True
         sup = _BoxSup(self.grid, f.ncomp, cut)
         for q in self.shell_range():
-            c = min(self._shell_cut(q), cut)
-            out[q + 1] = sup(f.coeffs, self._mult(q, _k_sq_index(c)))
+            if self._radial[q + 1, held].any():
+                c = min(self._shell_cut(q), cut)
+                out[q + 1] = sup(f.coeffs, self._mult(q, _k_sq_index(c)))
         return out
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hallmhd import checkpoint, fields, oracles
+from hallmhd import fields, oracles
 from hallmhd.fields import (
     DimensionError,
     Grid,
@@ -673,15 +673,16 @@ class TestHermitianAndPotential:
             assert abs(pseudo[:, modes].mean()) <= 5 * np.sqrt(2) * se
 
     def test_fill_from_half_odd_half_grid(self):
-        # n = 10 has an odd n/2: the full cube that the checkpoint writer
-        # fills from the real transform of a product must invert, with the
-        # full complex transform, to the same real samples
+        # n = 10 has an odd n/2: the full cube that oracles.full_cube, the
+        # Hermitian fill of the oracles and of v1 checkpoints, fills from the
+        # real transform of a product must invert, with the full complex
+        # transform, to the same real samples
         g = Grid(10)
         rng = np.random.default_rng(4)
         samples = np.prod(
             to_physical(random_field(g, rng, ncomp=2, zero_mean=False)), axis=0
         )
-        full = checkpoint._full_cube(np.fft.rfftn(samples, norm="forward"))
+        full = full_cube(np.fft.rfftn(samples, norm="forward"))
         back = np.fft.ifftn(full) * g.n**3
         assert np.abs(back.imag).max() <= 1e-14 * np.abs(samples).max()
         assert np.abs(back.real - samples).max() <= 1e-14 * np.abs(samples).max()

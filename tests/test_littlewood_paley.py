@@ -2,6 +2,8 @@
 (with the Besov, Sobolev and Bernstein forms built from them) and the
 checkpoint codec."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -395,12 +397,34 @@ class TestShellLinfBoxes:
         for f in (state.u, state.b):
             assert_within_shell_bound(part.shell_linf(f), linf_per_block(part, f))
 
-    def test_whistler_support_cut_one(self, part32):
+    def test_whistler_support_cut_one(self, part32, monkeypatch):
+        # the top shells vanish and take no x pass: phi_1 is positive at the
+        # corners |k|^2 = 3 of the box of cut 1 but 0 at the |k|^2 = 0, 1 the
+        # whistler holds, so only shell 0 takes one per component; so also
+        # a field in the ball |k| <= 3, where phi_2 is 0 but not on its box
+        calls = []
+        inverse_x = fields._inverse_x
+        monkeypatch.setattr(
+            fields, "_inverse_x", lambda box, out: calls.append(1) or inverse_x(box, out)
+        )
         _, b = whistler_initial(part32.grid, 1.0, 1e-6, 1)
         got, ref = part32.shell_linf(b), linf_per_block(part32, b)
         assert_within_shell_bound(got, ref)
         assert got[0] == ref[0]  # the mean-only shell
         assert got[0] > 0.0 and got[1] > 0.0 and not got[2:].any()
+        assert len(calls) == 3
+        ball = random_field(part32.grid, np.random.default_rng(8), k_hi=3.0)
+        assert fields._support_cut(ball.coeffs) == 3
+        calls.clear()
+        got, ref = part32.shell_linf(ball), linf_per_block(part32, ball)
+        assert_within_shell_bound(got, ref)
+        assert got[1:3].all() and not got[0] and not got[3:].any()  # zero mean
+        assert len(calls) == 2 * 3  # shells 0 and 1
+        # a nan skips no shell: it reads in every shell whose box holds it
+        # and whose multiplier is not 0 on the whole box, phi_2's included
+        ball.coeffs[0, 1, 0, 0] = np.nan
+        got = part32.shell_linf(ball)
+        assert np.isnan(got[1:4]).all() and not got[0] and not got[4:].any()
 
     def test_mean_only_field(self, part32):
         f = box_limited_noise(part32.grid, 10, 0)
@@ -567,31 +591,54 @@ def dyadic_state(n):
 
 
 # SHA-256 of the v1 file of dyadic_state(8) at t = 0.25, nu = 0.01,
-# mu = 0.02, the same bytes as written when fields could hold n/2 content
-# (and, before that, stored the full cube); a change of the on-disk layout
-# changes it
+# mu = 0.02, built by write_v1_checkpoint (conftest): the same bytes as the
+# v1 writer wrote, when fields could hold n/2 content and before that, when
+# they stored the full cube; a change of the v1 layout changes it
 DYADIC_STATE_SHA256 = "3b29cb1b802c0a36cbc6e11402ab5cee7942c68ea9eb0565ff72dfecb8efa6b4"
+# SHA-256 of the v2 file write_checkpoint writes of the same state; a
+# change of the v2 layout, the header's text included, changes it
+DYADIC_STATE_V2_SHA256 = "4ded27b7718392781dcf51830b976aa88f21d1bd196897f8db59af15369eeed3"
+
+
+def v2_file(path, header: dict, payload: bytes) -> None:
+    """A v2 checkpoint of `header` and `payload`, with the header's CRC32."""
+    import struct
+    import zlib
+
+    raw = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<4sIII", b"HMHD", 2, len(raw), zlib.crc32(raw)) + raw + payload)
+
+
+def v2_header(path) -> tuple[int, dict]:
+    """The payload offset and the JSON header of a v2 checkpoint."""
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[8:12], "little")
+    return 16 + length, json.loads(raw[16 : 16 + length])
 
 
 class TestCheckpointCodec:
-    def test_layout_pinned(self, tmp_path):
+    def test_layout_pinned(self, tmp_path, v1_checkpoint):
         import hashlib
 
         from hallmhd.checkpoint import read_checkpoint, write_checkpoint
 
         g = Grid(8)
         u, b = (SpectralField(g, c) for c in dyadic_state(8))
-        path = tmp_path / "state.hmhd"
-        write_checkpoint(path, 0.25, 0.01, 0.02, u, b)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == DYADIC_STATE_SHA256
-        _, _, _, u2, b2 = read_checkpoint(path)
-        assert u2.coeffs.tobytes() == u.coeffs.tobytes()
-        assert b2.coeffs.tobytes() == b.coeffs.tobytes()
+        v1, v2 = tmp_path / "v1.hmhd", tmp_path / "v2.hmhd"
+        v1_checkpoint(v1, 0.25, 0.01, 0.02, u, b)
+        write_checkpoint(v2, 0.25, 0.01, 0.02, u, b)
+        assert hashlib.sha256(v1.read_bytes()).hexdigest() == DYADIC_STATE_SHA256
+        assert hashlib.sha256(v2.read_bytes()).hexdigest() == DYADIC_STATE_V2_SHA256
+        for path in (v1, v2):
+            t, nu, mu, u2, b2 = read_checkpoint(path)
+            assert (t, nu, mu) == (0.25, 0.01, 0.02)
+            assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+            assert b2.coeffs.tobytes() == b.coeffs.tobytes()
 
     def test_read_peaks_near_file_size(self, tmp_path):
-        # the payload is read one field at a time into one reused cube, so a
-        # read holds that cube and the two half cubes it returns, about the
-        # file size, not the whole payload on top of them
+        # each box is read into the array its field keeps, so a read holds
+        # the two boxes it returns, the file's payload, and little else: no
+        # cube to read them from
         import tracemalloc
 
         from hallmhd.checkpoint import read_checkpoint, write_checkpoint
@@ -607,29 +654,61 @@ class TestCheckpointCodec:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * path.stat().st_size
+        assert peak < 1.05 * path.stat().st_size
+        assert peak < 1.05 * (u2.coeffs.nbytes + b2.coeffs.nbytes)
         assert u2.coeffs.tobytes() == u.coeffs.tobytes()
         assert b2.coeffs.tobytes() == b.coeffs.tobytes()
 
-    @pytest.mark.parametrize("n", [8, 10])
-    def test_payload_is_the_hermitian_fill(self, tmp_path, n):
-        # the file holds the full cube that oracles.full_cube extends the
-        # stored half cube to; n = 10 has an odd n/2
+    def test_write_allocates_no_payload(self, tmp_path):
+        # each field's own buffer is checksummed and written as it is, so a
+        # write allocates nothing near one box, of a random or stepped state
+        import tracemalloc
+
         from hallmhd.checkpoint import write_checkpoint
+
+        g = Grid(32)
+        rng = np.random.default_rng(5)
+        cfg = RunConfig(
+            n=32, dt=1e-3, t_end=1.0, nu=0.05, mu=0.05, init={"kind": "random_band"}
+        )
+        stepped = Stepper(g, cfg).step(SolverState(0.0, *make_initial(cfg.init, g, 2)))
+        path = tmp_path / "state.hmhd"
+        for u, b in ((random_field(g, rng), random_field(g, rng)), (stepped.u, stepped.b)):
+            write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
+            tracemalloc.start()
+            try:
+                write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.05 * path.stat().st_size
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_payload_is_the_hermitian_fill(self, tmp_path, n, v1_checkpoint):
+        # the v2 payload is each field's box as stored; the v1 file of the
+        # same fields, whose payload is the full cube oracles.full_cube
+        # extends their half cubes to, reads back to the same fields; n = 10
+        # has an odd n/2
+        from hallmhd.checkpoint import read_checkpoint, write_checkpoint
 
         g = Grid(n)
         rng = np.random.default_rng(n)
         u = leray_project(random_field(g, rng))
         b = random_field(g, rng, zero_mean=False)
-        path = tmp_path / "state.hmhd"
-        write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
-        payload = np.frombuffer(path.read_bytes()[36:], dtype="<c16")
-        expect = np.stack([oracles.full_cube(half_cube(f)) for f in (u, b)])
-        assert payload.tobytes() == expect.astype("<c16").tobytes()
+        v1, v2 = tmp_path / "v1.hmhd", tmp_path / "v2.hmhd"
+        write_checkpoint(v2, 0.5, 0.1, 0.2, u, b)
+        offset, _ = v2_header(v2)
+        assert v2.read_bytes()[offset:] == u.coeffs.tobytes() + b.coeffs.tobytes()
+        v1_checkpoint(v1, 0.5, 0.1, 0.2, u, b)
+        assert v1.stat().st_size == 36 + 2 * 3 * n**3 * 16
+        for path in (v1, v2):
+            _, _, _, u2, b2 = read_checkpoint(path)
+            assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+            assert b2.coeffs.tobytes() == b.coeffs.tobytes()
 
     def test_round_trip_bit_exact(self, tmp_path):
-        # every bit of the half cube, the sign of its zeros included, also
-        # for a stepped state, which holds exact zeros beyond the cut, and a
+        # every bit of the box, the sign of its zeros included, also for a
+        # stepped state, which holds exact zeros beyond the cut, and a
         # whistler state, whose coefficients are set directly
         from hallmhd.checkpoint import read_checkpoint, write_checkpoint
 
@@ -658,7 +737,26 @@ class TestCheckpointCodec:
         assert np.array_equal(b2.coeffs, stepped.b.coeffs)
         assert u2.coeffs.shape == b2.coeffs.shape == (3, 11, 11, 6)
 
+    def test_dealias_cut_restored(self, tmp_path):
+        # fields of a grid with a cut below the default come back on that
+        # grid and box, bit for bit, and a box beyond the cut on its own
+        from hallmhd.checkpoint import read_checkpoint, write_checkpoint
+
+        g = Grid(32, 8)
+        rng = np.random.default_rng(23)
+        u = oracles.dealias(random_field(g, rng))
+        b = random_field(g, rng, k_hi=12.0)
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
+        _, _, _, u2, b2 = read_checkpoint(path)
+        assert u2.grid == b2.grid == g
+        assert u2.coeffs.shape == (3, 17, 17, 9) and b2.coeffs.shape == (3, 25, 25, 13)
+        assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+        assert b2.coeffs.tobytes() == b.coeffs.tobytes()
+
     def test_header_layout(self, tmp_path):
+        import zlib
+
         from hallmhd.checkpoint import write_checkpoint
 
         g = Grid(8)
@@ -666,11 +764,18 @@ class TestCheckpointCodec:
         write_checkpoint(path, 1.0, 0.1, 0.2, zero_field(g), zero_field(g))
         raw = path.read_bytes()
         assert raw[:4] == b"HMHD"
-        assert int.from_bytes(raw[4:8], "little") == 1  # version
-        assert int.from_bytes(raw[8:12], "little") == 8  # n
-        assert len(raw) == 36 + 2 * 3 * 8**3 * 16
+        assert int.from_bytes(raw[4:8], "little") == 2  # version
+        offset, header = v2_header(path)
+        assert int.from_bytes(raw[12:16], "little") == zlib.crc32(raw[16:offset])
+        payload = raw[offset:]
+        assert header == {
+            "n": 8, "dealias_cut": 2, "t": 1.0, "nu": 0.1, "mu": 0.2,
+            "u_cut": 2, "b_cut": 2, "crc32": zlib.crc32(payload),
+        }
+        assert len(payload) == 2 * 3 * 5 * 5 * 3 * 16
 
-    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        from hallmhd import checkpoint
         from hallmhd.checkpoint import write_checkpoint
 
         g = Grid(8)
@@ -681,16 +786,26 @@ class TestCheckpointCodec:
         write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
         before = path.read_bytes()
 
-        class FailingCoeffs:
-            # passes the shape check, then fails once the header and u are
-            # already written, as a full disk would
-            shape = b.coeffs.shape
+        class FullDisk:
+            # a file that takes the header and u, then fails as a full disk
+            # would
+            def __init__(self, name, mode):
+                self.fh, self.writes = open(name, mode), 0
 
-            def __array__(self, dtype=None, copy=None):
-                raise OSError("no space left on device")
+            def __enter__(self):
+                return self
 
-        b.coeffs = FailingCoeffs()
-        with pytest.raises(OSError, match="no space"):
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(checkpoint, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space"):
             write_checkpoint(path, 0.75, 0.1, 0.2, u, b)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["state.hmhd"]
@@ -701,14 +816,109 @@ class TestCheckpointCodec:
         g = Grid(8)
         path = tmp_path / "state.hmhd"
         write_checkpoint(path, 0.0, 0.1, 0.2, zero_field(g), zero_field(g))
-        path.write_bytes(path.read_bytes()[:-100])
-        with pytest.raises(CheckpointError, match="checkpoint parse"):
+        raw = path.read_bytes()
+        for cut in (raw[:-100], raw[:-1], raw + b"\x00"):
+            path.write_bytes(cut)
+            with pytest.raises(CheckpointError, match="checkpoint parse: expected .* payload"):
+                read_checkpoint(path)
+        offset, _ = v2_header(path)
+        path.write_bytes(raw[: offset - 1])
+        with pytest.raises(CheckpointError, match="checkpoint parse: header of"):
             read_checkpoint(path)
+
+    def test_flipped_payload_byte_named(self, tmp_path):
+        # any one flipped bit of the payload fails the checksum, in u and b
+        from hallmhd.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+
+        g = Grid(8)
+        rng = np.random.default_rng(24)
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.5, 0.1, 0.2, random_field(g, rng), random_field(g, rng))
+        raw = path.read_bytes()
+        offset, _ = v2_header(path)
+        for pos, bit in ((offset, 0), (offset + 1234, 7), (len(raw) - 1, 3)):
+            bad = bytearray(raw)
+            bad[pos] ^= 1 << bit
+            path.write_bytes(bytes(bad))
+            with pytest.raises(CheckpointError, match="payload CRC32 .* the payload is corrupt"):
+                read_checkpoint(path)
+
+    def test_flipped_header_byte_rejected(self, tmp_path):
+        # a flipped bit anywhere in the prefix or the JSON header is refused,
+        # one in a digit of t as much as one in a key or the version
+        from hallmhd.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+
+        g = Grid(8)
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.25, 0.1, 0.2, zero_field(g), zero_field(g))
+        raw = path.read_bytes()
+        offset, _ = v2_header(path)
+        for pos in range(offset):
+            bad = bytearray(raw)
+            bad[pos] ^= 1 << (pos % 8)
+            path.write_bytes(bytes(bad))
+            with pytest.raises(CheckpointError, match="checkpoint parse"):
+                read_checkpoint(path)
+        t_digit = raw.index(b'"t": 0.25') + 7
+        bad = bytearray(raw)
+        bad[t_digit] ^= 1  # "0.25" -> "0.35"
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError, match="header CRC32 mismatch"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "key, value, match",
+        [
+            ("n", None, "header field n missing"),
+            ("t", "0.5", "bad header field t: '0.5'"),
+            ("crc32", True, "bad header field crc32: True"),
+            ("dealias_cut", 3, "bad header field dealias_cut: dealias_cut=3 outside"),
+            ("u_cut", 4, r"bad header field u_cut: 4 outside \[dealias_cut, n/2 - 1\]"),
+            ("b_cut", 1, r"bad header field b_cut: 1 outside \[dealias_cut, n/2 - 1\]"),
+        ],
+        ids=["n_missing", "t_string", "crc32_bool", "dealias_cut_large", "u_cut_half", "b_cut_low"],
+    )
+    def test_bad_header_field_named(self, tmp_path, key, value, match):
+        # a header of the right checksum, with one key missing or bad: the
+        # cut of a box at n/2 or below the dealias cut, a cut too large for
+        # n, a string or a bool in place of a number
+        from hallmhd.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+
+        g = Grid(8)
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.5, 0.1, 0.2, zero_field(g), zero_field(g))
+        offset, header = v2_header(path)
+        payload = path.read_bytes()[offset:]
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        v2_file(path, header, payload)
+        with pytest.raises(CheckpointError, match=match):
+            read_checkpoint(path)
+
+    def test_unknown_header_keys_ignored(self, tmp_path):
+        # a later writer adds keys to the header without another version
+        from hallmhd.checkpoint import read_checkpoint, write_checkpoint
+
+        g = Grid(8)
+        rng = np.random.default_rng(25)
+        u, b = random_field(g, rng), random_field(g, rng)
+        path = tmp_path / "state.hmhd"
+        write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
+        offset, header = v2_header(path)
+        payload = path.read_bytes()[offset:]
+        v2_file(path, {**header, "step_count": 40, "hall_on": True}, payload)
+        t, _, _, u2, b2 = read_checkpoint(path)
+        assert t == 0.5
+        assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+        assert b2.coeffs.tobytes() == b.coeffs.tobytes()
 
     @pytest.mark.parametrize("n", [0, 9])
     def test_bad_grid_size_in_header_rejected(self, tmp_path, n):
         # n = 0 with an empty payload, and an odd n whose payload length
-        # matches, both fail on the header field rather than in Grid
+        # matches, both fail on the header field rather than in Grid, in a
+        # v1 and in a v2 file
         import struct
 
         from hallmhd.checkpoint import CheckpointError, read_checkpoint
@@ -716,6 +926,12 @@ class TestCheckpointCodec:
         path = tmp_path / "bad_n.hmhd"
         header = struct.pack("<4sIIddd", b"HMHD", 1, n, 0.0, 0.1, 0.2)
         path.write_bytes(header + b"\x00" * (2 * 3 * n**3 * 16))
+        with pytest.raises(CheckpointError, match="header field n"):
+            read_checkpoint(path)
+        v2_file(path, {
+            "n": n, "dealias_cut": 2, "t": 0.0, "nu": 0.1, "mu": 0.2,
+            "u_cut": 2, "b_cut": 2, "crc32": 0,
+        }, b"\x00" * (2 * 3 * 5 * 5 * 3 * 16))
         with pytest.raises(CheckpointError, match="header field n"):
             read_checkpoint(path)
 
@@ -726,7 +942,8 @@ class TestCheckpointCodec:
     )
     def test_nyquist_content_rejected(self, tmp_path, field, index):
         # a v1 file whose u or b holds content on an n/2 plane (kx, ky and
-        # kz = n/2 in turn), which no field can, written byte by byte
+        # kz = n/2 in turn), which no field can, written byte by byte; a v2
+        # box cannot reach n/2 (test_bad_header_field_named)
         import struct
 
         from hallmhd.checkpoint import CheckpointError, read_checkpoint

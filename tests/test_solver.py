@@ -1139,18 +1139,22 @@ class TestInitialConditions:
                 {"kind": "uniform_b_plus_whistler", "b0": 1.0, "eps": 1e-3, "k": 6}, g
             )
 
-    def test_from_checkpoint_round_trip(self, tmp_path):
+    def test_from_checkpoint_round_trip(self, tmp_path, v1_checkpoint):
+        # a v2 file, and a v1 file, which is read but no longer written, of
+        # full-band fields, as for analysis
         from hallmhd.checkpoint import write_checkpoint
 
         g = Grid(8)
         rng = np.random.default_rng(6)
         u = leray_project(random_field(g, rng))
         b = leray_project(random_field(g, rng))
-        path = tmp_path / "init.hmhd"
-        write_checkpoint(path, 0.5, 0.1, 0.1, u, b)
-        u2, b2 = make_initial({"kind": "from_checkpoint", "path": str(path)}, g)
-        assert np.array_equal(u2.coeffs, u.coeffs)
-        assert np.array_equal(b2.coeffs, b.coeffs)
+        v1, v2 = tmp_path / "v1.hmhd", tmp_path / "v2.hmhd"
+        v1_checkpoint(v1, 0.5, 0.1, 0.1, u, b)
+        write_checkpoint(v2, 0.5, 0.1, 0.1, u, b)
+        for path in (v1, v2):
+            u2, b2 = make_initial({"kind": "from_checkpoint", "path": str(path)}, g)
+            assert np.array_equal(u2.coeffs, u.coeffs)
+            assert np.array_equal(b2.coeffs, b.coeffs)
 
     def test_from_checkpoint_takes_the_run_cut(self, tmp_path):
         # a file written under the default cut 10 loads onto the run's grid
