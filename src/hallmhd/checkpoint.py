@@ -8,24 +8,23 @@ b, as stored (fields docstring), complex128 little-endian of shape
 n, dealias_cut, t, nu, mu, u_cut and b_cut (the two box cuts) and crc32,
 the CRC32 of the payload.  Floats are written by their repr, so they read
 back exactly.  A reader ignores keys it does not know, so a writer can add
-keys without another version.
+keys without another version.  Version 2 is the only version: a file of
+any other, the full-cube files of version 1 included, raises
+CheckpointError "unsupported version N".
 
 The writer writes each field's own buffer, and the reader reads each box
 into the one array its field keeps, so on a little-endian host neither
-copies a box, and the fields come back bit-exactly on Grid(n, dealias_cut).  A bad header (a missing or
-bad key, a box cut outside [dealias_cut, n/2 - 1], a checksum), a payload
-size other than the header's boxes and a payload checksum mismatch raise
-CheckpointError naming them.  A checkpoint is written to a temporary file
-beside the target and renamed over it, so a write that fails part-way
-leaves the previous checkpoint intact.  A run resumed from a checkpoint is
-bit-identical to the straight run under the same BLAS kernel and the same
-fields.SLAB_BYTES (see bit determinism in the fields docstring).
-
-Version 1 files are read, not written: a header {magic, version u32 = 1,
-n u32, t f64, nu f64, mu f64}, then u then b as the full (3, n, n, n) cube
-of the Hermitian fill of the field's half cube.  They come back on Grid(n),
-the default cut, which v1 did not store; a cube with content on an n/2
-plane, which no field holds, is refused.
+copies a box, and the fields come back bit-exactly on Grid(n,
+dealias_cut).  A bad header (a missing or bad key, a box cut outside
+[dealias_cut, n/2 - 1], a checksum), a payload size other than the
+header's boxes and a payload checksum mismatch raise CheckpointError
+naming them.  A checkpoint is written to a temporary file
+beside the target, synced to the disk, renamed over the target, and the
+directory synced, so that a write that fails part-way, or a system crash,
+leaves the previous checkpoint or the new one intact.  A run resumed from
+a checkpoint is bit-identical to the straight run under the same BLAS
+kernel and the same fields.SLAB_BYTES (see bit determinism in the fields
+docstring).
 """
 
 from __future__ import annotations
@@ -43,9 +42,7 @@ from .fields import DimensionError, Grid, SpectralField, _box_shape, _cut_of
 
 MAGIC = b"HMHD"
 VERSION = 2
-_PREFIX = struct.Struct("<4sI")  # magic, version
-_V1 = struct.Struct("<Iddd")  # n, t, nu, mu
-_V2 = struct.Struct("<II")  # header byte length, header CRC32
+_PREFIX = struct.Struct("<4sIII")  # magic, version, header byte length, header CRC32
 _INT_KEYS = ("n", "dealias_cut", "u_cut", "b_cut", "crc32")
 _FLOAT_KEYS = ("t", "nu", "mu")
 
@@ -72,93 +69,90 @@ def write_checkpoint(
         "t": float(t), "nu": float(nu), "mu": float(mu),
         "u_cut": _cut_of(boxes[0]), "b_cut": _cut_of(boxes[1]), "crc32": crc,
     }).encode()
-    prefix = _PREFIX.pack(MAGIC, VERSION) + _V2.pack(len(header), zlib.crc32(header))
     path = os.fspath(path)
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(prefix + header)
+            fh.write(_PREFIX.pack(MAGIC, VERSION, len(header), zlib.crc32(header)) + header)
             for box in boxes:
                 fh.write(box)
+            # the data reaches the disk before the rename that publishes it
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    fd = os.open(head or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)  # and the rename itself
+    finally:
+        os.close(fd)
 
 
 def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralField]:
     """Returns (t, nu, mu, u, b).  The header is checked, and the file size
-    against it, before the payload is read; each v2 box is read into the
+    against it, before the payload is read; each box is read into the
     array its field keeps."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _PREFIX.size:
             raise CheckpointError(f"checkpoint parse: file too short ({size} bytes)")
-        magic, version = _PREFIX.unpack(fh.read(_PREFIX.size))
+        magic, version, length, header_crc = _PREFIX.unpack(fh.read(_PREFIX.size))
         if magic != MAGIC:
             raise CheckpointError(f"checkpoint parse: bad magic {magic!r}")
-        if version == 1:
-            return _read_v1(fh, size)
         if version != VERSION:
             raise CheckpointError(f"checkpoint parse: unsupported version {version}")
-        return _read_v2(fh, size)
-
-
-def _read_v2(fh, size: int) -> tuple[float, float, float, SpectralField, SpectralField]:
-    start = _PREFIX.size + _V2.size
-    if size < start:
-        raise CheckpointError(f"checkpoint parse: file too short ({size} bytes)")
-    length, header_crc = _V2.unpack(fh.read(_V2.size))
-    if length > size - start:
-        msg = f"checkpoint parse: header of {length} bytes in a {size}-byte file"
-        raise CheckpointError(msg)
-    raw = fh.read(length)
-    if zlib.crc32(raw) != header_crc:
-        raise CheckpointError("checkpoint parse: header CRC32 mismatch, the header is corrupt")
-    try:
-        header = json.loads(raw)
-    except ValueError as exc:
-        raise CheckpointError(f"checkpoint parse: header is not JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError("checkpoint parse: header is not a JSON object")
-    for key in _INT_KEYS + _FLOAT_KEYS:
-        if key not in header:
-            raise CheckpointError(f"checkpoint parse: header field {key} missing")
-        value = header[key]
-        kinds = int if key in _INT_KEYS else (int, float)
-        if not isinstance(value, kinds) or isinstance(value, bool):
-            raise CheckpointError(f"checkpoint parse: bad header field {key}: {value!r}")
-    n = header["n"]
-    for key, cut in (("n", None), ("dealias_cut", header["dealias_cut"])):
-        try:
-            grid = Grid(n, cut)
-        except DimensionError as exc:
-            raise CheckpointError(f"checkpoint parse: bad header field {key}: {exc}") from exc
-    shapes = []
-    for name in "ub":
-        cut = header[f"{name}_cut"]
-        if not grid.dealias_cut <= cut < grid.n // 2:
-            raise CheckpointError(
-                f"checkpoint parse: bad header field {name}_cut: {cut} outside "
-                f"[dealias_cut, n/2 - 1] = [{grid.dealias_cut}, {grid.n // 2 - 1}]"
-            )
-        shapes.append((3,) + _box_shape(cut))
-    expected = sum(16 * math.prod(s) for s in shapes)
-    if size - start - length != expected:
-        raise CheckpointError(
-            f"checkpoint parse: expected {expected} payload bytes, got {size - start - length}"
-        )
-    boxes, crc = [], 0
-    for name, shape in zip("ub", shapes):
-        box = np.empty(shape, dtype="<c16")
-        got = fh.readinto(box)
-        if got != box.nbytes:
-            msg = f"checkpoint parse: read {got} of field {name}'s {box.nbytes} bytes"
+        payload_size = size - _PREFIX.size - length
+        if payload_size < 0:
+            msg = f"checkpoint parse: header of {length} bytes in a {size}-byte file"
             raise CheckpointError(msg)
-        crc = zlib.crc32(box, crc)
-        boxes.append(box)
+        raw = fh.read(length)
+        if zlib.crc32(raw) != header_crc:
+            raise CheckpointError("checkpoint parse: header CRC32 mismatch, the header is corrupt")
+        try:
+            header = json.loads(raw)
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint parse: header is not JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError("checkpoint parse: header is not a JSON object")
+        for key in _INT_KEYS + _FLOAT_KEYS:
+            if key not in header:
+                raise CheckpointError(f"checkpoint parse: header field {key} missing")
+            value = header[key]
+            kinds = int if key in _INT_KEYS else (int, float)
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise CheckpointError(f"checkpoint parse: bad header field {key}: {value!r}")
+        for key, cut in (("n", None), ("dealias_cut", header["dealias_cut"])):
+            try:
+                grid = Grid(header["n"], cut)
+            except DimensionError as exc:
+                raise CheckpointError(f"checkpoint parse: bad header field {key}: {exc}") from exc
+        shapes = []
+        for name in "ub":
+            cut = header[f"{name}_cut"]
+            if not grid.dealias_cut <= cut < grid.n // 2:
+                raise CheckpointError(
+                    f"checkpoint parse: bad header field {name}_cut: {cut} outside "
+                    f"[dealias_cut, n/2 - 1] = [{grid.dealias_cut}, {grid.n // 2 - 1}]"
+                )
+            shapes.append((3,) + _box_shape(cut))
+        expected = sum(16 * math.prod(s) for s in shapes)
+        if payload_size != expected:
+            raise CheckpointError(
+                f"checkpoint parse: expected {expected} payload bytes, got {payload_size}"
+            )
+        boxes, crc = [], 0
+        for name, shape in zip("ub", shapes):
+            box = np.empty(shape, dtype="<c16")
+            got = fh.readinto(box)
+            if got != box.nbytes:
+                msg = f"checkpoint parse: read {got} of field {name}'s {box.nbytes} bytes"
+                raise CheckpointError(msg)
+            crc = zlib.crc32(box, crc)
+            boxes.append(box)
     if crc != header["crc32"]:
         raise CheckpointError(
             f"checkpoint parse: payload CRC32 {crc:#010x} does not match the header's "
@@ -166,40 +160,3 @@ def _read_v2(fh, size: int) -> tuple[float, float, float, SpectralField, Spectra
         )
     u, b = (SpectralField(grid, box) for box in boxes)
     return float(header["t"]), float(header["nu"]), float(header["mu"]), u, b
-
-
-def _read_v1(fh, size: int) -> tuple[float, float, float, SpectralField, SpectralField]:
-    """The fields of the half cubes kz >= 0 of the stored cubes, read one
-    field at a time into one cube buffer that each field's box is copied
-    from.  A half cube with content on an n/2 plane, which no field holds,
-    raises CheckpointError naming the field and the plane."""
-    start = _PREFIX.size + _V1.size
-    if size < start:
-        raise CheckpointError(f"checkpoint parse: file too short ({size} bytes)")
-    n, t, nu, mu = _V1.unpack(fh.read(_V1.size))
-    try:
-        grid = Grid(int(n))
-    except DimensionError as exc:
-        raise CheckpointError(f"checkpoint parse: bad header field n: {exc}") from exc
-    expected = 2 * 3 * n**3 * 16
-    if size - start != expected:
-        raise CheckpointError(
-            f"checkpoint parse: expected {expected} payload bytes, got {size - start}"
-        )
-    cube = np.empty((3, n, n, n), dtype="<c16")
-    fields = []
-    for name in "ub":
-        got = fh.readinto(cube)
-        if got != cube.nbytes:
-            msg = f"checkpoint parse: read {got} of a field's {cube.nbytes} bytes"
-            raise CheckpointError(msg)
-        h = n // 2
-        half = cube[..., : h + 1]
-        for axis, plane in zip("xyz", (half[:, h], half[:, :, h], half[..., h])):
-            if plane.any():
-                raise CheckpointError(
-                    f"checkpoint parse: field {name}: content on the k{axis} = "
-                    f"n/2 = {h} plane, which a field does not store"
-                )
-        fields.append(SpectralField(grid, half))
-    return float(t), float(nu), float(mu), *fields

@@ -22,15 +22,14 @@ box of a cut below n/2 in rows 0..C and n - C..n - 1 of its x and y axes.
 One block map (_halves) makes every copy between a box and a longer axis,
 and one function (_regrid) every copy between two layouts, box or half
 cube.  Only the real FFT pair (to_physical, from_physical) and the oracles
-build a half cube; a checkpoint stores boxes, and the reader of a v1 file
-takes the half cube as a view of the full cube it reads.  Its n/2 ("oddball")
+build a half cube; a checkpoint stores boxes.  Its n/2 ("oddball")
 planes, index n/2 of any axis, hold the wavenumber -n/2 of a mode and of
 its Hermitian partner alike, so a k-dependent multiplier applied there
 breaks the symmetry, and no dyadic shell the package reads reaches them:
 they all lie inside the dealias cut, below n/3.  No field holds content
 there: SpectralField drops the n/2 planes of a half cube it is given, as
-from_physical does with its transform, and the v1 checkpoint reader refuses
-a file with content there.
+from_physical does with its transform, and a checkpoint's box cuts lie
+below n/2.
 
 Inside the solver's step, coefficients live on the box of c = dealias_cut,
 which holds every mode the 2/3 rule keeps.  The spectral sums and sup
@@ -108,7 +107,8 @@ class Grid:
     quadratic products of fields supported in |k| <= dealias_cut are exact on
     the retained modes, and collocation quadrature of triple products is
     exact.  An explicit cut that breaks it raises DimensionError, as does a
-    size that is not an integer (a bool is not one).
+    size that is not an integer (a bool is not one); a numpy integer size
+    is stored as an int.
 
     A grid holds no wavenumber array of its size: each field and each step
     takes the integer wavevectors of its own box (_box_axes), and `box`
@@ -123,6 +123,8 @@ class Grid:
             is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
             if not is_int and (name == "n" or value is not None):
                 raise DimensionError(f"grid {name} must be an integer, got {value!r}")
+            if value is not None:  # a numpy integer is stored as an int
+                object.__setattr__(self, name, int(value))
         if self.n < 8 or self.n % 2:
             raise DimensionError(f"grid size must be even and >= 8, got n={self.n}")
         largest = (self.n - 1) // 3
@@ -555,10 +557,11 @@ class _BoxSup:
 
     The maxima match those of the half-cube samples to <= 1e-15 relative,
     and at the kernel's slab height and cut they are the kernel's bits (see
-    bit determinism in the module docstring).  An all-zero box or product
-    reads 0 and a box of cut 0, a constant field, the magnitude of its real
-    part, without the y and z passes; a nan is kept.  Not thread-safe: one
-    call at a time."""
+    bit determinism in the module docstring).  An all-zero box or
+    multiplier reads 0 and a box of cut 0, a constant field, the magnitude
+    of its real part, without the y and z passes, and an all-zero product
+    reads 0 through them; a nan is kept.  Not thread-safe: one call at a
+    time."""
 
     def __init__(self, grid: Grid, ncomp: int, cut: int):
         n, h = grid.n, cut + 1
@@ -582,14 +585,10 @@ class _BoxSup:
             return _sup_magnitude(np.array([component(i).real for i in range(ncomp)]))
         n, planes = self.n, self.planes
         xs = self._x[: ncomp * n * w * h].reshape(ncomp, n, w, h)
-        live = False
         for i in range(ncomp):
             c = component(i)
-            live = c.any() or live
             _inverse_x(c[None], xs[i : i + 1])
             del c  # before the next component is formed
-        if not live:
-            return 0.0
         maxima = []
         for i0 in range(0, n, planes):
             p = min(planes, n - i0)

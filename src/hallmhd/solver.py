@@ -785,6 +785,9 @@ def random_band_field(
     draws the coefficients on the band's box, not by transforming white
     noise."""
     k_lo = float(2**q_lo)
+    # the cut caps the band: from q = bit_length(cut) on, 3/4 * 2^(q + 1) >
+    # cut, so a larger q_hi, at which 2.0 ** q_hi may overflow, gives that band
+    q_hi = min(q_hi, grid.dealias_cut.bit_length())
     k_hi = min(0.75 * 2.0 ** (q_hi + 1), float(grid.dealias_cut))
     f = random_field(grid, rng, k_lo=k_lo, k_hi=k_hi, solenoidal=True)
     # Parseval: the collocation L^2 norm without a transform

@@ -123,9 +123,16 @@ class TestGrid:
             Grid(*args)
 
     def test_numpy_integer_sizes_accepted(self):
+        # stored as ints, so that the int methods the init checks read, such
+        # as bit_length, work on them
+        from hallmhd.solver import make_initial
+
         g = Grid(np.int64(32), np.int64(8))
         assert g == Grid(32, 8)
+        assert type(g.n) is int and type(g.dealias_cut) is int
         assert g.box[3].shape == (17, 17, 9)
+        got, expect = (make_initial({"kind": "random_band"}, h, 1) for h in (g, Grid(32, 8)))
+        assert np.array_equal(got[0].coeffs, expect[0].coeffs)
 
     @pytest.mark.parametrize("n", [24, 48])
     def test_default_cut_keeps_squares_unaliased(self, n):
@@ -184,13 +191,36 @@ class TestTransforms:
         with pytest.raises(DimensionError):
             from_physical(np.zeros((3, 16, 16, 16)), g)
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda g: SpectralField(g, np.zeros((3, 5, 5, 4))),
+             r"coeffs shape \(3, 5, 5, 4\) incompatible with n=8"),
+            (lambda g: inner_product(zero_field(g), zero_field(Grid(10))),
+             r"field mismatch: \(8,3\) vs \(10,3\)"),
+            (lambda g: inner_product(zero_field(g), zero_field(g, 1)),
+             r"field mismatch: \(8,3\) vs \(8,1\)"),
+            (lambda g: curl(zero_field(g, 1)), "curl needs a 3-component field"),
+            (lambda g: leray_project(zero_field(g, 1)),
+             "leray_project needs a 3-component field"),
+            (lambda g: random_field(g, np.random.default_rng(0), ncomp=1, solenoidal=True),
+             "a solenoidal random field needs 3 components"),
+        ],
+        ids=["box_shape", "inner_n", "inner_ncomp", "curl", "leray", "random_solenoidal"],
+    )
+    def test_shape_and_components_named(self, call, match):
+        # a shape that is neither a box nor the half cube, fields of another
+        # n or component count, and a 1-component field where 3 are needed
+        with pytest.raises(DimensionError, match=match):
+            call(Grid(8))
+
     def test_nyquist_content_is_refused_and_dropped(self):
         # no field holds content on an n/2 plane: the constructor drops the
         # n/2 planes of a half cube, here the kx, ky and kz = 4 planes at
         # n = 8, so that no box holds them, and so does from_physical with
         # its transform, here all of cos(4x) + cos(4y) + cos(4z), and keeps
-        # the rest.  A v1 checkpoint, the outside input that can hold such
-        # content, is refused (test_nyquist_content_rejected)
+        # the rest.  A checkpoint's boxes cannot reach n/2 either
+        # (test_bad_header_field_named[u_cut_half])
         g = Grid(8)
         for index in (np.s_[:, 4, 1, 0], np.s_[:, 1, 4, 0], np.s_[:, 1, 1, 4]):
             c = np.zeros((3, 8, 8, 5), dtype=np.complex128)
@@ -674,9 +704,9 @@ class TestHermitianAndPotential:
 
     def test_fill_from_half_odd_half_grid(self):
         # n = 10 has an odd n/2: the full cube that oracles.full_cube, the
-        # Hermitian fill of the oracles and of v1 checkpoints, fills from the
-        # real transform of a product must invert, with the full complex
-        # transform, to the same real samples
+        # Hermitian fill of the oracles, fills from the real transform of a
+        # product must invert, with the full complex transform, to the same
+        # real samples
         g = Grid(10)
         rng = np.random.default_rng(4)
         samples = np.prod(

@@ -590,22 +590,19 @@ def dyadic_state(n):
     return c
 
 
-# SHA-256 of the v1 file of dyadic_state(8) at t = 0.25, nu = 0.01,
-# mu = 0.02, built by write_v1_checkpoint (conftest): the same bytes as the
-# v1 writer wrote, when fields could hold n/2 content and before that, when
-# they stored the full cube; a change of the v1 layout changes it
-DYADIC_STATE_SHA256 = "3b29cb1b802c0a36cbc6e11402ab5cee7942c68ea9eb0565ff72dfecb8efa6b4"
-# SHA-256 of the v2 file write_checkpoint writes of the same state; a
-# change of the v2 layout, the header's text included, changes it
+# SHA-256 of the v2 file write_checkpoint writes of dyadic_state(8) at
+# t = 0.25, nu = 0.01, mu = 0.02; a change of the v2 layout, the header's
+# text included, changes it
 DYADIC_STATE_V2_SHA256 = "4ded27b7718392781dcf51830b976aa88f21d1bd196897f8db59af15369eeed3"
 
 
-def v2_file(path, header: dict, payload: bytes) -> None:
-    """A v2 checkpoint of `header` and `payload`, with the header's CRC32."""
+def v2_file(path, header, payload: bytes) -> None:
+    """A v2 checkpoint of `header`, JSON-encoded unless it is bytes, and
+    `payload`, with the header's CRC32."""
     import struct
     import zlib
 
-    raw = json.dumps(header).encode()
+    raw = header if isinstance(header, bytes) else json.dumps(header).encode()
     path.write_bytes(struct.pack("<4sIII", b"HMHD", 2, len(raw), zlib.crc32(raw)) + raw + payload)
 
 
@@ -616,24 +613,28 @@ def v2_header(path) -> tuple[int, dict]:
     return 16 + length, json.loads(raw[16 : 16 + length])
 
 
+def half_cube_field(grid) -> SpectralField:
+    """A zero field whose coeffs were replaced by a half cube, which is no box."""
+    f = zero_field(grid)
+    f.coeffs = np.zeros((3, grid.n, grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    return f
+
+
 class TestCheckpointCodec:
-    def test_layout_pinned(self, tmp_path, v1_checkpoint):
+    def test_layout_pinned(self, tmp_path):
         import hashlib
 
         from hallmhd.checkpoint import read_checkpoint, write_checkpoint
 
         g = Grid(8)
         u, b = (SpectralField(g, c) for c in dyadic_state(8))
-        v1, v2 = tmp_path / "v1.hmhd", tmp_path / "v2.hmhd"
-        v1_checkpoint(v1, 0.25, 0.01, 0.02, u, b)
-        write_checkpoint(v2, 0.25, 0.01, 0.02, u, b)
-        assert hashlib.sha256(v1.read_bytes()).hexdigest() == DYADIC_STATE_SHA256
-        assert hashlib.sha256(v2.read_bytes()).hexdigest() == DYADIC_STATE_V2_SHA256
-        for path in (v1, v2):
-            t, nu, mu, u2, b2 = read_checkpoint(path)
-            assert (t, nu, mu) == (0.25, 0.01, 0.02)
-            assert u2.coeffs.tobytes() == u.coeffs.tobytes()
-            assert b2.coeffs.tobytes() == b.coeffs.tobytes()
+        path = tmp_path / "v2.hmhd"
+        write_checkpoint(path, 0.25, 0.01, 0.02, u, b)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DYADIC_STATE_V2_SHA256
+        t, nu, mu, u2, b2 = read_checkpoint(path)
+        assert (t, nu, mu) == (0.25, 0.01, 0.02)
+        assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+        assert b2.coeffs.tobytes() == b.coeffs.tobytes()
 
     def test_read_peaks_near_file_size(self, tmp_path):
         # each box is read into the array its field keeps, so a read holds
@@ -684,27 +685,22 @@ class TestCheckpointCodec:
             assert peak < 0.05 * path.stat().st_size
 
     @pytest.mark.parametrize("n", [8, 10])
-    def test_payload_is_the_hermitian_fill(self, tmp_path, n, v1_checkpoint):
-        # the v2 payload is each field's box as stored; the v1 file of the
-        # same fields, whose payload is the full cube oracles.full_cube
-        # extends their half cubes to, reads back to the same fields; n = 10
-        # has an odd n/2
+    def test_payload_is_the_hermitian_fill(self, tmp_path, n):
+        # the v2 payload is each field's box as stored, and reads back to
+        # the same fields; n = 10 has an odd n/2
         from hallmhd.checkpoint import read_checkpoint, write_checkpoint
 
         g = Grid(n)
         rng = np.random.default_rng(n)
         u = leray_project(random_field(g, rng))
         b = random_field(g, rng, zero_mean=False)
-        v1, v2 = tmp_path / "v1.hmhd", tmp_path / "v2.hmhd"
-        write_checkpoint(v2, 0.5, 0.1, 0.2, u, b)
-        offset, _ = v2_header(v2)
-        assert v2.read_bytes()[offset:] == u.coeffs.tobytes() + b.coeffs.tobytes()
-        v1_checkpoint(v1, 0.5, 0.1, 0.2, u, b)
-        assert v1.stat().st_size == 36 + 2 * 3 * n**3 * 16
-        for path in (v1, v2):
-            _, _, _, u2, b2 = read_checkpoint(path)
-            assert u2.coeffs.tobytes() == u.coeffs.tobytes()
-            assert b2.coeffs.tobytes() == b.coeffs.tobytes()
+        path = tmp_path / "v2.hmhd"
+        write_checkpoint(path, 0.5, 0.1, 0.2, u, b)
+        offset, _ = v2_header(path)
+        assert path.read_bytes()[offset:] == u.coeffs.tobytes() + b.coeffs.tobytes()
+        _, _, _, u2, b2 = read_checkpoint(path)
+        assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+        assert b2.coeffs.tobytes() == b.coeffs.tobytes()
 
     def test_round_trip_bit_exact(self, tmp_path):
         # every bit of the box, the sign of its zeros included, also for a
@@ -804,11 +800,99 @@ class TestCheckpointCodec:
                     raise OSError(28, "No space left on device")
                 return self.fh.write(data)
 
+            def flush(self):
+                self.fh.flush()
+
+            def fileno(self):
+                return self.fh.fileno()
+
         monkeypatch.setattr(checkpoint, "open", FullDisk, raising=False)
         with pytest.raises(OSError, match="No space"):
             write_checkpoint(path, 0.75, 0.1, 0.2, u, b)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["state.hmhd"]
+
+    def test_write_syncs_before_rename(self, tmp_path, monkeypatch):
+        # the file's data is synced before the rename publishes it, and the
+        # directory after, so a system crash leaves the previous checkpoint
+        # or the new one; a sync that fails leaves the previous one
+        import os
+        import stat
+
+        from hallmhd import checkpoint
+        from hallmhd.checkpoint import read_checkpoint, write_checkpoint
+
+        g = Grid(8)
+        path = tmp_path / "state.hmhd"
+        calls = []
+        fsync, replace = checkpoint.os.fsync, checkpoint.os.replace
+
+        def record_fsync(fd):
+            calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+            fsync(fd)
+
+        def record_replace(src, dst):
+            calls.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(checkpoint.os, "fsync", record_fsync)
+        monkeypatch.setattr(checkpoint.os, "replace", record_replace)
+        write_checkpoint(path, 0.5, 0.1, 0.2, zero_field(g), zero_field(g))
+        assert calls == ["fsync file", "replace", "fsync dir"]
+        before = path.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(checkpoint.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="Input/output"):
+            write_checkpoint(path, 0.75, 0.1, 0.2, zero_field(g), zero_field(g))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.hmhd"]
+        monkeypatch.undo()
+        assert read_checkpoint(path)[0] == 0.5
+
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            (lambda g: (zero_field(g, 1), zero_field(g)), "two 3-component fields on one grid"),
+            (lambda g: (zero_field(g), zero_field(Grid(10))), "two 3-component fields on one grid"),
+            (lambda g: (zero_field(g), half_cube_field(g)),
+             r"fields on their boxes, got \(3, 8, 8, 5\)"),
+        ],
+        ids=["one_component", "two_grids", "half_cube"],
+    )
+    def test_write_refused(self, tmp_path, fields, match):
+        # a 1-component field, fields on two grids, and a field whose coeffs
+        # were replaced by a half cube, which is no box
+        from hallmhd.checkpoint import CheckpointError, write_checkpoint
+
+        path = tmp_path / "state.hmhd"
+        with pytest.raises(CheckpointError, match=match):
+            write_checkpoint(path, 0.5, 0.1, 0.2, *fields(Grid(8)))
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            (None, r"file too short \(8 bytes\)"),
+            (b'{"n": 8,', "header is not JSON"),
+            (b"[8, 2]", "header is not a JSON object"),
+        ],
+        ids=["short_prefix", "not_json", "not_object"],
+    )
+    def test_unparsable_file_named(self, tmp_path, header, match):
+        # a file shorter than the prefix, and a header that passes its CRC32
+        # but is not JSON, or is JSON but not an object
+        from hallmhd.checkpoint import CheckpointError, read_checkpoint
+
+        path = tmp_path / "bad.hmhd"
+        if header is None:
+            path.write_bytes(b"HMHD\x02\x00\x00\x00")
+        else:
+            v2_file(path, header, b"")
+        with pytest.raises(CheckpointError, match=match):
+            read_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         from hallmhd.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
@@ -916,45 +1000,15 @@ class TestCheckpointCodec:
 
     @pytest.mark.parametrize("n", [0, 9])
     def test_bad_grid_size_in_header_rejected(self, tmp_path, n):
-        # n = 0 with an empty payload, and an odd n whose payload length
-        # matches, both fail on the header field rather than in Grid, in a
-        # v1 and in a v2 file
-        import struct
-
+        # n = 0 and an odd n fail on the header field rather than in Grid
         from hallmhd.checkpoint import CheckpointError, read_checkpoint
 
         path = tmp_path / "bad_n.hmhd"
-        header = struct.pack("<4sIIddd", b"HMHD", 1, n, 0.0, 0.1, 0.2)
-        path.write_bytes(header + b"\x00" * (2 * 3 * n**3 * 16))
-        with pytest.raises(CheckpointError, match="header field n"):
-            read_checkpoint(path)
         v2_file(path, {
             "n": n, "dealias_cut": 2, "t": 0.0, "nu": 0.1, "mu": 0.2,
             "u_cut": 2, "b_cut": 2, "crc32": 0,
         }, b"\x00" * (2 * 3 * 5 * 5 * 3 * 16))
         with pytest.raises(CheckpointError, match="header field n"):
-            read_checkpoint(path)
-
-    @pytest.mark.parametrize(
-        "field, index",
-        [("u", (0, 4, 0, 0)), ("u", (1, 1, 4, 2)), ("b", (2, 3, 5, 4))],
-        ids=["u_kx", "u_ky", "b_kz"],
-    )
-    def test_nyquist_content_rejected(self, tmp_path, field, index):
-        # a v1 file whose u or b holds content on an n/2 plane (kx, ky and
-        # kz = n/2 in turn), which no field can, written byte by byte; a v2
-        # box cannot reach n/2 (test_bad_header_field_named)
-        import struct
-
-        from hallmhd.checkpoint import CheckpointError, read_checkpoint
-
-        n = 8
-        payload = np.zeros((2, 3, n, n, n), dtype="<c16")
-        payload[("ub".index(field),) + index] = 1.0
-        path = tmp_path / "nyquist.hmhd"
-        header = struct.pack("<4sIIddd", b"HMHD", 1, n, 0.0, 0.1, 0.2)
-        path.write_bytes(header + payload.tobytes())
-        with pytest.raises(CheckpointError, match=f"field {field}: .* n/2 = 4 plane"):
             read_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -964,3 +1018,24 @@ class TestCheckpointCodec:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(CheckpointError, match="checkpoint parse"):
             read_checkpoint(path)
+
+    def test_other_versions_refused(self, tmp_path):
+        # version 2 is the only one read: a file of version 1, laid out as
+        # its writer did ({magic, 1, n, t, nu, mu}, then u and b as full
+        # (3, n, n, n) cubes), and a v2 file relabelled version 3
+        import struct
+
+        from hallmhd.checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+
+        n = 8
+        v1, v3 = tmp_path / "v1.hmhd", tmp_path / "v3.hmhd"
+        v1.write_bytes(
+            struct.pack("<4sIIddd", b"HMHD", 1, n, 0.5, 0.1, 0.2) + bytes(2 * 3 * n**3 * 16)
+        )
+        write_checkpoint(v3, 0.5, 0.1, 0.2, zero_field(Grid(n)), zero_field(Grid(n)))
+        raw = bytearray(v3.read_bytes())
+        raw[4:8] = (3).to_bytes(4, "little")
+        v3.write_bytes(bytes(raw))
+        for path, version in ((v1, 1), (v3, 3)):
+            with pytest.raises(CheckpointError, match=f"unsupported version {version}$"):
+                read_checkpoint(path)

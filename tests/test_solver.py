@@ -1067,6 +1067,14 @@ class TestInitialConditions:
         # rms normalization
         assert lp_norm(u, 2.0) / (2 * np.pi) ** 1.5 == pytest.approx(1.0, rel=1e-12)
 
+    def test_random_band_past_the_cut(self):
+        # the cut caps the band: q_hi = 1100, at which 2.0 ** q_hi overflows,
+        # gives the fields of q_hi = 3, the first shell past the n = 16 cut 5
+        g = Grid(16)
+        wide, band = (make_initial({"kind": "random_band", "q_hi": q}, g, 2) for q in (1100, 3))
+        for got, expect in zip(wide, band):
+            assert np.array_equal(got.coeffs, expect.coeffs)
+
     def test_orszag_tang_frozen_energy(self):
         g = Grid(16)
         for amp in (1.0, 0.5):
@@ -1139,22 +1147,19 @@ class TestInitialConditions:
                 {"kind": "uniform_b_plus_whistler", "b0": 1.0, "eps": 1e-3, "k": 6}, g
             )
 
-    def test_from_checkpoint_round_trip(self, tmp_path, v1_checkpoint):
-        # a v2 file, and a v1 file, which is read but no longer written, of
-        # full-band fields, as for analysis
+    def test_from_checkpoint_round_trip(self, tmp_path):
+        # a file of full-band fields, as for analysis
         from hallmhd.checkpoint import write_checkpoint
 
         g = Grid(8)
         rng = np.random.default_rng(6)
         u = leray_project(random_field(g, rng))
         b = leray_project(random_field(g, rng))
-        v1, v2 = tmp_path / "v1.hmhd", tmp_path / "v2.hmhd"
-        v1_checkpoint(v1, 0.5, 0.1, 0.1, u, b)
-        write_checkpoint(v2, 0.5, 0.1, 0.1, u, b)
-        for path in (v1, v2):
-            u2, b2 = make_initial({"kind": "from_checkpoint", "path": str(path)}, g)
-            assert np.array_equal(u2.coeffs, u.coeffs)
-            assert np.array_equal(b2.coeffs, b.coeffs)
+        path = tmp_path / "v2.hmhd"
+        write_checkpoint(path, 0.5, 0.1, 0.1, u, b)
+        u2, b2 = make_initial({"kind": "from_checkpoint", "path": str(path)}, g)
+        assert np.array_equal(u2.coeffs, u.coeffs)
+        assert np.array_equal(b2.coeffs, b.coeffs)
 
     def test_from_checkpoint_takes_the_run_cut(self, tmp_path):
         # a file written under the default cut 10 loads onto the run's grid
@@ -1240,6 +1245,7 @@ BAD_VALUES = [
     ("seed", -1),
     ("hall_on", "no"),
     ("ideal", 0),
+    ("ideal", True),  # with nu = mu = 0.1
     ("n", 16.0),
     ("diag_every", 2.5),
     ("seed", 1.5),
@@ -1315,6 +1321,14 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match="config must be a JSON object"):
+            RunConfig.from_json(path)
+
+    def test_unreadable_config_named(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config: .*No such file"):
+            RunConfig.from_json(tmp_path / "missing.json")
+        path = tmp_path / "cfg.json"
+        path.write_text('{"n": 16,')
+        with pytest.raises(ConfigError, match="config is not valid JSON"):
             RunConfig.from_json(path)
 
     def test_integer_valued_reals_accepted(self):
