@@ -8,9 +8,14 @@ b, as stored (fields docstring), complex128 little-endian of shape
 n, dealias_cut, t, nu, mu, u_cut and b_cut (the two box cuts) and crc32,
 the CRC32 of the payload.  Floats are written by their repr, so they read
 back exactly.  A reader ignores keys it does not know, so a writer can add
-keys without another version.  Version 2 is the only version: a file of
-any other, the full-cube files of version 1 included, raises
-CheckpointError "unsupported version N".
+keys without another version: write_checkpoint writes its keyword
+arguments as further header keys, and read_with_header returns the whole
+header.  The run driver (hallmhd.run) adds step_count, diss_integral, dt,
+energy0 (the total energy at step 0) and config (the validated RunConfig,
+its init spec resolved by config.check_init_params); a file written
+without further keys is the same, byte for byte.  Version 2 is the only
+version: a file of any other, the full-cube files of version 1 included,
+raises CheckpointError "unsupported version N".
 
 The writer writes each field's own buffer, and the reader reads each box
 into the one array its field keeps, so on a little-endian host neither
@@ -52,8 +57,11 @@ class CheckpointError(ValueError):
 
 
 def write_checkpoint(
-    path, t: float, nu: float, mu: float, u: SpectralField, b: SpectralField
+    path, t: float, nu: float, mu: float, u: SpectralField, b: SpectralField, **extra
 ) -> None:
+    """Write u and b at time t.  The JSON values of `extra` are further
+    header keys, written before the codec's own, which they cannot
+    replace."""
     grid = u.grid
     if b.grid != grid or u.ncomp != 3 or b.ncomp != 3:
         raise CheckpointError("checkpoint needs two 3-component fields on one grid")
@@ -65,7 +73,7 @@ def write_checkpoint(
             raise CheckpointError(f"checkpoint needs fields on their boxes, got {box.shape}")
         crc = zlib.crc32(box, crc)
     header = json.dumps({
-        "n": grid.n, "dealias_cut": grid.dealias_cut,
+        **extra, "n": grid.n, "dealias_cut": grid.dealias_cut,
         "t": float(t), "nu": float(nu), "mu": float(mu),
         "u_cut": _cut_of(boxes[0]), "b_cut": _cut_of(boxes[1]), "crc32": crc,
     }).encode()
@@ -93,9 +101,15 @@ def write_checkpoint(
 
 
 def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralField]:
-    """Returns (t, nu, mu, u, b).  The header is checked, and the file size
-    against it, before the payload is read; each box is read into the
-    array its field keeps."""
+    """Returns (t, nu, mu, u, b)."""
+    header, u, b = read_with_header(path)
+    return float(header["t"]), float(header["nu"]), float(header["mu"]), u, b
+
+
+def read_with_header(path) -> tuple[dict, SpectralField, SpectralField]:
+    """Returns (header, u, b), the header with every key the writer wrote.
+    The header is checked, and the file size against it, before the
+    payload is read; each box is read into the array its field keeps."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _PREFIX.size:
@@ -159,4 +173,4 @@ def read_checkpoint(path) -> tuple[float, float, float, SpectralField, SpectralF
             f"{header['crc32']:#010x}, the payload is corrupt"
         )
     u, b = (SpectralField(grid, box) for box in boxes)
-    return float(header["t"]), float(header["nu"]), float(header["mu"]), u, b
+    return header, u, b

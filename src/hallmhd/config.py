@@ -3,7 +3,15 @@ output cadence.  JSON round-trippable; unknown keys are rejected.
 
 The initial-condition kinds, their parameters and defaults are declared
 once, in KNOWN_INIT_KINDS; check_init_params resolves an init spec against
-it, for RunConfig.validate and solver.make_initial alike."""
+it, for RunConfig.validate and solver.make_initial alike.
+
+Every key drives the run driver (hallmhd.run): n and dealias_cut make the
+grid, init and seed the initial state, dt caps the step (the driver takes
+the smaller of dt and half the dt_gate of the initial state), t_end sets
+the step count, nu, mu, hall_on, cfl_adv and cfl_whistler the stepper and
+its gate, ideal permits nu = mu = 0, diag_every the record lines and
+checkpoint_every the checkpoint writes.  A resume may change only t_end,
+diag_every and checkpoint_every.  RunConfig.m is read by no module yet."""
 
 from __future__ import annotations
 

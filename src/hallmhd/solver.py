@@ -60,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checkpoint import read_checkpoint
+from .checkpoint import CheckpointError, read_checkpoint
 from .config import ConfigError, RunConfig, check_init_params
 from .fields import (
     VOLUME,
@@ -115,6 +115,10 @@ class DtGateError(RuntimeError):
         super().__init__(f"dt={dt:.3e} exceeds stability gate {gate:.3e} at t={t:.6g}")
         self.t = t
         self.gate = gate
+
+
+class SolenoidalDriftError(RuntimeError):
+    """The divergence error of b after a step exceeds SOLENOIDAL_DRIFT_TOL."""
 
 
 class SolverState:
@@ -681,7 +685,7 @@ class Stepper:
             b_new[:, 0, 0, 0] += mean
         drift = _divergence_error(kvec, b_new)
         if drift > SOLENOIDAL_DRIFT_TOL:
-            raise RuntimeError(
+            raise SolenoidalDriftError(
                 f"magnetic solenoidality drift {drift:.3e} exceeds "
                 f"{SOLENOIDAL_DRIFT_TOL} at t={state.t:.6g}"
             )
@@ -827,8 +831,12 @@ def make_initial(
     A checkpoint's fields are returned as stored, regridded to their boxes
     on `grid`.  One written under a larger cut may hold modes beyond this
     grid's cut, which Stepper drops on the first step (it steps the
-    dealiased part).  A path that cannot be read, or a file of another n,
-    raises ConfigError naming init.path."""
+    dealiased part).  A path that cannot be read, a file the codec refuses
+    (the CheckpointError is the cause) or a file of another n raises
+    ConfigError naming init.path.  This starts a new run at t = 0 from the
+    file's fields, for example to branch a run with another nu; the run
+    driver's resume (hallmhd.run) instead continues the run that wrote the
+    file, with its t, step count, dissipation integral and dt."""
     p = check_init_params(init_spec, grid)
     kind = p["kind"]
     if kind == "beltrami_u":
@@ -846,8 +854,8 @@ def make_initial(
         return whistler_initial(grid, p["b0"], p["eps"], p["k"])
     try:  # from_checkpoint
         _, _, _, u, b = read_checkpoint(p["path"])
-    except OSError as exc:
-        raise ConfigError(f"key 'init.path': {exc}") from exc
+    except (OSError, CheckpointError) as exc:
+        raise ConfigError(f"key 'init.path': {p['path']}: {exc}") from exc
     if u.grid.n != grid.n:
         raise ConfigError(
             f"key 'init.path': checkpoint grid n={u.grid.n} does not match "

@@ -636,6 +636,24 @@ class TestCheckpointCodec:
         assert u2.coeffs.tobytes() == u.coeffs.tobytes()
         assert b2.coeffs.tobytes() == b.coeffs.tobytes()
 
+    def test_extra_header_keys_read_back(self, tmp_path):
+        # keyword arguments are further header keys, which read_with_header
+        # returns and read_checkpoint ignores; they cannot replace the
+        # codec's own keys
+        from hallmhd.checkpoint import read_checkpoint, read_with_header, write_checkpoint
+
+        g = Grid(8)
+        u, b = (SpectralField(g, c) for c in dyadic_state(8))
+        path = tmp_path / "v2.hmhd"
+        extra = {"step_count": 3, "diss_integral": 0.1, "config": {"n": 8, "init": None}}
+        write_checkpoint(path, 0.25, 0.01, 0.02, u, b, n=16, crc32=0, **extra)
+        header, u2, b2 = read_with_header(path)
+        assert {key: header[key] for key in extra} == extra
+        assert header["n"] == 8 and header["t"] == 0.25
+        assert u2.coeffs.tobytes() == u.coeffs.tobytes()
+        assert b2.coeffs.tobytes() == b.coeffs.tobytes()
+        assert read_checkpoint(path)[:3] == (0.25, 0.01, 0.02)
+
     def test_read_peaks_near_file_size(self, tmp_path):
         # each box is read into the array its field keeps, so a read holds
         # the two boxes it returns, the file's payload, and little else: no

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hallmhd import fields, oracles, solver
+from hallmhd.checkpoint import CheckpointError
 from hallmhd.config import KNOWN_INIT_KINDS, ConfigError, RunConfig
 from hallmhd.fields import (
     DimensionError,
@@ -938,6 +939,14 @@ class TestGateAndBlowUp:
         assert np.all(np.isfinite(last.u.coeffs.view(np.float64)))
         assert np.all(np.isfinite(last.b.coeffs.view(np.float64)))
 
+    def test_solenoidal_drift_named(self, monkeypatch):
+        # no step reaches a drift of 1e-10; below a tolerance of -1 every
+        # step raises, naming the drift and t
+        monkeypatch.setattr(solver, "SOLENOIDAL_DRIFT_TOL", -1.0)
+        cfg = RunConfig(n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1)
+        with pytest.raises(solver.SolenoidalDriftError, match=r"drift \S+ exceeds -1.0 at t=0"):
+            run_steps(cfg, 1)
+
     def test_single_step_wrapper(self):
         cfg = RunConfig(
             n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1, init={"kind": "beltrami_u"}
@@ -1190,13 +1199,31 @@ class TestInitialConditions:
             make_initial({"kind": "from_checkpoint", "path": str(path)}, Grid(16))
 
     @pytest.mark.parametrize(
-        "name, cause", [("missing.hmhd", FileNotFoundError), (".", IsADirectoryError)]
+        "name, cause",
+        [
+            ("missing.hmhd", FileNotFoundError), (".", IsADirectoryError),
+            ("truncated.hmhd", CheckpointError), ("flipped.hmhd", CheckpointError),
+        ],
     )
     def test_from_checkpoint_unreadable_path_named(self, tmp_path, name, cause):
+        # a file the codec refuses names the key and the path, with the
+        # codec's error as the cause: cut to 7 bytes, or one payload bit flipped
+        from hallmhd.checkpoint import write_checkpoint
+
         path = tmp_path / name
+        if cause is CheckpointError:
+            write_checkpoint(path, 0.5, 0.1, 0.1, zero_field(Grid(8)), zero_field(Grid(8)))
+            data = bytearray(path.read_bytes())
+            if name == "truncated.hmhd":
+                del data[7:]
+            else:
+                data[-1] ^= 1
+            path.write_bytes(data)
         with pytest.raises(ConfigError, match="key 'init.path'") as info:
             make_initial({"kind": "from_checkpoint", "path": str(path)}, Grid(8))
         assert isinstance(info.value.__cause__, cause)
+        if cause is CheckpointError:
+            assert f"key 'init.path': {path}: checkpoint parse: " in str(info.value)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError, match="key 'init.amplitud'"):
