@@ -20,6 +20,8 @@ as a step's are (see bit determinism in the fields docstring).
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .fields import (
@@ -59,10 +61,14 @@ def smooth_bridge_profile(r):
     return out
 
 
+@cache
 def _k_sq_index(cut: int) -> np.ndarray:
     """The integer |k|^2 on the box of `cut`, the gather index of the
-    radial tables."""
-    return _norm_sq(_box_axes(cut)).astype(np.intp)
+    radial tables.  Cached per cut, as every shell norm reads it, and
+    read-only."""
+    index = _norm_sq(_box_axes(cut)).astype(np.intp)
+    index.flags.writeable = False
+    return index
 
 
 class LPPartition:

@@ -15,7 +15,10 @@ divergence errors, and phase_s, the wall seconds spent in steps, records
 and checkpoints since the previous record.  Every checkpoint_every steps
 and at the last step it writes RUN_DIR/state.hmhd, whose header holds, as
 well as the codec's keys, step_count, diss_integral, dt, energy0 (E0) and
-config, the validated config with its init spec resolved.
+config, the validated config with its init spec resolved.  Every record
+reads the state's fields as a step reads them, dealiased (see
+solver.SolverState), so the energies of step 0 and E0 leave out the modes
+beyond the cut that an init of kind from_checkpoint may hold.
 
 Resume.  If RUN_DIR holds state.hmhd, run continues from it, reading the
 header and both fields in one read of the file.  The stored config must
@@ -86,9 +89,10 @@ def run(cfg: RunConfig, run_dir) -> solver.SolverState:
     else:
         u, b = solver.make_initial(config["init"], grid, cfg.seed)
         dt = min(cfg.dt, 0.5 * solver.dt_gate(u, b, cfg))
-        e0 = solver.energy(u) + solver.energy(b)
         state = solver.SolverState(0.0, u, b)
-    del u, b  # the state gives up its fields at its first step
+        # of the dealiased fields, which the first step reads
+        e0 = solver.energy(state.u) + solver.energy(state.b)
+    del u, b  # the state has given up its fields
     stepper = solver.Stepper(grid, dataclasses.replace(cfg, dt=dt))
     # the 1e-9 keeps a dt a few ulps below t_end / k from adding a step
     last = max(math.ceil(cfg.t_end / dt * (1.0 - 1e-9)), state.step_count)

@@ -27,33 +27,36 @@ J = curl b:
     du = P[ u x w + J x b ],    db = curl( (u - J) x b ),
 
 which equals the advective form by solenoidality of u and b.  One private
-kernel evaluates it for the stepper and `rhs` on the dealiased box: the
-coefficients with |kx|, |ky|, kz <= dealias_cut (kz >= 0 suffices, the
-fields being real).  It runs the pruned inverse x passes of u, w, b and J
+kernel evaluates it for the stepper and `rhs` on the dealias ball: the
+modes |k| <= dealias_cut with kz >= 0 (the half suffices, the fields being
+real), stored as flat (3, N) arrays in box order (fields._Ball), about half
+of the box |kx|, |ky|, kz <= dealias_cut.  It scatters each component into
+a one-component box and runs the pruned inverse x passes of u, w, b and J
 once, then streams slabs of x planes through the y and z passes, the cross
-products and the forward z and y passes, and ends with the forward x passes
-into a (du, db) pair on its own buffers, which its caller reads until the
-next call; its z passes are dense real matrix products, its x and y passes
-dense complex products up to n = 56 and FFTs above at the default cut
-(fields._dense_xy), and its buffers are allocated once per Stepper.
-`dt_gate` reads the gate of the step's first stage from the same pruned
-samples, made by the same passes on slabs of the same height
-(fields._BoxSup).
+products and the forward z and y passes, and ends with the forward x
+passes, whose ball modes it gathers into a (du, db) pair on its own
+buffers, which its caller reads until the next call; its z passes are
+dense real matrix products, its x and y passes dense complex products up
+to n = 56 and FFTs above at the default cut (fields._dense_xy), and its
+buffers are allocated once per Stepper.  `dt_gate` reads the gate of the
+step's first stage from the same pruned samples, made by the same passes
+on slabs of the same height (fields._BoxSup).
 
 Products are formed from the dealiased part of u and b (|k| <= dealias_cut),
 as the 2/3 rule assumes: content beyond the cut takes no part in them.  A
-step stays on the box throughout: the four stages, the RK4 sums, the
+step stays on the ball throughout: the four stages, the RK4 sums, the
 dissipation integral (summed with Hermitian multiplicities), the final Leray
 projection and the finiteness and solenoidality checks, so the new state is
-zero beyond the cut.  It allocates two stage arrays, each a (u, b) pair
-of boxes, and writes every stage input and RK4 sum into them, reading the
-derivatives where the kernel leaves them and using them as scratch; the
-stage input becomes the new state, which the next step reads as it is,
-and a steady step allocates nothing else larger than one component of a
-box.  A state built from SpectralFields gives them up at its first step
-and keeps their masked boxes instead.  A field is stored on its box (see
-the fields docstring), so a read of a stepped state's `u` or `b` is a copy
-of its box, and `rhs` returns copies of the kernel's.
+zero beyond the cut, and no elementwise operation touches the zeros of the
+box around the ball.  It allocates two stage arrays, each a (u, b) pair of
+ball arrays, and writes every stage input and RK4 sum into them, reading
+the derivatives where the kernel leaves them and using them as scratch;
+the stage input becomes the new state, which the next step reads as it
+is, and a steady step allocates nothing else larger than one component of
+a box.  A state built from SpectralFields gives them up at its first step
+and keeps their ball arrays instead.  A field is stored on its box (see
+the fields docstring), so a read of a state's `u` or `b` expands its ball
+into a new box, and `rhs` returns the kernel's pair so expanded.
 """
 
 from __future__ import annotations
@@ -71,7 +74,6 @@ from .fields import (
     _box_axes,
     _box_shape,
     _cross,
-    _curl,
     _curl_component,
     _divergence_error,
     _forward_x,
@@ -126,14 +128,16 @@ class SolverState:
     DimensionError), the step count and the dissipation integral of
     nu ||grad u||_2^2 + mu ||grad b||_2^2.
 
-    A step reads u and b as their dealiased boxes, shape
-    (3, 2c + 1, 2c + 1, c + 1) with c = dealias_cut.  A state built from
-    SpectralFields keeps them until a step first reads its boxes: then it
-    masks their boxes once, holds those and drops the fields, so that their
+    The state is held as the step reads it: the dealias ball arrays of u
+    and b, each (3, N) with N = grid.ball.size, C-contiguous (fields._Ball).
+    A state built from SpectralFields keeps them until a step or a read of
+    `u` or `b` first needs the balls: then it gathers their modes within
+    the cut once, holds those and drops the fields, so that their
     coefficients are freed once the caller lets them go.  A state that
-    Stepper.step returns holds its boxes from the start.  Once boxes are
-    held, each read of `u` or `b` is a new field on a copy of its box, which
-    is the field's own box (see the fields docstring).
+    Stepper.step returns holds its balls from the start.  Each read of `u`
+    or `b` is a new field, its ball expanded into the field's box of
+    dealias_cut (see the fields docstring): the dealiased field, zero
+    beyond the cut, which is the field the next step reads.
     """
 
     def __init__(
@@ -149,16 +153,16 @@ class SolverState:
         self.diss_integral = diss_integral
         self.grid = _common_grid(u, b)
         self._fields = (u, b)
-        self._boxes = None
+        self._ball_pair = None
 
     @classmethod
-    def _from_boxes(
-        cls, grid: Grid, t: float, boxes: np.ndarray, step_count: int,
+    def _from_balls(
+        cls, grid: Grid, t: float, balls: np.ndarray, step_count: int,
         diss_integral: float,
     ) -> "SolverState":
         state = cls.__new__(cls)
         state.t, state.step_count, state.diss_integral = t, step_count, diss_integral
-        state.grid, state._fields, state._boxes = grid, None, boxes
+        state.grid, state._fields, state._ball_pair = grid, None, balls
         return state
 
     @property
@@ -170,17 +174,15 @@ class SolverState:
         return self._field(1)
 
     def _field(self, i: int) -> SpectralField:
-        if self._boxes is None:
-            return self._fields[i]
-        return SpectralField(self.grid, self._boxes[i].copy())
+        return SpectralField(self.grid, self.grid.ball.expand(self._balls()[i]))
 
-    def _dealiased_boxes(self):
-        """The dealiased boxes (u, b), to be read only.  A state that holds
-        fields masks their boxes here and drops the fields."""
-        if self._boxes is None:
-            self._boxes = tuple(map(_dealiased_box, self._fields, "ub"))
+    def _balls(self):
+        """The dealias ball arrays (u, b), to be read only.  A state that
+        holds fields gathers their balls here and drops the fields."""
+        if self._ball_pair is None:
+            self._ball_pair = tuple(map(_dealiased_ball, self._fields, "ub"))
             self._fields = None
-        return self._boxes
+        return self._ball_pair
 
 
 # -- right-hand side -------------------------------------------------------------
@@ -202,44 +204,46 @@ def _check_vector(f: SpectralField, name: str) -> None:
 
 
 def _pair(grid: Grid) -> np.ndarray:
-    """An empty (u, b) pair of boxes of grid, shape
-    (2, 3, 2c + 1, 2c + 1, c + 1)."""
-    return np.empty((2, 3) + grid.box[3].shape, dtype=np.complex128)
+    """An empty (u, b) pair of dealias ball arrays, shape (2, 3, N)."""
+    return np.empty((2, 3, grid.ball.size), dtype=np.complex128)
 
 
-def _dealiased_box(f: SpectralField, name: str) -> np.ndarray:
-    """A new dealias box of f's coefficients with the modes beyond the cut
-    zeroed.  A nan or inf in the box raises ValueError naming the field: a
-    gate would read a nan maximum as a zero field, and the mask turns inf
-    into nan."""
-    _, _, _, mask = f.grid.box
-    box = _regrid(f.coeffs, mask.shape)
-    if not np.isfinite(box).all():
-        raise ValueError(f"{name} has a nan or inf coefficient in the dealias box")
-    return box * mask
+def _dealiased_ball(f: SpectralField, name: str) -> np.ndarray:
+    """A new C-contiguous dealias ball array of f's coefficients, (3, N):
+    its modes within the cut.  A nan or inf among them raises ValueError
+    naming the field: a gate would read a nan maximum as a zero field."""
+    ball = f.grid.ball
+    out = ball.gather(_regrid(f.coeffs, ball.shape))
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} has a nan or inf coefficient within the dealias cut")
+    return out
 
 
 class _Kernel:
-    """The rotational-form nonlinear terms of dealiased box coefficients uh,
-    bh, with the buffers they are computed in:
+    """The rotational-form nonlinear terms of dealias ball arrays uh, bh
+    (3, N), with the buffers they are computed in:
 
-        du = P[mask (u x w + J x b)],   db = curl(mask ((u - J) x b)),
+        du = P[ball (u x w + J x b)],   db = curl(ball ((u - J) x b)),
 
-    J dropped from db when hall_on is False.  Costs 12 pruned real inverse
-    and 6 pruned real forward transforms, in three phases:
+    ball(.) keeping the modes of the dealias ball, and J dropped from db
+    when hall_on is False.  Costs 12 pruned real inverse and 6 pruned real
+    forward transforms, in three phases:
 
     - the x passes of u, w = curl u, b and J = curl b, once, into four
-      buffers of shape (3, n, 2c + 1, c + 1), the curls formed one
-      component at a time in a one-component scratch;
+      buffers of shape (3, n, 2c + 1, c + 1), one component at a time:
+      each component, the curls' formed on the ball in a ball scratch, is
+      scattered into a one-component box scratch, which stays zero beyond
+      the ball, and takes its x pass from it;
     - per slab of x planes: the y and z passes to samples, the two cross
       products, and their forward z and y passes, which are written back
       over the planes of the u and w buffers that the slab has consumed;
-    - the forward x passes, from those two buffers: du onto the leading
-      bytes of the b and J buffers, which the slabs have consumed, then
-      the magnetic product onto those of the u buffer, from which db is
-      its curl, written after du on the b and J buffers.  The Leray
-      projection of du and the curl take their scratch on the w buffer,
-      free once the magnetic product is formed.
+    - the forward x passes, from those two buffers, each into one box on
+      the leading bytes of the consumed b buffer, whose ball modes are
+      gathered: du onto the leading bytes of the J buffer, then the
+      magnetic product onto those of the u buffer, consumed once du is
+      formed, from which db is its curl, written after du on the J buffer.
+      The Leray projection of du and the curl take their scratch on the w
+      buffer, consumed by the second forward x pass.
 
     The z passes are dense real matrix products (fields._inverse_z,
     _forward_z), one per slab and field: only kz <= c is nonzero on the way
@@ -264,16 +268,22 @@ class _Kernel:
         n      16    24    32    40    48    56    64    80    96    128
         ratio  0.69  0.71  0.81  0.93  0.94  1.00  1.18  1.13  1.20  1.36
 
-    so the products run up to n = 56, where they tie.
+    so the products run up to n = 56, where they tie.  (Measured on box
+    inputs; the ball's scatter and gather cost no pass.)
 
     The slab holds fields._slab_planes(grid) planes, as many as
-    fields.SLAB_BYTES of sample and transform buffers allow.  Each buffer
-    is one flat array, and a slab takes its C-contiguous leading part, as
-    the matrix products need; one complex buffer serves the inverse y/z
-    passes and then the forward z/y passes.  Every buffer is allocated once,
-    so a call allocates only temporaries of one component.  The pair a call
-    returns lives on the b and J buffers: the next call overwrites it, and
-    until then the caller may read it or write into it.  The inputs are
+    fields.SLAB_BYTES of sample and transform buffers allow.  Each of these
+    buffers is one flat array, and a slab takes its C-contiguous leading
+    part, as the matrix products need; one complex buffer serves the inverse
+    y/z passes and then the forward z/y passes.  The four x buffers and the
+    slab's buffers are views of one allocation, made once: freed as one
+    block, it raises glibc's dynamic mmap threshold to its size, so later
+    workspaces and set-ups reuse heap pages instead of faulting in pages of
+    a trimmed heap (n = 32 benchmark set-ups: 312 minor faults each with
+    separate buffers, 0 with one block).  A call allocates only temporaries
+    of one component.  The pair a call
+    returns, (2, 3, N), lives on the J buffer: the next call overwrites it,
+    and until then the caller may read it or write into it.  The inputs are
     only read.  Not thread-safe: one call at a time per instance.
     """
 
@@ -281,18 +291,26 @@ class _Kernel:
         n, c = grid.n, grid.dealias_cut
         w, h = 2 * c + 1, c + 1
         self.grid = grid
-        self._curl = np.empty((1, w, w, h), dtype=np.complex128)
-        xs = self._xs = np.empty((4, 3, n, w, h), dtype=np.complex128)
-        # the result pair on the leading bytes of the b and J buffers, the
-        # magnetic product's box on those of the u buffer and two components
-        # of scratch on those of the w buffer (w < n)
-        self._d = xs[2:].reshape(-1)[: 6 * w * w * h].reshape(2, 3, w, w, h)
-        self._fb = xs[0].reshape(-1)[: 3 * w * w * h].reshape(3, w, w, h)
-        self._scratch = xs[1].reshape(-1)[: 2 * w * w * h].reshape(2, w, w, h)
+        ball = self._ball = grid.ball
+        self._in = np.zeros((1, w, w, h), dtype=np.complex128)
+        self._cu = np.empty((2, ball.size), dtype=np.complex128)
         s = self._slab = _slab_planes(grid)
-        self._samples = np.empty(5 * 3 * s * n * n)
-        self._tmp = np.empty(s * n * n)
-        self._y = np.empty(3 * s * n * h, dtype=np.complex128)
+        # the x buffers, the transform buffer and (as float64) the sample
+        # buffers of five arrays and one scratch, in one allocation
+        x_size, y_size = 4 * 3 * n * w * h, 3 * s * n * h
+        work = np.empty(x_size + y_size + 8 * s * n * n, dtype=np.complex128)
+        xs = self._xs = work[:x_size].reshape(4, 3, n, w, h)
+        self._y = work[x_size : x_size + y_size]
+        floats = work[x_size + y_size :].view(np.float64)
+        self._samples, self._tmp = floats[: 15 * s * n * n], floats[15 * s * n * n :]
+        # the forward x passes' box on the leading bytes of the b buffer, the
+        # result pair on those of the J buffer, the magnetic product's ball on
+        # those of the u buffer and two components of scratch on those of the
+        # w buffer (w < n, and a ball holds at most 52% of its box)
+        self._box = xs[2].reshape(-1)[: 3 * w * w * h].reshape(3, w, w, h)
+        self._d = xs[3].reshape(-1)[: 6 * ball.size].reshape(2, 3, ball.size)
+        self._fb = xs[0].reshape(-1)[: 3 * ball.size].reshape(3, ball.size)
+        self._scratch = xs[1].reshape(-1)[: 2 * ball.size].reshape(2, ball.size)
 
     def _slabs(self):
         """(i0, i1, samples, tmp, y) per slab of x planes i0..i1 - 1:
@@ -313,14 +331,16 @@ class _Kernel:
         """The pair (du, db), on the kernel's x buffers and valid until its
         next call, and the maxima (max|u|, max|b|) over the samples when gate
         is True, else None.  uh and bh are only read."""
-        kvec, _, inv_k_sq, mask = self.grid.box
-        xs, cu = self._xs, self._curl
+        ball, xs, cu = self._ball, self._xs, self._cu
+        into_box = self._in.reshape(-1)  # written on the ball only
         for i, f in ((0, uh), (2, bh)):
-            _inverse_x(f, xs[i])
-            # the curl one component at a time, each into its rows of xs[i + 1]
+            # each component into its rows of xs[i], its curl's into xs[i + 1]
             for j in range(3):
-                _curl_component(kvec, f, j, cu[0])
-                _inverse_x(cu, xs[i + 1, j : j + 1])
+                into_box[ball.index] = f[j]
+                _inverse_x(self._in, xs[i, j : j + 1])
+            for j in range(3):
+                into_box[ball.index] = _curl_component(ball.ik, f, j, cu[0], cu[1])
+                _inverse_x(self._in, xs[i + 1, j : j + 1])
         maxima = []
         for i0, i1, (up, wp, bp, jp, fp), tmp, y in self._slabs():
             # fp, free until the products and again after its forward z
@@ -336,15 +356,14 @@ class _Kernel:
             _cross(ub, bp, out=wp, tmp=tmp)
             _forward_y(_forward_z(fp, y), xs[0, :, i0:i1], fp)
             _forward_y(_forward_z(wp, y), xs[1, :, i0:i1], fp)
-        # the b and J buffers are free, the u buffer once du is read, and the
-        # w buffer, the scratch of the projection and the curl, once fb is
-        du, db = self._d
-        _forward_x(xs[0], du)
-        fb = _forward_x(xs[1], self._fb)
-        du *= mask
-        fb *= mask
-        _leray(kvec, inv_k_sq, du, out=du, tmp=self._scratch)
-        _curl(kvec, fb, out=db, tmp=self._scratch[0])
+        # the b and J buffers are free, the u buffer once du is gathered, and
+        # the w buffer, the scratch of the projection and the curl, once fb is
+        box, (du, db) = self._box, self._d
+        ball.gather(_forward_x(xs[0], box), out=du)
+        fb = ball.gather(_forward_x(xs[1], box), out=self._fb)
+        _leray(ball.kvec, ball.inv_k_sq, du, out=du, tmp=self._scratch)
+        for i in range(3):
+            _curl_component(ball.ik, fb, i, db[i], self._scratch[0])
         # np.max, unlike max, keeps a nan of any slab
         return self._d, (np.max(maxima, axis=0) if gate else None)
 
@@ -361,19 +380,19 @@ def rhs(
     and b (|k| <= dealias_cut), as the 2/3 rule assumes: rhs(u, b) equals
     rhs(dealias(u), dealias(b)).  Equal to the advective form
     -P[u.grad u - b.grad b], curl(u x b) - curl((curl b) x b) for solenoidal
-    u and b, which is checked: a non-solenoidal input, or a nan or inf in
-    a dealias box, raises ValueError, and u and b on different grids raise
-    DimensionError.  The results are copies of the pair the kernel leaves
-    on its buffers.
+    u and b, which is checked: a non-solenoidal input, or a nan or inf
+    within the dealias cut, raises ValueError, and u and b on different
+    grids raise DimensionError.  The results are the pair the kernel leaves
+    on its buffers, expanded into new boxes of dealias_cut.
     """
     g = _common_grid(u, b)
-    uh, bh = _dealiased_box(u, "u"), _dealiased_box(b, "b")
+    uh, bh = _dealiased_ball(u, "u"), _dealiased_ball(b, "b")
     for f, name in ((u, "u"), (b, "b")):
         err = divergence_error(f)
         if err > 1e-8:
             raise ValueError(f"rhs input {name} not solenoidal (error {err:.2e})")
     (du, db), _ = _Kernel(g)(uh, bh, hall_on)
-    return SpectralField(g, du.copy()), SpectralField(g, db.copy())
+    return SpectralField(g, g.ball.expand(du)), SpectralField(g, g.ball.expand(db))
 
 
 # -- time stepping ----------------------------------------------------------------
@@ -415,23 +434,23 @@ def dt_gate(
     B0 is the mean of b, whose waves the step's integrating factor takes
     exactly, so the whistler term reads only the fluctuating field b - B0.
     The mean velocity is not removed from max|u|.  The maxima are taken over
-    the pruned samples of the dealiased boxes of u and b, the samples a step
-    gates on in its first stage: fields._BoxSup streams each box through
-    the kernel's passes on slabs of the step's height, so the gate of the
-    DtGateError a step raises equals dt_gate of its state, bit for bit (see
-    bit determinism in the fields docstring).  That costs one x-pass buffer
-    and one slab, shared by u and b, not two (3, n, n, n) sample cubes nor
-    a kernel's workspace, and the passes cost what they cost in the kernel
-    (see _Kernel).  The config is checked as Stepper checks it, so an
-    invalid one, or one of another n or dealias_cut, raises ConfigError; u
-    and b on different grids raise DimensionError, and a nan or inf in a
-    dealias box ValueError."""
+    the pruned samples of the dealias balls of u and b, the samples a step
+    gates on in its first stage: fields._BoxSup streams each ball, expanded
+    into its box, through the kernel's passes on slabs of the step's
+    height, so the gate of the DtGateError a step raises equals dt_gate of
+    its state, bit for bit (see bit determinism in the fields docstring).
+    That costs one x-pass buffer and one slab, shared by u and b, not two
+    (3, n, n, n) sample cubes nor a kernel's workspace, and the passes cost
+    what they cost in the kernel (see _Kernel).  The config is checked as
+    Stepper checks it, so an invalid one, or one of another n or
+    dealias_cut, raises ConfigError; u and b on different grids raise
+    DimensionError, and a nan or inf within the dealias cut ValueError."""
     g = _common_grid(u, b)
     _check_config(g, cfg)
-    uh, bh = _dealiased_box(u, "u"), _dealiased_box(b, "b")
-    bh[:, 0, 0, 0] -= bh[:, 0, 0, 0].real
+    uh, bh = _dealiased_ball(u, "u"), _dealiased_ball(b, "b")
+    bh[:, 0] -= bh[:, 0].real
     sup = _BoxSup(g, 3, g.dealias_cut)
-    return _gate(sup(uh), sup(bh), float(g.dealias_cut), cfg)
+    return _gate(sup(g.ball.expand(uh)), sup(g.ball.expand(bh)), float(g.dealias_cut), cfg)
 
 
 # -- integrating factors ------------------------------------------------------------
@@ -480,28 +499,29 @@ class _MeanField:
     F_s = exp(t [[-nu K^2, i kappa], [i kappa, -mu K^2 + s i h kappa K]]),
     so exp(L t) = (F_+ + F_-)/2 - i (F_+ - F_-)/(2K) (k x): A x + C curl x
     with curl = i k x and C = -(F_+ - F_-)/(2K).  A and C are symmetric 2x2
-    blocks of per-mode scalars; without the Hall term F_+ = F_- and C = 0.
-    At k = 0 the factor is the identity."""
+    blocks of per-mode scalars, kept on the dealias ball; without the Hall
+    term F_+ = F_- and C = 0.  At k = 0 the factor is the identity."""
 
     def __init__(self, grid: Grid, cfg: RunConfig, mean: np.ndarray, t: float):
-        kvec, ksq, inv_k_sq, _ = grid.box
-        kx, ky, kz = kvec
+        ball = grid.ball
+        kx, ky, kz = ball.kvec
+        ksq = ball.k_sq
         kappa = kx * mean[0] + ky * mean[1] + kz * mean[2]
         a, beta, d = -cfg.nu * ksq + 0j, 1j * kappa, -cfg.mu * ksq + 0j
-        self.kvec = kvec
+        self.ik = ball.ik
         if not cfg.hall_on:
             self.a, self.c = _expm_sym2(a, beta, d, t), None
             return
         # both branches in one call: index 0 is s = +1, index 1 is s = -1
         hall = 1j * kappa * np.sqrt(ksq)
         branches = _expm_sym2(a, beta, np.stack([d + hall, d - hall]), t)
-        inv_2k = 0.5 * np.sqrt(inv_k_sq)
+        inv_2k = 0.5 * np.sqrt(ball.inv_k_sq)
         self.a = tuple((f[0] + f[1]) / 2 for f in branches)
         self.c = tuple(inv_2k * (f[1] - f[0]) for f in branches)
 
     def __call__(self, u: np.ndarray, b: np.ndarray, out) -> None:
-        """Writes exp(L t) (u, b) into the pair out = (eu, eb), which must
-        not overlap u or b: eu = a_uu u + a_ub b + c_uu curl u + c_ub curl b
+        """Writes exp(L t) (u, b), ball arrays, into the pair out = (eu, eb),
+        which must not overlap u or b: eu = a_uu u + a_ub b + c_uu curl u + c_ub curl b
         and eb = a_ub u + a_bb b + c_ub curl u + c_bb curl b, each summed in
         that order.  A product goes into eb before eb is begun, or into a
         one-component scratch, which also takes the subtrahend of each curl
@@ -521,21 +541,22 @@ class _MeanField:
         cu = np.empty_like(tmp)
         for x, c_x, c_y in ((u, c_uu, c_ub), (b, c_ub, c_bb)):
             for i in range(3):
-                _curl_component(self.kvec, x, i, cu, tmp)
+                _curl_component(self.ik, x, i, cu, tmp)
                 eu[i] += np.multiply(c_x, cu, out=tmp)
                 eb[i] += np.multiply(c_y, cu, out=cu)
 
 
 class Stepper:
-    """Integrating-factor RK4 stepper on the dealiased box.
+    """Integrating-factor RK4 stepper on the dealias ball.
 
-    A step runs on the box |kx|, |ky|, kz <= c of the state's coefficients,
-    c = dealias_cut, shape (3, 2c + 1, 2c + 1, c + 1): the four kernel
-    calls, the running RK4 sums, the integrating factors, the dissipation
-    sum, the finiteness check, the final Leray projection and the drift
-    check.  Products are formed from the dealiased part of u and b, as the
-    2/3 rule assumes, so step(state) equals the step of dealias(u),
-    dealias(b), and the new state is zero beyond the cut.
+    A step runs on the ball arrays of the state, the modes |k| <= c with
+    kz >= 0, c = dealias_cut, each (3, N), N = grid.ball.size (fields._Ball;
+    about half the box |kx|, |ky|, kz <= c): the four kernel calls, the
+    running RK4 sums, the integrating factors, the dissipation sum, the
+    finiteness check, the final Leray projection and the drift check.
+    Products are formed from the dealiased part of u and b, as the 2/3 rule
+    assumes, so step(state) equals the step of dealias(u), dealias(b), and
+    the new state is zero beyond the cut.
 
     The stages run on (u, b - B0), B0 the mean of b, which the equations
     conserve and the step puts back into the new state.  The integrating
@@ -553,28 +574,30 @@ class Stepper:
         u4 = E (E u0 + dt du3),
         u_new = E (E u0 + dt/6 E du1 + dt/3 (du2 + du3)) + dt/6 du4.
 
-    A step allocates two stage arrays, each a (u, b) pair of boxes of
-    shape (2, 3, 2c + 1, 2c + 1, c + 1): the stage input and the running
-    sum of the last line.  E u0, u0 the pair (u, b - B0), is not stored:
-    where stages 1, 2 and 3 need it, it is formed again from the state's
-    boxes, which are only read, as E (u, b) less B0 at k = 0, where E is
-    the identity, bit for bit.  The derivatives are the pair the kernel
+    A step allocates two stage arrays, each a (u, b) pair of ball arrays of
+    shape (2, 3, N): the stage input and the running sum of the last line.
+    E u0, u0 the pair (u, b - B0), is not stored: where stages 1, 2 and 3
+    need it, it is formed again from the state's balls, which are only
+    read, as E (u, b) less B0 at k = 0 (mode 0 of the ball), where E is the
+    identity, bit for bit.  The derivatives are the pair the kernel
     returns on its own buffers (see _Kernel), which is also the scratch
     until the next kernel call.  Every combination is written into these
     arrays by out= and +=, each sum pairing its operands as the lines above
     read; the stage input is the scratch once the kernel and the
     dissipation sum have read it.  The new state is written into the stage
-    input, whose pair becomes its boxes (see SolverState): a step neither
-    masks nor copies a box, except the masked boxes of a state built from
+    input, whose pair becomes its balls (see SolverState): a step neither
+    gathers nor copies a ball, except the balls of a state built from
     SpectralFields at its first step, which that state keeps in place of
-    its fields.
+    its fields.  The dissipation sum runs over the ball with each mode's
+    |k|^2 times its Hermitian multiplicity, summed by np.sum per component,
+    whose pairwise order no BLAS thread count changes.
 
     A Stepper owns the kernel's workspace, allocated once when it is built
     and reused by every step, so it is not thread-safe: step one state at a
     time per Stepper.  The workspace holds four arrays of shape
-    (3, n, 2c + 1, c + 1), on which the kernel also returns its pair, one
-    component of a box and a slab of sample and transform planes of about
-    SLAB_BYTES.  A step, and a run resumed from a checkpoint, is
+    (3, n, 2c + 1, c + 1), on which the kernel also returns its pair, and a
+    slab of sample and transform planes of about SLAB_BYTES, all in one
+    allocation, and one component of a box and two of a ball.  A step, and a run resumed from a checkpoint, is
     bit-identical under the same BLAS kernel and the same SLAB_BYTES (see
     bit determinism in the fields docstring).
 
@@ -587,8 +610,11 @@ class Stepper:
         _check_config(grid, cfg)
         self.grid = grid
         self.cfg = cfg
-        _, ksq, _, _ = grid.box
-        self._k_sq = ksq
+        ball = grid.ball
+        ksq = ball.k_sq
+        # the dissipation sum's weights, and its one-component scratch
+        self._weight = ksq * ball.mult
+        self._power = np.empty(ball.size)
         dt = cfg.dt
         self.eu_half = np.exp(-cfg.nu * ksq * dt / 2.0)
         self.eb_half = (
@@ -616,9 +642,18 @@ class Stepper:
         return cached[1]
 
     def _diss(self, u: np.ndarray, b: np.ndarray) -> float:
-        """nu ||grad u||^2 + mu ||grad b||^2 from boxes."""
-        cfg, ksq = self.cfg, self._k_sq
-        return cfg.nu * _parseval(u, ksq) + cfg.mu * _parseval(b, ksq)
+        """nu ||grad u||^2 + mu ||grad b||^2 from ball arrays."""
+        return self.cfg.nu * self._grad_sq(u) + self.cfg.mu * self._grad_sq(b)
+
+    def _grad_sq(self, f: np.ndarray) -> float:
+        """||grad f||^2 of a ball array: (2 pi)^3 sum of |k|^2 |f|^2 times
+        the Hermitian multiplicity, one component at a time."""
+        p, total = self._power, 0.0
+        for c in f:
+            np.square(np.abs(c, out=p), out=p)
+            p *= self._weight
+            total += float(np.sum(p))
+        return VOLUME * total
 
     def _step_inner(self, state: SolverState, dt: float) -> SolverState:
         cfg = self.cfg
@@ -626,27 +661,24 @@ class Stepper:
         nonlinear, hall = self._kernel, cfg.hall_on
         # first, so that the fields a state gives up here are freed before
         # the stage arrays are allocated
-        u0, b0 = state._dealiased_boxes()
-        # the stage input, which becomes the new state, and the running sum:
-        # in this order the n = 128 record peaked no higher than the step,
-        # 228 MB, and 3 MB above it the other way round; the n = 64
-        # benchmark's peak RSS read 70.65-70.70 MB against 70.59-70.82 MB
+        u0, b0 = state._balls()
+        # the stage input, which becomes the new state, and the running sum
         x, acc = _pair(g), _pair(g)
-        mean = b0[:, 0, 0, 0].real.copy()
+        mean = b0[:, 0].real.copy()
         e_h = self._factor(mean)
 
         def e0(out):
             # E (u0, b0 - B0): E is the identity at k = 0, so B0 comes off
             # after it, bit for bit
             e_h(u0, b0, out=out)
-            out[1][:, 0, 0, 0] -= mean
+            out[1][:, 0] -= mean
             return out
 
         b1 = b0
         if mean.any():  # b - B0, in the stage input until stage 1 has read it
             b1 = x[1]
             b1[...] = b0
-            b1[:, 0, 0, 0] -= mean
+            b1[:, 0] -= mean
         # d, the derivatives, lives on the kernel's buffers until its next
         # call; until then it is also the scratch
         d, maxima = nonlinear(u0, b1, hall, gate=True)
@@ -679,17 +711,17 @@ class Stepper:
             raise BlowUpDetected(state)
 
         u_new, b_new = x
-        kvec, _, inv_k_sq, _ = g.box
-        _leray(kvec, inv_k_sq, u_new, out=u_new, tmp=d[0, :2])
+        ball = g.ball
+        _leray(ball.kvec, ball.inv_k_sq, u_new, out=u_new, tmp=d[0, :2])
         if mean.any():
-            b_new[:, 0, 0, 0] += mean
-        drift = _divergence_error(kvec, b_new)
+            b_new[:, 0] += mean
+        drift = _divergence_error(ball.kvec, b_new)
         if drift > SOLENOIDAL_DRIFT_TOL:
             raise SolenoidalDriftError(
                 f"magnetic solenoidality drift {drift:.3e} exceeds "
                 f"{SOLENOIDAL_DRIFT_TOL} at t={state.t:.6g}"
             )
-        return SolverState._from_boxes(
+        return SolverState._from_balls(
             g,
             state.t + dt,
             x,
@@ -720,8 +752,9 @@ def magnetic_helicity(b: SpectralField) -> float:
     inv_k_sq = _reciprocal(_norm_sq(kvec))
     rows = np.empty(coeffs.shape[:-1])
     a, tmp = np.empty((2,) + coeffs.shape[1:], dtype=np.complex128)
+    ik = tuple(1j * k for k in kvec)
     for i, row in enumerate(rows):
-        _curl_component(kvec, coeffs, i, a, tmp)
+        _curl_component(ik, coeffs, i, a, tmp)
         a *= inv_k_sq
         np.conjugate(a, out=a)
         a *= coeffs[i]

@@ -117,7 +117,7 @@ class TestGrid:
         ],
     )
     def test_sizes_must_be_integers(self, args, name):
-        # a float or a string fails inside Grid.box, and a bool passes as 0 or 1
+        # a float or a string fails inside Grid.ball, and a bool passes as 0 or 1
         msg = f"grid {name} must be an integer, got {re.escape(repr(args[-1]))}"
         with pytest.raises(DimensionError, match=msg):
             Grid(*args)
@@ -130,7 +130,7 @@ class TestGrid:
         g = Grid(np.int64(32), np.int64(8))
         assert g == Grid(32, 8)
         assert type(g.n) is int and type(g.dealias_cut) is int
-        assert g.box[3].shape == (17, 17, 9)
+        assert g.ball.shape == (17, 17, 9)
         got, expect = (make_initial({"kind": "random_band"}, h, 1) for h in (g, Grid(32, 8)))
         assert np.array_equal(got[0].coeffs, expect[0].coeffs)
 
@@ -434,17 +434,20 @@ class TestBoxLayout:
 
     @pytest.mark.parametrize("n, c", list(layout_cases()))
     def test_box_wavevectors_match_k1(self, n, c):
-        # k1, the half cube's axis of the oracles
+        # k1, the half cube's axis of the oracles; a grid's dealias ball
+        # holds those of the box at its modes
         rows = np.r_[0 : c + 1, n - c : n]
         k1 = oracles.wavevectors(Grid(n))[0].ravel()
-        axes = [_box_axes(c)]
+        kx, ky, kz = _box_axes(c)
+        assert kx.dtype == ky.dtype == kz.dtype == np.float64
+        assert np.array_equal(kx, k1[rows].reshape(-1, 1, 1))
+        assert np.array_equal(ky, k1[rows].reshape(1, -1, 1))
+        assert np.array_equal(kz, k1[: c + 1])
         if 1 <= c <= (n - 1) // 3:
-            axes.append(Grid(n, c).box[0])
-        for kx, ky, kz in axes:
-            assert kx.dtype == ky.dtype == kz.dtype == np.float64
-            assert np.array_equal(kx, k1[rows].reshape(-1, 1, 1))
-            assert np.array_equal(ky, k1[rows].reshape(1, -1, 1))
-            assert np.array_equal(kz, k1[: c + 1])
+            ball = Grid(n, c).ball
+            for k, axis in zip(ball.kvec, (kx, ky, kz)):
+                assert k.dtype == np.float64
+                assert np.array_equal(k, np.broadcast_to(axis, ball.shape).ravel()[ball.index])
 
     @pytest.mark.parametrize("support", [0, 1, 5, 6, 7])
     def test_fields_are_stored_on_one_box(self, support):
@@ -458,7 +461,7 @@ class TestBoxLayout:
         cut = max(g.dealias_cut, support)
         built = [SpectralField(g, half), SpectralField(g, _regrid(half, _box_shape(7)))]
         if support <= g.dealias_cut:
-            built.append(SpectralField(g, _regrid(half, g.box[3].shape)))
+            built.append(SpectralField(g, _regrid(half, _box_shape(g.dealias_cut))))
         for f in built:
             assert f.coeffs.shape == (3,) + _box_shape(cut)
             assert np.array_equal(f.coeffs, built[0].coeffs)
@@ -473,6 +476,62 @@ class TestBoxLayout:
         assert not f.coeffs.any()
 
 
+class TestDealiasBall:
+    # the tables of the modes |k| <= cut with kz >= 0, on which the solver
+    # steps, against the box modes enumerated one by one
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_tables_hold_the_ball(self, n):
+        g = Grid(n)
+        c, ball = g.dealias_cut, g.ball
+        w, _, h = ball.shape
+        modes = [
+            (kx, ky, kz)
+            for kx in range(-c, c + 1)
+            for ky in range(-c, c + 1)
+            for kz in range(c + 1)
+            if kx * kx + ky * ky + kz * kz <= c * c
+        ]
+        # flat index into the box, x and y rows in FFT order: box order
+        flat = sorted(((kx % w) * w + ky % w) * h + kz for kx, ky, kz in modes)
+        assert ball.size == len(modes) and ball.index.tolist() == flat
+        ks = np.unravel_index(ball.index, ball.shape)
+        expect = [np.where(i <= c, i, i - w) for i in ks[:2]] + [ks[2]]
+        for got, k in zip(ball.kvec, expect):
+            assert got.dtype == np.float64 and np.array_equal(got, k)
+        kx, ky, kz = expect
+        k_sq = kx**2 + ky**2 + kz**2
+        assert np.array_equal(ball.k_sq, k_sq) and ball.k_sq.max() <= c * c
+        assert ball.inv_k_sq[0] == 0.0 and np.array_equal(ball.inv_k_sq[1:], 1.0 / k_sq[1:])
+        assert np.array_equal(ball.mult, np.where(kz == 0, 1.0, 2.0))
+        for got, k in zip(ball.ik, ball.kvec):
+            assert np.array_equal(got, 1j * k)
+        tables = (ball.index, *ball.kvec, *ball.ik, ball.k_sq, ball.inv_k_sq, ball.mult)
+        assert not any(t.flags.writeable for t in tables)
+        assert Grid(n).ball is ball
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_box_to_ball_to_box(self, n):
+        # exact for a dealiased box; a box with content beyond the cut comes
+        # back zero there and equal within it
+        g = Grid(n)
+        ball = g.ball
+        box = _regrid(half_cube(white_noise(g, n)), ball.shape)
+        kx, ky, kz = _box_axes(g.dealias_cut)
+        inside = kx**2 + ky**2 + kz**2 <= g.dealias_cut**2
+        assert not np.all(box[:, ~inside] == 0.0)
+        got = ball.gather(box)
+        assert got.shape == (3, ball.size) and got.flags.c_contiguous
+        back = ball.expand(got)
+        assert np.all(back[:, ~inside] == 0.0)
+        assert np.array_equal(back[:, inside], box[:, inside])
+        dealiased = box * inside
+        assert np.array_equal(ball.expand(ball.gather(dealiased)), dealiased)
+        out = np.empty_like(got)
+        assert ball.gather(dealiased, out=out) is out
+        assert np.array_equal(out, got)
+
+
 class TestCalculus:
     def test_curl_of_beltrami_is_identity(self):
         g = Grid(16)
@@ -482,11 +541,17 @@ class TestCalculus:
 
     def test_curl_matches_componentwise_formula(self):
         # the same products and differences as i (dy cz - dz cy), ... in the
-        # same order, so equal to the last bit on the field's box and on the
-        # dealias box
+        # same order, so equal to the last bit on the field's box, on the
+        # dealias box and on the dealias ball
         g = Grid(16)
         f = white_noise(g, 4).coeffs
-        for kvec, c in ((_box_axes(7), f), (g.box[0], _regrid(f, g.box[3].shape))):
+        box = _regrid(f, _box_shape(g.dealias_cut))
+        cases = (
+            (_box_axes(7), f),
+            (_box_axes(g.dealias_cut), box),
+            (g.ball.kvec, g.ball.gather(box)),
+        )
+        for kvec, c in cases:
             dx, dy, dz = kvec
             cx, cy, cz = c
             expect = np.stack(

@@ -151,6 +151,24 @@ class TestConfigKeys:
             assert max(rec["div_u"], rec["div_b"]) < 1e-12
         assert recs[0]["diss_integral"] == 0.0 and recs[-1]["diss_integral"] > 0.0
 
+    def test_balance_of_a_file_of_a_larger_cut(self, tmp_path):
+        # a random_band n = 32 file of cut 10 run at dealias_cut 8: E0 and
+        # the energies of step 0 are those of the dealiased fields, which the
+        # first step reads, not of the modes beyond the cut that it drops
+        u, b = solver.make_initial({"kind": "random_band"}, Grid(32), 0)
+        path = tmp_path / "init.hmhd"
+        write_checkpoint(path, 0.0, 0.01, 0.01, u, b)
+        cfg = RunConfig(
+            n=32, dealias_cut=8, dt=1e-3, t_end=3e-3, nu=0.01, mu=0.01, diag_every=1,
+            init={"kind": "from_checkpoint", "path": str(path)},
+        )
+        driver.run(cfg, tmp_path / "run")
+        recs = records(tmp_path / "run")
+        assert [rec["step"] for rec in recs] == [0, 1, 2, 3]
+        assert recs[0]["energy_u"] < solver.energy(u)
+        for rec in recs:
+            assert abs(rec["balance"]) <= 1e-10
+
     @pytest.mark.parametrize("every, steps", [(4, [4, 8, 10]), (None, [10])])
     def test_checkpoint_every_sets_the_writes(self, tmp_path, monkeypatch, every, steps):
         written = []

@@ -148,7 +148,7 @@ def reference_step(u0, b0, cfg):
     """One IF-RK4 step of fields on the dealias box, from the public rhs
     and field calculus: the reference for Stepper.step, which fuses them.
     Returns (u, b, the dissipation integral increment)."""
-    ksq, dt = u0.grid.box[1], cfg.dt
+    ksq, dt = fields._norm_sq(fields._box_axes(u0.grid.dealias_cut)), cfg.dt
     eu_half = np.exp(-cfg.nu * ksq * dt / 2)
     eb_half = np.exp(-cfg.mu * ksq * dt / 2)
     eu_full, eb_full = eu_half**2, eb_half**2
@@ -182,6 +182,40 @@ def reference_step(u0, b0, cfg):
     return leray_project(field(u_new)).coeffs, b_new, diss
 
 
+def box_step(u0, b0, cfg):
+    """One step of Stepper's sequence of operations on the dealias box, with
+    rhs for the kernel calls, for states without a mean field: the new (u,
+    b) boxes.  Every mode takes the stepper's operations in its order, so a
+    step on the ball equals it bit for bit."""
+    grid, dt = u0.grid, cfg.dt
+    kvec = fields._box_axes(grid.dealias_cut)
+    ksq = fields._norm_sq(kvec)
+    eu, eb = (np.exp(-nu * ksq * dt / 2.0) for nu in (cfg.nu, cfg.mu))
+
+    def factor(pair):
+        return np.stack([eu * pair[0], eb * pair[1]])
+
+    def kernel(pair):
+        fs = (SpectralField(grid, c) for c in pair)
+        return np.stack([f.coeffs for f in rhs(*fs, cfg.hall_on)])
+
+    e0 = factor(np.stack([u0.coeffs, b0.coeffs]))
+    d = kernel(np.stack([u0.coeffs, b0.coeffs]))
+    acc = factor(d)
+    x = e0 + dt / 2 * acc
+    acc = e0 + dt / 6 * acc
+    d = kernel(x)
+    acc += dt / 3 * d
+    x = e0 + dt / 2 * d
+    d = kernel(x)
+    acc += dt / 3 * d
+    x = factor(e0 + dt * d)
+    d = kernel(x)
+    x = factor(acc) + dt / 6 * d
+    x[0] = _leray(kvec, fields._reciprocal(ksq), x[0])
+    return x
+
+
 def traced(action):
     """action()'s result, the peak of the memory traced while it ran and the
     memory traced after it, each in bytes above the memory live before it,
@@ -209,7 +243,8 @@ def stepped_once(kind):
 
 def steady_step_boxes(kind):
     """The peak of the second Hall step of an n = 32 `kind` state above the
-    memory live before it, in box-sized arrays, by tracemalloc."""
+    memory live before it, in box-sized arrays, (3, 21, 21, 11) complex128
+    (the dealias box of one field), by tracemalloc."""
     stepper, st = stepped_once(kind)
     c = stepper.grid.dealias_cut
     box_bytes = 3 * (2 * c + 1) ** 2 * (c + 1) * 16
@@ -235,9 +270,24 @@ class TestHalfCubeStep:
         assert hermitian_error(st.u) < 1e-14
         assert hermitian_error(st.b) < 1e-14
 
+    @pytest.mark.parametrize("n", [10, 16, 24])
+    @pytest.mark.parametrize("hall", [False, True])
+    def test_equals_the_box_layout_step(self, n, hall):
+        # the step on the dealias ball, against the same operations on the
+        # dealias box, whose modes beyond the ball stay zero
+        g = Grid(n)
+        rng = np.random.default_rng(n + hall)
+        u0 = scaled(dealias(leray_project(random_field(g, rng))), 0.5)
+        b0 = scaled(dealias(leray_project(random_field(g, rng))), 0.5)
+        cfg = RunConfig(n=n, dt=1e-2, t_end=1.0, nu=0.05, mu=0.03, hall_on=hall)
+        st = Stepper(g, cfg).step(SolverState(0.0, u0, b0))
+        u_ref, b_ref = box_step(u0, b0, cfg)
+        assert np.array_equal(st.u.coeffs, u_ref)
+        assert np.array_equal(st.b.coeffs, b_ref)
+
     def test_step_fills_nothing_until_asked(self):
-        # a stepped state holds boxes, which are its fields' own boxes; each
-        # access to u or b is a new field on a copy of its box
+        # a stepped state holds ball arrays; each access to u or b is a new
+        # field, its ball expanded into the field's own box
         cfg = RunConfig(
             n=16, dt=1e-3, t_end=1.0, nu=0.1, mu=0.1, init={"kind": "random_band"}
         )
@@ -246,9 +296,9 @@ class TestHalfCubeStep:
         u = st.u
         assert u.coeffs.shape == st.b.coeffs.shape == (3, 11, 11, 6)
         assert np.array_equal(st.u.coeffs, u.coeffs)
-        assert np.array_equal(u.coeffs, st._dealiased_boxes()[0])
-        for f, box in zip((u, st.b), st._dealiased_boxes()):
-            assert not np.shares_memory(f.coeffs, box)
+        assert np.array_equal(u.coeffs, st.grid.ball.expand(st._balls()[0]))
+        for f, ball in zip((u, st.b), st._balls()):
+            assert not np.shares_memory(f.coeffs, ball)
 
     def test_stepped_state_keeps_no_half_cube(self):
         # a read of a stepped state's u is a copy of its box, and a record
@@ -298,10 +348,10 @@ class TestHalfCubeStep:
                 assert got.diss_integral == ref.diss_integral
                 states[i] = got
         kernel = shared._kernel
-        boxes = [st._dealiased_boxes() for st in states]
-        inputs = [np.copy(pair) for pair in boxes]
-        fresh = [solver._Kernel(g)(*pair, True, gate=True) for pair in boxes]
-        first, maxima = kernel(*boxes[0], True, gate=True)
+        balls = [st._balls() for st in states]
+        inputs = [np.copy(pair) for pair in balls]
+        fresh = [solver._Kernel(g)(*pair, True, gate=True) for pair in balls]
+        first, maxima = kernel(*balls[0], True, gate=True)
         kept = first.copy()
         assert np.shares_memory(first, kernel._xs)
         # work between two calls leaves the pair alone: a step of another
@@ -311,12 +361,12 @@ class TestHalfCubeStep:
         derivs_kept = [f.coeffs.copy() for f in derivs]
         dt_gate(states[1].u, states[1].b, cfg)
         assert np.array_equal(first, kept)
-        second, second_maxima = kernel(*boxes[1], True, gate=True)
+        second, second_maxima = kernel(*balls[1], True, gate=True)
         assert np.shares_memory(first, second)
         for got, ref in zip([(kept, maxima), (second, second_maxima)], fresh):
             assert all(np.array_equal(a, b) for a, b in zip(got, ref))
         assert not np.array_equal(first, kept)
-        for pair, copy in zip(boxes, inputs):
+        for pair, copy in zip(balls, inputs):
             assert np.array_equal(pair, copy)
         # rhs results are copies, which no later call writes
         later = rhs(states[0].u, states[0].b)
@@ -333,7 +383,9 @@ class TestHalfCubeStep:
         # are dense products, and at n = 64, where they are FFTs (the z
         # passes are dense at both): bit for bit where the BLAS gives the
         # same bits for a row or column in a product of any height or width,
-        # else to 1e-15 relative
+        # else to 1e-15 relative; the kernel takes and returns ball arrays,
+        # which are checked on every ball mode against the whole-array
+        # products on the box
         from hallmhd.fields import (
             _BoxSup,
             _cross,
@@ -407,39 +459,43 @@ class TestHalfCubeStep:
             kernel = solver._Kernel(g)
             assert kernel._slab == planes
             u, b = make_initial({"kind": "random_band"}, g, 7)
-            uh, bh = solver._dealiased_box(u, "u"), solver._dealiased_box(b, "b")
+            uh, bh = solver._dealiased_ball(u, "u"), solver._dealiased_ball(b, "b")
             inputs = uh.copy(), bh.copy()
             (du, db), maxima = kernel(uh, bh, hall, gate=True)
             assert np.array_equal(uh, inputs[0]) and np.array_equal(bh, inputs[1])
 
-            kvec, _, inv_k_sq, mask = g.box
-            up, wp = (inverse(x) for x in (uh, _curl(kvec, uh)))
-            bp, jp = (inverse(x) for x in (bh, _curl(kvec, bh)))
+            ball = g.ball
+            kvec = fields._box_axes(c)
+            ub, bb = ball.expand(uh), ball.expand(bh)
+            up, wp = (inverse(x) for x in (ub, _curl(kvec, ub)))
+            bp, jp = (inverse(x) for x in (bb, _curl(kvec, bb)))
             f = _cross(up, wp)
             f += _cross(jp, bp)
-            fu = forward(f) * mask
-            fb = forward(_cross(up - jp if hall else up, bp)) * mask
-            assert_close(du, _leray(kvec, inv_k_sq, fu))
-            assert_close(db, _curl(kvec, fb))
+            fu = ball.gather(forward(f))
+            fb = ball.gather(forward(_cross(up - jp if hall else up, bp)))
+            assert du.shape == db.shape == (3, ball.size)
+            assert_close(du, _leray(ball.kvec, ball.inv_k_sq, fu))
+            assert_close(db, _curl(ball.kvec, fb))
             for got, p in zip(maxima, (up, bp)):
                 assert_close(got, np.sqrt(np.sum(p * p, axis=0)).max())
             # dt_gate reads the same samples: _BoxSup streams a box through
             # the same passes on slabs of the same height
             sup = _BoxSup(g, 3, g.dealias_cut)
             assert sup.planes == planes
-            assert maxima[0] == sup(uh)
-            assert maxima[1] == sup(bh)
+            assert maxima[0] == sup(ub)
+            assert maxima[1] == sup(bb)
 
     def test_steady_step_allocates_few_boxes(self):
         # after the first step has allocated the kernel's buffers, a Hall
-        # step at n = 32 peaks at most 6 box-sized arrays above live memory,
-        # four of them the two stage pairs
-        assert steady_step_boxes("random_band") <= 6
+        # step at n = 32 peaks at most 3 box-sized arrays above live memory
+        # (2.49 measured), 1.85 of them the two stage pairs of ball arrays,
+        # each ball 46% of its box
+        assert steady_step_boxes("random_band") <= 3
 
     def test_steady_mean_field_step_allocates_few_boxes(self):
         # the factor of a mean field B0 forms its curls one component at a
-        # time, so it peaks no higher than the kernel
-        assert steady_step_boxes("uniform_b_plus_whistler") <= 6
+        # time, so it peaks no higher than the kernel (2.33 measured)
+        assert steady_step_boxes("uniform_b_plus_whistler") <= 3
 
     def test_first_step_drops_the_fields(self):
         # a state built from fields keeps only their masked boxes once a step
@@ -466,15 +522,15 @@ class TestHalfCubeStep:
         u, b = make_initial({"kind": "random_band"}, g, 6)
         first = stepper.step(SolverState(0.0, u, b))
         second = stepper.step(first)
-        for a in first._dealiased_boxes():
-            for b in second._dealiased_boxes():
+        for a in first._balls():
+            for b in second._balls():
                 assert not np.shares_memory(a, b)
 
     def test_resume_from_own_fields_is_bit_identical(self):
         # the diagnostics workload of the benchmark at seed 7509 (n = 32,
         # Hall off, nu = mu = 0.01, dt half the gate): a state rebuilt from
         # a stepped state's own u and b steps as the stepped state does.
-        # That needs C-contiguous masked boxes: the first step sums the
+        # That needs C-contiguous ball arrays: the first step sums the
         # dissipation over them, and over another layout in another order
         cfg = RunConfig(
             n=32, dt=1e-2, t_end=1.0, nu=0.01, mu=0.01, hall_on=False,
@@ -491,7 +547,7 @@ class TestHalfCubeStep:
         for _ in range(5):
             st = stepper.step(st)
         rebuilt = SolverState(st.t, st.u, st.b, st.step_count, st.diss_integral)
-        assert all(box.flags.c_contiguous for box in rebuilt._dealiased_boxes())
+        assert all(ball.flags.c_contiguous for ball in rebuilt._balls())
         straight, resumed = stepper.step(st), stepper.step(rebuilt)
         assert np.array_equal(straight.u.coeffs, resumed.u.coeffs)
         assert np.array_equal(straight.b.coeffs, resumed.b.coeffs)
@@ -680,7 +736,7 @@ class TestMeanField:
         mean = np.array([0.3, -0.2, 1.1])
         bm = b.copy()
         bm.coeffs[:, 0, 0, 0] = mean
-        k = np.stack(np.broadcast_arrays(*g.box[0]))
+        k = np.stack(np.broadcast_arrays(*fields._box_axes(g.dealias_cut)))
         kappa = np.tensordot(mean, k, axes=1)
         expect_u = 1j * kappa * b.coeffs
         expect_b = 1j * kappa * u.coeffs
@@ -695,34 +751,33 @@ class TestMeanField:
     @pytest.mark.parametrize("direction", ["random", "z"])
     @pytest.mark.parametrize("nu, mu", [(0.05, 0.05), (0.05, 0.02)])
     def test_factor_matches_matrix_exponential(self, hall, direction, nu, mu):
-        # every box mode at n = 8, among them k = 0 (identity), the kappa = 0
+        # every ball mode at n = 8, among them k = 0 (identity), the kappa = 0
         # modes (with nu = mu the degenerate branch) and, for B0 || z_hat,
-        # the whole kz = 0 plane
+        # the whole kz = 0 disc of the ball
         g = Grid(8)
+        c, ball = g.dealias_cut, g.ball
         rng = np.random.default_rng(11)
         b0 = rng.standard_normal(3) if direction == "random" else np.array([0, 0, 1.0])
         b0 *= 1.3 / np.linalg.norm(b0)
         cfg = RunConfig(n=8, dt=0.2, t_end=1.0, nu=nu, mu=mu, hall_on=hall)
         t = cfg.dt / 2
-        kvec, ksq, inv_k_sq, _ = g.box
-        shape = (3,) + ksq.shape
-        re, im = rng.standard_normal((2, 2) + shape)
-        u, b = (_leray(kvec, inv_k_sq, x) for x in re + 1j * im)
+        re, im = rng.standard_normal((2, 2, 3, ball.size))
+        u, b = (_leray(ball.kvec, ball.inv_k_sq, x) for x in re + 1j * im)
         eu, eb = solver._pair(g)
         solver._MeanField(g, cfg, b0, t)(u, b, out=(eu, eb))
-        ks = np.stack(np.broadcast_arrays(*kvec), axis=-1)
+        ks = np.stack(ball.kvec, axis=-1)
         degenerate = 0
-        for idx in np.ndindex(ksq.shape):
-            k = ks[idx]
-            x = np.concatenate([u[(slice(None),) + idx], b[(slice(None),) + idx]])
-            got = np.concatenate([eu[(slice(None),) + idx], eb[(slice(None),) + idx]])
+        for i, k in enumerate(ks):
+            x = np.concatenate([u[:, i], b[:, i]])
+            got = np.concatenate([eu[:, i], eb[:, i]])
             expect = linear_operator_exp(k, b0, nu, mu, hall, t) @ x
             assert np.abs(got - expect).max() <= 1e-13 * np.abs(x).max()
             if not k.any():
                 assert np.array_equal(got, x)
             degenerate += abs(k @ b0) < 1e-12
         if direction == "z":
-            assert degenerate == (2 * g.dealias_cut + 1) ** 2
+            disc = sum(kx * kx + ky * ky <= c * c for kx in range(-c, c + 1) for ky in range(-c, c + 1))
+            assert degenerate == disc
 
     @pytest.mark.parametrize("hall", [False, True])
     @pytest.mark.parametrize(
@@ -737,21 +792,22 @@ class TestMeanField:
         cfg = RunConfig(n=8, dt=0.2, t_end=1.0, nu=0.05, mu=0.02, hall_on=hall)
         stepper = Stepper(g, cfg)
         mean = np.array(mean, dtype=float)
-        kvec, ksq, inv_k_sq, _ = g.box
-        re, im = rng.standard_normal((2, 2, 3) + ksq.shape)
-        u, b = (_leray(kvec, inv_k_sq, x) for x in re + 1j * im)
-        b[:, 0, 0, 0] += mean
+        ball = g.ball
+        re, im = rng.standard_normal((2, 2, 3, ball.size))
+        u, b = (_leray(ball.kvec, ball.inv_k_sq, x) for x in re + 1j * im)
+        # k = 0 is mode 0 of the ball
+        b[:, 0] += mean
         fluct = b.copy()
-        fluct[:, 0, 0, 0] -= mean
+        fluct[:, 0] -= mean
         factors = (solver._Diagonal(stepper.eu_half, stepper.eb_half), stepper._factor(mean))
         assert isinstance(factors[1], solver._MeanField)
         for factor in factors:
             e, e_fluct = solver._pair(g), solver._pair(g)
             factor(u, b, out=e)
             factor(u, fluct, out=e_fluct)
-            assert e[:, :, 0, 0, 0].tobytes() == np.stack([u, b])[:, :, 0, 0, 0].tobytes()
-            assert e_fluct[1, :, 0, 0, 0].tobytes() == fluct[:, 0, 0, 0].tobytes()
-            e[1][:, 0, 0, 0] -= mean
+            assert e[:, :, 0].tobytes() == np.stack([u, b])[:, :, 0].tobytes()
+            assert e_fluct[1, :, 0].tobytes() == fluct[:, 0].tobytes()
+            e[1][:, 0] -= mean
             assert e.tobytes() == e_fluct.tobytes()
 
     def test_equal_diffusivities_share_one_factor(self):
