@@ -210,11 +210,8 @@ class _Ball:
     def gather(self, box: np.ndarray, out=None) -> np.ndarray:
         """The ball modes of box (ncomp, ...shape), a new C-contiguous
         (ncomp, size) array, or written into `out`."""
-        flat = box.reshape(len(box), -1)
-        if out is None:
-            return np.take(flat, self.index, axis=1)
-        # mode="clip" writes straight into out; "raise" would buffer it
-        return np.take(flat, self.index, axis=1, out=out, mode="clip")
+        # mode="clip" writes straight into out, where "raise" buffers it
+        return np.take(box.reshape(len(box), -1), self.index, axis=1, out=out, mode="clip")
 
     def expand(self, ball: np.ndarray) -> np.ndarray:
         """A new box (ncomp, ...shape) holding `ball`, zero beyond it."""
@@ -223,9 +220,8 @@ class _Ball:
         return box
 
 
-@cache
-def _ball(cut: int) -> _Ball:
-    return _Ball(cut)
+# one ball per cut, shared by every grid of that cut
+_ball = cache(_Ball)
 
 
 @dataclass

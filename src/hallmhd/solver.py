@@ -268,8 +268,7 @@ class _Kernel:
         n      16    24    32    40    48    56    64    80    96    128
         ratio  0.69  0.71  0.81  0.93  0.94  1.00  1.18  1.13  1.20  1.36
 
-    so the products run up to n = 56, where they tie.  (Measured on box
-    inputs; the ball's scatter and gather cost no pass.)
+    so the products run up to n = 56, where they tie.
 
     The slab holds fields._slab_planes(grid) planes, as many as
     fields.SLAB_BYTES of sample and transform buffers allow.  Each of these
@@ -281,10 +280,10 @@ class _Kernel:
     workspaces and set-ups reuse heap pages instead of faulting in pages of
     a trimmed heap (n = 32 benchmark set-ups: 312 minor faults each with
     separate buffers, 0 with one block).  A call allocates only temporaries
-    of one component.  The pair a call
-    returns, (2, 3, N), lives on the J buffer: the next call overwrites it,
-    and until then the caller may read it or write into it.  The inputs are
-    only read.  Not thread-safe: one call at a time per instance.
+    of one component.  The pair a call returns, (2, 3, N), lives on the J
+    buffer: the next call overwrites it, and until then the caller may read
+    it or write into it.  The inputs are only read.  Not thread-safe: one
+    call at a time per instance.
     """
 
     def __init__(self, grid: Grid):
