@@ -596,9 +596,10 @@ class Stepper:
     time per Stepper.  The workspace holds four arrays of shape
     (3, n, 2c + 1, c + 1), on which the kernel also returns its pair, and a
     slab of sample and transform planes of about SLAB_BYTES, all in one
-    allocation, and one component of a box and two of a ball.  A step, and a run resumed from a checkpoint, is
-    bit-identical under the same BLAS kernel and the same SLAB_BYTES (see
-    bit determinism in the fields docstring).
+    allocation, and one component of a box and two of a ball.  A step, and
+    a run resumed from a checkpoint, is bit-identical under the same BLAS
+    kernel and the same SLAB_BYTES (see bit determinism in the fields
+    docstring).
 
     The config is validated, and must describe the stepper's grid: a
     mismatch in n or dealias_cut raises ConfigError, and a state whose
