@@ -187,12 +187,11 @@ class _Ball:
     mode and component, shape (ncomp, size).
 
     `index` is each mode's flat index into the box, `kvec` its wavevector
-    components as floats and `ik` the same times i, the factors of the
-    curl; `k_sq` is |k|^2, `inv_k_sq` 1/|k|^2 (0 at k = 0) and `mult` the
-    Hermitian multiplicity of its kz plane, as _multiplicity counts it.
-    The ball holds 46%, 49.5% and 51% of the box at the default cuts of
-    n = 32, 64 and 128.  The tables are read-only and shared: _ball caches
-    one ball per cut."""
+    components as floats, `k_sq` its |k|^2, `inv_k_sq` 1/|k|^2 (0 at
+    k = 0) and `mult` the Hermitian multiplicity of its kz plane, as
+    _multiplicity counts it.  The ball holds 46%, 49.5% and 51% of the box
+    at the default cuts of n = 32, 64 and 128.  The tables are read-only
+    and shared: _ball caches one ball per cut."""
 
     def __init__(self, cut: int):
         self.shape = _box_shape(cut)
@@ -200,11 +199,10 @@ class _Ball:
         self.index = np.flatnonzero(_norm_sq(axes) <= cut * cut)
         self.size = self.index.size
         self.kvec = tuple(np.broadcast_to(k, self.shape).flat[self.index] for k in axes)
-        self.ik = tuple(1j * k for k in self.kvec)
         self.k_sq = _norm_sq(self.kvec)
         self.inv_k_sq = _reciprocal(self.k_sq)
         self.mult = np.where(self.kvec[2] > 0, 2.0, 1.0)
-        for a in (self.index, *self.kvec, *self.ik, self.k_sq, self.inv_k_sq, self.mult):
+        for a in (self.index, *self.kvec, self.k_sq, self.inv_k_sq, self.mult):
             a.flags.writeable = False
 
     def gather(self, box: np.ndarray, out=None) -> np.ndarray:
@@ -657,23 +655,23 @@ def _curl(kvec, coeffs: np.ndarray, out=None, tmp=None) -> np.ndarray:
     _curl_component, with its tmp."""
     if out is None:
         out = np.empty(coeffs.shape, dtype=np.complex128)
-    ik = tuple(1j * k for k in kvec)
     for i, o in enumerate(out):
-        _curl_component(ik, coeffs, i, o, tmp)
+        _curl_component(kvec, coeffs, i, o, tmp)
     return out
 
 
 def _curl_component(
-    ik, coeffs: np.ndarray, i: int, out: np.ndarray, tmp=None
+    kvec, coeffs: np.ndarray, i: int, out: np.ndarray, tmp=None
 ) -> np.ndarray:
     """Component i of i k x coeffs, written to `out` (not coeffs), one
-    component's shape: i k_j c_k - i k_k c_j with j, k = i + 1, i + 2
-    (mod 3).  ik holds the wavevectors made imaginary, i k, so that no
-    product casts a real operand (the ball's ik, or those of box axes);
-    tmp, one component's shape, holds the subtrahend."""
+    component's shape: i (k_j c_k - k_k c_j) with j, k = i + 1, i + 2
+    (mod 3), for broadcastable or per-mode wavevectors; the factor i,
+    applied last, is exact.  tmp, one component's shape, holds the
+    subtrahend."""
     j, k = (i + 1) % 3, (i + 2) % 3
-    np.multiply(ik[j], coeffs[k], out=out)
-    out -= np.multiply(ik[k], coeffs[j], out=tmp)
+    np.multiply(kvec[j], coeffs[k], out=out)
+    out -= np.multiply(kvec[k], coeffs[j], out=tmp)
+    out *= 1j
     return out
 
 

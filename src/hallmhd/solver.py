@@ -338,7 +338,7 @@ class _Kernel:
                 into_box[ball.index] = f[j]
                 _inverse_x(self._in, xs[i, j : j + 1])
             for j in range(3):
-                into_box[ball.index] = _curl_component(ball.ik, f, j, cu[0], cu[1])
+                into_box[ball.index] = _curl_component(ball.kvec, f, j, cu[0], cu[1])
                 _inverse_x(self._in, xs[i + 1, j : j + 1])
         maxima = []
         for i0, i1, (up, wp, bp, jp, fp), tmp, y in self._slabs():
@@ -362,7 +362,7 @@ class _Kernel:
         fb = ball.gather(_forward_x(xs[1], box), out=self._fb)
         _leray(ball.kvec, ball.inv_k_sq, du, out=du, tmp=self._scratch)
         for i in range(3):
-            _curl_component(ball.ik, fb, i, db[i], self._scratch[0])
+            _curl_component(ball.kvec, fb, i, db[i], self._scratch[0])
         # np.max, unlike max, keeps a nan of any slab
         return self._d, (np.max(maxima, axis=0) if gate else None)
 
@@ -507,7 +507,7 @@ class _MeanField:
         ksq = ball.k_sq
         kappa = kx * mean[0] + ky * mean[1] + kz * mean[2]
         a, beta, d = -cfg.nu * ksq + 0j, 1j * kappa, -cfg.mu * ksq + 0j
-        self.ik = ball.ik
+        self.kvec = ball.kvec
         if not cfg.hall_on:
             self.a, self.c = _expm_sym2(a, beta, d, t), None
             return
@@ -540,7 +540,7 @@ class _MeanField:
         cu = np.empty_like(tmp)
         for x, c_x, c_y in ((u, c_uu, c_ub), (b, c_ub, c_bb)):
             for i in range(3):
-                _curl_component(self.ik, x, i, cu, tmp)
+                _curl_component(self.kvec, x, i, cu, tmp)
                 eu[i] += np.multiply(c_x, cu, out=tmp)
                 eb[i] += np.multiply(c_y, cu, out=cu)
 
@@ -752,9 +752,8 @@ def magnetic_helicity(b: SpectralField) -> float:
     inv_k_sq = _reciprocal(_norm_sq(kvec))
     rows = np.empty(coeffs.shape[:-1])
     a, tmp = np.empty((2,) + coeffs.shape[1:], dtype=np.complex128)
-    ik = tuple(1j * k for k in kvec)
     for i, row in enumerate(rows):
-        _curl_component(ik, coeffs, i, a, tmp)
+        _curl_component(kvec, coeffs, i, a, tmp)
         a *= inv_k_sq
         np.conjugate(a, out=a)
         a *= coeffs[i]

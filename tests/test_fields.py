@@ -504,9 +504,7 @@ class TestDealiasBall:
         assert np.array_equal(ball.k_sq, k_sq) and ball.k_sq.max() <= c * c
         assert ball.inv_k_sq[0] == 0.0 and np.array_equal(ball.inv_k_sq[1:], 1.0 / k_sq[1:])
         assert np.array_equal(ball.mult, np.where(kz == 0, 1.0, 2.0))
-        for got, k in zip(ball.ik, ball.kvec):
-            assert np.array_equal(got, 1j * k)
-        tables = (ball.index, *ball.kvec, *ball.ik, ball.k_sq, ball.inv_k_sq, ball.mult)
+        tables = (ball.index, *ball.kvec, ball.k_sq, ball.inv_k_sq, ball.mult)
         assert not any(t.flags.writeable for t in tables)
         assert Grid(n).ball is ball
 
