@@ -301,10 +301,10 @@ class TestHalfCubeStep:
             assert not np.shares_memory(f.coeffs, ball)
 
     def test_stepped_state_keeps_no_half_cube(self):
-        # a read of a stepped state's u is a copy of its box, and a record
-        # like the benchmark's diagnostics record (energy, magnetic helicity
-        # and the shell L^2 and L^inf norms of u and b, each call reading
-        # the state) builds no half cube either: at n = 32 the read peaks
+        # a read of a stepped state's u expands its ball into a box, and a
+        # record like the benchmark's diagnostics record (energy, magnetic
+        # helicity and the shell L^2 and L^inf norms of u and b, each call
+        # reading the state) builds no half cube either: at n = 32 the read peaks
         # below one (3, 32, 32, 17) half cube, and the record below one
         # half cube on top of the slab buffers that the shell sup norms
         # stream through (fields._BoxSup), 1.2 MB at n = 32 in any layout
@@ -498,7 +498,7 @@ class TestHalfCubeStep:
         assert steady_step_boxes("uniform_b_plus_whistler") <= 3
 
     def test_first_step_drops_the_fields(self):
-        # a state built from fields keeps only their masked boxes once a step
+        # a state built from fields keeps only their ball arrays once a step
         # has read them: the original coefficients are freed, and u is the
         # dealiased field
         import weakref
